@@ -1,26 +1,24 @@
-"""Infrastructure bench: vectorized fast paths vs reference simulator.
+"""Infrastructure bench: vectorized fast path vs reference simulator.
 
 The repro band notes "slow simulation of large traces" as the main risk
-of a Python reproduction; the numpy fast paths are the mitigation.  This
-bench measures both implementations on the same large trace — for the
-direct-mapped closed-form kernel and the set-associative LRU stack
-kernel — and asserts each fast path (a) agrees exactly and (b) clears
-its speedup floor (5x direct-mapped, 10x 4-way LRU; relaxed to parity
-under ``--quick``, where streams are too short to amortize numpy
-dispatch).  The block-expansion helper is benched on its own because
-every straddling trace pays it before either kernel runs.
+of a Python reproduction; the numpy fast path is the mitigation.  This
+bench measures both implementations on the same large trace — for a
+direct-mapped config (the stack-position kernel's closed-form depth-1
+branch) and a 4-way LRU config (its time-step loop) — and asserts the
+fast path (a) agrees exactly and (b) clears its speedup floor (5x
+direct-mapped, 10x 4-way LRU; relaxed to parity under ``--quick``,
+where streams are too short to amortize numpy dispatch).  The
+block-expansion helper is benched on its own because every straddling
+trace pays it before the kernel runs.
 """
 
 import numpy as np
 import pytest
 
 from repro.cache.config import CacheConfig
-from repro.cache.fastsim import (
-    _expand_blocks,
-    fast_direct_mapped_counts,
-    fast_lru_counts,
-)
+from repro.cache.fastsim import fast_trace_counts
 from repro.cache.simulator import simulate
+from repro.simbatch.kernel import _expand_blocks
 from repro.trace.record import AccessType, TraceRecord
 
 #: Acceptance floor for the 4-way LRU kernel on the 200k-access stream.
@@ -68,7 +66,7 @@ def _reference_seconds(stream, config):
 
 
 def test_fast_path(benchmark, big_stream, cfg):
-    counts = benchmark(fast_direct_mapped_counts, big_stream, cfg)
+    counts = benchmark(fast_trace_counts, big_stream, cfg).counts
     assert counts.accesses == len(big_stream)
 
 
@@ -76,7 +74,7 @@ def test_reference_path(benchmark, big_stream, cfg):
     records = _records(big_stream)
 
     stats = benchmark(lambda: simulate(records, cfg).stats)
-    fast = fast_direct_mapped_counts(big_stream, cfg)
+    fast = fast_trace_counts(big_stream, cfg).counts
     assert stats.block_hits == fast.hits
     assert stats.block_misses == fast.misses
     assert np.array_equal(stats.per_set.hits, fast.per_set.hits)
@@ -84,7 +82,7 @@ def test_reference_path(benchmark, big_stream, cfg):
 
 def test_speedup_factor(benchmark, big_stream, cfg, quick):
     reference, _ = _reference_seconds(big_stream, cfg)
-    benchmark(fast_direct_mapped_counts, big_stream, cfg)
+    benchmark(fast_trace_counts, big_stream, cfg)
     fast = benchmark.stats["mean"]
     print(
         f"\nreference {reference * 1e3:.1f} ms, fast {fast * 1e3:.1f} ms, "
@@ -94,14 +92,14 @@ def test_speedup_factor(benchmark, big_stream, cfg, quick):
 
 
 def test_lru_fast_path(benchmark, big_stream, lru_cfg):
-    counts = benchmark(fast_lru_counts, big_stream, lru_cfg)
+    counts = benchmark(fast_trace_counts, big_stream, lru_cfg).counts
     assert counts.accesses == len(big_stream)
 
 
 def test_lru_speedup_factor(benchmark, big_stream, lru_cfg, quick):
     """The PR's acceptance claim: >= 10x on a 200k-access 4-way stream."""
     reference, stats = _reference_seconds(big_stream, lru_cfg)
-    counts = benchmark(fast_lru_counts, big_stream, lru_cfg)
+    counts = benchmark(fast_trace_counts, big_stream, lru_cfg).counts
     fast = benchmark.stats["mean"]
     print(
         f"\nreference {reference * 1e3:.1f} ms, fast {fast * 1e3:.1f} ms, "

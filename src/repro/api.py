@@ -26,23 +26,12 @@ from __future__ import annotations
 
 from repro.cache.config import CacheConfig
 from repro.cache.fastsim import (
-    FastCounts,
     FastSimulator,
-    FastTraceCounts,
-    fast_counts,
-    fast_direct_mapped_counts,
-    fast_lru_counts,
-    fast_per_variable_counts,
-    fast_trace_counts,
-    supports_fast_path,
-)
-from repro.cache.simulator import (
-    CacheSimulator,
-    SimulationResult,
     StreamResult,
-    simulate,
+    fast_trace_counts,
     simulate_stream,
 )
+from repro.cache.simulator import CacheSimulator, SimulationResult, simulate
 from repro.campaign import (
     ArtifactStore,
     BatchOptions,
@@ -79,6 +68,8 @@ from repro.simbatch import (
     plan_batch,
     simulate_batch,
 )
+from repro.simbatch.kernel import FastCounts, FastTraceCounts
+from repro.simbatch.plan import supports_fast_path
 from repro.cache.hierarchy import CacheHierarchy, simulate_hierarchy
 from repro.cache.threec import classify_misses
 from repro.cache.split import simulate_split
@@ -203,10 +194,6 @@ __all__ = [
     "FastCounts",
     "FastTraceCounts",
     "FastSimulator",
-    "fast_counts",
-    "fast_direct_mapped_counts",
-    "fast_lru_counts",
-    "fast_per_variable_counts",
     "fast_trace_counts",
     "supports_fast_path",
     "CacheHierarchy",

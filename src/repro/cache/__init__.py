@@ -17,8 +17,12 @@ provides that simulator:
   ("observe conflicts between program structures");
 - :mod:`repro.cache.simulator` — drives a trace through a cache;
 - :mod:`repro.cache.hierarchy` — multi-level (L1/L2) simulation;
-- :mod:`repro.cache.fastsim` — a vectorized (numpy) direct-mapped fast
-  path, cross-validated against the reference simulator.
+- :mod:`repro.cache.fastsim` — the vectorized (numpy) fast path for
+  direct-mapped and set-associative LRU caches: one config run through
+  the stack-position kernel of :mod:`repro.simbatch.kernel` as a batch
+  of one, cross-validated against the reference simulator.  It is not
+  re-exported here: :mod:`repro.simbatch` imports this package, so
+  import it from its module (or from :mod:`repro.api`).
 """
 
 from repro.cache.config import CacheConfig, WritePolicy, AllocatePolicy
@@ -41,7 +45,6 @@ from repro.cache.simulator import (
     simulate,
 )
 from repro.cache.hierarchy import CacheHierarchy, HierarchyResult, simulate_hierarchy
-from repro.cache.fastsim import fast_direct_mapped_counts
 from repro.cache.threec import ThreeCCounts, ThreeCReport, classify_misses
 from repro.cache.split import SplitCacheSimulator, SplitResult, simulate_split
 from repro.cache.victim import (
@@ -80,7 +83,6 @@ __all__ = [
     "CacheHierarchy",
     "HierarchyResult",
     "simulate_hierarchy",
-    "fast_direct_mapped_counts",
     "ThreeCCounts",
     "ThreeCReport",
     "classify_misses",

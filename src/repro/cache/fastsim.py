@@ -1,36 +1,24 @@
-"""Vectorized cache simulation (numpy fast paths).
+"""Single-config vectorized cache simulation: a batch of one.
 
 Large traces make per-record Python loops the bottleneck ("no optimization
-without measuring" — and we measured: these paths run 1-2 orders of
-magnitude faster than the reference simulator on a 200k-access stream; see
-``benchmarks/bench_fastsim_speedup.py`` for the live numbers on your
-machine).  Two kernels are vectorized:
+without measuring" — and we measured: the fast path runs 1-2 orders of
+magnitude faster than the reference simulator on a 200k-access stream;
+see ``benchmarks/bench_fastsim_speedup.py`` for the live numbers on your
+machine).  There is one vectorized kernel, the stack-position pass of
+:mod:`repro.simbatch.kernel`, and one carried-state type,
+:class:`~repro.simbatch.kernel.MultiConfigSimulator`.  This module is its
+single-config face: :func:`fast_trace_counts` is a one-shot batch of one
+config, :class:`FastSimulator` a chunked one, and :func:`simulate_stream`
+feeds a :class:`FastSimulator` from a trace file in bounded memory.
 
-**Direct-mapped** caches have a closed-form hit condition:
+Coverage (:func:`repro.simbatch.plan.supports_fast_path`): direct-mapped
+caches, which the kernel answers in closed form (an access hits iff the
+previous access to its set had the same block), and set-associative
+true-LRU caches, where an access hits iff its block is among the ``ways``
+most-recently-used distinct blocks of its set.  Both assume
+write-allocate.
 
-    an access hits iff the *previous* access to the same set
-    had the same tag.
-
-So we group accesses by set with a stable argsort and compare each block
-number to its predecessor within the group — no sequential state needed.
-
-**Set-associative LRU** caches hit iff the accessed block is among the
-``ways`` most-recently-used distinct blocks of its set (reuse distance
-over the set's block stream).  That is inherently stateful, but the state
-is tiny (one LRU stack of ``ways`` block ids per set) and every set is
-independent, so we vectorize *across sets*: per-set streams are laid out
-contiguously by the same stable argsort, and a single Python-level loop
-advances all sets one access per time-step with vectorized
-compare/shift/update operations on a ``(sets, ways)`` stack matrix.  The
-loop length is the *deepest* per-set stream, not the trace length — for
-balanced traffic over S sets that is ~n/S iterations.
-
-Accesses that straddle a block boundary are expanded to one entry per
-block first, mirroring the reference simulator's behaviour.  Both kernels
-assume write-allocate (the DineroIV default): every miss fills, so the
-hit/miss stream is independent of which accesses write.
-
-Both paths are cross-validated against the reference simulator in
+The fast path is cross-validated against the reference simulator in
 ``tests/cache/test_fastsim.py`` on random and kernel traces, with exact
 hit/miss/per-set equality.
 """
@@ -38,244 +26,21 @@ hit/miss/per-set equality.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from pathlib import Path
+from typing import Callable, Dict, Iterable, Optional, Union
 
 import numpy as np
 
-from repro.errors import CacheConfigError
-from repro.cache.config import AllocatePolicy, CacheConfig
-from repro.cache.stats import PerSetCounts
+from repro.cache.config import CacheConfig
 from repro.obsv.telemetry import get_telemetry
-
-
-@dataclass(frozen=True)
-class FastCounts:
-    """Results of one vectorized pass (block-level events)."""
-
-    hits: int
-    misses: int
-    compulsory_misses: int
-    per_set: PerSetCounts
-
-    @property
-    def accesses(self) -> int:
-        return self.hits + self.misses
-
-    @property
-    def miss_ratio(self) -> float:
-        return self.misses / self.accesses if self.accesses else 0.0
-
-
-@dataclass(frozen=True)
-class FastTraceCounts:
-    """Fast-path results at both granularities the reference tracks.
-
-    ``counts`` are block-level events (one per touched block);
-    ``demand_hits``/``demand_misses`` count CPU accesses, where an access
-    hits only when *every* block it touches hits — the same accounting
-    :class:`~repro.cache.stats.CacheStats` uses for its demand counters.
-    """
-
-    counts: FastCounts
-    demand_hits: int
-    demand_misses: int
-    #: lines evicted to make room (write-allocate: fills = block misses)
-    evictions: int
-    #: ``{var_id: (block_hits, block_misses)}`` — empty when no ids given
-    per_variable: Dict[int, Tuple[int, int]]
-
-    @property
-    def demand_accesses(self) -> int:
-        return self.demand_hits + self.demand_misses
-
-    @property
-    def demand_miss_ratio(self) -> float:
-        n = self.demand_accesses
-        return self.demand_misses / n if n else 0.0
-
-
-def supports_fast_path(config: CacheConfig) -> bool:
-    """Whether the vectorized kernels reproduce ``config`` exactly.
-
-    Coverage matrix: direct-mapped (any replacement policy — it is never
-    consulted at associativity 1) and set-associative true-LRU caches,
-    both requiring write-allocate so the hit/miss stream is independent
-    of the write mask.  Fully associative configs are excluded: with one
-    set the time-step kernel degenerates to a per-access Python loop and
-    the reference simulator is the better tool.
-    """
-    if config.allocate_policy is not AllocatePolicy.WRITE_ALLOCATE:
-        return False
-    if config.ways == 1:
-        return True
-    if config.associativity == 0:
-        return False
-    return config.policy.lower() == "lru"
-
-
-def _expand_blocks(
-    addrs: np.ndarray, sizes: np.ndarray, block_size: int
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Per-access -> per-block expansion for straddling accesses.
-
-    Returns ``(blocks, access_index)``: one entry per touched block, in
-    trace order, with ``access_index`` mapping each entry back to the
-    access that produced it.
-    """
-    addrs = np.asarray(addrs, dtype=np.uint64)
-    sizes = np.maximum(np.asarray(sizes, dtype=np.uint64), 1)
-    first = (addrs // block_size).astype(np.int64)
-    n = len(first)
-    last = ((addrs + sizes - np.uint64(1)) // block_size).astype(np.int64)
-    spans = last - first + 1
-    if n == 0 or int(spans.max(initial=1)) == 1:
-        return first, np.arange(n, dtype=np.int64)
-    access_index = np.repeat(np.arange(n, dtype=np.int64), spans)
-    repeated = np.repeat(first, spans)
-    # Ramp 0..span-1 inside each access's run: global positions minus the
-    # position where the owning access's run begins.
-    starts = np.cumsum(spans) - spans
-    offsets = np.arange(len(repeated), dtype=np.int64) - starts[access_index]
-    return repeated + offsets, access_index
-
-
-# -- kernels ------------------------------------------------------------------
-
-
-def _direct_mapped_hit_mask(
-    blocks: np.ndarray,
-    sets: np.ndarray,
-    carry: Optional[np.ndarray] = None,
-) -> np.ndarray:
-    """Trace-order hit mask for a direct-mapped cache.
-
-    ``carry`` (int64, one slot per set, ``-1`` = empty) holds the resident
-    block per set from earlier chunks; it is updated in place when given.
-    """
-    n = len(blocks)
-    order = np.argsort(sets, kind="stable")
-    ss = sets[order]
-    sb = blocks[order]
-    head = np.empty(n, dtype=bool)
-    head[0] = True
-    head[1:] = ss[1:] != ss[:-1]
-    prev = np.empty(n, dtype=np.int64)
-    prev[1:] = sb[:-1]
-    prev[head] = -1 if carry is None else carry[ss[head]]
-    hits = np.empty(n, dtype=bool)
-    hits[order] = sb == prev
-    if carry is not None:
-        tail = np.empty(n, dtype=bool)
-        tail[:-1] = head[1:]
-        tail[-1] = True
-        carry[ss[tail]] = sb[tail]
-    return hits
-
-
-def _lru_hit_mask(
-    blocks: np.ndarray,
-    sets: np.ndarray,
-    ways: int,
-    stacks: Optional[np.ndarray] = None,
-) -> np.ndarray:
-    """Trace-order hit mask for a set-associative true-LRU cache.
-
-    ``stacks`` (int64, shape ``(n_sets, ways)``, MRU first, ``-1`` =
-    invalid) carries residency from earlier chunks and is updated in
-    place when given.  Sets are processed longest-stream-first so the
-    rows active at time-step ``t`` are always a prefix of the stack
-    matrix, keeping every step a contiguous vectorized slice.
-    """
-    n = len(blocks)
-    order = np.argsort(sets, kind="stable")
-    ss = sets[order]
-    sb = blocks[order]
-    group_sets, group_start, group_count = np.unique(
-        ss, return_index=True, return_counts=True
-    )
-    by_depth = np.argsort(-group_count, kind="stable")
-    g_sets = group_sets[by_depth]
-    g_start = group_start[by_depth]
-    g_count = group_count[by_depth]
-    if stacks is None:
-        local = np.full((len(g_sets), ways), -1, dtype=np.int64)
-    else:
-        local = stacks[g_sets].copy()
-    hit_sorted = np.empty(n, dtype=bool)
-    cols = np.arange(ways)
-    neg_counts = -g_count  # ascending; active sets at step t have count > t
-    for t in range(int(g_count[0])):
-        n_active = int(np.searchsorted(neg_counts, -t, side="left"))
-        idx = g_start[:n_active] + t
-        b = sb[idx]
-        window = local[:n_active]
-        match = window == b[:, None]
-        hit = match.any(axis=1)
-        hit_sorted[idx] = hit
-        # Promote the touched block to MRU: entries above its old position
-        # (or the whole stack on a miss, dropping the LRU victim) shift
-        # down one slot and the block lands in slot 0.
-        matchpos = np.where(hit, match.argmax(axis=1), ways)
-        shifted = np.empty_like(window)
-        shifted[:, 0] = b
-        shifted[:, 1:] = window[:, :-1]
-        np.copyto(window, shifted, where=cols[None, :] <= matchpos[:, None])
-    hits = np.empty(n, dtype=bool)
-    hits[order] = hit_sorted
-    if stacks is not None:
-        stacks[g_sets] = local
-    return hits
-
-
-def _validate_fast_config(config: CacheConfig) -> None:
-    if config.allocate_policy is not AllocatePolicy.WRITE_ALLOCATE:
-        raise CacheConfigError(
-            "fast paths require write-allocate; with "
-            f"{config.allocate_policy.value} the hit/miss stream depends "
-            "on which accesses write"
-        )
-    if config.ways > 1 and config.policy.lower() != "lru":
-        raise CacheConfigError(
-            "fast path supports LRU replacement only at associativity "
-            f">= 2; got policy {config.policy!r}"
-        )
-
-
-def _hit_mask(
-    blocks: np.ndarray, sets: np.ndarray, config: CacheConfig
-) -> np.ndarray:
-    """Dispatch to the matching kernel (config already validated)."""
-    if config.ways == 1:
-        return _direct_mapped_hit_mask(blocks, sets)
-    return _lru_hit_mask(blocks, sets, config.ways)
-
-
-def _counts_from_mask(
-    blocks: np.ndarray,
-    sets: np.ndarray,
-    hits_mask: np.ndarray,
-    config: CacheConfig,
-) -> FastCounts:
-    per_set = PerSetCounts.zeros(config.n_sets)
-    n = len(blocks)
-    if n == 0:
-        return FastCounts(0, 0, 0, per_set)
-    np.add.at(per_set.hits, sets[hits_mask], 1)
-    np.add.at(per_set.misses, sets[~hits_mask], 1)
-    hits = int(hits_mask.sum())
-    # Compulsory misses: first occurrence of each distinct block (every
-    # first touch misses, under any geometry).
-    compulsory = int(len(np.unique(blocks)))
-    return FastCounts(hits, n - hits, compulsory, per_set)
-
-
-def _evictions_from(per_set: PerSetCounts, ways: int) -> int:
-    """Evictions under write-allocate: every block miss fills, so a set
-    evicts once per fill beyond its ``ways`` capacity."""
-    return int(np.maximum(per_set.misses - ways, 0).sum())
-
-
-# -- public entry points ------------------------------------------------------
+from repro.simbatch.kernel import (
+    FastCounts,
+    FastTraceCounts,
+    MultiConfigSimulator,
+    batch_trace_counts,
+)
+from repro.trace.record import TraceRecord
+from repro.trace.stream import DEFAULT_CHUNK_RECORDS, TraceChunk, iter_chunks
 
 
 def fast_trace_counts(
@@ -291,7 +56,8 @@ def fast_trace_counts(
     addrs:
         ``uint64`` array of access addresses, in trace order.
     config:
-        Any config for which :func:`supports_fast_path` holds.
+        Any config for which
+        :func:`~repro.simbatch.plan.supports_fast_path` holds.
     sizes:
         Optional access sizes (defaults to all-1, i.e. no straddling).
     var_ids:
@@ -316,141 +82,23 @@ def _fast_trace_counts(
     var_ids: Optional[np.ndarray] = None,
 ) -> FastTraceCounts:
     """Uninstrumented :func:`fast_trace_counts` body (the overhead baseline)."""
-    _validate_fast_config(config)
-    addrs = np.asarray(addrs, dtype=np.uint64)
-    n_accesses = len(addrs)
-    if sizes is None:
-        sizes = np.ones(n_accesses, dtype=np.uint32)
-    blocks, access_index = _expand_blocks(addrs, sizes, config.block_size)
-    per_var: Dict[int, Tuple[int, int]] = {}
-    if n_accesses == 0:
-        empty = FastCounts(0, 0, 0, PerSetCounts.zeros(config.n_sets))
-        return FastTraceCounts(empty, 0, 0, 0, per_var)
-    sets = blocks & (config.n_sets - 1)
-    hits_mask = _hit_mask(blocks, sets, config)
-    counts = _counts_from_mask(blocks, sets, hits_mask, config)
-    # Demand level: an access hits only when all its blocks hit.
-    missed_blocks = np.bincount(
-        access_index, weights=~hits_mask, minlength=n_accesses
-    )
-    demand_hits = int((missed_blocks == 0).sum())
-    if var_ids is not None:
-        owners = np.asarray(var_ids, dtype=np.int64)[access_index]
-        for vid in np.unique(owners):
-            mask = owners == vid
-            h = int((hits_mask & mask).sum())
-            per_var[int(vid)] = (h, int(mask.sum()) - h)
-    return FastTraceCounts(
-        counts=counts,
-        demand_hits=demand_hits,
-        demand_misses=n_accesses - demand_hits,
-        evictions=_evictions_from(counts.per_set, config.ways),
-        per_variable=per_var,
-    )
-
-
-def fast_counts(
-    addrs: np.ndarray,
-    config: CacheConfig,
-    sizes: Optional[np.ndarray] = None,
-) -> FastCounts:
-    """Block-level hit/miss counts via whichever kernel covers ``config``."""
-    return fast_trace_counts(addrs, config, sizes).counts
-
-
-def fast_direct_mapped_counts(
-    addrs: np.ndarray,
-    config: CacheConfig,
-    sizes: Optional[np.ndarray] = None,
-) -> FastCounts:
-    """Hit/miss counts of a direct-mapped cache over an address stream.
-
-    ``config`` must be direct-mapped (``associativity == 1``); replacement
-    policy is irrelevant at associativity 1.
-    """
-    if config.ways != 1:
-        raise CacheConfigError(
-            "fast path supports direct-mapped caches only; "
-            f"got {config.ways} ways (use fast_lru_counts)"
-        )
-    return fast_counts(addrs, config, sizes)
-
-
-def fast_lru_counts(
-    addrs: np.ndarray,
-    config: CacheConfig,
-    sizes: Optional[np.ndarray] = None,
-) -> FastCounts:
-    """Hit/miss counts of a set-associative LRU cache over a stream.
-
-    ``config`` must use true-LRU replacement at associativity >= 2 (the
-    direct-mapped case has its own closed-form kernel).
-    """
-    if config.ways < 2:
-        raise CacheConfigError(
-            "fast_lru_counts needs associativity >= 2; "
-            "use fast_direct_mapped_counts for 1-way caches"
-        )
-    return fast_counts(addrs, config, sizes)
-
-
-def fast_per_variable_counts(
-    addrs: np.ndarray,
-    var_ids: np.ndarray,
-    config: CacheConfig,
-    sizes: Optional[np.ndarray] = None,
-) -> Tuple[FastCounts, Dict[int, Tuple[int, int]]]:
-    """Fast path plus per-variable hit/miss totals.
-
-    ``var_ids`` assigns an integer label per access (e.g. an index into a
-    name table; negative = unattributed).  Accesses that straddle block
-    boundaries are expanded exactly as in the global pass, each expanded
-    block attributed to its owning access's label — so the per-variable
-    totals sum to the global counts.  Returns the global counts and
-    ``{var_id: (hits, misses)}``.
-    """
-    result = fast_trace_counts(addrs, config, sizes, var_ids)
-    return result.counts, result.per_variable
-
-
-# -- chunked streaming --------------------------------------------------------
+    (result,) = batch_trace_counts(addrs, [config], sizes, var_ids)
+    return result
 
 
 class FastSimulator:
-    """Stateful fast path: feed a trace in bounded-size chunks.
+    """Stateful fast path: feed one config a trace in bounded-size chunks.
 
-    Residency (the per-set last block for direct-mapped configs, the
-    per-set LRU stacks otherwise) is carried between :meth:`feed` calls,
-    so chunked totals are exactly equal to a single whole-trace pass.
-    Peak memory is O(chunk + sets*ways + distinct blocks); the trace
-    itself never needs to be materialized.
+    A one-config :class:`~repro.simbatch.kernel.MultiConfigSimulator`:
+    residency (the per-set LRU stacks, one way wide when direct-mapped),
+    the compulsory-miss block set and every running total live in that
+    batch and are carried between :meth:`feed` calls, so chunked totals
+    are exactly equal to a single whole-trace pass.
     """
 
     def __init__(self, config: CacheConfig) -> None:
-        _validate_fast_config(config)
-        if not supports_fast_path(config):
-            raise CacheConfigError(
-                f"no fast path covers {config.describe()!r}; "
-                "use the reference CacheSimulator"
-            )
         self.config = config
-        if config.ways == 1:
-            self._carry = np.full(config.n_sets, -1, dtype=np.int64)
-            self._stacks = None
-        else:
-            self._carry = None
-            self._stacks = np.full(
-                (config.n_sets, config.ways), -1, dtype=np.int64
-            )
-        self._seen_blocks: set = set()
-        self._per_set = PerSetCounts.zeros(config.n_sets)
-        self._block_hits = 0
-        self._block_misses = 0
-        self._compulsory = 0
-        self._demand_hits = 0
-        self._demand_accesses = 0
-        self._chunks = 0
-        self._per_var: Dict[int, Tuple[int, int]] = {}
+        self._batch = MultiConfigSimulator([config])
 
     def feed(
         self,
@@ -466,214 +114,140 @@ class FastSimulator:
         """
         tele = get_telemetry()
         if not tele.enabled:
-            return self._feed(addrs, sizes, var_ids)
+            return self._batch.feed(addrs, sizes, var_ids)[0]
         with tele.span("simulate.fast_chunk", cat="simulate"):
-            counts = self._feed(addrs, sizes, var_ids)
+            counts = self._batch.feed(addrs, sizes, var_ids)[0]
         tele.add("simulate.cache_lookups", len(addrs))
         return counts
-
-    def _feed(
-        self,
-        addrs: np.ndarray,
-        sizes: Optional[np.ndarray] = None,
-        var_ids: Optional[np.ndarray] = None,
-    ) -> FastCounts:
-        """Uninstrumented :meth:`feed` body (the overhead baseline)."""
-        addrs = np.asarray(addrs, dtype=np.uint64)
-        n_accesses = len(addrs)
-        self._chunks += 1
-        if n_accesses == 0:
-            return FastCounts(0, 0, 0, PerSetCounts.zeros(self.config.n_sets))
-        if sizes is None:
-            sizes = np.ones(n_accesses, dtype=np.uint32)
-        blocks, access_index = _expand_blocks(
-            addrs, sizes, self.config.block_size
-        )
-        sets = blocks & (self.config.n_sets - 1)
-        if self._stacks is None:
-            hits_mask = _direct_mapped_hit_mask(blocks, sets, self._carry)
-        else:
-            hits_mask = _lru_hit_mask(
-                blocks, sets, self.config.ways, self._stacks
-            )
-        per_set = PerSetCounts.zeros(self.config.n_sets)
-        np.add.at(per_set.hits, sets[hits_mask], 1)
-        np.add.at(per_set.misses, sets[~hits_mask], 1)
-        hits = int(hits_mask.sum())
-        misses = len(blocks) - hits
-        # A block's first touch is compulsory only if no earlier chunk saw it.
-        seen = self._seen_blocks
-        compulsory = 0
-        for block in np.unique(blocks).tolist():
-            if block not in seen:
-                seen.add(block)
-                compulsory += 1
-        missed_blocks = np.bincount(
-            access_index, weights=~hits_mask, minlength=n_accesses
-        )
-        self._demand_hits += int((missed_blocks == 0).sum())
-        self._demand_accesses += n_accesses
-        self._block_hits += hits
-        self._block_misses += misses
-        self._compulsory += compulsory
-        self._per_set.hits += per_set.hits
-        self._per_set.misses += per_set.misses
-        if var_ids is not None:
-            owners = np.asarray(var_ids, dtype=np.int64)[access_index]
-            for vid in np.unique(owners):
-                mask = owners == vid
-                h = int((hits_mask & mask).sum())
-                old = self._per_var.get(int(vid), (0, 0))
-                self._per_var[int(vid)] = (
-                    old[0] + h, old[1] + int(mask.sum()) - h
-                )
-        return FastCounts(hits, misses, compulsory, per_set)
 
     # -- residency priming -----------------------------------------------------
 
     def residency(self) -> np.ndarray:
         """Current per-set residency as an ``(n_sets, ways)`` matrix.
 
-        Rows are MRU-first block numbers with ``-1`` marking empty ways —
-        the direct-mapped carry vector is widened to one column so both
-        kernels share one shape.  This is the boundary state the
-        chunk-parallel shard-merge algebra carries across shard seams
-        (see :mod:`repro.campaign.service.merge`).
+        Rows are MRU-first block numbers with ``-1`` marking empty ways.
+        This is the boundary state the chunk-parallel shard-merge
+        algebra carries across shard seams (see
+        :mod:`repro.campaign.service.merge`).
         """
-        if self._stacks is None:
-            return self._carry.reshape(-1, 1).copy()
-        return self._stacks.copy()
+        return self._batch.residency()
 
     def prime(self, residency: np.ndarray) -> None:
         """Seed per-set residency before feeding the first chunk.
 
         ``residency`` must be an ``(n_sets, ways)`` int64 matrix shaped
-        like :meth:`residency` output (MRU-first, ``-1`` = empty way).
-        Feeding a shard into a simulator primed with the residency the
-        preceding shards left behind yields hit/miss decisions identical
-        to an uninterrupted whole-trace run; only the compulsory-miss
+        like :meth:`residency` output.  Only the compulsory-miss
         classification stays shard-local (the merge algebra rebuilds it
         from the union of per-shard block sets).
         """
-        residency = np.asarray(residency, dtype=np.int64)
-        expect = (self.config.n_sets, self.config.ways)
-        if residency.shape != expect:
-            raise CacheConfigError(
-                f"residency matrix shape {residency.shape} does not match "
-                f"config geometry {expect}"
-            )
-        if self._stacks is None:
-            self._carry[:] = residency[:, 0]
-        else:
-            self._stacks[:] = residency
+        self._batch.prime(residency)
 
     # -- residency snapshots ---------------------------------------------------
 
     def state(self) -> Dict[str, np.ndarray]:
-        """The complete simulator state as flat numpy arrays.
-
-        Everything carried between chunks — residency (per-set carry or
-        LRU stacks), the compulsory-miss block set, per-set and scalar
-        accumulators, per-variable totals — lands in one ``npz``-ready
-        dict.  Restoring it with :meth:`from_state` and feeding the
-        remaining chunks yields totals bit-identical to an uninterrupted
-        run: residency determines every future hit/miss decision and the
-        accumulators are plain sums.
-        """
-        state: Dict[str, np.ndarray] = {
-            "config": np.frombuffer(
-                self.config.describe().encode("utf-8"), dtype=np.uint8
-            ).copy(),
-            "seen_blocks": np.array(
-                sorted(self._seen_blocks), dtype=np.int64
-            ),
-            "per_set_hits": self._per_set.hits.copy(),
-            "per_set_misses": self._per_set.misses.copy(),
-            "scalars": np.array(
-                [
-                    self._block_hits,
-                    self._block_misses,
-                    self._compulsory,
-                    self._demand_hits,
-                    self._demand_accesses,
-                    self._chunks,
-                ],
-                dtype=np.int64,
-            ),
-            "var_ids": np.array(sorted(self._per_var), dtype=np.int64),
-            "var_hits": np.array(
-                [self._per_var[v][0] for v in sorted(self._per_var)],
-                dtype=np.int64,
-            ),
-            "var_misses": np.array(
-                [self._per_var[v][1] for v in sorted(self._per_var)],
-                dtype=np.int64,
-            ),
-        }
-        if self._stacks is None:
-            state["carry"] = self._carry.copy()
-        else:
-            state["stacks"] = self._stacks.copy()
-        return state
+        """The complete simulator state as flat numpy arrays
+        (see :meth:`~repro.simbatch.kernel.MultiConfigSimulator.state`)."""
+        return self._batch.state()
 
     @classmethod
     def from_state(
         cls, config: CacheConfig, state: Dict[str, np.ndarray]
     ) -> "FastSimulator":
         """Rebuild a simulator from a :meth:`state` snapshot."""
-        described = bytes(np.asarray(state["config"], dtype=np.uint8))
-        if described.decode("utf-8") != config.describe():
-            raise CacheConfigError(
-                f"snapshot was taken under {described.decode('utf-8')!r}, "
-                f"not {config.describe()!r}"
-            )
         sim = cls(config)
-        if sim._stacks is None:
-            sim._carry[:] = np.asarray(state["carry"], dtype=np.int64)
-        else:
-            sim._stacks[:] = np.asarray(state["stacks"], dtype=np.int64)
-        sim._seen_blocks = set(
-            np.asarray(state["seen_blocks"], dtype=np.int64).tolist()
-        )
-        sim._per_set.hits[:] = state["per_set_hits"]
-        sim._per_set.misses[:] = state["per_set_misses"]
-        (
-            sim._block_hits,
-            sim._block_misses,
-            sim._compulsory,
-            sim._demand_hits,
-            sim._demand_accesses,
-            sim._chunks,
-        ) = (int(v) for v in state["scalars"])
-        sim._per_var = {
-            int(v): (int(h), int(m))
-            for v, h, m in zip(
-                state["var_ids"], state["var_hits"], state["var_misses"]
-            )
-        }
+        sim._batch.restore(state)
         return sim
 
     # -- accumulated views ---------------------------------------------------
 
     @property
     def chunks_fed(self) -> int:
-        return self._chunks
+        return self._batch.chunks_fed
 
     def counts(self) -> FastCounts:
         """Block-level totals over everything fed so far."""
-        total = PerSetCounts(
-            hits=self._per_set.hits.copy(), misses=self._per_set.misses.copy()
-        )
-        return FastCounts(
-            self._block_hits, self._block_misses, self._compulsory, total
-        )
+        return self.trace_counts().counts
 
     def trace_counts(self) -> FastTraceCounts:
         """Totals at both granularities over everything fed so far."""
-        return FastTraceCounts(
-            counts=self.counts(),
-            demand_hits=self._demand_hits,
-            demand_misses=self._demand_accesses - self._demand_hits,
-            evictions=_evictions_from(self._per_set, self.config.ways),
-            per_variable=dict(self._per_var),
+        return self._batch.results()[0]
+
+
+# -- bounded-memory streaming simulation --------------------------------------
+
+
+@dataclass(frozen=True)
+class StreamResult:
+    """What one :func:`simulate_stream` pass produced."""
+
+    config: CacheConfig
+    #: totals at block and demand granularity (fast-path accounting)
+    totals: FastTraceCounts
+    #: records simulated (demand accesses; ``X`` records are dropped)
+    records: int
+    #: chunks fed — peak record residency was ``records / chunks``-ish
+    chunks: int
+
+    @property
+    def counts(self) -> FastCounts:
+        """Block-level totals (hits/misses/compulsory/per-set)."""
+        return self.totals.counts
+
+    def summary(self) -> str:
+        """Config line plus a compact statistics report."""
+        c = self.counts
+        t = self.totals
+        return "\n".join(
+            [
+                self.config.describe(),
+                f"demand accesses : {t.demand_accesses}",
+                f"demand misses   : {t.demand_misses} "
+                f"(miss rate {t.demand_miss_ratio:.4f})",
+                f"block hits      : {c.hits}",
+                f"block misses    : {c.misses} "
+                f"(compulsory {c.compulsory_misses})",
+                f"evictions       : {t.evictions}",
+                f"chunks          : {self.chunks}",
+            ]
         )
+
+
+def simulate_stream(
+    source: Union[str, Path, Iterable[TraceRecord]],
+    config: Optional[CacheConfig] = None,
+    *,
+    chunk_records: int = DEFAULT_CHUNK_RECORDS,
+    on_chunk: Optional[Callable[[TraceChunk, FastCounts], None]] = None,
+) -> StreamResult:
+    """Simulate a trace in bounded memory via the vectorized fast paths.
+
+    ``source`` is a trace file path (text, gzipped text, or ``TDST``
+    binary — auto-detected) or any record iterable.  Records stream
+    through in ``chunk_records``-sized batches; residency is carried
+    between batches, so the totals are exactly equal to a whole-trace
+    pass.  Peak record residency is one chunk, never the full trace.
+
+    ``config`` must be fast-path-eligible (see
+    :func:`repro.simbatch.plan.supports_fast_path`); other configs need
+    the reference :class:`~repro.cache.simulator.CacheSimulator`, which
+    has no bounded-memory mode.  ``on_chunk`` is invoked after each batch
+    with the chunk and its block-level counts — useful for progress
+    output and for observing memory-bounded execution in tests.
+    """
+    cfg = config if config is not None else CacheConfig.paper_direct_mapped()
+    sim = FastSimulator(cfg)
+    records = 0
+    tele = get_telemetry()
+    with tele.span("simulate.fast_stream", cat="simulate"):
+        for chunk in iter_chunks(source, chunk_records):
+            chunk_counts = sim.feed(chunk.addrs, chunk.sizes)
+            records += len(chunk)
+            if on_chunk is not None:
+                on_chunk(chunk, chunk_counts)
+    tele.add("simulate.chunks", sim.chunks_fed)
+    return StreamResult(
+        config=cfg,
+        totals=sim.trace_counts(),
+        records=records,
+        chunks=sim.chunks_fed,
+    )

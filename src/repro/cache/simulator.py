@@ -10,26 +10,22 @@ the access is counted once, under ``writes`` in
 :class:`~repro.cache.stats.CacheStats`, since it leaves the line dirty.
 ``X`` records are skipped, as the paper disables instruction tracing.
 
-:func:`simulate_stream` is the bounded-memory variant: it feeds
-fixed-size record chunks from a trace file (or record iterable) into the
-vectorized fast paths of :mod:`repro.cache.fastsim` without ever
-materializing a full :class:`~repro.trace.stream.Trace`.
+The bounded-memory variant,
+:func:`repro.cache.fastsim.simulate_stream`, lives with the vectorized
+fast path it feeds.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Callable, Iterable, Optional, Union
+from typing import Iterable, Optional
 
 from repro.cache.cache import SetAssociativeCache
 from repro.cache.config import CacheConfig
 from repro.cache.conflict import ConflictMatrix
-from repro.cache.fastsim import FastCounts, FastSimulator, FastTraceCounts
 from repro.cache.stats import CacheStats
 from repro.obsv.telemetry import get_telemetry
 from repro.trace.record import AccessType, TraceRecord
-from repro.trace.stream import DEFAULT_CHUNK_RECORDS, TraceChunk, iter_chunks
 
 
 @dataclass
@@ -146,83 +142,3 @@ def simulate(
         sim.feed(records)
     tele.add("simulate.cache_lookups", sim.stats.accesses)
     return sim.result()
-
-
-# -- bounded-memory streaming simulation --------------------------------------
-
-
-@dataclass(frozen=True)
-class StreamResult:
-    """What one :func:`simulate_stream` pass produced."""
-
-    config: CacheConfig
-    #: totals at block and demand granularity (fast-path accounting)
-    totals: FastTraceCounts
-    #: records simulated (demand accesses; ``X`` records are dropped)
-    records: int
-    #: chunks fed — peak record residency was ``records / chunks``-ish
-    chunks: int
-
-    @property
-    def counts(self) -> FastCounts:
-        """Block-level totals (hits/misses/compulsory/per-set)."""
-        return self.totals.counts
-
-    def summary(self) -> str:
-        """Config line plus a compact statistics report."""
-        c = self.counts
-        t = self.totals
-        return "\n".join(
-            [
-                self.config.describe(),
-                f"demand accesses : {t.demand_accesses}",
-                f"demand misses   : {t.demand_misses} "
-                f"(miss rate {t.demand_miss_ratio:.4f})",
-                f"block hits      : {c.hits}",
-                f"block misses    : {c.misses} "
-                f"(compulsory {c.compulsory_misses})",
-                f"evictions       : {t.evictions}",
-                f"chunks          : {self.chunks}",
-            ]
-        )
-
-
-def simulate_stream(
-    source: Union[str, Path, Iterable[TraceRecord]],
-    config: Optional[CacheConfig] = None,
-    *,
-    chunk_records: int = DEFAULT_CHUNK_RECORDS,
-    on_chunk: Optional[Callable[[TraceChunk, FastCounts], None]] = None,
-) -> StreamResult:
-    """Simulate a trace in bounded memory via the vectorized fast paths.
-
-    ``source`` is a trace file path (text, gzipped text, or ``TDST``
-    binary — auto-detected) or any record iterable.  Records stream
-    through in ``chunk_records``-sized batches; residency is carried
-    between batches, so the totals are exactly equal to a whole-trace
-    pass.  Peak record residency is one chunk, never the full trace.
-
-    ``config`` must be fast-path-eligible (see
-    :func:`repro.cache.fastsim.supports_fast_path`); other configs need
-    the reference :class:`CacheSimulator`, which has no bounded-memory
-    mode.  ``on_chunk`` is invoked after each batch with the chunk and
-    its block-level counts — useful for progress output and for
-    observing memory-bounded execution in tests.
-    """
-    cfg = config if config is not None else CacheConfig.paper_direct_mapped()
-    sim = FastSimulator(cfg)
-    records = 0
-    tele = get_telemetry()
-    with tele.span("simulate.fast_stream", cat="simulate"):
-        for chunk in iter_chunks(source, chunk_records):
-            chunk_counts = sim.feed(chunk.addrs, chunk.sizes)
-            records += len(chunk)
-            if on_chunk is not None:
-                on_chunk(chunk, chunk_counts)
-    tele.add("simulate.chunks", sim.chunks_fed)
-    return StreamResult(
-        config=cfg,
-        totals=sim.trace_counts(),
-        records=records,
-        chunks=sim.chunks_fed,
-    )

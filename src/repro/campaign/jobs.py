@@ -31,9 +31,10 @@ import numpy as np
 from repro.campaign.artifacts import ArtifactStore, content_key
 from repro.campaign.spec import BASELINE_NAMES, CacheSpec, CampaignSpec
 from repro.cache.config import CacheConfig
-from repro.cache.fastsim import fast_trace_counts, supports_fast_path
+from repro.cache.fastsim import fast_trace_counts
 from repro.cache.simulator import attribution_label, simulate
 from repro.obsv.telemetry import get_telemetry
+from repro.simbatch.plan import supports_fast_path
 from repro.trace.record import AccessType
 from repro.trace.stream import Trace
 from repro.tracer.interp import trace_program
@@ -77,6 +78,8 @@ class Job:
     attribution: str = "base"
     #: run the soundness oracle over the transform stage's output
     verify: bool = False
+    #: let eligible ``file:`` rule points use the trace commit store
+    tracestore: bool = True
 
     @property
     def job_id(self) -> str:
@@ -181,7 +184,8 @@ NO_BATCH_ENV = "TDST_NO_BATCH"
 
 #: Environment escape hatch: route every grid point through the classic
 #: transform-then-simulate stages instead of the incremental trace
-#: commit store (same spirit as :data:`NO_FAST_ENV`).
+#: commit store.  Only :class:`~repro.campaign.scheduler.Scheduler`
+#: reads it, and carries the outcome on each :attr:`Job.tracestore`.
 NO_TRACESTORE_ENV = "TDST_NO_TRACESTORE"
 
 
@@ -192,13 +196,14 @@ def tracestore_eligible(job: Job, rule_text: Optional[str]) -> bool:
     references whose path is stable while the text changes between
     sweeps.  Verification jobs replay the whole transform through the
     soundness oracle anyway, and non-fast-path cache geometries have no
-    residency snapshot format — both keep the classic route.
+    residency snapshot format — both keep the classic route, as do jobs
+    of a campaign that opted out (:attr:`Job.tracestore` false).
     """
     return (
         rule_text is not None
         and job.rule.startswith("file:")
         and not job.verify
-        and not os.environ.get(NO_TRACESTORE_ENV)
+        and job.tracestore
         and not os.environ.get(NO_FAST_ENV)
         and supports_fast_path(job.cache.to_config())
     )
@@ -215,7 +220,7 @@ def simulation_fields(
 
     Grid points whose cache config the vectorized fast path covers
     (direct-mapped or set-associative LRU, write-allocate — see
-    :func:`repro.cache.fastsim.supports_fast_path`) go through numpy;
+    :func:`repro.simbatch.plan.supports_fast_path`) go through numpy;
     everything else (round-robin, PLRU, ...) uses the reference
     simulator.  Both routes produce identical values — the fast path is
     cross-validated exactly in ``tests/cache/test_fastsim.py`` and

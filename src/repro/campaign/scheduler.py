@@ -32,7 +32,7 @@ import multiprocessing as mp
 import os
 import queue as queue_mod
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -278,8 +278,9 @@ class Scheduler:
         trace commit store (chunk blobs, residency snapshots).  ``None``
         (the default) enables it unless the ``TDST_NO_TRACESTORE``
         environment variable is set; ``False`` (e.g. ``tdst campaign
-        --no-tracestore``) exports that variable so forked workers take
-        the classic transform-then-simulate stages.
+        --no-tracestore``) sends every point through the classic
+        transform-then-simulate stages.  The choice travels on each
+        :class:`Job`, so it never outlives this scheduler.
     service:
         Drive the run through the local asyncio campaign service
         (work-stealing shard workers, chunk-parallel simulation) instead
@@ -309,10 +310,6 @@ class Scheduler:
         self.directory.mkdir(parents=True, exist_ok=True)
         self.store = ArtifactStore(self.directory / "artifacts")
         self.manifest_path = self.directory / "manifest.jsonl"
-        if tracestore is False:
-            # Workers (forked or inline) consult the environment, so an
-            # explicit opt-out must be visible there too.
-            os.environ[NO_TRACESTORE_ENV] = "1"
         self.tracestore = bool(
             tracestore
             if tracestore is not None
@@ -387,6 +384,8 @@ class Scheduler:
         started = time.monotonic()
         with telemetry.span("campaign.expand", cat="campaign"):
             trace_tasks, jobs = expand_jobs(self.spec)
+            if not self.tracestore:
+                jobs = [replace(job, tracestore=False) for job in jobs]
         previous: Dict[str, Dict[str, Any]] = {}
         if self.resume and self.manifest_path.exists():
             previous = RunManifest.completed_jobs(

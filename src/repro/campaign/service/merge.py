@@ -14,10 +14,13 @@ composable: after a shard runs, each set holds that shard's distinct
 blocks in most-recently-used order, and any ways the shard did not fill
 pass the incoming residency through.  :class:`ResidencyEffect` captures
 exactly that (an ``(n_sets, ways)`` matrix, MRU-first, ``-1`` = pass
-through) and :func:`compose_effects` is associative with
-:func:`identity_effect` as identity — so boundary states for all shards
-come from one cheap sequential prefix-scan over per-shard effects, each
-of which was computed *in parallel* from the shard alone.
+through), and it is nothing but the fast path's own carried state: the
+stack-position kernel's final stacks after running the shard from an
+empty cache (:mod:`repro.simbatch.kernel`).  :func:`compose_effects` is
+associative with :func:`identity_effect` as identity — so boundary
+states for all shards come from one cheap sequential prefix-scan over
+per-shard effects, each of which was computed *in parallel* from the
+shard alone.
 
 **Shard statistics** form a commutative monoid.  Once every shard is
 simulated against its true incoming residency, its counts are final;
@@ -45,15 +48,16 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.cache.config import CacheConfig
-from repro.cache.fastsim import (
-    FastSimulator,
-    _expand_blocks,
-    _evictions_from,
-    supports_fast_path,
-)
+from repro.cache.fastsim import FastSimulator
 from repro.cache.simulator import attribution_label
 from repro.cache.stats import PerSetCounts
 from repro.errors import CacheConfigError
+from repro.simbatch.kernel import (
+    MultiConfigSimulator,
+    _evictions_from,
+    _expand_blocks,
+)
+from repro.simbatch.plan import supports_fast_path
 from repro.trace.record import AccessType
 
 __all__ = [
@@ -124,47 +128,14 @@ def shard_effect(
 ) -> ResidencyEffect:
     """The residency effect of one shard, computed from the shard alone.
 
-    For every set, the shard's distinct blocks in most-recently-used
-    order (capped at ``ways``); ways the shard leaves unfilled stay
-    transparent.  One vectorized pass: per-``(set, block)`` last-touch
-    positions, sorted most-recent-first within each set.
+    The stack-position kernel's final stacks after running the shard
+    from an empty cache: for every set, the shard's distinct blocks in
+    most-recently-used order (capped at ``ways``); ways the shard
+    leaves unfilled stay ``-1``, i.e. transparent.
     """
-    addrs = np.asarray(addrs, dtype=np.uint64)
-    if sizes is None:
-        sizes = np.ones(len(addrs), dtype=np.uint32)
-    blocks, _ = _expand_blocks(addrs, sizes, config.block_size)
-    out = np.full((config.n_sets, config.ways), -1, dtype=np.int64)
-    if len(blocks) == 0:
-        return ResidencyEffect(blocks=out)
-    sets = (blocks & (config.n_sets - 1)).astype(np.int64)
-    pos = np.arange(len(blocks), dtype=np.int64)
-    # Last touch of each distinct (set, block): sort by (set, block, pos)
-    # and keep the final entry of every (set, block) run.
-    order = np.lexsort((pos, blocks, sets))
-    s_sorted = sets[order]
-    b_sorted = blocks[order]
-    p_sorted = pos[order]
-    last = np.empty(len(order), dtype=bool)
-    last[-1] = True
-    last[:-1] = (s_sorted[1:] != s_sorted[:-1]) | (b_sorted[1:] != b_sorted[:-1])
-    u_sets = s_sorted[last]
-    u_blocks = b_sorted[last]
-    u_pos = p_sorted[last]
-    # Within each set, order distinct blocks most-recent-first and keep
-    # the top ``ways`` (everything deeper was already evicted).
-    mru = np.lexsort((-u_pos, u_sets))
-    m_sets = u_sets[mru]
-    m_blocks = u_blocks[mru]
-    head = np.empty(len(mru), dtype=bool)
-    if len(mru):
-        head[0] = True
-        head[1:] = m_sets[1:] != m_sets[:-1]
-    starts = np.flatnonzero(head)
-    group_start = np.repeat(starts, np.diff(np.append(starts, len(mru))))
-    rank = np.arange(len(mru), dtype=np.int64) - group_start
-    keep = rank < config.ways
-    out[m_sets[keep], rank[keep]] = m_blocks[keep]
-    return ResidencyEffect(blocks=out)
+    sim = MultiConfigSimulator([config])
+    sim.feed(addrs, sizes)
+    return ResidencyEffect(blocks=sim.residency())
 
 
 def compose_effects(

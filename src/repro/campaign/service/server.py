@@ -207,7 +207,7 @@ class CampaignService:
         """
         from repro.campaign.jobs import NO_FAST_ENV, simulation_fields
         from repro.campaign.service.merge import sharded_simulation_fields
-        from repro.cache.fastsim import supports_fast_path
+        from repro.simbatch.plan import supports_fast_path
 
         if (
             len(trace) < self.config.min_chunk_records

@@ -54,6 +54,7 @@ def _job_from(data: Dict[str, Any]) -> Job:
         cache=CacheSpec(**data["cache"]),
         attribution=str(data.get("attribution", "base")),
         verify=bool(data.get("verify", False)),
+        tracestore=bool(data.get("tracestore", True)),
     )
 
 

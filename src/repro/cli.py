@@ -166,8 +166,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 def _cmd_simulate_fast(args: argparse.Namespace) -> int:
     """``tdst simulate --fast``: vectorized, chunked, bounded memory."""
-    from repro.cache.fastsim import supports_fast_path
-    from repro.cache.simulator import simulate_stream
+    from repro.cache.fastsim import simulate_stream
+    from repro.simbatch.plan import supports_fast_path
 
     config = _cache_config(args)
     if getattr(args, "physical", None):
@@ -805,7 +805,7 @@ def _cmd_resim(args: argparse.Namespace) -> int:
     feeds only the remaining chunks, and stores new snapshots for the
     next run — the numbers are bit-identical to a cold full pass.
     """
-    from repro.cache.fastsim import supports_fast_path
+    from repro.simbatch.plan import supports_fast_path
     from repro.errors import TraceFormatError
     from repro.tracestore import TraceStore, simulate_chain
 

@@ -46,7 +46,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.cache.config import CacheConfig
-from repro.cache.fastsim import supports_fast_path
+from repro.simbatch.plan import supports_fast_path
 from repro.ctypes_model.path import VariablePath
 from repro.lint.symbolic import plan_allocations
 from repro.obsv import get_telemetry

@@ -1,42 +1,120 @@
-"""The multi-config kernel: one pass, N configurations of answers.
+"""The cache fast path: one stack-position kernel, one carried state.
 
-Built directly on the fast-path machinery of
-:mod:`repro.cache.fastsim`, with one twist: instead of a boolean hit
-mask for a single associativity, :func:`_stack_positions` runs the same
-time-step loop at the *group's* stack depth and records each access's
-LRU **stack position** (reuse distance over its set's block stream).
-Stack inclusion then answers every member at once::
+Every vectorized simulation in the package runs through
+:func:`_stack_positions` — a single config
+(:class:`repro.cache.fastsim.FastSimulator`,
+:func:`repro.cache.fastsim.fast_trace_counts`), a config grid, a
+trace-store chain, a service shard.  The kernel records each access's
+LRU **stack position** (reuse distance over its set's block stream), and
+stack inclusion then answers every member of a geometry group at once::
 
     hit in a w-way cache  <=>  position < w        (w == 1: direct-mapped)
 
 Everything downstream of the position array — per-set tallies, demand
 accounting, per-variable attribution, evictions — is per-config
-bincount bookkeeping, identical in definition (and, by the cross
-validation suite, in value) to a :func:`fast_trace_counts` run per
-config.
+bincount bookkeeping.
 
-:class:`MultiConfigSimulator` is the chunked-streaming form, carrying
-per-group residency between :meth:`feed` calls exactly like
-:class:`repro.cache.fastsim.FastSimulator`.
+:class:`MultiConfigSimulator` is the only carried state: one fused stack
+matrix, the distinct blocks seen per block size, and per-config running
+totals, all carried between :meth:`~MultiConfigSimulator.feed` calls so
+chunked totals equal a whole-trace pass.  A single config is a batch of
+one.
+
+Accesses that straddle a block boundary are expanded to one entry per
+block first, mirroring the reference simulator.  The kernel assumes
+write-allocate (the DineroIV default): every miss fills, so the hit/miss
+stream is independent of which accesses write.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.errors import CacheConfigError
 from repro.cache.config import CacheConfig
-from repro.cache.fastsim import (
-    FastCounts,
-    FastTraceCounts,
-    _evictions_from,
-    _expand_blocks,
-    _validate_fast_config,
-)
 from repro.cache.stats import PerSetCounts
-from repro.simbatch.plan import BatchPlan, GeometryGroup, plan_batch
+from repro.simbatch.plan import BatchPlan, plan_batch
+
+
+@dataclass(frozen=True)
+class FastCounts:
+    """Results of one vectorized pass (block-level events)."""
+
+    hits: int
+    misses: int
+    compulsory_misses: int
+    per_set: PerSetCounts
+
+    @property
+    def accesses(self) -> int:
+        return self.hits + self.misses
+
+    @property
+    def miss_ratio(self) -> float:
+        return self.misses / self.accesses if self.accesses else 0.0
+
+
+@dataclass(frozen=True)
+class FastTraceCounts:
+    """Fast-path results at both granularities the reference tracks.
+
+    ``counts`` are block-level events (one per touched block);
+    ``demand_hits``/``demand_misses`` count CPU accesses, where an access
+    hits only when *every* block it touches hits — the same accounting
+    :class:`~repro.cache.stats.CacheStats` uses for its demand counters.
+    """
+
+    counts: FastCounts
+    demand_hits: int
+    demand_misses: int
+    #: lines evicted to make room (write-allocate: fills = block misses)
+    evictions: int
+    #: ``{var_id: (block_hits, block_misses)}`` — empty when no ids given
+    per_variable: Dict[int, Tuple[int, int]]
+
+    @property
+    def demand_accesses(self) -> int:
+        return self.demand_hits + self.demand_misses
+
+    @property
+    def demand_miss_ratio(self) -> float:
+        n = self.demand_accesses
+        return self.demand_misses / n if n else 0.0
+
+
+def _expand_blocks(
+    addrs: np.ndarray, sizes: np.ndarray, block_size: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Per-access -> per-block expansion for straddling accesses.
+
+    Returns ``(blocks, access_index)``: one entry per touched block, in
+    trace order, with ``access_index`` mapping each entry back to the
+    access that produced it.
+    """
+    addrs = np.asarray(addrs, dtype=np.uint64)
+    sizes = np.maximum(np.asarray(sizes, dtype=np.uint64), 1)
+    first = (addrs // block_size).astype(np.int64)
+    n = len(first)
+    last = ((addrs + sizes - np.uint64(1)) // block_size).astype(np.int64)
+    spans = last - first + 1
+    if n == 0 or int(spans.max(initial=1)) == 1:
+        return first, np.arange(n, dtype=np.int64)
+    access_index = np.repeat(np.arange(n, dtype=np.int64), spans)
+    repeated = np.repeat(first, spans)
+    # Ramp 0..span-1 inside each access's run: global positions minus the
+    # position where the owning access's run begins.
+    starts = np.cumsum(spans) - spans
+    offsets = np.arange(len(repeated), dtype=np.int64) - starts[access_index]
+    return repeated + offsets, access_index
+
+
+def _evictions_from(per_set: PerSetCounts, ways: int) -> int:
+    """Evictions under write-allocate: every block miss fills, so a set
+    evicts once per fill beyond its ``ways`` capacity."""
+    return int(np.maximum(per_set.misses - ways, 0).sum())
 
 
 def _stack_positions(
@@ -54,18 +132,19 @@ def _stack_positions(
     MRU first, ``-1`` invalid) carries residency across chunks and is
     updated in place when given.
 
-    The loop is :func:`repro.cache.fastsim._lru_hit_mask` in algorithm
-    — same longest-stream-first layout, same promote-to-MRU update, so
-    a depth-``w`` run produces exactly the hit mask the single-config
-    kernel produces for ``w`` ways — but restructured for throughput:
-    the sort key packs ``(set, trace index)`` into one int64 so a single
-    value sort replaces argsort plus two random gathers, the per-set
-    streams are transposed into *step-major* order once so every time
-    step reads and writes one contiguous slice instead of gather/scatter
-    fancy indexing, the match matrix carries an always-true sentinel
-    column so one ``argmax`` yields position-or-miss without a separate
-    ``any`` pass, and positions travel as int16 (stack depth is tiny) to
-    cut scatter bandwidth.
+    Per-set streams are laid out contiguously and processed
+    longest-stream-first, so the sets active at time step ``t`` are a
+    prefix of the stack matrix and one Python-level loop advances every
+    set one access per step with vectorized compare/shift/update
+    operations.  The loop length is the *deepest* per-set stream, not
+    the trace length.  Throughput details: the sort key packs ``(set,
+    trace index)`` into one int64 so a single value sort replaces
+    argsort plus two random gathers, the per-set streams are transposed
+    into *step-major* order once so every time step reads and writes
+    one contiguous slice, the match matrix carries an always-true
+    sentinel column so one ``argmax`` yields position-or-miss, and
+    positions travel as int16 (stack depth is tiny) to cut scatter
+    bandwidth.
     """
     n = len(blocks)
     if n == 0:
@@ -100,6 +179,19 @@ def _stack_positions(
     bounds = np.flatnonzero(ss[1:] != ss[:-1]) + 1
     group_start = np.concatenate(([0], bounds))
     group_sets = ss[group_start]
+    positions = np.zeros(n, dtype=np.int16)
+    if depth == 1:
+        # Direct-mapped needs no time-step loop: after the run-collapse
+        # every kept access differs from its set predecessor (a miss),
+        # except that a set's first access hits iff it repeats the
+        # block carried in from earlier chunks.
+        pos_kept = np.ones(n_kept, dtype=np.int16)
+        if stacks is not None:
+            pos_kept[group_start] = sb[group_start] != stacks[group_sets, 0]
+            group_last = np.concatenate((bounds, [n_kept])) - 1
+            stacks[group_sets, 0] = sb[group_last]
+        positions[order[keep]] = pos_kept
+        return positions
     group_count = np.diff(np.concatenate((group_start, [n_kept])))
     by_depth = np.argsort(-group_count, kind="stable")
     g_sets = group_sets[by_depth]
@@ -144,6 +236,9 @@ def _stack_positions(
         np.equal(window, b[:, None], out=match_buf[:na, :depth])
         matchpos = match_buf[:na].argmax(axis=1)
         pos_step[start:end] = matchpos
+        # Promote the touched block to MRU: entries above its old
+        # position (or the whole stack on a miss, dropping the LRU
+        # victim) shift down one slot and the block lands in slot 0.
         shifted = shift_buf[:na]
         shifted[:, 0] = b
         shifted[:, 1:] = window[:, :-1]
@@ -151,7 +246,6 @@ def _stack_positions(
         np.copyto(window, shifted, where=mask_buf[:na])
     # Collapsed repeats are position 0; everything else scatters back
     # through its original trace index (int16 keeps the traffic small).
-    positions = np.zeros(n, dtype=np.int16)
     positions[order[keep]] = pos_step[slot]
     if stacks is not None:
         stacks[g_sets] = local
@@ -215,45 +309,36 @@ class _GroupHistograms:
 
 
 class _MemberTotals:
-    """Running per-config accumulators (one instance per member)."""
+    """Running per-config accumulators (one instance per member).
 
-    __slots__ = (
-        "config",
-        "per_set",
-        "block_hits",
-        "block_misses",
-        "demand_hits",
-        "demand_accesses",
-        "per_variable",
-    )
+    Block-level hit/miss totals are the per-set sums and demand accesses
+    are shared by every member, so neither is carried here.
+    """
+
+    __slots__ = ("config", "per_set", "demand_hits", "per_variable")
 
     def __init__(self, config: CacheConfig) -> None:
         self.config = config
         self.per_set = PerSetCounts.zeros(config.n_sets)
-        self.block_hits = 0
-        self.block_misses = 0
         self.demand_hits = 0
-        self.demand_accesses = 0
         self.per_variable: Dict[int, List[int]] = {}
 
-    def absorb(self, hist: "_GroupHistograms", n_accesses: int) -> None:
-        """Fold one chunk's group histograms in, thresholded at ``ways``.
+    def absorb(self, hist: _GroupHistograms, compulsory: int) -> FastCounts:
+        """Fold one chunk's group histograms in, thresholded at ``ways``,
+        and return that chunk's counts.
 
         All the O(n) work happened once per *group* when ``hist`` was
         built; each member only reads tiny ``(n_sets, depth+1)`` and
         ``(depth+1,)`` tables here.
         """
         w = self.config.ways
-        hits_per_set = hist.set_cum[:, w - 1]
-        self.per_set.hits += hits_per_set
-        self.per_set.misses += hist.set_total - hits_per_set
-        block_hits = int(hits_per_set.sum())
-        self.block_hits += block_hits
-        self.block_misses += hist.n_blocks - block_hits
+        hits = hist.set_cum[:, w - 1]
+        chunk = PerSetCounts(hits=hits, misses=hist.set_total - hits)
+        self.per_set.hits += chunk.hits
+        self.per_set.misses += chunk.misses
         # A demand access hits iff *every* block it touches hits, i.e.
         # iff the max stack position across its blocks is < ways.
         self.demand_hits += int(hist.access_cum[w - 1])
-        self.demand_accesses += n_accesses
         if hist.owner_cum is not None:
             owner_hits = hist.owner_cum[:, w - 1]
             owner_total = hist.owner_cum[:, -1]
@@ -261,18 +346,25 @@ class _MemberTotals:
                 entry = self.per_variable.setdefault(int(vid), [0, 0])
                 entry[0] += int(owner_hits[row])
                 entry[1] += int(owner_total[row] - owner_hits[row])
+        block_hits = int(hits.sum())
+        return FastCounts(
+            block_hits, hist.n_blocks - block_hits, compulsory, chunk
+        )
 
-    def finish(self, compulsory: int) -> FastTraceCounts:
+    def finish(self, compulsory: int, accesses: int) -> FastTraceCounts:
         per_set = PerSetCounts(
             hits=self.per_set.hits.copy(), misses=self.per_set.misses.copy()
         )
         counts = FastCounts(
-            self.block_hits, self.block_misses, compulsory, per_set
+            int(per_set.hits.sum()),
+            int(per_set.misses.sum()),
+            compulsory,
+            per_set,
         )
         return FastTraceCounts(
             counts=counts,
             demand_hits=self.demand_hits,
-            demand_misses=self.demand_accesses - self.demand_hits,
+            demand_misses=accesses - self.demand_hits,
             evictions=_evictions_from(per_set, self.config.ways),
             per_variable={
                 vid: (h, m) for vid, (h, m) in self.per_variable.items()
@@ -280,36 +372,51 @@ class _MemberTotals:
         )
 
 
+#: Arrays every :meth:`MultiConfigSimulator.state` snapshot holds.
+_STATE_KEYS = (
+    "config",
+    "stacks",
+    "seen_blocks",
+    "seen_counts",
+    "per_set_hits",
+    "per_set_misses",
+    "demand_hits",
+    "variables",
+    "fed",
+)
+
+
 class MultiConfigSimulator:
-    """Stateful batched fast path: N configs, one chunked stream.
+    """Stateful fast path: N configs (N >= 1), one chunked stream.
 
     Every config must satisfy
-    :func:`repro.simbatch.plan.batch_eligible`.  All geometry groups
+    :func:`repro.simbatch.plan.supports_fast_path`.  All geometry groups
     share a *single* stack pass per chunk: each group's sets are mapped
     into a disjoint range of one virtual set space, the per-group block
-    streams are concatenated, and one time-step loop (at the global
+    streams are concatenated, and one kernel call (at the global
     ``max(ways)`` depth — stack inclusion makes extra depth harmless)
     answers every group at once.  Residency (one row of the fused stack
-    matrix per virtual set) is carried between :meth:`feed` calls, so
-    chunked totals equal a whole-trace pass — and equal a per-config
-    :class:`FastSimulator` run, bit for bit.
+    matrix per virtual set), the distinct blocks seen per block size,
+    and each member's running totals are carried between :meth:`feed`
+    calls, so chunked totals equal a whole-trace pass.  Peak memory is
+    O(chunk + sets*ways + distinct blocks); the trace itself never needs
+    to be materialized.
     """
 
     def __init__(self, configs: Sequence[CacheConfig]) -> None:
         configs = list(configs)
         if not configs:
             raise CacheConfigError("batched simulation needs >= 1 config")
-        for config in configs:
-            _validate_fast_config(config)
         self.plan: BatchPlan = plan_batch(configs)
         if self.plan.ineligible:
-            labels = ", ".join(
+            labels = "; ".join(
                 m.config.describe() for m in self.plan.ineligible[:3]
             )
+            more = "; ..." if len(self.plan.ineligible) > 3 else ""
             raise CacheConfigError(
-                f"{len(self.plan.ineligible)} config(s) have no batched "
-                f"fast path ({labels}{'...' if len(self.plan.ineligible) > 3 else ''}); "
-                "route them through the reference simulator instead"
+                f"no fast path covers {labels}{more} (it needs "
+                "write-allocate and, above one way, true LRU in a "
+                "set-associative cache); use the reference simulator"
             )
         self.configs = configs
         self._totals = [_MemberTotals(c) for c in configs]
@@ -325,9 +432,7 @@ class MultiConfigSimulator:
         self._stacks = np.full((total_sets, self._depth), -1, dtype=np.int64)
         #: per-block-size distinct blocks seen (compulsory misses)
         self._seen: Dict[int, set] = {bs: set() for bs in self.plan.block_sizes}
-        self._compulsory: Dict[int, int] = {
-            bs: 0 for bs in self.plan.block_sizes
-        }
+        self._accesses = 0
         self._chunks = 0
 
     @property
@@ -339,19 +444,26 @@ class MultiConfigSimulator:
         addrs: np.ndarray,
         sizes: Optional[np.ndarray] = None,
         var_ids: Optional[np.ndarray] = None,
-    ) -> None:
+    ) -> List[FastCounts]:
         """Advance every config through one chunk of the access stream.
 
-        ``var_ids`` (optional int labels per access, negative =
-        unattributed) enables per-variable attribution; expanded blocks
-        inherit their owning access's label exactly like
-        :func:`fast_trace_counts`.
+        Returns each config's block-level counts for this chunk, in
+        input order; a block's first touch is compulsory only if no
+        earlier chunk saw it.  ``var_ids`` (optional int labels per
+        access, negative = unattributed) enables per-variable
+        attribution; expanded blocks inherit their owning access's
+        label, so per-variable totals always sum to the block-level
+        counts.
         """
         addrs = np.asarray(addrs, dtype=np.uint64)
         n_accesses = len(addrs)
         self._chunks += 1
         if n_accesses == 0:
-            return
+            return [
+                FastCounts(0, 0, 0, PerSetCounts.zeros(c.n_sets))
+                for c in self.configs
+            ]
+        self._accesses += n_accesses
         if sizes is None:
             sizes = np.ones(n_accesses, dtype=np.uint32)
         labels = (
@@ -359,15 +471,15 @@ class MultiConfigSimulator:
         )
         # Shared stage 1: block expansion, once per distinct block size.
         expanded: Dict[int, Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]] = {}
+        compulsory: Dict[int, int] = {}
         for block_size in self.plan.block_sizes:
             blocks, access_index = _expand_blocks(addrs, sizes, block_size)
-            blocks = blocks.astype(np.int64, copy=False)
             owners = None if labels is None else labels[access_index]
             expanded[block_size] = (blocks, access_index, owners)
             seen = self._seen[block_size]
-            new = set(np.unique(blocks).tolist()) - seen
-            seen |= new
-            self._compulsory[block_size] += len(new)
+            before = len(seen)
+            seen.update(np.unique(blocks).tolist())
+            compulsory[block_size] = len(seen) - before
         # Shared stage 2: ONE fused stack pass for every geometry group
         # (disjoint virtual set ranges), then one histogram build per
         # group and O(depth) bookkeeping per member.
@@ -386,6 +498,7 @@ class MultiConfigSimulator:
             self._depth,
             self._stacks,
         )
+        chunk: Dict[int, FastCounts] = {}
         offset = 0
         for group, sets in zip(self.plan.groups, group_sets):
             blocks, access_index, owners = expanded[group.block_size]
@@ -396,14 +509,131 @@ class MultiConfigSimulator:
                 group.n_sets, self._depth,
             )
             for member in group.members:
-                self._totals[member.index].absorb(hist, n_accesses)
+                chunk[member.index] = self._totals[member.index].absorb(
+                    hist, compulsory[group.block_size]
+                )
+        return [chunk[i] for i in range(len(self.configs))]
 
     def results(self) -> List[FastTraceCounts]:
         """Per-config totals over everything fed, in input order."""
         return [
-            totals.finish(self._compulsory[totals.config.block_size])
-            for totals in self._totals
+            t.finish(len(self._seen[t.config.block_size]), self._accesses)
+            for t in self._totals
         ]
+
+    # -- residency -------------------------------------------------------------
+
+    def residency(self) -> np.ndarray:
+        """Current residency as the fused ``(sets, depth)`` stack matrix.
+
+        Rows are MRU-first block numbers with ``-1`` marking empty ways,
+        one row per virtual set — for a one-config batch, exactly that
+        config's ``(n_sets, ways)`` sets, direct-mapped included.
+        """
+        return self._stacks.copy()
+
+    def prime(self, residency: np.ndarray) -> None:
+        """Seed residency (shaped like :meth:`residency`) before feeding.
+
+        Feeding a shard into a simulator primed with the residency the
+        preceding shards left behind yields hit/miss decisions identical
+        to an uninterrupted whole-trace run; only the compulsory-miss
+        classification stays shard-local.
+        """
+        residency = np.asarray(residency, dtype=np.int64)
+        if residency.shape != self._stacks.shape:
+            raise CacheConfigError(
+                f"residency matrix shape {residency.shape} does not match "
+                f"config geometry {self._stacks.shape}"
+            )
+        self._stacks[:] = residency
+
+    # -- snapshots -------------------------------------------------------------
+
+    def _describe(self) -> np.ndarray:
+        text = "\n".join(c.describe() for c in self.configs)
+        return np.frombuffer(text.encode("utf-8"), dtype=np.uint8).copy()
+
+    def state(self) -> Dict[str, np.ndarray]:
+        """The complete carried state as flat, ``npz``-ready numpy arrays.
+
+        Residency, the distinct blocks seen per block size, every
+        member's per-set and demand totals, per-variable totals (rows
+        of ``(member, var_id, hits, misses)``) and the accesses/chunks
+        fed.  Restoring it with :meth:`restore` and feeding the
+        remaining chunks yields totals bit-identical to an
+        uninterrupted run: residency determines every future hit/miss
+        decision and the accumulators are plain sums.
+        """
+        seen = [
+            np.array(sorted(self._seen[bs]), dtype=np.int64)
+            for bs in self.plan.block_sizes
+        ]
+        variables = [
+            (member, vid, h, m)
+            for member, totals in enumerate(self._totals)
+            for vid, (h, m) in sorted(totals.per_variable.items())
+        ]
+        return {
+            "config": self._describe(),
+            "stacks": self._stacks.copy(),
+            "seen_blocks": np.concatenate(seen),
+            "seen_counts": np.array([len(s) for s in seen], dtype=np.int64),
+            "per_set_hits": np.concatenate(
+                [t.per_set.hits for t in self._totals]
+            ),
+            "per_set_misses": np.concatenate(
+                [t.per_set.misses for t in self._totals]
+            ),
+            "demand_hits": np.array(
+                [t.demand_hits for t in self._totals], dtype=np.int64
+            ),
+            "variables": np.array(variables, dtype=np.int64).reshape(-1, 4),
+            "fed": np.array([self._accesses, self._chunks], dtype=np.int64),
+        }
+
+    def restore(self, state: Dict[str, np.ndarray]) -> None:
+        """Load a :meth:`state` snapshot taken under the same configs.
+
+        Raises :class:`~repro.errors.CacheConfigError` for a snapshot of
+        other configs or of another layout (a missing array).
+        """
+        missing = [key for key in _STATE_KEYS if key not in state]
+        if missing:
+            raise CacheConfigError(
+                f"snapshot lacks {', '.join(missing)}: not a "
+                "simulator state of this layout"
+            )
+        described = bytes(np.asarray(state["config"], dtype=np.uint8))
+        expect = bytes(self._describe())
+        if described != expect:
+            raise CacheConfigError(
+                f"snapshot was taken under {described.decode('utf-8')!r}, "
+                f"not {expect.decode('utf-8')!r}"
+            )
+        self.prime(state["stacks"])
+        seen = np.split(
+            np.asarray(state["seen_blocks"], dtype=np.int64),
+            np.cumsum(state["seen_counts"])[:-1],
+        )
+        self._seen = {
+            bs: set(blocks.tolist())
+            for bs, blocks in zip(self.plan.block_sizes, seen)
+        }
+        cuts = np.cumsum([c.n_sets for c in self.configs])[:-1]
+        for totals, hits, misses, demand_hits in zip(
+            self._totals,
+            np.split(state["per_set_hits"], cuts),
+            np.split(state["per_set_misses"], cuts),
+            state["demand_hits"],
+        ):
+            totals.per_set.hits[:] = hits
+            totals.per_set.misses[:] = misses
+            totals.demand_hits = int(demand_hits)
+            totals.per_variable = {}
+        for member, vid, h, m in np.asarray(state["variables"]).tolist():
+            self._totals[member].per_variable[vid] = [h, m]
+        self._accesses, self._chunks = (int(v) for v in state["fed"])
 
 
 def batch_trace_counts(

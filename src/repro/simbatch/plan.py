@@ -25,17 +25,35 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence, Tuple
 
-from repro.cache.config import CacheConfig
-from repro.cache.fastsim import supports_fast_path
+from repro.cache.config import AllocatePolicy, CacheConfig
+
+
+def supports_fast_path(config: CacheConfig) -> bool:
+    """Whether the stack-position kernel reproduces ``config`` exactly.
+
+    Coverage matrix: direct-mapped (any replacement policy — it is never
+    consulted at associativity 1) and set-associative true-LRU caches,
+    both requiring write-allocate so the hit/miss stream is independent
+    of the write mask.  Fully associative configs are excluded: with one
+    set the time-step kernel degenerates to a per-access Python loop and
+    the reference simulator is the better tool.
+    """
+    if config.allocate_policy is not AllocatePolicy.WRITE_ALLOCATE:
+        return False
+    if config.ways == 1:
+        return True
+    if config.associativity == 0:
+        return False
+    return config.policy.lower() == "lru"
 
 
 def batch_eligible(config: CacheConfig) -> bool:
     """Whether ``config`` can join a batched pass.
 
-    Exactly the fast-path coverage matrix
-    (:func:`repro.cache.fastsim.supports_fast_path`): write-allocate,
-    direct-mapped or true-LRU, not fully associative.  Round-robin and
-    PLRU configs break stack inclusion and must run per-config.
+    Exactly the fast-path coverage matrix (:func:`supports_fast_path`):
+    write-allocate, direct-mapped or true-LRU, not fully associative.
+    Round-robin and PLRU configs break stack inclusion and must run
+    through the reference simulator.
     """
     return supports_fast_path(config)
 

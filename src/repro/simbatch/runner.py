@@ -23,9 +23,8 @@ from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.cache.config import CacheConfig
-from repro.cache.fastsim import FastTraceCounts
 from repro.obsv.telemetry import get_telemetry
-from repro.simbatch.kernel import MultiConfigSimulator
+from repro.simbatch.kernel import FastTraceCounts, MultiConfigSimulator
 from repro.trace.record import AccessType, TraceRecord
 from repro.trace.stream import DEFAULT_CHUNK_RECORDS, Trace
 

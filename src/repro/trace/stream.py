@@ -10,7 +10,7 @@ For traces too large to materialize, :func:`iter_records` streams records
 from any trace file (text, gzipped text, or ``TDST`` binary, auto-detected
 by magic bytes) and :func:`iter_chunks` batches them into fixed-size
 :class:`TraceChunk` array bundles — the bounded-memory input format of
-:func:`repro.cache.simulator.simulate_stream`.
+:func:`repro.cache.fastsim.simulate_stream`.
 """
 
 from __future__ import annotations

@@ -31,7 +31,7 @@ from repro.trace.record import TraceRecord
 BLOB_SCHEMA = "tdst-blob-v1"
 COMMIT_SCHEMA = "tdst-commit-v1"
 RULES_SCHEMA = "tdst-rules-v1"
-SNAPSHOT_SCHEMA = "tdst-snap-v1"
+SNAPSHOT_SCHEMA = "tdst-snap-v2"
 
 #: Canonical chunk-encoding header (never stored, only hashed).
 _CHUNK_MAGIC = b"TDSTCHNK\x01"

@@ -3,8 +3,9 @@
 Cache simulation is sequential state, so a transformed-trace edit can
 only skip re-simulation over an *unchanged prefix* of chunk blobs.  The
 store therefore keeps **residency snapshots**: the fast simulator's
-complete carried state (per-set residency, LRU stacks, compulsory-miss
-block set, accumulators, per-variable totals), content-addressed by
+complete carried state (per-set LRU stacks, one way wide when
+direct-mapped, compulsory-miss block set, accumulators, per-variable
+totals), content-addressed by
 ``(cache config, attribution, chunk-blob-id prefix)``.  Simulating a
 commit walks its blob ids, restores the deepest stored snapshot whose
 prefix matches, and feeds only the remaining chunks — saving a snapshot
@@ -24,10 +25,11 @@ from typing import Any, Dict, List, Optional, Tuple, Union
 import numpy as np
 
 from repro.cache.config import CacheConfig
-from repro.cache.fastsim import FastSimulator, FastTraceCounts
+from repro.cache.fastsim import FastSimulator
 from repro.campaign.artifacts import content_key
 from repro.errors import CacheConfigError
 from repro.obsv.telemetry import get_telemetry
+from repro.simbatch.kernel import FastTraceCounts
 from repro.tracestore.chain import SNAPSHOT_SCHEMA, Commit
 from repro.tracestore.store import TraceStore
 

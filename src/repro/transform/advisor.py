@@ -434,10 +434,11 @@ def rank_candidates(
     """
     import numpy as np
 
-    from repro.cache.fastsim import fast_trace_counts, supports_fast_path
+    from repro.cache.fastsim import fast_trace_counts
     from repro.lint.cost.chains import canonical_stream
     from repro.lint.cost.model import evaluate_rules
     from repro.obsv import get_telemetry
+    from repro.simbatch.plan import supports_fast_path
     from repro.trace.digest import compute_digest
     from repro.trace.record import AccessType
     from repro.transform.engine import ARENA_BASE, transform_trace

@@ -62,8 +62,9 @@ def check_kernel_agreement(
     no-write-allocate...) produce a *skipped* report — there is only one
     kernel to trust there, so there is nothing to cross-check.
     """
-    from repro.cache.fastsim import fast_counts, supports_fast_path
+    from repro.cache.fastsim import fast_trace_counts
     from repro.cache.simulator import simulate
+    from repro.simbatch.plan import supports_fast_path
 
     label = config.describe()
     if not supports_fast_path(config):
@@ -78,7 +79,7 @@ def check_kernel_agreement(
     report = AgreementReport(config=label, checked=len(data))
     addrs = np.fromiter((r.addr for r in data), dtype=np.uint64, count=len(data))
     sizes = np.fromiter((r.size for r in data), dtype=np.uint32, count=len(data))
-    fast = fast_counts(addrs, config, sizes)
+    fast = fast_trace_counts(addrs, config, sizes).counts
     stats = simulate(data, config).stats
     for name, got, want in (
         ("block hits", fast.hits, stats.block_hits),

@@ -1,10 +1,11 @@
-"""Cross-validation of the vectorized fast paths against the reference.
+"""Cross-validation of the vectorized fast path against the reference.
 
-Every kernel (direct-mapped closed form, set-associative LRU stacks) and
-every wrapper (global counts, per-variable attribution, chunked
-``FastSimulator``) must agree *exactly* — hit/miss/per-set/demand/eviction
-equality — with :class:`repro.cache.simulator.CacheSimulator` on random
-streams, straddling accesses and the paper's kernel traces.
+Every shape of the one stack-position kernel (direct-mapped closed form,
+set-associative LRU stacks) and every entry point (global counts,
+per-variable attribution, chunked ``FastSimulator``) must agree
+*exactly* — hit/miss/per-set/demand/eviction equality — with
+:class:`repro.cache.simulator.CacheSimulator` on random streams,
+straddling accesses and the paper's kernel traces.
 """
 
 import numpy as np
@@ -14,17 +15,11 @@ from hypothesis import strategies as st
 
 from repro.errors import CacheConfigError
 from repro.cache.config import AllocatePolicy, CacheConfig
-from repro.cache.fastsim import (
-    FastSimulator,
-    fast_counts,
-    fast_direct_mapped_counts,
-    fast_lru_counts,
-    fast_per_variable_counts,
-    fast_trace_counts,
-    supports_fast_path,
-)
+from repro.cache.fastsim import FastSimulator, fast_trace_counts
 from repro.cache.simulator import simulate
+from repro.simbatch.plan import supports_fast_path
 from repro.trace.record import AccessType, TraceRecord
+from tests.reference import assert_matches_reference, reference_counts
 
 
 def make_records(addrs, sizes=None):
@@ -84,7 +79,7 @@ class TestDirectMapped:
     def test_simple_stream(self):
         addrs = np.array([0, 4, 32, 0, 512, 0], dtype=np.uint64)
         cfg = small_cfg()
-        fast = fast_direct_mapped_counts(addrs, cfg)
+        fast = fast_trace_counts(addrs, cfg).counts
         assert_counts_match(fast, reference_stats(addrs, cfg))
 
     @given(
@@ -96,14 +91,14 @@ class TestDirectMapped:
         size, block = geometry
         cfg = CacheConfig(size=size, block_size=block, associativity=1)
         addrs = np.array(addr_list, dtype=np.uint64)
-        fast = fast_direct_mapped_counts(addrs, cfg)
+        fast = fast_trace_counts(addrs, cfg).counts
         assert_counts_match(fast, reference_stats(addrs, cfg))
 
     def test_kernel_trace_matches_reference(self, trace_1a_16, paper_cache):
         data = trace_1a_16.data_accesses()
-        fast = fast_direct_mapped_counts(
+        fast = fast_trace_counts(
             data.addresses(), paper_cache, data.sizes()
-        )
+        ).counts
         stats = simulate(trace_1a_16, paper_cache).stats
         assert_counts_match(fast, stats)
 
@@ -111,18 +106,13 @@ class TestDirectMapped:
         cfg = small_cfg()
         addrs = np.array([30], dtype=np.uint64)  # bytes 30..37 span 2 blocks
         sizes = np.array([8], dtype=np.uint32)
-        fast = fast_direct_mapped_counts(addrs, cfg, sizes)
+        fast = fast_trace_counts(addrs, cfg, sizes).counts
         assert fast.accesses == 2
 
-    def test_rejects_associative_configs(self):
-        with pytest.raises(CacheConfigError):
-            fast_direct_mapped_counts(
-                np.array([0], dtype=np.uint64), small_cfg(2)
-            )
-
     def test_empty(self):
-        fast = fast_direct_mapped_counts(np.array([], dtype=np.uint64),
-                                         small_cfg())
+        fast = fast_trace_counts(
+            np.array([], dtype=np.uint64), small_cfg()
+        ).counts
         assert fast.accesses == 0
         assert fast.miss_ratio == 0.0
 
@@ -137,7 +127,7 @@ class TestLRU:
         addrs = np.array(
             [i * stride for i in range(assoc + 1)] * 4, dtype=np.uint64
         )
-        fast = fast_lru_counts(addrs, cfg)
+        fast = fast_trace_counts(addrs, cfg).counts
         assert fast.hits == 0
         assert_counts_match(fast, reference_stats(addrs, cfg))
 
@@ -147,7 +137,7 @@ class TestLRU:
         stride = cfg.n_sets * cfg.block_size
         window = [i * stride for i in range(assoc)]
         addrs = np.array(window * 5, dtype=np.uint64)
-        fast = fast_lru_counts(addrs, cfg)
+        fast = fast_trace_counts(addrs, cfg).counts
         assert fast.misses == assoc  # compulsory only
         assert_counts_match(fast, reference_stats(addrs, cfg))
 
@@ -166,7 +156,7 @@ class TestLRU:
         cfg = CacheConfig(size=size, block_size=block, associativity=assoc)
         addrs = np.array([a for a, _ in accesses], dtype=np.uint64)
         sizes = np.array([s for _, s in accesses], dtype=np.uint32)
-        fast = fast_lru_counts(addrs, cfg, sizes)
+        fast = fast_trace_counts(addrs, cfg, sizes).counts
         assert_counts_match(fast, reference_stats(addrs, cfg, sizes))
 
     @pytest.mark.parametrize("assoc", [2, 4, 8])
@@ -176,7 +166,7 @@ class TestLRU:
         cfg = CacheConfig(size=32 * 1024, block_size=32, associativity=assoc)
         for trace in (trace_1a_16, trace_2a_16, trace_3a_64):
             data = trace.data_accesses()
-            fast = fast_lru_counts(data.addresses(), cfg, data.sizes())
+            fast = fast_trace_counts(data.addresses(), cfg, data.sizes()).counts
             assert_counts_match(fast, simulate(trace, cfg).stats)
 
     def test_skewed_set_pressure(self):
@@ -187,23 +177,19 @@ class TestLRU:
         hot = [i * stride for i in (0, 1, 2, 0, 1, 2, 0)] * 10
         cold = [cfg.block_size]  # one access to set 1
         addrs = np.array(hot + cold, dtype=np.uint64)
-        fast = fast_lru_counts(addrs, cfg)
+        fast = fast_trace_counts(addrs, cfg).counts
         assert_counts_match(fast, reference_stats(addrs, cfg))
-
-    def test_rejects_direct_mapped(self):
-        with pytest.raises(CacheConfigError):
-            fast_lru_counts(np.array([0], dtype=np.uint64), small_cfg())
 
     def test_rejects_non_lru_policy(self):
         cfg = CacheConfig(size=512, block_size=32, associativity=2,
                           policy="fifo")
         with pytest.raises(CacheConfigError):
-            fast_lru_counts(np.array([0], dtype=np.uint64), cfg)
+            fast_trace_counts(np.array([0], dtype=np.uint64), cfg)
 
     def test_dispatcher_routes_by_ways(self):
         addrs = np.array([0, 32, 0], dtype=np.uint64)
-        assert fast_counts(addrs, small_cfg()).accesses == 3
-        assert fast_counts(addrs, small_cfg(4)).accesses == 3
+        assert fast_trace_counts(addrs, small_cfg()).counts.accesses == 3
+        assert fast_trace_counts(addrs, small_cfg(4)).counts.accesses == 3
 
 
 class TestTraceCounts:
@@ -244,7 +230,8 @@ class TestPerVariable:
         cfg = small_cfg()
         addrs = np.array([0, 0, 512, 512, 0], dtype=np.uint64)
         ids = np.array([1, 1, 2, 2, 1], dtype=np.int64)
-        counts, per_var = fast_per_variable_counts(addrs, ids, cfg)
+        result = fast_trace_counts(addrs, cfg, var_ids=ids)
+        counts, per_var = result.counts, result.per_variable
         total = sum(h + m for h, m in per_var.values())
         assert total == counts.accesses
         h1, m1 = per_var[1]
@@ -258,7 +245,8 @@ class TestPerVariable:
         addrs = np.array([30, 62, 0, 94], dtype=np.uint64)
         sizes = np.array([8, 16, 4, 64], dtype=np.uint32)
         ids = np.array([1, 2, 1, 2], dtype=np.int64)
-        counts, per_var = fast_per_variable_counts(addrs, ids, cfg, sizes)
+        result = fast_trace_counts(addrs, cfg, sizes, ids)
+        counts, per_var = result.counts, result.per_variable
         assert counts.accesses > len(addrs)  # straddlers really expanded
         assert sum(h + m for h, m in per_var.values()) == counts.accesses
         assert sum(h for h, _ in per_var.values()) == counts.hits
@@ -281,9 +269,9 @@ class TestPerVariable:
             ],
             dtype=np.int64,
         )
-        _, per_var = fast_per_variable_counts(
-            data.addresses(), var_ids, cfg, data.sizes()
-        )
+        per_var = fast_trace_counts(
+            data.addresses(), cfg, data.sizes(), var_ids
+        ).per_variable
         stats = simulate(trace_1a_16, cfg).stats
         for name, vid in name_ids.items():
             h, m = per_var[vid]
@@ -294,7 +282,7 @@ class TestPerVariable:
         cfg = small_cfg()
         addrs = np.array([0, 32], dtype=np.uint64)
         ids = np.array([-1, 3], dtype=np.int64)
-        _, per_var = fast_per_variable_counts(addrs, ids, cfg)
+        per_var = fast_trace_counts(addrs, cfg, var_ids=ids).per_variable
         assert set(per_var) == {-1, 3}
 
 
@@ -347,3 +335,72 @@ class TestFastSimulator:
     def test_rejects_uncovered_config(self, ppc440_cache):
         with pytest.raises(CacheConfigError):
             FastSimulator(ppc440_cache)
+
+
+def feed_with_round_trip(cfg, addrs, sizes, var_ids, cuts, resume_at):
+    """Feed ``FastSimulator`` the chunks between ``cuts``, rebuilding it
+    from its own ``state()`` just before chunk ``resume_at``."""
+    bounds = [0, *cuts, len(addrs)]
+    sim = FastSimulator(cfg)
+    for i, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+        if i == resume_at:
+            sim = FastSimulator.from_state(cfg, sim.state())
+        sim.feed(addrs[lo:hi], sizes[lo:hi], var_ids[lo:hi])
+    return sim.trace_counts()
+
+
+class TestChunkedAgainstReference:
+    """Chunked feeding with a snapshot round-trip at an arbitrary cut
+    answers exactly what the per-record reference simulator answers."""
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(0, 4095),
+                st.sampled_from([1, 4, 8, 40]),
+                st.integers(-1, 2),
+            ),
+            max_size=200,
+        ),
+        st.sampled_from([1, 2, 4, 8]),
+        st.sampled_from([1, 4, 16]),
+        st.data(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_random_cuts_and_round_trip(self, accesses, ways, n_sets, data):
+        cfg = CacheConfig(size=n_sets * 32 * ways, block_size=32,
+                          associativity=ways)
+        addrs = np.array([a for a, _, _ in accesses], dtype=np.uint64)
+        sizes = np.array([s for _, s, _ in accesses], dtype=np.uint32)
+        ids = np.array([v for _, _, v in accesses], dtype=np.int64)
+        n = len(accesses)
+        cuts = sorted(
+            data.draw(st.sets(st.integers(0, n), max_size=6), label="cuts")
+        )
+        resume_at = data.draw(
+            st.integers(0, len(cuts)), label="resume_at"
+        )
+        got = feed_with_round_trip(cfg, addrs, sizes, ids, cuts, resume_at)
+        assert_matches_reference(got, reference_counts(cfg, addrs, sizes, ids))
+
+    def test_direct_mapped_one_set_ping_pong(self):
+        # Two blocks of one set alternate: every access evicts the other
+        # block and nothing repeats its predecessor, so no run collapses.
+        cfg = CacheConfig(size=32, block_size=32, associativity=1)
+        addrs = np.array([0, 32] * 50, dtype=np.uint64)
+        sizes = np.ones(len(addrs), dtype=np.uint32)
+        ids = np.zeros(len(addrs), dtype=np.int64)
+        got = feed_with_round_trip(cfg, addrs, sizes, ids, [1, 37, 64], 2)
+        assert got.counts.hits == 0
+        assert_matches_reference(got, reference_counts(cfg, addrs, sizes, ids))
+
+    def test_two_way_three_block_cycle(self):
+        # A, B, C cycle through one 2-way set: true LRU always evicts the
+        # block needed next, and no access repeats its predecessor.
+        cfg = CacheConfig(size=64, block_size=32, associativity=2)
+        addrs = np.array([0, 32, 64] * 40, dtype=np.uint64)
+        sizes = np.ones(len(addrs), dtype=np.uint32)
+        ids = np.arange(len(addrs), dtype=np.int64) % 3
+        got = feed_with_round_trip(cfg, addrs, sizes, ids, [2, 50, 51], 1)
+        assert got.counts.hits == 0
+        assert_matches_reference(got, reference_counts(cfg, addrs, sizes, ids))

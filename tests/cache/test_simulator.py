@@ -185,7 +185,7 @@ class TestSimulateStream:
 
     def test_totals_equal_whole_trace_pass(self, tmp_path):
         from repro.cache.fastsim import fast_trace_counts
-        from repro.cache.simulator import simulate_stream
+        from repro.cache.fastsim import simulate_stream
 
         path, records = self._write_trace(tmp_path)
         cfg = CacheConfig(size=1024, block_size=32, associativity=4)
@@ -201,7 +201,7 @@ class TestSimulateStream:
 
     def test_bounded_residency_observed_via_chunks(self, tmp_path):
         """A file bigger than one chunk streams through in bounded batches."""
-        from repro.cache.simulator import simulate_stream
+        from repro.cache.fastsim import simulate_stream
 
         path, records = self._write_trace(tmp_path, n=500)
         seen = []
@@ -220,7 +220,7 @@ class TestSimulateStream:
         assert sum(n for _, _, n, _ in seen) == result.records
 
     def test_accepts_record_iterable(self):
-        from repro.cache.simulator import simulate_stream
+        from repro.cache.fastsim import simulate_stream
 
         records = [_rec(AccessType.LOAD, a * 4) for a in range(64)]
         result = simulate_stream(iter(records), small_cfg(), chunk_records=16)
@@ -228,7 +228,7 @@ class TestSimulateStream:
         assert result.chunks == 4
 
     def test_matches_reference_simulator(self, tmp_path):
-        from repro.cache.simulator import simulate_stream
+        from repro.cache.fastsim import simulate_stream
 
         path, records = self._write_trace(tmp_path, n=300)
         cfg = CacheConfig(size=1024, block_size=32, associativity=2)
@@ -241,7 +241,7 @@ class TestSimulateStream:
         assert stream.counts.compulsory_misses == stats.compulsory_misses
 
     def test_rejects_uncovered_config(self, tmp_path):
-        from repro.cache.simulator import simulate_stream
+        from repro.cache.fastsim import simulate_stream
         from repro.errors import CacheConfigError
 
         path, _ = self._write_trace(tmp_path, n=10)
@@ -249,7 +249,7 @@ class TestSimulateStream:
             simulate_stream(path, CacheConfig.ppc440())
 
     def test_summary_text(self, tmp_path):
-        from repro.cache.simulator import simulate_stream
+        from repro.cache.fastsim import simulate_stream
 
         path, _ = self._write_trace(tmp_path, n=50)
         text = simulate_stream(path, small_cfg()).summary()

@@ -13,8 +13,9 @@ from typing import Iterable, List
 import numpy as np
 
 from repro.cache.config import CacheConfig
-from repro.cache.fastsim import fast_trace_counts, supports_fast_path
+from repro.cache.fastsim import fast_trace_counts
 from repro.cache.simulator import simulate
+from repro.simbatch.plan import supports_fast_path
 from repro.trace.record import AccessType, TraceRecord
 
 

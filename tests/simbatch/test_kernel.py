@@ -1,11 +1,11 @@
-"""Batched multi-config kernel: bit-identity against both references.
+"""Batched multi-config kernel: bit-identity against the reference.
 
 The whole batching argument rests on one invariant: the shared
 stack-distance pass answers every member config *exactly* as if it had
-run alone.  These tests pin that invariant against both oracles —
-:func:`repro.cache.fastsim.fast_trace_counts` (the single-config
-vectorized path) and the reference :class:`CacheSimulator` — on random
-streams, straddling accesses, and the paper's transformed traces.
+run alone.  The single-config fast path is a batch of one on the same
+kernel, so the oracle here is the per-record reference
+:class:`CacheSimulator`, on random streams, straddling accesses, and the
+paper's transformed traces.
 """
 
 import numpy as np
@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 
 from repro.errors import CacheConfigError
 from repro.cache.config import CacheConfig
-from repro.cache.fastsim import fast_trace_counts
 from repro.cache.simulator import simulate
 from repro.simbatch import (
     MultiConfigSimulator,
@@ -23,6 +22,7 @@ from repro.simbatch import (
     plan_batch,
 )
 from repro.trace.record import AccessType, TraceRecord
+from tests.reference import assert_matches_reference, reference_counts
 
 pytestmark = pytest.mark.simbatch
 
@@ -80,6 +80,8 @@ class TestPlan:
 
 
 class TestAgainstFastPath:
+    """The batched fast path against the reference simulator."""
+
     def test_random_straddling_stream(self):
         rng = np.random.default_rng(7)
         n = 4000
@@ -89,8 +91,8 @@ class TestAgainstFastPath:
         configs = grid_configs()
         batched = batch_trace_counts(addrs, configs, sizes, var_ids)
         for cfg, got in zip(configs, batched):
-            want = fast_trace_counts(addrs, cfg, sizes, var_ids)
-            assert_counts_equal(got, want)
+            want = reference_counts(cfg, addrs, sizes, var_ids)
+            assert_matches_reference(got, want)
 
     def test_chunked_equals_whole(self):
         rng = np.random.default_rng(11)
@@ -102,14 +104,16 @@ class TestAgainstFastPath:
         sim = MultiConfigSimulator(configs)
         for start in range(0, n, 700):
             sim.feed(addrs[start : start + 700], sizes[start : start + 700])
-        for a, b in zip(sim.results(), whole):
+        for cfg, a, b in zip(configs, sim.results(), whole):
             assert_counts_equal(a, b)
+            assert_matches_reference(a, reference_counts(cfg, addrs, sizes))
 
     def test_duplicate_configs_allowed(self):
         addrs = np.arange(0, 4096, 8, dtype=np.uint64)
         cfg = CacheConfig(size=1024, block_size=32, associativity=2)
         a, b = batch_trace_counts(addrs, [cfg, cfg])
         assert_counts_equal(a, b)
+        assert_matches_reference(a, reference_counts(cfg, addrs))
 
     def test_ineligible_config_raises(self):
         fifo = CacheConfig(size=1024, block_size=32, associativity=2,
@@ -181,5 +185,5 @@ class TestPaperTraces:
             sizes = np.array([r.size for r in data], dtype=np.uint32)
             result = simulate_batch(source, configs)
             for cfg, got in zip(configs, result.results):
-                want = fast_trace_counts(addrs, cfg, sizes)
-                assert_counts_equal(got, want)
+                want = reference_counts(cfg, addrs, sizes)
+                assert_matches_reference(got, want)

@@ -106,12 +106,12 @@ class TestSmallValueObjects:
         import numpy as np
 
         from repro.cache.config import CacheConfig
-        from repro.cache.fastsim import fast_direct_mapped_counts
+        from repro.cache.fastsim import fast_trace_counts
 
-        counts = fast_direct_mapped_counts(
+        counts = fast_trace_counts(
             np.array([0, 0, 64], dtype=np.uint64),
             CacheConfig(size=128, block_size=32, associativity=1),
-        )
+        ).counts
         assert counts.accesses == 3
         assert 0 < counts.miss_ratio < 1
 

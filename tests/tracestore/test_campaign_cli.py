@@ -75,11 +75,35 @@ class TestEligibility:
 
     def test_env_escape_hatches(self, rule_file, clean_env, monkeypatch):
         job = self._job(rule_file)
+        # TDST_NO_TRACESTORE is resolved once, by the Scheduler, and
+        # reaches workers as the job's own flag.
+        opted_out = self._job(rule_file, tracestore=False)
+        assert not tracestore_eligible(opted_out, "x")
         monkeypatch.setenv(NO_TRACESTORE_ENV, "1")
-        assert not tracestore_eligible(job, "x")
+        assert tracestore_eligible(job, "x")
         monkeypatch.delenv(NO_TRACESTORE_ENV)
         monkeypatch.setenv("TDST_NO_FAST", "1")
         assert not tracestore_eligible(job, "x")
+
+    def test_service_wire_carries_the_opt_out(self, rule_file):
+        import json
+
+        from repro.campaign.service.wire import task_from_wire, task_to_wire
+
+        job = self._job(rule_file, tracestore=False)
+        frame = json.loads(json.dumps(task_to_wire(job)))
+        assert task_from_wire(frame) == job
+
+    def test_scheduler_resolves_env_onto_jobs(
+        self, tmp_path, rule_file, clean_env, monkeypatch
+    ):
+        from repro.campaign.scheduler import Scheduler
+
+        monkeypatch.setenv(NO_TRACESTORE_ENV, "1")
+        scheduler = Scheduler(file_spec(rule_file), tmp_path / "camp")
+        assert scheduler.tracestore is False
+        monkeypatch.delenv(NO_TRACESTORE_ENV)
+        assert Scheduler(file_spec(rule_file), tmp_path / "camp2").tracestore
 
     def test_non_fast_path_config_keeps_classic_route(
         self, rule_file, clean_env
@@ -155,13 +179,19 @@ class TestCampaignParity:
         for name, blob in b.items():
             assert a[name] == blob
 
-    def test_tracestore_false_exports_env(self, tmp_path, rule_file,
-                                          clean_env, monkeypatch):
+    def test_tracestore_false_does_not_leak_into_later_campaigns(
+        self, tmp_path, rule_file, clean_env
+    ):
         spec = file_spec(rule_file)
-        run_campaign(spec, tmp_path / "camp", batch=False, tracestore=False)
-        assert os.environ.get(NO_TRACESTORE_ENV) == "1"
-        monkeypatch.delenv(NO_TRACESTORE_ENV, raising=False)
-        assert not (tmp_path / "tracestore").exists()
+        environ = dict(os.environ)
+        run_campaign(spec, tmp_path / "classic", batch=False, tracestore=False)
+        assert not (tmp_path / "classic" / "tracestore").exists()
+        # The opt-out belonged to that campaign alone: the next one in
+        # this process takes the default route and writes the store.
+        run_campaign(spec, tmp_path / "default", batch=False)
+        tracestore = tmp_path / "default" / "tracestore"
+        assert any(tracestore.rglob("*.chunk.tdst"))
+        assert dict(os.environ) == environ
 
     def test_execute_job_payload_shape(self, tmp_path, rule_file, clean_env):
         job = Job(

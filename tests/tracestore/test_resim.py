@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from repro.cache.config import CacheConfig
 from repro.cache.fastsim import FastSimulator
+from repro.campaign.artifacts import content_key
 from repro.campaign.jobs import resolve_rule_text, simulation_fields
 from repro.ctypes_model.path import VariablePath
 from repro.errors import CacheConfigError
@@ -20,6 +21,7 @@ from repro.trace.record import AccessType, TraceRecord
 from repro.trace.stream import Trace, iter_record_chunks
 from repro.tracer.interp import trace_program
 from repro.tracestore import TraceStore, apply_rules, simulate_chain
+from repro.tracestore.resim import snapshot_id
 from repro.transform.engine import transform_trace
 from repro.workloads.paper_kernels import paper_kernel
 
@@ -27,6 +29,36 @@ pytestmark = pytest.mark.tracestore
 
 CONFIG = CacheConfig(size=1024, block_size=32, associativity=1)
 CONFIG_2W = CacheConfig(size=2048, block_size=32, associativity=2)
+
+
+def v1_direct_mapped_state(sim):
+    """``sim``'s state in the ``tdst-snap-v1`` layout, as written before
+    every config stored ``(n_sets, ways)`` stacks: direct-mapped kept one
+    ``carry`` block per set, scalar totals and per-variable columns."""
+    totals = sim.trace_counts()
+    state = sim.state()
+    per_var = sorted(totals.per_variable.items())
+    return {
+        "config": state["config"],
+        "seen_blocks": state["seen_blocks"],
+        "per_set_hits": state["per_set_hits"],
+        "per_set_misses": state["per_set_misses"],
+        "scalars": np.array(
+            [
+                totals.counts.hits,
+                totals.counts.misses,
+                totals.counts.compulsory_misses,
+                totals.demand_hits,
+                totals.demand_accesses,
+                sim.chunks_fed,
+            ],
+            dtype=np.int64,
+        ),
+        "var_ids": np.array([v for v, _ in per_var], dtype=np.int64),
+        "var_hits": np.array([h for _, (h, _) in per_var], dtype=np.int64),
+        "var_misses": np.array([m for _, (_, m) in per_var], dtype=np.int64),
+        "carry": sim.residency()[:, 0],
+    }
 
 
 class TestFastSimState:
@@ -59,6 +91,21 @@ class TestFastSimState:
         sim = FastSimulator(CONFIG)
         with pytest.raises(CacheConfigError):
             FastSimulator.from_state(CONFIG_2W, sim.state())
+
+    def test_state_stores_stacks_for_direct_mapped(self):
+        addrs, sizes, vids = self._arrays(100, seed=3)
+        sim = FastSimulator(CONFIG)
+        sim.feed(addrs, sizes, vids)
+        state = sim.state()
+        assert "carry" not in state
+        assert state["stacks"].shape == (CONFIG.n_sets, 1)
+
+    def test_state_refuses_pre_change_direct_mapped_layout(self):
+        addrs, sizes, vids = self._arrays(500, seed=4)
+        sim = FastSimulator(CONFIG)
+        sim.feed(addrs, sizes, vids)
+        with pytest.raises(CacheConfigError, match="stacks"):
+            FastSimulator.from_state(CONFIG, v1_direct_mapped_state(sim))
 
     def test_state_is_plain_arrays(self):
         addrs, sizes, vids = self._arrays(100, seed=2)
@@ -103,7 +150,7 @@ def test_golden_pipelines_incremental_equals_cold(
     trace = trace_program(paper_kernel(kernel, length=length))
     rule_text = resolve_rule_text(rule, length)
     reference = transform_trace(trace, rule_text).trace
-    want = simulation_fields(reference, CONFIG, attribution)
+    want = simulation_fields(reference, CONFIG, attribution, use_fast=False)
 
     store = TraceStore(tmp_path / "ts")
     # Cold (no snapshots), warm (writes snapshots), hot (restores them):
@@ -169,7 +216,9 @@ def test_random_rule_edits_incremental_equals_cold(
     )
     reference = transform_trace(trace, v2).trace
     assert list(store.checkout(applied2.commit)) == list(reference)
-    assert result2.fields() == simulation_fields(reference, CONFIG, "base")
+    assert result2.fields() == simulation_fields(
+        reference, CONFIG, "base", use_fast=False
+    )
 
 
 def test_single_rule_edit_reuses_untouched_chunks(tmp_path):
@@ -186,7 +235,9 @@ def test_single_rule_edit_reuses_untouched_chunks(tmp_path):
     assert applied2.chunks_transformed < applied2.chunks_total
     assert result2.chunks_skipped > 0
     reference = transform_trace(trace, v2).trace
-    assert result2.fields() == simulation_fields(reference, CONFIG, "base")
+    assert result2.fields() == simulation_fields(
+        reference, CONFIG, "base", use_fast=False
+    )
 
 
 def test_identical_rule_text_returns_previous_commit(tmp_path):
@@ -212,4 +263,41 @@ def test_snapshot_mismatch_falls_back_to_cold(tmp_path):
     other = simulate_chain(store, applied.commit, CONFIG_2W)
     assert other.chunks_skipped == 0
     reference = transform_trace(trace, rule).trace
-    assert other.fields() == simulation_fields(reference, CONFIG_2W, "base")
+    assert other.fields() == simulation_fields(
+        reference, CONFIG_2W, "base", use_fast=False
+    )
+
+
+def test_pre_change_snapshots_resume_cold(tmp_path):
+    trace = _synthetic_trace()
+    rule = _soa_rule("lA", "lAoS", 24)
+    store = TraceStore(tmp_path / "ts")
+    base = store.commit_trace(trace, chunk_records=32)
+    commit = apply_rules(store, base, rule).commit
+    blob_ids = commit.blob_ids
+    sim = FastSimulator(CONFIG)
+    sim.feed(np.arange(0, 4096, 8, dtype=np.uint64))
+    stale = v1_direct_mapped_state(sim)
+    want = simulation_fields(
+        transform_trace(trace, rule).trace, CONFIG, "base", use_fast=False
+    )
+    # A store written before the layout change keys its snapshots by
+    # the v1 schema tag, which the v2 lookup never asks for ...
+    for k in range(1, len(blob_ids) + 1):
+        store.put_snapshot(
+            content_key("tdst-snap-v1", CONFIG.describe(), "base",
+                        *blob_ids[:k]),
+            stale,
+        )
+    cold = simulate_chain(store, commit, CONFIG, snapshots=True)
+    assert cold.chunks_skipped == 0
+    assert cold.fields() == want
+    # ... and a v1 state filed under a v2 id is refused, not misread.
+    store = TraceStore(tmp_path / "ts2")
+    base = store.commit_trace(trace, chunk_records=32)
+    commit = apply_rules(store, base, rule).commit
+    for k in range(1, len(blob_ids) + 1):
+        store.put_snapshot(snapshot_id(CONFIG, "base", blob_ids[:k]), stale)
+    refused = simulate_chain(store, commit, CONFIG)
+    assert refused.chunks_skipped == 0
+    assert refused.fields() == want

@@ -1,5 +1,7 @@
 """Tests for the reference-vs-fast kernel agreement check."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.cache.config import CacheConfig
@@ -52,20 +54,14 @@ class TestDivergenceDetection:
     def test_fast_kernel_drift_is_reported(self, trace, monkeypatch):
         import repro.cache.fastsim as fastsim
 
-        real = fastsim.fast_counts
+        real = fastsim.fast_trace_counts
 
-        def drifted(addrs, config, sizes=None):
-            counts = real(addrs, config, sizes)
+        def drifted(addrs, config, sizes=None, var_ids=None):
+            result = real(addrs, config, sizes, var_ids)
+            counts = replace(result.counts, hits=result.counts.hits + 1)
+            return replace(result, counts=counts)
 
-            class _Drifted:
-                hits = counts.hits + 1
-                misses = counts.misses
-                compulsory_misses = counts.compulsory_misses
-                per_set = counts.per_set
-
-            return _Drifted()
-
-        monkeypatch.setattr(fastsim, "fast_counts", drifted)
+        monkeypatch.setattr(fastsim, "fast_trace_counts", drifted)
         report = check_kernel_agreement(
             trace, CacheConfig.paper_direct_mapped()
         )
