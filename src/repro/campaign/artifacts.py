@@ -27,7 +27,7 @@ from pathlib import Path
 from typing import Any, Dict, Iterable, Optional, Union
 
 from repro.obsv.atomic import atomic_write
-from repro.trace.binformat import load_binary, save_binary
+from repro.trace.binformat import load_binary, read_record_count, save_binary
 from repro.trace.stream import Trace
 
 #: Artifact filename suffixes by kind.
@@ -108,6 +108,19 @@ class ArtifactStore:
         if not target.exists():
             return None
         return load_binary(target)
+
+    def trace_records(self, key: str) -> Optional[int]:
+        """A stored trace's record count, read from its header without
+        decoding it, or ``None`` on a cache miss.
+
+        The header checks :func:`~repro.trace.binformat.iter_binary`
+        makes before decompressing still run, so a truncated artifact
+        raises :class:`~repro.errors.TraceFormatError`.
+        """
+        target = self.path_for(key, TRACE_SUFFIX)
+        if not target.exists():
+            return None
+        return read_record_count(target)
 
     # -- JSON results --------------------------------------------------------
 

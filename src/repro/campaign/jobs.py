@@ -299,33 +299,45 @@ def _verify_transform(original, transformed, rule_text: str, allocations) -> Non
         )
 
 
+def _generate_trace(store: ArtifactStore, kernel: str, length: int) -> Trace:
+    """Trace one program and store it as the trace artifact."""
+    trace = trace_program(paper_kernel(kernel, length=length))
+    store.put_trace(trace_key(kernel, length), trace)
+    return trace
+
+
 def _materialise_trace(
     store: ArtifactStore, kernel: str, length: int
 ) -> Tuple[Trace, bool]:
     """Fetch or generate one program's trace; returns (trace, cache_hit)."""
-    key = trace_key(kernel, length)
-    cached = store.get_trace(key)
+    cached = store.get_trace(trace_key(kernel, length))
     if cached is not None:
         return cached, True
-    trace = trace_program(paper_kernel(kernel, length=length))
-    store.put_trace(key, trace)
-    return trace, False
+    return _generate_trace(store, kernel, length), False
 
 
 def execute_trace_task(
     task: TraceTask, store_root: Union[str, Path]
 ) -> Dict[str, Any]:
-    """Worker body for the shared trace stage."""
+    """Worker body for the shared trace stage.
+
+    On an artifact hit only the record count is needed, so it comes from
+    the stored trace's header; the trace is decoded by the jobs that
+    read its records.
+    """
     store = ArtifactStore(store_root)
     started = time.monotonic()
     tele = get_telemetry()
     with tele.span("campaign.trace-task", cat="campaign", job=task.job_id):
-        trace, hit = _materialise_trace(store, task.kernel, task.length)
+        records = store.trace_records(trace_key(task.kernel, task.length))
+        hit = records is not None
+        if records is None:
+            records = len(_generate_trace(store, task.kernel, task.length))
     _count_artifact_hits(tele, {"trace": hit})
     return {
         "kind": "trace",
         "trace_key": trace_key(task.kernel, task.length),
-        "records": len(trace),
+        "records": records,
         "cache_hits": {"trace": hit},
         "compute_seconds": round(time.monotonic() - started, 6),
     }

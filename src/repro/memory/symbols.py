@@ -8,7 +8,8 @@ depth it was created.
 :class:`SymbolTable` supports:
 
 - interval lookup: address -> containing symbol (``bisect`` over sorted,
-  non-overlapping live intervals);
+  non-overlapping live intervals), or -> the symbol's *slot*
+  (:meth:`SymbolTable.find_slot`), a small int naming it for good;
 - symbolisation: address -> full :class:`VariablePath` including array
   indices and struct fields (``lcStrcArray[1].dl`` style), via
   :meth:`SymbolTable.symbolize`;
@@ -77,6 +78,15 @@ class Symbol:
         """True when the symbol is a struct/array (Gleipnir's ``*S`` codes)."""
         return not self.ctype.is_scalar
 
+    @property
+    def scope_code(self) -> str:
+        """Gleipnir's two-letter scope: L/G/H + V/S."""
+        suffix = "S" if self.is_aggregate else "V"
+        return _SCOPE_PREFIX[self.segment] + suffix
+
+
+_SCOPE_PREFIX = {Segment.GLOBAL: "G", Segment.STACK: "L", Segment.HEAP: "H"}
+
 
 @dataclass(frozen=True)
 class Symbolized:
@@ -89,22 +99,23 @@ class Symbolized:
     @property
     def scope_code(self) -> str:
         """Gleipnir's two-letter scope: L/G/H + V/S."""
-        prefix = {
-            Segment.GLOBAL: "G",
-            Segment.STACK: "L",
-            Segment.HEAP: "H",
-        }[self.symbol.segment]
-        suffix = "S" if self.symbol.is_aggregate else "V"
-        return prefix + suffix
+        return self.symbol.scope_code
 
 
 class SymbolTable:
     """Sorted, non-overlapping interval map of live symbols."""
 
     def __init__(self) -> None:
-        # Parallel sorted structures: _starts for bisect, _symbols aligned.
+        # Parallel sorted structures: _starts for bisect, the rest aligned.
         self._starts: List[int] = []
+        self._ends: List[int] = []
         self._symbols: List[Symbol] = []
+        self._slots: List[int] = []
+        #: every symbol ever registered, indexed by slot.  Symbols equal in
+        #: every field share one slot, so a function called in a loop
+        #: reuses its locals' slots instead of growing this list.
+        self.slot_symbols: List[Symbol] = []
+        self._slot_of: Dict[Tuple[object, ...], int] = {}
         #: insertion-ordered name index; names may repeat across frames, the
         #: most recent live symbol wins for name lookup (shadowing).
         self._by_name: Dict[str, List[Symbol]] = {}
@@ -132,8 +143,23 @@ class SymbolTable:
                 f"symbol {symbol.name!r} at {symbol.base:#x} overlaps "
                 f"{self._symbols[idx].name!r}"
             )
+        key = (
+            symbol.name,
+            id(symbol.ctype),
+            symbol.base,
+            symbol.segment,
+            symbol.function,
+            symbol.depth,
+            symbol.thread,
+        )
+        slot = self._slot_of.get(key)
+        if slot is None:
+            slot = self._slot_of[key] = len(self.slot_symbols)
+            self.slot_symbols.append(symbol)
         self._starts.insert(idx, symbol.base)
+        self._ends.insert(idx, symbol.end)
         self._symbols.insert(idx, symbol)
+        self._slots.insert(idx, slot)
         self._by_name.setdefault(symbol.name, []).append(symbol)
         return symbol
 
@@ -143,7 +169,9 @@ class SymbolTable:
         if idx < 0 or self._symbols[idx] is not symbol:
             raise MemoryModelError(f"symbol {symbol.name!r} is not live")
         del self._starts[idx]
+        del self._ends[idx]
         del self._symbols[idx]
+        del self._slots[idx]
         stack = self._by_name.get(symbol.name, [])
         if symbol in stack:
             stack.remove(symbol)
@@ -155,9 +183,20 @@ class SymbolTable:
     def find(self, address: int) -> Optional[Symbol]:
         """The live symbol containing ``address``, or ``None``."""
         idx = bisect_right(self._starts, address) - 1
-        if idx >= 0 and self._symbols[idx].contains(address):
+        if idx >= 0 and address < self._ends[idx]:
             return self._symbols[idx]
         return None
+
+    def find_slot(self, address: int) -> int:
+        """The slot of the live symbol containing ``address``, or -1.
+
+        ``slot_symbols[slot]`` is that symbol (or one equal to it in
+        every field) for as long as the table exists.
+        """
+        idx = bisect_right(self._starts, address) - 1
+        if idx >= 0 and address < self._ends[idx]:
+            return self._slots[idx]
+        return -1
 
     def symbolize(self, address: int) -> Optional[Symbolized]:
         """Full symbolisation: symbol + nested path + byte offset."""

@@ -10,6 +10,8 @@ provides:
   paper's Figure 1 and Listing 2 (round-trip safe);
 - :mod:`repro.trace.stream` — the :class:`~repro.trace.stream.Trace`
   container plus filtering/windowing helpers;
+- :mod:`repro.trace.columns` — the in-memory columns a ``Trace`` can
+  carry instead of records, and the one columns-to-records materialiser;
 - :mod:`repro.trace.stats` — footprint and access-mix statistics;
 - :mod:`repro.trace.diff` — the structural diff used for Figures 5/8/9.
 """

@@ -29,6 +29,15 @@ column as a zero-copy numpy view — loading a 10M-access trace costs one
 constructions.  The footer lives at the *end* so writers stream columns
 sequentially and readers seek backwards from EOF.
 
+The column set is the in-memory one of
+:class:`~repro.trace.columns.TraceColumns`, narrowed: frame and thread
+to one byte and function ids to two, each with its top value as the
+"absent" marker.  :func:`save_columnar` writes a trace's columns
+directly and raises :class:`~repro.errors.TraceFormatError` for a value
+the narrow field cannot hold (frame or thread >= 255, function id >=
+0xFFFF, size >= 2**32) instead of wrapping it or reading it back as
+absent.
+
 Round-trip is exact: ``records -> save_columnar -> iter_records`` yields
 the identical record sequence (same guarantee v1 gives), and
 :func:`upgrade_binary` converts any existing trace file (text, gzipped
@@ -48,14 +57,16 @@ import numpy as np
 
 from repro.errors import TraceFormatError
 from repro.ctypes_model.path import VariablePath
-from repro.trace.binformat import (
-    _NO_FIELD,
-    _NO_FUNC,
-    _OPS,
-    _SCOPE_ID,
-    _SCOPES,
+from repro.trace.binformat import _NO_FIELD, _NO_FUNC
+from repro.trace.columns import (
+    ABSENT,
+    OPS,
+    TraceColumns,
+    intern_order,
+    narrowed,
 )
 from repro.trace.record import AccessType, TraceRecord
+from repro.trace.stream import DEFAULT_CHUNK_RECORDS, Trace, columns_of
 
 _MAGIC = b"TDST"
 _VERSION = 2
@@ -81,11 +92,8 @@ _COLUMNS: Tuple[Tuple[str, np.dtype], ...] = (
 #: table (functions, then variables).
 _FOOTER = struct.Struct("<Q" + "QQ" * (len(_COLUMNS) + 2))
 
-#: sentinel for "no variable" in the ``var_id`` column
-_NO_VAR = -1
-
 #: Op code of miscellaneous (``X``) records within the ``kind`` column.
-MISC_KIND = _OPS.index("X")
+MISC_KIND = OPS.index("X")
 
 
 def _pad8(n: int) -> int:
@@ -98,57 +106,26 @@ def save_columnar(
 ) -> Path:
     """Write records in the columnar v2 format (atomic temp+rename).
 
-    Accepts any record iterable — a :class:`~repro.trace.stream.Trace`,
-    a generator from :func:`~repro.trace.stream.iter_records`, a list —
-    and interns function names and variable paths exactly like the v1
-    writer, so ids are assigned in first-appearance order.
+    Accepts any record iterable — a :class:`~repro.trace.stream.Trace`
+    (whose columns are written directly), a generator from
+    :func:`~repro.trace.stream.iter_records`, a list — and interns
+    function names and variable paths exactly like the v1 writer, so ids
+    are assigned in first-appearance order.  A frame, thread, function
+    id or size the format cannot hold raises
+    :class:`~repro.errors.TraceFormatError` before anything is written.
     """
-    addrs: List[int] = []
-    sizes: List[int] = []
-    kinds: List[int] = []
-    scopes: List[int] = []
-    frames: List[int] = []
-    threads: List[int] = []
-    func_ids: List[int] = []
-    var_ids: List[int] = []
-    func_table: Dict[str, int] = {}
-    funcs: List[str] = []
-    var_table: Dict[str, int] = {}
-    variables: List[str] = []
-    for r in records:
-        addrs.append(r.addr)
-        sizes.append(r.size)
-        kinds.append(_OPS.index(r.op.value))
-        scopes.append(_SCOPE_ID.get(r.scope or "", 0))
-        frames.append(r.frame if r.frame is not None else _NO_FIELD)
-        threads.append(r.thread if r.thread is not None else _NO_FIELD)
-        if r.func:
-            fid = func_table.get(r.func)
-            if fid is None:
-                fid = func_table[r.func] = len(funcs)
-                funcs.append(r.func)
-        else:
-            fid = _NO_FUNC
-        func_ids.append(fid)
-        if r.var is not None:
-            text = str(r.var)
-            vid = var_table.get(text)
-            if vid is None:
-                vid = var_table[text] = len(variables)
-                variables.append(text)
-        else:
-            vid = _NO_VAR
-        var_ids.append(vid)
-
+    cols = columns_of(records)
+    func_ids, funcs = intern_order(cols.func_id, cols.functions)
+    var_ids, variables = intern_order(cols.var_id, cols.variables)
     columns = (
-        np.asarray(addrs, dtype=_COLUMNS[0][1]),
-        np.asarray(sizes, dtype=_COLUMNS[1][1]),
-        np.asarray(kinds, dtype=_COLUMNS[2][1]),
-        np.asarray(scopes, dtype=_COLUMNS[3][1]),
-        np.asarray(frames, dtype=_COLUMNS[4][1]),
-        np.asarray(threads, dtype=_COLUMNS[5][1]),
-        np.asarray(func_ids, dtype=_COLUMNS[6][1]),
-        np.asarray(var_ids, dtype=_COLUMNS[7][1]),
+        cols.addr.astype(_COLUMNS[0][1]),
+        narrowed(cols.size, "size", "v2", _COLUMNS[1][1]),
+        cols.kind.astype(_COLUMNS[2][1]),
+        cols.scope.astype(_COLUMNS[3][1]),
+        narrowed(cols.frame, "frame", "v2", _COLUMNS[4][1], absent=_NO_FIELD),
+        narrowed(cols.thread, "thread", "v2", _COLUMNS[5][1], absent=_NO_FIELD),
+        narrowed(func_ids, "function id", "v2", _COLUMNS[6][1], absent=_NO_FUNC),
+        var_ids.astype(_COLUMNS[7][1]),
     )
     func_blob = zlib.compress("\n".join(funcs).encode("utf-8"))
     var_blob = zlib.compress("\n".join(variables).encode("utf-8"))
@@ -298,6 +275,7 @@ class ColumnarTrace:
             )
         self._funcs: Optional[List[str]] = None
         self._vars: Optional[List[str]] = None
+        self._parsed: Optional[Tuple[VariablePath, ...]] = None
 
     def _strings(self, which: str) -> List[str]:
         mm = self._mm
@@ -406,48 +384,48 @@ class ColumnarTrace:
 
     # -- decoded views -------------------------------------------------------
 
-    def iter_records(self) -> Iterator[TraceRecord]:
-        """Yield decoded :class:`TraceRecord` objects, one at a time."""
-        funcs = self.functions
-        variables = self.variables
-        parsed: Dict[int, VariablePath] = {}
+    def _paths(self) -> Tuple[VariablePath, ...]:
+        if self._parsed is None:
+            self._parsed = tuple(VariablePath.parse(t) for t in self.variables)
+        return self._parsed
+
+    def columns(
+        self, start: int = 0, stop: Optional[int] = None
+    ) -> TraceColumns:
+        """Records ``[start, stop)`` as in-memory columns (copied out of
+        the map, absent markers widened to ``-1``)."""
+        part = slice(start, self._count if stop is None else stop)
         cols = self._cols
-        addrs = cols["addr"]
-        sizes = cols["size"]
-        kinds = cols["kind"]
-        scopes = cols["scope"]
-        frames = cols["frame"]
-        threads = cols["thread"]
-        func_ids = cols["func_id"]
-        var_ids = cols["var_id"]
-        for i in range(self._count):
-            vid = int(var_ids[i])
-            var: Optional[VariablePath] = None
-            if vid != _NO_VAR:
-                var = parsed.get(vid)
-                if var is None:
-                    var = VariablePath.parse(variables[vid])
-                    parsed[vid] = var
-            fid = int(func_ids[i])
-            frame = int(frames[i])
-            thread = int(threads[i])
-            scope = int(scopes[i])
-            yield TraceRecord(
-                op=AccessType(_OPS[int(kinds[i])]),
-                addr=int(addrs[i]),
-                size=int(sizes[i]),
-                func=funcs[fid] if fid != _NO_FUNC else "",
-                scope=_SCOPES[scope] if scope else None,
-                frame=frame if frame != _NO_FIELD else None,
-                thread=thread if thread != _NO_FIELD else None,
-                var=var,
-            )
 
-    def to_trace(self):
-        """Materialise the full record list as a ``Trace``."""
-        from repro.trace.stream import Trace
+        def widen(name: str, absent: int, dtype: type) -> np.ndarray:
+            raw = cols[name][part]
+            out = raw.astype(dtype)
+            out[raw == absent] = ABSENT
+            return out
 
-        return Trace(self.iter_records())
+        return TraceColumns(
+            kind=cols["kind"][part].copy(),
+            addr=cols["addr"][part].copy(),
+            size=cols["size"][part].astype(np.int64),
+            scope=cols["scope"][part].copy(),
+            frame=widen("frame", _NO_FIELD, np.int64),
+            thread=widen("thread", _NO_FIELD, np.int64),
+            func_id=widen("func_id", _NO_FUNC, np.int32),
+            var_id=cols["var_id"][part].copy(),
+            functions=tuple(self.functions),
+            variables=tuple(self.variables),
+            paths=self._paths(),
+        )
+
+    def iter_records(self) -> Iterator[TraceRecord]:
+        """Yield decoded :class:`TraceRecord` objects, one window of
+        records at a time (bounded memory for any file size)."""
+        for start in range(0, self._count, DEFAULT_CHUNK_RECORDS):
+            yield from self.columns(start, start + DEFAULT_CHUNK_RECORDS).records()
+
+    def to_trace(self) -> Trace:
+        """The whole trace, columns-backed (records built on first use)."""
+        return Trace.from_columns(self.columns())
 
 
 def open_columnar(path: Union[str, Path]) -> ColumnarTrace:
@@ -455,8 +433,8 @@ def open_columnar(path: Union[str, Path]) -> ColumnarTrace:
     return ColumnarTrace(path)
 
 
-def load_columnar(path: Union[str, Path]):
-    """Read a columnar trace fully into a ``Trace`` (decoded records)."""
+def load_columnar(path: Union[str, Path]) -> Trace:
+    """Read a columnar trace fully into a columns-backed ``Trace``."""
     with ColumnarTrace(path) as columnar:
         return columnar.to_trace()
 

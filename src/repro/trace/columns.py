@@ -1,0 +1,261 @@
+"""In-memory trace columns: the columnar (v2) column set, held in numpy.
+
+A :class:`TraceColumns` is one trace laid out struct-of-arrays, with the
+same columns the v2 file stores (:mod:`repro.trace.columnar`) plus the
+interned function-name table and a :class:`VariablePath` table:
+
+===========  ======  ================================================
+``kind``     uint8   op code, index into :data:`OPS`
+``addr``     uint64  access address
+``size``     int64   access size in bytes
+``scope``    uint8   index into :data:`SCOPES` (0 = no scope)
+``frame``    int64   frame distance, ``-1`` = absent
+``thread``   int64   thread id, ``-1`` = absent
+``func_id``  int32   index into ``functions``, ``-1`` = absent
+``var_id``   int32   index into ``paths``/``variables``, ``-1`` = absent
+===========  ======  ================================================
+
+In memory, ``-1`` marks an absent field, so every real frame, thread and
+function id survives.  The file formats narrow these columns to one or
+two bytes and reserve their top value as the "absent" marker;
+:func:`narrowed` refuses a value that would collide with that marker or
+overflow the field, naming the field, the value and the record index.
+
+The tracer builds columns directly (one symbolisation per distinct
+symbol and offset), the writers encode them without a per-record loop,
+and :meth:`TraceColumns.records` is the one place that turns columns
+back into :class:`TraceRecord` objects — for a whole
+:class:`~repro.trace.stream.Trace` or window by window for
+:meth:`repro.trace.columnar.ColumnarTrace.iter_records`.  Every record
+it builds is counted in the ``trace.records_built`` telemetry counter.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+
+import numpy as np
+
+from repro.ctypes_model.path import VariablePath
+from repro.errors import TraceFormatError
+from repro.obsv.telemetry import get_telemetry
+from repro.trace.record import AccessType, TraceRecord
+
+#: Op codes of the ``kind`` column: a record's op is ``OPS[kind]``.
+OPS = "LSMX"
+#: Scope codes of the ``scope`` column; code 0 means "no scope".
+SCOPES = ("", "LV", "LS", "GV", "GS", "HV", "HS")
+SCOPE_ID = {name: i for i, name in enumerate(SCOPES)}
+#: In-memory marker of an absent frame, thread, function or variable.
+ABSENT = -1
+
+_OP_OF = tuple(AccessType(code) for code in OPS)
+_SCOPE_OF = (None, *SCOPES[1:])
+
+
+def _optional(column: np.ndarray) -> List[Optional[int]]:
+    """A column as Python ints, with ``None`` where it holds ``ABSENT``."""
+    values = column.astype(object)
+    values[column < 0] = None
+    return values.tolist()
+
+
+def _negative(field: str, value: int, index: int) -> TraceFormatError:
+    return TraceFormatError(
+        f"{field} {value} at record {index} is negative: trace columns "
+        f"store {field} values 0 and up ({ABSENT} marks an absent {field})"
+    )
+
+
+@dataclass(frozen=True, eq=False)
+class TraceColumns:
+    """One trace as columns plus its function and variable tables.
+
+    ``variables`` holds the spelling of each entry of ``paths``.  Tables
+    built by the tracer and by :meth:`from_records` list each text once,
+    in the order the records first use it; the writers re-intern any
+    other table (a slice, a file window) with :func:`intern_order`.
+    """
+
+    kind: np.ndarray
+    addr: np.ndarray
+    size: np.ndarray
+    scope: np.ndarray
+    frame: np.ndarray
+    thread: np.ndarray
+    func_id: np.ndarray
+    var_id: np.ndarray
+    functions: Tuple[str, ...]
+    variables: Tuple[str, ...]
+    paths: Tuple[VariablePath, ...]
+
+    def __len__(self) -> int:
+        return len(self.addr)
+
+    def window(self, start: int, stop: int) -> "TraceColumns":
+        """Records ``[start, stop)`` as views sharing this trace's tables."""
+        part = slice(start, stop)
+        return TraceColumns(
+            kind=self.kind[part],
+            addr=self.addr[part],
+            size=self.size[part],
+            scope=self.scope[part],
+            frame=self.frame[part],
+            thread=self.thread[part],
+            func_id=self.func_id[part],
+            var_id=self.var_id[part],
+            functions=self.functions,
+            variables=self.variables,
+            paths=self.paths,
+        )
+
+    @classmethod
+    def from_records(cls, records: Iterable[TraceRecord]) -> "TraceColumns":
+        """Columns of a record sequence, interned like the writers intern.
+
+        Raises :class:`TraceFormatError` for a negative frame or thread,
+        which the columns could not tell apart from an absent one.
+        """
+        kinds: List[int] = []
+        addrs: List[int] = []
+        sizes: List[int] = []
+        scopes: List[int] = []
+        frames: List[int] = []
+        threads: List[int] = []
+        func_ids: List[int] = []
+        var_ids: List[int] = []
+        func_table: Dict[str, int] = {}
+        var_table: Dict[str, int] = {}
+        paths: List[VariablePath] = []
+        for i, r in enumerate(records):
+            kinds.append(OPS.index(r.op))
+            addrs.append(r.addr)
+            sizes.append(r.size)
+            scopes.append(SCOPE_ID.get(r.scope or "", 0))
+            frame, thread = r.frame, r.thread
+            if frame is None:
+                frame = ABSENT
+            elif frame < 0:
+                raise _negative("frame", frame, i)
+            if thread is None:
+                thread = ABSENT
+            elif thread < 0:
+                raise _negative("thread", thread, i)
+            frames.append(frame)
+            threads.append(thread)
+            func_ids.append(
+                func_table.setdefault(r.func, len(func_table)) if r.func else ABSENT
+            )
+            if r.var is None:
+                var_ids.append(ABSENT)
+            else:
+                text = str(r.var)
+                vid = var_table.get(text)
+                if vid is None:
+                    vid = var_table[text] = len(paths)
+                    paths.append(r.var)
+                var_ids.append(vid)
+        return cls(
+            kind=np.array(kinds, dtype=np.uint8),
+            addr=np.array(addrs, dtype=np.uint64),
+            size=np.array(sizes, dtype=np.int64),
+            scope=np.array(scopes, dtype=np.uint8),
+            frame=np.array(frames, dtype=np.int64),
+            thread=np.array(threads, dtype=np.int64),
+            func_id=np.array(func_ids, dtype=np.int32),
+            var_id=np.array(var_ids, dtype=np.int32),
+            functions=tuple(func_table),
+            variables=tuple(var_table),
+            paths=tuple(paths),
+        )
+
+    def records(self) -> List[TraceRecord]:
+        """Build the :class:`TraceRecord` list (the one materialiser)."""
+        functions = [*self.functions, ""]  # ABSENT (-1) picks the ""
+        paths: List[Optional[VariablePath]] = [*self.paths, None]
+        built = list(
+            map(
+                TraceRecord,
+                map(_OP_OF.__getitem__, self.kind.tolist()),
+                self.addr.tolist(),
+                self.size.tolist(),
+                map(functions.__getitem__, self.func_id.tolist()),
+                map(_SCOPE_OF.__getitem__, self.scope.tolist()),
+                _optional(self.frame),
+                _optional(self.thread),
+                map(paths.__getitem__, self.var_id.tolist()),
+            )
+        )
+        get_telemetry().add("trace.records_built", len(built))
+        return built
+
+    def write_mask(self) -> np.ndarray:
+        """Boolean array marking accesses that write memory."""
+        return (self.kind == OPS.index("S")) | (self.kind == OPS.index("M"))
+
+
+def intern_order(
+    ids: np.ndarray, texts: Sequence[str]
+) -> Tuple[np.ndarray, List[str]]:
+    """Re-intern an id column so its table is in first-appearance order.
+
+    Returns ``(ids, table)`` as the record writers would intern them:
+    each text once, numbered in the order the records first use it,
+    unused entries dropped, ``ABSENT`` kept.  A column that is already
+    in that order (the tracer's, :meth:`TraceColumns.from_records`'s)
+    passes an O(n) check and comes back unchanged.
+    """
+    table = list(texts)
+    used = ids[ids >= 0]
+    if len(used):
+        top = np.maximum.accumulate(used)
+        if (
+            used[0] == 0
+            and top[-1] == len(table) - 1
+            and not (np.diff(top) > 1).any()
+            and len(set(table)) == len(table)
+        ):
+            return ids, table
+    elif not table:
+        return ids, table
+    unique, first = np.unique(used, return_index=True)
+    # The extra last slot maps ABSENT (-1) to itself.
+    mapping = np.full(len(table) + 1, ABSENT, dtype=np.int64)
+    order: Dict[str, int] = {}
+    for old in unique[np.argsort(first)].tolist():
+        mapping[old] = order.setdefault(table[old], len(order))
+    return mapping[ids].astype(ids.dtype), list(order)
+
+
+def narrowed(
+    values: np.ndarray,
+    field: str,
+    fmt: str,
+    dtype: str,
+    *,
+    absent: Optional[int] = None,
+) -> np.ndarray:
+    """``values`` cast to a file format's ``dtype``, refusing lossy values.
+
+    ``absent`` is the format's marker for a missing field, which replaces
+    the in-memory ``ABSENT``; a real value equal to or above it could not
+    be told apart from a missing one.  Any value outside the field's range
+    raises :class:`TraceFormatError` naming the field, the value and its
+    record index.  (A bare ``astype`` would wrap such values silently.)
+    """
+    if absent is None:
+        low, high = 0, int(np.iinfo(dtype).max)
+    else:
+        low, high = ABSENT, absent - 1
+    bad = (values < low) | (values > high)
+    if bad.any():
+        i = int(np.argmax(bad))
+        marker = "" if absent is None else f"; {absent:#x} marks an absent {field}"
+        raise TraceFormatError(
+            f"cannot save {field} {int(values[i])} at record {i}: the {fmt} "
+            f"format stores {field} values 0..{high}{marker}"
+        )
+    if absent is not None:
+        values = np.where(values < 0, absent, values)
+    return values.astype(dtype)

@@ -1,10 +1,20 @@
 """The :class:`Trace` container and stream utilities.
 
-A :class:`Trace` is an immutable-ish, list-backed sequence of records with
-the common query/derivation operations the analysis and transformation
-layers need: filtering by predicate, function, variable or scope; slicing
-into windows; projecting addresses into numpy arrays for the vectorized
+A :class:`Trace` is an immutable-ish sequence of records with the common
+query/derivation operations the analysis and transformation layers
+need: filtering by predicate, function, variable or scope; slicing into
+windows; projecting addresses into numpy arrays for the vectorized
 cache simulator.
+
+A trace holds either a record list or
+:class:`~repro.trace.columns.TraceColumns` (the columnar v2 column set
+with its function and variable-path tables), or both.  The tracer
+returns a columns-backed trace: its length, projections, slices and
+both binary writers read the columns, and the record list is built once,
+on first record access, by the shared materialiser
+(:meth:`TraceColumns.records`).  A trace built from records derives
+columns only when a column consumer (a writer) asks for them, and does
+not keep them.
 
 For traces too large to materialize, :func:`iter_records` streams records
 from any trace file (text, gzipped text, or ``TDST`` binary, auto-detected
@@ -21,6 +31,7 @@ from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.trace.columns import TraceColumns
 from repro.trace.format import iter_trace_lines, read_trace, write_trace
 from repro.trace.record import AccessType, TraceRecord
 
@@ -33,31 +44,64 @@ class Trace(Sequence[TraceRecord]):
     mutate the receiver.
     """
 
-    __slots__ = ("_records",)
+    __slots__ = ("_list", "_columns")
 
     def __init__(self, records: Iterable[TraceRecord] = ()) -> None:
-        self._records: List[TraceRecord] = list(records)
+        self._list: Optional[List[TraceRecord]] = list(records)
+        self._columns: Optional[TraceColumns] = None
+
+    @classmethod
+    def from_columns(cls, columns: TraceColumns) -> "Trace":
+        """A trace backed by ``columns``; records are built on first use."""
+        trace = cls.__new__(cls)
+        trace._list = None
+        trace._columns = columns
+        return trace
+
+    @property
+    def _records(self) -> List[TraceRecord]:
+        if self._list is None:
+            assert self._columns is not None
+            self._list = self._columns.records()
+        return self._list
+
+    def columns(self) -> TraceColumns:
+        """The trace as columns: its own, or derived from its records.
+
+        Derived columns are not kept, so a record-backed trace that a
+        writer saves holds no second copy of itself afterwards.
+        """
+        if self._columns is None:
+            return TraceColumns.from_records(self._records)
+        return self._columns
 
     # -- Sequence protocol -------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self._records)
+        if self._columns is not None:
+            return len(self._columns)
+        return len(self._list)
 
     def __iter__(self) -> Iterator[TraceRecord]:
         return iter(self._records)
 
     def __getitem__(self, item):
         if isinstance(item, slice):
+            if self._columns is not None and item.step in (None, 1):
+                start, stop, _ = item.indices(len(self._columns))
+                return Trace.from_columns(
+                    self._columns.window(start, max(start, stop))
+                )
             return Trace(self._records[item])
         return self._records[item]
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, Trace):
-            return self._records == other._records
+            return len(self) == len(other) and self._records == other._records
         return NotImplemented
 
     def __repr__(self) -> str:
-        return f"<Trace of {len(self._records)} records>"
+        return f"<Trace of {len(self)} records>"
 
     # -- construction -------------------------------------------------------
 
@@ -90,13 +134,23 @@ class Trace(Sequence[TraceRecord]):
         """Write the trace in Gleipnir format."""
         write_trace(self._records, path, pid=pid)
 
+    def _drop_columns(self) -> None:
+        """Keep only the records (built now if need be): they are about
+        to change, and the columns would go stale."""
+        self._list = self._records
+        self._columns = None
+
     def append(self, record: TraceRecord) -> None:
-        """Append a record (used by trace builders/tracers only)."""
-        self._records.append(record)
+        """Append a record (used by trace builders only)."""
+        if self._columns is not None:
+            self._drop_columns()
+        self._list.append(record)
 
     def extend(self, records: Iterable[TraceRecord]) -> None:
         """Append many records."""
-        self._records.extend(records)
+        if self._columns is not None:
+            self._drop_columns()
+        self._list.extend(records)
 
     # -- derivation ----------------------------------------------------------
 
@@ -146,18 +200,24 @@ class Trace(Sequence[TraceRecord]):
 
     def addresses(self) -> np.ndarray:
         """All addresses as a ``uint64`` array (vectorized simulator input)."""
+        if self._columns is not None:
+            return self._columns.addr.astype(np.uint64)
         return np.fromiter(
             (r.addr for r in self._records), dtype=np.uint64, count=len(self._records)
         )
 
     def sizes(self) -> np.ndarray:
         """All access sizes as a ``uint32`` array."""
+        if self._columns is not None:
+            return self._columns.size.astype(np.uint32)
         return np.fromiter(
             (r.size for r in self._records), dtype=np.uint32, count=len(self._records)
         )
 
     def write_mask(self) -> np.ndarray:
         """Boolean array marking accesses that write memory."""
+        if self._columns is not None:
+            return self._columns.write_mask()
         return np.fromiter(
             (r.op.writes for r in self._records), dtype=bool, count=len(self._records)
         )
@@ -188,6 +248,13 @@ class Trace(Sequence[TraceRecord]):
         lo = min(r.addr for r in self._records)
         hi = max(r.end for r in self._records)
         return lo, hi
+
+
+def columns_of(records: Iterable[TraceRecord]) -> TraceColumns:
+    """The columns of a :class:`Trace`, or of any other record iterable."""
+    if isinstance(records, Trace):
+        return records.columns()
+    return TraceColumns.from_records(records)
 
 
 # -- chunked streaming --------------------------------------------------------

@@ -5,12 +5,11 @@ This package is the reproduction's substitute for Valgrind + Gleipnir
 :mod:`~repro.tracer.stmt`) grouped into functions and a
 :class:`~repro.tracer.program.Program`.  The
 :class:`~repro.tracer.interp.Interpreter` *executes* a program against a
-simulated :class:`~repro.memory.address_space.AddressSpace` and emits one
-:class:`~repro.trace.record.TraceRecord` per memory access, symbolised
-through the address space — producing traces with the same structure as
-the paper's listings (loop-index loads, call-overhead stores, ``LV``/
-``GS`` scopes, frame distances, the ``_zzq_result`` instrumentation
-artefact).
+simulated :class:`~repro.memory.address_space.AddressSpace` and records
+every memory access as raw columns, symbolised through the address space
+after the run — producing traces with the same structure as the paper's
+listings (loop-index loads, call-overhead stores, ``LV``/``GS`` scopes,
+frame distances, the ``_zzq_result`` instrumentation artefact).
 
 Access-emission model (documented deviation: we model a simple non-
 optimising compiler; see DESIGN.md "substitutions"):

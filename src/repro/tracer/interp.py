@@ -3,19 +3,29 @@
 The interpreter executes a :class:`~repro.tracer.program.Program` against a
 simulated :class:`~repro.memory.address_space.AddressSpace`, maintaining
 real values in memory (so pointer indirection and computed indices work),
-and emits one :class:`~repro.trace.record.TraceRecord` per memory access
-while instrumentation is enabled.
+and records every memory access made while instrumentation is enabled.
 
-Every emitted record is symbolised through the address space's symbol
-table, producing the scope (``LV``/``LS``/``GV``/``GS``/``HV``/``HS``),
-frame distance, thread id and nested variable path exactly as Gleipnir
-derives them from debug information.
+Emission builds no objects.  :meth:`Interpreter._emit` appends raw fields
+to one growable column buffer: op code, address, size, the executing
+frame's context (a function id interned once per frame, and the frame
+depth), and the slot of the live symbol the symbol table's bisect finds
+(-1 when the access is unsymbolised).  After the run, one pass derives
+everything Gleipnir reads from debug information: the scope
+(``LV``/``LS``/``GV``/``GS``/``HV``/``HS``), thread id and frame distance
+once per symbol, and the nested variable path once per distinct
+(symbol, offset).  Function names and paths are interned in
+first-appearance order, exactly as the v1 and v2 writers intern them,
+and the run returns a columns-backed :class:`~repro.trace.stream.Trace`
+(see :mod:`repro.trace.columns`): its records are built only if a
+consumer asks for them, and both binary writers read the columns.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Union
+from typing import Callable, Dict, List, Optional, Tuple, Union
+
+import numpy as np
 
 from repro.errors import InterpreterError
 from repro.ctypes_model.types import (
@@ -27,10 +37,11 @@ from repro.ctypes_model.types import (
     ULONG,
     UnionType,
 )
+from repro.ctypes_model.path import PathElement, VariablePath
 from repro.memory.address_space import AddressSpace
-from repro.memory.symbols import Segment, Symbol
+from repro.memory.symbols import Segment
 from repro.obsv.telemetry import get_telemetry
-from repro.trace.record import AccessType, TraceRecord
+from repro.trace.columns import ABSENT, OPS, SCOPE_ID, TraceColumns, intern_order
 from repro.trace.stream import Trace
 from repro.tracer.expr import (
     AddrOf,
@@ -66,6 +77,17 @@ from repro.tracer.stmt import (
 )
 
 Value = Union[int, float, PointerValue]
+
+#: ``kind`` codes of the access types (see :data:`repro.trace.columns.OPS`).
+_LOAD, _STORE, _MODIFY, _MISC = (OPS.index(code) for code in "LSMX")
+
+#: Fields per access in the emission buffer: kind, addr, size, ctx, slot.
+_FIELDS = 5
+#: A frame context packs the function id above the frame depth.
+_CTX_SHIFT = 32
+
+#: What ``_memory`` returns for a never-stored address.
+_UNSET = object()
 
 _INT_NAMES = {
     "char",
@@ -130,6 +152,14 @@ class Interpreter:
         self.program = program
         self.space = address_space if address_space is not None else AddressSpace()
         self.trace = Trace()
+        #: flat emission buffer, :data:`_FIELDS` ints per access
+        self._buffer: List[int] = []
+        #: function names interned per frame (ids in push order)
+        self._func_ids: Dict[str, int] = {}
+        #: the executing frame's context: function id and frame depth
+        self._ctx = ABSENT << _CTX_SHIFT
+        #: statement type -> bound ``_exec_*`` method, filled on first use
+        self._dispatch: Dict[type, Callable[[Stmt], None]] = {}
         self.tracing = trace_on
         self.emit_zzq = emit_zzq
         self.thread = thread
@@ -160,6 +190,8 @@ class Interpreter:
             sym = self.space.declare_global(decl.name, decl.ctype, thread=self.thread)
             self.layout[decl.name] = sym.base
         self._call(self.program.main, [])
+        with get_telemetry().span("trace.symbolize", cat="trace"):
+            self.trace = self._build_trace()
         return self.trace
 
     # -- bookkeeping ---------------------------------------------------------
@@ -171,15 +203,11 @@ class Interpreter:
                 f"exceeded max_steps={self.max_steps}; likely runaway loop"
             )
 
-    @property
-    def _current_function(self) -> str:
-        return self.space.stack.current.function
-
     # -- trace emission --------------------------------------------------------
 
     def _emit(
         self,
-        op: AccessType,
+        kind: int,
         addr: int,
         size: int,
         *,
@@ -187,36 +215,115 @@ class Interpreter:
     ) -> None:
         if not self.tracing:
             return
-        func = self._current_function
-        if self.emit_instruction_fetches and op is not AccessType.MISC:
+        if self.emit_instruction_fetches and kind != _MISC:
             # The instruction performing this access: a stable PC inside
             # the executing statement's code region.
             pc = self._current_stmt_pc + 4 * (
                 self._access_index_in_stmt % (self._stmt_region // 4)
             )
             self._access_index_in_stmt += 1
-            self.trace.append(
-                TraceRecord(op=AccessType.MISC, addr=pc, size=4, func=func)
+            self._buffer += (_MISC, pc, 4, self._ctx, -1)
+        slot = self.space.symbols.find_slot(addr) if symbolize else -1
+        self._buffer += (kind, addr, size, self._ctx, slot)
+
+    def _frame_ctx(self, function: str, depth: int) -> int:
+        """A frame's context: its function id (interned here, once per
+        frame) above its depth."""
+        if not function:
+            return (ABSENT << _CTX_SHIFT) | depth
+        fid = self._func_ids.setdefault(function, len(self._func_ids))
+        return (fid << _CTX_SHIFT) | depth
+
+    def _build_trace(self) -> Trace:
+        """The post-run pass: symbolise the emission buffer into columns.
+
+        Scope, thread and frame distance are derived once per symbol, the
+        variable path once per distinct (symbol, offset).
+        """
+        raw = np.array(self._buffer, dtype=np.int64).reshape(-1, _FIELDS)
+        self._buffer = []
+        kind, addr, size, ctx, slot = raw.T
+        if len(addr) and int(addr.min()) < 0:
+            i = int(np.argmax(addr < 0))
+            raise InterpreterError(
+                f"access {i} is to negative address {int(addr[i])}"
             )
-        scope = frame = thread = var = None
-        if symbolize:
-            resolved = self.space.symbolize(addr)
-            if resolved is not None:
-                scope = resolved.scope_code
-                var = resolved.path
-                if resolved.symbol.segment is not Segment.GLOBAL:
-                    frame = self.space.frame_distance_of(resolved.symbol)
-                    thread = resolved.symbol.thread
-        self.trace.append(
-            TraceRecord(
-                op=op,
-                addr=addr,
-                size=size,
-                func=func,
-                scope=scope,
+        n = len(raw)
+        depth = ctx & ((1 << _CTX_SHIFT) - 1)
+        # Frame-interned ids, renumbered in record order.
+        func_id, functions = intern_order(
+            (ctx >> _CTX_SHIFT).astype(np.int32), list(self._func_ids)
+        )
+
+        # Per-slot tables, with one extra row (index -1) for unsymbolised
+        # accesses.
+        symbols = self.space.symbols.slot_symbols
+        used = np.flatnonzero(np.bincount(slot[slot >= 0])).tolist()
+        rows = len(symbols) + 1
+        scope_of = np.zeros(rows, dtype=np.uint8)
+        thread_of = np.full(rows, ABSENT, dtype=np.int64)
+        base_of = np.zeros(rows, dtype=np.int64)
+        depth_of = np.zeros(rows, dtype=np.int64)
+        stack = np.zeros(rows, dtype=bool)
+        heap = np.zeros(rows, dtype=bool)
+        for s in used:
+            symbol = symbols[s]
+            scope_of[s] = SCOPE_ID[symbol.scope_code]
+            base_of[s] = symbol.base
+            if symbol.segment is not Segment.GLOBAL:
+                thread_of[s] = symbol.thread
+                depth_of[s] = symbol.depth
+                stack[s] = symbol.segment is Segment.STACK
+                heap[s] = symbol.segment is Segment.HEAP
+        frame = np.where(
+            stack[slot],
+            np.maximum(depth - depth_of[slot], 0),
+            np.where(heap[slot], 0, ABSENT),
+        )
+
+        # One path per distinct (slot, offset), numbered in the order the
+        # records first use its text.
+        var_id = np.full(n, ABSENT, dtype=np.int32)
+        variables: Dict[str, int] = {}
+        paths: List[VariablePath] = []
+        hit = slot >= 0
+        if hit.any():
+            offset = addr[hit] - base_of[slot[hit]]
+            span = int(offset.max()) + 1
+            keys, first, inverse = np.unique(
+                slot[hit] * span + offset, return_index=True, return_inverse=True
+            )
+            ids = np.empty(len(keys), dtype=np.int32)
+            suffixes: Dict[Tuple[int, int], Tuple[Tuple[PathElement, ...], str]] = {}
+            for k in np.argsort(first).tolist():
+                s, off = divmod(int(keys[k]), span)
+                symbol = symbols[s]
+                leaf = suffixes.get((id(symbol.ctype), off))
+                if leaf is None:
+                    elements = symbol.ctype.path_at(off)
+                    leaf = (elements, "".join(map(str, elements)))
+                    suffixes[(id(symbol.ctype), off)] = leaf
+                text = symbol.name + leaf[1]
+                vid = variables.get(text)
+                if vid is None:
+                    vid = variables[text] = len(paths)
+                    paths.append(VariablePath(symbol.name, leaf[0]))
+                ids[k] = vid
+            var_id[hit] = ids[inverse]
+
+        return Trace.from_columns(
+            TraceColumns(
+                kind=kind.astype(np.uint8),
+                addr=addr.astype(np.uint64),
+                size=size.copy(),
+                scope=scope_of[slot],
                 frame=frame,
-                thread=thread,
-                var=var,
+                thread=thread_of[slot],
+                func_id=func_id,
+                var_id=var_id,
+                functions=tuple(functions),
+                variables=tuple(variables),
+                paths=tuple(paths),
             )
         )
 
@@ -230,7 +337,10 @@ class Interpreter:
         return 0
 
     def _load_value(self, lv: LValue) -> Value:
-        return self._memory.get(lv.addr, self._default_value(lv.ctype))
+        value = self._memory.get(lv.addr, _UNSET)
+        if value is _UNSET:
+            return self._default_value(lv.ctype)
+        return value
 
     def _store_value(self, lv: LValue, value: Value) -> None:
         self._memory[lv.addr] = self._coerce(lv.ctype, value)
@@ -272,7 +382,7 @@ class Interpreter:
                 f"cannot use aggregate {lv.ctype.c_name()} as an rvalue; "
                 "take its address or access a member"
             )
-        self._emit(AccessType.LOAD, lv.addr, lv.ctype.size)
+        self._emit(_LOAD, lv.addr, lv.ctype.size)
         value = self._load_value(lv)
         if isinstance(lv.ctype, PointerType) and isinstance(value, (int, float)):
             value = PointerValue(int(value), None)
@@ -405,7 +515,7 @@ class Interpreter:
         if lv is not None and isinstance(lv.ctype, ArrayType):
             return lv
         if lv is not None and isinstance(lv.ctype, PointerType):
-            self._emit(AccessType.LOAD, lv.addr, lv.ctype.size)
+            self._emit(_LOAD, lv.addr, lv.ctype.size)
             ptr = self._load_value(lv)
             if not isinstance(ptr, PointerValue) or ptr.pointee is None:
                 raise InterpreterError(
@@ -457,9 +567,14 @@ class Interpreter:
                 self._stmt_pc[id(stmt)] = pc
             self._current_stmt_pc = pc
             self._access_index_in_stmt = 0
-        method = getattr(self, f"_exec_{type(stmt).__name__}", None)
+        method = self._dispatch.get(type(stmt))
         if method is None:
-            raise InterpreterError(f"unsupported statement {type(stmt).__name__}")
+            method = getattr(self, f"_exec_{type(stmt).__name__}", None)
+            if method is None:
+                raise InterpreterError(
+                    f"unsupported statement {type(stmt).__name__}"
+                )
+            self._dispatch[type(stmt)] = method
         method(stmt)
 
     def exec_block(self, block: Block) -> None:
@@ -479,7 +594,7 @@ class Interpreter:
     def _exec_Assign(self, stmt: Assign) -> None:
         target = self.lvalue(stmt.target)
         value = self.eval(stmt.value)
-        self._emit(AccessType.STORE, target.addr, target.ctype.size)
+        self._emit(_STORE, target.addr, target.ctype.size)
         self._store_value(target, value)
 
     def _exec_AugAssign(self, stmt: AugAssign) -> None:
@@ -487,7 +602,7 @@ class Interpreter:
         rhs = self.eval(stmt.value)
         old = self._load_value(target)
         new = self._binop_values(stmt.op, old, rhs)
-        self._emit(AccessType.MODIFY, target.addr, target.ctype.size)
+        self._emit(_MODIFY, target.addr, target.ctype.size)
         self._store_value(target, new)
 
     def _binop_values(self, op: str, lhs: Value, rhs: Value) -> Value:
@@ -558,7 +673,7 @@ class Interpreter:
             raise InterpreterError(
                 f"{stmt.callee} returned no value but its result is used"
             )
-        self._emit(AccessType.STORE, target.addr, target.ctype.size)
+        self._emit(_STORE, target.addr, target.ctype.size)
         self._store_value(target, result)
 
     def _exec_Return(self, stmt: Return) -> None:
@@ -572,7 +687,7 @@ class Interpreter:
         pointee: CType = stmt.ctype
         if isinstance(pointee, ArrayType):
             pointee = pointee.element
-        self._emit(AccessType.STORE, target.addr, target.ctype.size)
+        self._emit(_STORE, target.addr, target.ctype.size)
         self._store_value(target, PointerValue(symbol.base, pointee))
 
     def _exec_HeapFree(self, stmt: HeapFree) -> None:
@@ -591,8 +706,8 @@ class Interpreter:
                 addr = symbol.base
             else:
                 addr = existing[0]
-            self._emit(AccessType.STORE, addr, 8)
-            self._emit(AccessType.LOAD, addr, 8, symbolize=False)
+            self._emit(_STORE, addr, 8)
+            self._emit(_LOAD, addr, 8, symbolize=False)
 
     def _exec_StopInstrumentation(self, stmt: StopInstrumentation) -> None:
         self.tracing = False
@@ -611,14 +726,16 @@ class Interpreter:
             # Call overhead: push of the return address (attributed to the
             # caller) mirrors the anonymous stores in the paper's traces.
             ret_slot = self.space.stack.current.cursor - 8
-            self._emit(AccessType.STORE, ret_slot, 8, symbolize=False)
+            self._emit(_STORE, ret_slot, 8, symbolize=False)
+        caller_ctx = self._ctx
         frame = self.space.push_frame(function.name)
+        self._ctx = self._frame_ctx(frame.function, frame.depth)
         if not is_entry:
             # Saved frame pointer, attributed to the callee.
-            self._emit(AccessType.STORE, frame.upper, 8, symbolize=False)
+            self._emit(_STORE, frame.upper, 8, symbolize=False)
         for param, value in zip(function.params, args):
             symbol = self.space.declare_local(param.name, param.ctype, thread=self.thread)
-            self._emit(AccessType.STORE, symbol.base, param.ctype.size)
+            self._emit(_STORE, symbol.base, param.ctype.size)
             # Arrays decay: a PointerValue argument stored into an array-
             # typed param is kept as a pointer.
             self._store_value(LValue(symbol.base, param.ctype), value)
@@ -629,6 +746,7 @@ class Interpreter:
             result = signal.value
         finally:
             self.space.pop_frame()
+            self._ctx = caller_ctx
         return result
 
 

@@ -14,18 +14,22 @@ behaviour provably diverges.
 Chunk identity is a SHA-256 over a *canonical* record encoding (the v1
 fixed 20-byte record pack plus per-chunk interned string tables,
 uncompressed) — deliberately independent of the blob's on-disk container
-(columnar v2), so the id is a pure function of the record sequence.
+(columnar v2), so the id is a pure function of the record sequence.  The
+pack is :func:`repro.trace.binformat.pack_records`, the v1 writer's own.
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.campaign.artifacts import content_key
-from repro.trace.binformat import _NO_FIELD, _NO_FUNC, _OPS, _SCOPE_ID
+from repro.trace.binformat import pack_records
 from repro.trace.record import TraceRecord
+from repro.trace.stream import columns_of
 
 #: Schema tags folded into every id: bump to invalidate old objects.
 BLOB_SCHEMA = "tdst-blob-v1"
@@ -35,54 +39,27 @@ SNAPSHOT_SCHEMA = "tdst-snap-v2"
 
 #: Canonical chunk-encoding header (never stored, only hashed).
 _CHUNK_MAGIC = b"TDSTCHNK\x01"
-_RECORD = struct.Struct("<BBBBHHIQ")
-_NO_VAR = 0xFFFFFFFF
 
 #: Commit kinds.
 KIND_SNAPSHOT = "snapshot"
 KIND_TRANSFORM = "transform"
 
 
-def encode_chunk(records: Sequence[TraceRecord]) -> bytes:
+def encode_chunk(records: Iterable[TraceRecord]) -> bytes:
     """Canonical byte encoding of one chunk's record sequence.
 
     Interning starts fresh per chunk and ids are assigned in
     first-appearance order, so the encoding — and therefore the blob
     id — depends only on the records themselves.  The string tables are
     appended uncompressed (compression level must never change an id).
+    A :class:`~repro.trace.stream.Trace` chunk is encoded from its
+    columns.
     """
-    func_table: Dict[str, int] = {}
-    funcs: List[str] = []
-    var_table: Dict[str, int] = {}
-    variables: List[str] = []
+    cols = columns_of(records)
+    packed, funcs, variables = pack_records(cols)
     body = bytearray(_CHUNK_MAGIC)
-    body += struct.pack("<I", len(records))
-    for r in records:
-        if r.func:
-            fid = func_table.get(r.func)
-            if fid is None:
-                fid = func_table[r.func] = len(funcs)
-                funcs.append(r.func)
-        else:
-            fid = _NO_FUNC
-        if r.var is not None:
-            text = str(r.var)
-            vid = var_table.get(text)
-            if vid is None:
-                vid = var_table[text] = len(variables)
-                variables.append(text)
-        else:
-            vid = _NO_VAR
-        body += _RECORD.pack(
-            _OPS.index(r.op.value),
-            _SCOPE_ID.get(r.scope or "", 0),
-            r.frame if r.frame is not None else _NO_FIELD,
-            r.thread if r.thread is not None else _NO_FIELD,
-            r.size,
-            fid,
-            vid,
-            r.addr,
-        )
+    body += struct.pack("<I", len(cols))
+    body += packed
     for table in (funcs, variables):
         blob = "\n".join(table).encode("utf-8")
         body += struct.pack("<I", len(blob))
@@ -90,7 +67,7 @@ def encode_chunk(records: Sequence[TraceRecord]) -> bytes:
     return bytes(body)
 
 
-def blob_id(records: Sequence[TraceRecord]) -> str:
+def blob_id(records: Iterable[TraceRecord]) -> str:
     """Content id of a chunk's record sequence."""
     return content_key(BLOB_SCHEMA, encode_chunk(records))
 
@@ -107,12 +84,9 @@ def chunk_variables(records: Iterable[TraceRecord]) -> Tuple[str, ...]:
     a chunk whose variables are disjoint from an edit's changed set is
     provably transformed identically by both rule files.
     """
-    seen = set()
-    for r in records:
-        name = r.base_name
-        if name is not None:
-            seen.add(name)
-    return tuple(sorted(seen))
+    cols = columns_of(records)
+    used = np.flatnonzero(np.bincount(cols.var_id[cols.var_id >= 0])).tolist()
+    return tuple(sorted({cols.paths[vid].base for vid in used}))
 
 
 @dataclass(frozen=True)

@@ -30,11 +30,12 @@ import numpy as np
 from repro.errors import TraceFormatError
 from repro.obsv.atomic import atomic_write
 from repro.obsv.telemetry import get_telemetry
-from repro.trace.columnar import ColumnarTrace, save_columnar
+from repro.trace.columnar import MISC_KIND, ColumnarTrace, save_columnar
 from repro.trace.record import TraceRecord
 from repro.trace.stream import (
     DEFAULT_CHUNK_RECORDS,
     Trace,
+    columns_of,
     iter_record_chunks,
 )
 from repro.tracestore.chain import (
@@ -85,21 +86,27 @@ class TraceStore:
     def has_blob(self, bid: str) -> bool:
         return self.blob_path(bid).exists()
 
-    def put_chunk(self, records: Sequence[TraceRecord]) -> ChunkMeta:
-        """Store one chunk's records; dedupes by content id."""
-        records = list(records)
-        bid = blob_id(records)
+    def put_chunk(self, records: Union[Trace, Sequence[TraceRecord]]) -> ChunkMeta:
+        """Store one chunk's records; dedupes by content id.
+
+        The chunk's columns are derived once (a :class:`Trace` window of a
+        columns-backed trace already has them) and serve the blob id, the
+        summary and the blob itself.
+        """
+        cols = columns_of(records)
+        chunk = Trace.from_columns(cols)
+        bid = blob_id(chunk)
         meta = ChunkMeta(
             blob=bid,
-            records=len(records),
-            data_records=sum(1 for r in records if r.op.value != "X"),
-            variables=chunk_variables(records),
+            records=len(cols),
+            data_records=int(np.count_nonzero(cols.kind != MISC_KIND)),
+            variables=chunk_variables(chunk),
         )
         tele = get_telemetry()
         if self.has_blob(bid):
             tele.add("tracestore.blobs_deduped", 1)
             return meta
-        save_columnar(records, self.blob_path(bid))
+        save_columnar(chunk, self.blob_path(bid))
         tele.add("tracestore.blobs_written", 1)
         return meta
 
@@ -152,14 +159,24 @@ class TraceStore:
 
         Chunk boundaries are a pure function of record position, so
         committing the same trace twice (from any container format)
-        yields the identical commit id and writes nothing new.
+        yields the identical commit id and writes nothing new.  A
+        :class:`Trace` is cut into slices, so a columns-backed trace
+        commits without building records.
         """
         tele = get_telemetry()
         with tele.span("tracestore.commit", cat="tracestore"):
-            chunks = [
-                self.put_chunk(batch)
-                for batch in iter_record_chunks(source, chunk_records)
-            ]
+            if isinstance(source, Trace):
+                if chunk_records <= 0:
+                    raise ValueError(
+                        f"chunk_records must be positive, got {chunk_records}"
+                    )
+                batches: Iterator[Union[Trace, List[TraceRecord]]] = (
+                    source[start : start + chunk_records]
+                    for start in range(0, len(source), chunk_records)
+                )
+            else:
+                batches = iter_record_chunks(source, chunk_records)
+            chunks = [self.put_chunk(batch) for batch in batches]
             commit = build_commit(
                 KIND_SNAPSHOT, None, chunks, message=message
             )

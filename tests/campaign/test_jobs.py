@@ -14,7 +14,7 @@ from repro.campaign.jobs import (
     transform_key,
 )
 from repro.campaign.spec import CacheSpec, CampaignSpec, GridEntry
-from repro.errors import ReproError
+from repro.errors import ReproError, TraceFormatError
 
 
 @pytest.fixture
@@ -87,6 +87,31 @@ class TestExecution:
         second = execute_trace_task(task, tmp_path)
         assert second["cache_hits"] == {"trace": True}
         assert second["records"] == first["records"]
+
+    def test_trace_task_hit_reads_the_count_without_decoding(
+        self, tmp_path, monkeypatch
+    ):
+        """On a primed store the trace stage reports the record count
+        from the artifact header: it never decodes the trace."""
+        task = TraceTask(kernel="1a", length=32)
+        cold = execute_trace_task(task, tmp_path)
+
+        def no_decode(path):
+            raise AssertionError(f"trace stage decoded {path}")
+
+        monkeypatch.setattr("repro.campaign.artifacts.load_binary", no_decode)
+        warm = execute_trace_task(task, tmp_path)
+        assert warm["cache_hits"] == {"trace": True}
+        assert warm["records"] == cold["records"]
+
+    def test_trace_task_hit_on_truncated_artifact_fails(self, tmp_path):
+        task = TraceTask(kernel="1a", length=32)
+        execute_trace_task(task, tmp_path)
+        store = ArtifactStore(tmp_path)
+        artifact = store.path_for(trace_key("1a", 32), ".trace.tdst")
+        artifact.write_bytes(artifact.read_bytes()[:-1])
+        with pytest.raises(TraceFormatError, match="truncated"):
+            execute_trace_task(task, tmp_path)
 
     def test_baseline_job_end_to_end(self, tmp_path):
         job = Job(kernel="1a", length=32, rule="baseline", cache=CacheSpec(size=2048))

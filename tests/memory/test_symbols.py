@@ -47,6 +47,34 @@ class TestRegistration:
             table.remove(s)
 
 
+class TestSlots:
+    def test_find_slot_names_the_live_symbol(self):
+        table = SymbolTable()
+        a = table.add(sym("a", ArrayType(INT, 4), 0x1000))
+        b = table.add(sym("b", INT, 0x2000))
+        assert table.slot_symbols[table.find_slot(0x100C)] is a
+        assert table.slot_symbols[table.find_slot(0x2000)] is b
+        assert table.find_slot(0x1010) == -1
+        assert table.find_slot(0x0FFF) == -1
+
+    def test_slots_outlive_removal_and_equal_symbols_share_one(self):
+        """A frame popped and pushed again (same function, same depth)
+        re-declares equal locals: they reuse the slot, so the slot list
+        grows with distinct symbols, not with calls."""
+        table = SymbolTable()
+        first = table.add(sym("i", INT, 0x3000, Segment.STACK, function="f"))
+        slot = table.find_slot(0x3000)
+        table.remove(first)
+        assert table.find_slot(0x3000) == -1
+        assert table.slot_symbols[slot] is first
+        table.add(sym("i", INT, 0x3000, Segment.STACK, function="f"))
+        assert table.find_slot(0x3000) == slot
+        table.remove(table.find(0x3000))
+        table.add(sym("i", INT, 0x3000, Segment.STACK, function="f", depth=1))
+        assert table.find_slot(0x3000) != slot
+        assert len(table.slot_symbols) == 2
+
+
 class TestSymbolization:
     def test_nested_path(self, point_struct):
         table = SymbolTable()

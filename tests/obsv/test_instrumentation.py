@@ -64,6 +64,22 @@ class TestCliProfiling:
         assert "tdst.stats" in [s["name"] for s in snapshot["spans"]]
         assert not get_telemetry().enabled
 
+    @pytest.mark.parametrize("binary, built", [(True, 0), (False, 516)])
+    def test_trace_profile_shows_where_records_are_built(
+        self, tmp_path, capsys, binary, built
+    ):
+        """The tracer symbolises in one post-run span and builds no
+        records; only the text writer asks for them."""
+        profile = tmp_path / "p.jsonl"
+        args = ["trace", "1a", "--length", "64", "-o", str(tmp_path / "t")]
+        rc = main(args + (["--binary"] if binary else []) + ["--profile", str(profile)])
+        assert rc == 0
+        snapshot = read_jsonl_profile(profile)
+        spans = {s["name"]: s for s in snapshot["spans"]}
+        assert spans["trace.symbolize"]["parent"] == spans["trace.program"]["id"]
+        assert snapshot["counters"]["trace.records"] == 516
+        assert snapshot["counters"].get("trace.records_built", 0) == built
+
     def test_simulate_profile_counts_cache_lookups(self, tmp_path, capsys):
         out = tmp_path / "t.out"
         assert main(["trace", "1a", "--length", "32", "-o", str(out)]) == 0

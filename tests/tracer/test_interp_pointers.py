@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import InterpreterError
 from repro.ctypes_model.types import ArrayType, DOUBLE, INT, PointerType, StructType
+from repro.memory.layout_constants import GLOBAL_BASE
 from repro.tracer.expr import AddrOf, Const, Deref, V
 from repro.tracer.interp import trace_program
 from repro.tracer.program import Function, Program
@@ -85,6 +86,27 @@ class TestPointers:
                     Assign(Deref(V("p")), Const(1)),
                 ]
             )
+
+    def test_access_below_address_zero_is_an_error(self):
+        """Pointer arithmetic can walk below address 0; the access is
+        refused instead of wrapping to a huge unsigned address."""
+        program = Program()
+        program.add_global("g", INT)
+        program.add_function(
+            Function(
+                "main",
+                body=[
+                    DeclLocal("p", PointerType("int")),
+                    Assign(V("p"), AddrOf(V("g"))),
+                    # 4-byte ints: two below address 0.
+                    Assign(V("p"), V("p") - Const(GLOBAL_BASE // 4 + 2)),
+                    StartInstrumentation(),
+                    Assign(Deref(V("p")), Const(1)),
+                ],
+            )
+        )
+        with pytest.raises(InterpreterError, match="negative address -8"):
+            trace_program(program, emit_zzq=False)
 
     def test_subscript_through_pointer(self, point_struct):
         t = run(
