@@ -37,17 +37,15 @@ from repro.campaign import (
     BatchOptions,
     CacheSpec,
     CampaignResult,
-    CampaignService,
     CampaignSpec,
     GridEntry,
     RunManifest,
     Scheduler,
-    ServiceClient,
-    ServiceConfig,
     ServiceOptions,
     paper_figures_spec,
     run_campaign,
 )
+from repro.campaign.service import CampaignService, ServiceClient, ServiceConfig
 from repro.tracestore import (
     ApplyResult,
     ChainSimResult,

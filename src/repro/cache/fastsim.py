@@ -120,28 +120,6 @@ class FastSimulator:
         tele.add("simulate.cache_lookups", len(addrs))
         return counts
 
-    # -- residency priming -----------------------------------------------------
-
-    def residency(self) -> np.ndarray:
-        """Current per-set residency as an ``(n_sets, ways)`` matrix.
-
-        Rows are MRU-first block numbers with ``-1`` marking empty ways.
-        This is the boundary state the chunk-parallel shard-merge
-        algebra carries across shard seams (see
-        :mod:`repro.campaign.service.merge`).
-        """
-        return self._batch.residency()
-
-    def prime(self, residency: np.ndarray) -> None:
-        """Seed per-set residency before feeding the first chunk.
-
-        ``residency`` must be an ``(n_sets, ways)`` int64 matrix shaped
-        like :meth:`residency` output.  Only the compulsory-miss
-        classification stays shard-local (the merge algebra rebuilds it
-        from the union of per-shard block sets).
-        """
-        self._batch.prime(residency)
-
     # -- residency snapshots ---------------------------------------------------
 
     def state(self) -> Dict[str, np.ndarray]:

@@ -14,7 +14,10 @@ to full studies through this subpackage:
   :class:`RunManifest` of every job start/retry/failure/completion;
 - :mod:`repro.campaign.scheduler` — the parallel :class:`Scheduler`
   with per-job timeouts, bounded retry with exponential backoff, and
-  graceful degradation (a failed point never aborts the grid).
+  graceful degradation (a failed point never aborts the grid);
+- :mod:`repro.campaign.service` — the asyncio campaign service
+  (``tdst serve``, ``--service``).  It is imported on demand only, so
+  a process-pool campaign never loads asyncio.
 
 Quick start::
 
@@ -48,12 +51,6 @@ from repro.campaign.scheduler import (
     Scheduler,
     run_campaign,
 )
-from repro.campaign.service import (
-    CampaignService,
-    ServiceClient,
-    ServiceConfig,
-    sharded_simulation_fields,
-)
 from repro.campaign.spec import (
     BatchOptions,
     CacheSpec,
@@ -69,19 +66,15 @@ __all__ = [
     "BatchOptions",
     "CacheSpec",
     "CampaignResult",
-    "CampaignService",
     "CampaignSpec",
     "GridEntry",
     "Job",
     "JobOutcome",
     "RunManifest",
     "Scheduler",
-    "ServiceClient",
-    "ServiceConfig",
     "ServiceOptions",
     "TraceTask",
     "content_key",
-    "sharded_simulation_fields",
     "execute_batch_job",
     "execute_job",
     "execute_task",

@@ -20,7 +20,6 @@ parent process.
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -80,6 +79,8 @@ class Job:
     verify: bool = False
     #: let eligible ``file:`` rule points use the trace commit store
     tracestore: bool = True
+    #: let fast-path-eligible geometries skip the reference simulator
+    fast: bool = True
 
     @property
     def job_id(self) -> str:
@@ -175,7 +176,8 @@ def simulation_key(input_trace_key: str, job: Job) -> str:
 
 #: Environment escape hatch: set to any non-empty value to force every
 #: grid point through the reference simulator (e.g. when cross-checking
-#: the fast path itself).  Read per job so forked workers inherit it.
+#: the fast path itself).  Only :class:`~repro.campaign.scheduler.Scheduler`
+#: reads it, and carries the outcome on each :attr:`Job.fast`.
 NO_FAST_ENV = "TDST_NO_FAST"
 
 #: Environment escape hatch: disable batched multi-config jobs even when
@@ -188,6 +190,11 @@ NO_BATCH_ENV = "TDST_NO_BATCH"
 #: reads it, and carries the outcome on each :attr:`Job.tracestore`.
 NO_TRACESTORE_ENV = "TDST_NO_TRACESTORE"
 
+#: Environment escape hatch: keep the one-shot process pool even when a
+#: spec's ``[service]`` table enables the campaign service.  Only the
+#: :class:`~repro.campaign.scheduler.Scheduler` reads it.
+NO_SERVICE_ENV = "TDST_NO_SERVICE"
+
 
 def tracestore_eligible(job: Job, rule_text: Optional[str]) -> bool:
     """Whether one grid point may run through the trace commit store.
@@ -197,14 +204,15 @@ def tracestore_eligible(job: Job, rule_text: Optional[str]) -> bool:
     sweeps.  Verification jobs replay the whole transform through the
     soundness oracle anyway, and non-fast-path cache geometries have no
     residency snapshot format — both keep the classic route, as do jobs
-    of a campaign that opted out (:attr:`Job.tracestore` false).
+    of a campaign that opted out (:attr:`Job.tracestore` or
+    :attr:`Job.fast` false).
     """
     return (
         rule_text is not None
         and job.rule.startswith("file:")
         and not job.verify
         and job.tracestore
-        and not os.environ.get(NO_FAST_ENV)
+        and job.fast
         and supports_fast_path(job.cache.to_config())
     )
 
@@ -214,7 +222,7 @@ def simulation_fields(
     config: CacheConfig,
     attribution: str,
     *,
-    use_fast: Optional[bool] = None,
+    use_fast: bool = True,
 ) -> Dict[str, Any]:
     """The simulation-statistics fields of one job payload.
 
@@ -225,11 +233,8 @@ def simulation_fields(
     simulator.  Both routes produce identical values — the fast path is
     cross-validated exactly in ``tests/cache/test_fastsim.py`` and
     ``tests/campaign/test_jobs.py`` — so artifact keys do not encode the
-    route.  ``use_fast=None`` means auto (fast when eligible unless
-    :data:`NO_FAST_ENV` is set).
+    route.  ``use_fast=False`` forces the reference simulator.
     """
-    if use_fast is None:
-        use_fast = not os.environ.get(NO_FAST_ENV)
     if use_fast and supports_fast_path(config):
         data = [r for r in trace if r.op is not AccessType.MISC]
         n = len(data)
@@ -350,40 +355,25 @@ def _count_artifact_hits(tele, hits: Dict[str, bool]) -> None:
     tele.add("campaign.artifact_misses", len(hits) - served)
 
 
-def execute_job(
-    job: Job,
-    store_root: Union[str, Path],
-    *,
-    fields_fn: Optional[Any] = None,
-) -> Dict[str, Any]:
+def execute_job(job: Job, store_root: Union[str, Path]) -> Dict[str, Any]:
     """Worker body for one grid point.
 
     Consults the artifact store stage by stage; a fully cached point
     returns without touching the tracer, engine or simulator at all.
     Raises on unrecoverable input problems (bad rule file, invalid
     config) — the scheduler turns that into retry-then-degrade.
-
-    ``fields_fn`` optionally replaces :func:`simulation_fields` at the
-    simulate stage — e.g. the campaign service injects its chunk-parallel
-    sharded simulation here.  Any substitute must produce *identical*
-    fields (the stored artifact must not depend on the route).
     """
     tele = get_telemetry()
     with tele.span("campaign.job", cat="campaign", job=job.job_id):
-        payload, hits = _execute_job(job, store_root, fields_fn=fields_fn)
+        payload, hits = _execute_job(job, store_root)
     _count_artifact_hits(tele, hits)
     return payload
 
 
 def _execute_job(
-    job: Job,
-    store_root: Union[str, Path],
-    *,
-    fields_fn: Optional[Any] = None,
+    job: Job, store_root: Union[str, Path]
 ) -> Tuple[Dict[str, Any], Dict[str, bool]]:
     """:func:`execute_job` body; returns (payload, per-stage cache hits)."""
-    if fields_fn is None:
-        fields_fn = simulation_fields
     tele = get_telemetry()
     store = ArtifactStore(store_root)
     started = time.monotonic()
@@ -477,7 +467,9 @@ def _execute_job(
     }
     with tele.span("campaign.stage.simulate", cat="campaign"):
         payload.update(
-            fields_fn(trace, job.cache.to_config(), job.attribution)
+            simulation_fields(
+                trace, job.cache.to_config(), job.attribution, use_fast=job.fast
+            )
         )
         store.put_json(skey, payload)
     payload = dict(payload)
@@ -510,7 +502,12 @@ class BatchJob:
         if len(self.members) < 2:
             raise ValueError("a BatchJob needs >= 2 member jobs")
         head = self.members[0]
-        for job in self.members[1:]:
+        for job in self.members:
+            if not job.fast:
+                raise ValueError(
+                    f"batch member {job.job_id!r} is forced onto the "
+                    "reference simulator; it cannot run batched"
+                )
             if (job.kernel, job.length, job.rule, job.attribution, job.verify) != (
                 head.kernel,
                 head.length,
@@ -544,17 +541,18 @@ def group_batch_jobs(
 
     Jobs group by shared trace identity ``(kernel, length, rule,
     attribution, verify)`` when their cache geometry is batch-eligible;
-    groups larger than ``max_configs`` split, and singletons or
-    ineligible geometries (round-robin, PLRU, fully associative) pass
-    through unchanged.  Output order preserves each job's first
-    appearance, so manifests stay readable.
+    groups larger than ``max_configs`` split, and singletons, ineligible
+    geometries (round-robin, PLRU, fully associative) and jobs forced
+    onto the reference simulator (:attr:`Job.fast` false) pass through
+    unchanged.  Output order preserves each job's first appearance, so
+    manifests stay readable.
     """
     from repro.simbatch.plan import batch_eligible
 
     groups: Dict[Tuple[str, int, str, str, bool], List[Job]] = {}
     ordered: List[Union[Job, Tuple[str, int, str, str, bool]]] = []
     for job in jobs:
-        if not batch_eligible(job.cache.to_config()):
+        if not (job.fast and batch_eligible(job.cache.to_config())):
             ordered.append(job)
             continue
         key = (job.kernel, job.length, job.rule, job.attribution, job.verify)
@@ -688,19 +686,12 @@ def execute_batch_job(
 
 
 def execute_task(
-    task: Union[TraceTask, Job, BatchJob],
-    store_root: Union[str, Path],
-    *,
-    fields_fn: Optional[Any] = None,
+    task: Union[TraceTask, Job, BatchJob], store_root: Union[str, Path]
 ) -> Dict[str, Any]:
-    """Dispatch any task kind (the single entry point workers import).
-
-    ``fields_fn`` is forwarded to :func:`execute_job` for plain grid
-    points (trace tasks have no simulate stage and batch jobs use the
-    batched kernel, which has its own chunking already).
-    """
+    """Dispatch any task kind: the one job body both the scheduler's
+    process pool and the campaign service's workers run."""
     if isinstance(task, TraceTask):
         return execute_trace_task(task, store_root)
     if isinstance(task, BatchJob):
         return execute_batch_job(task, store_root)
-    return execute_job(task, store_root, fields_fn=fields_fn)
+    return execute_job(task, store_root)

@@ -39,6 +39,8 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 from repro.campaign.artifacts import ArtifactStore
 from repro.campaign.jobs import (
     NO_BATCH_ENV,
+    NO_FAST_ENV,
+    NO_SERVICE_ENV,
     NO_TRACESTORE_ENV,
     BatchJob,
     Job,
@@ -281,14 +283,20 @@ class Scheduler:
         --no-tracestore``) sends every point through the classic
         transform-then-simulate stages.  The choice travels on each
         :class:`Job`, so it never outlives this scheduler.
+    fast:
+        Let fast-path-eligible geometries use the vectorized kernel.
+        ``None`` (the default) enables it unless the ``TDST_NO_FAST``
+        environment variable is set; ``False`` (e.g. ``tdst campaign
+        --no-fast``) sends every grid point, batched ones included,
+        through the reference simulator.  The choice travels on each
+        :class:`Job`, like ``tracestore``.
     service:
         Drive the run through the local asyncio campaign service
-        (work-stealing shard workers, chunk-parallel simulation) instead
-        of the process pool.  ``None`` (the default) follows the spec's
-        ``[service]`` table unless the ``TDST_NO_SERVICE`` environment
-        variable is set; ``False`` (e.g. ``tdst campaign
-        --no-service``) forces the one-shot route.  Artifacts are
-        byte-identical either way.
+        (work-stealing shard workers) instead of the process pool.
+        ``None`` (the default) follows the spec's ``[service]`` table
+        unless the ``TDST_NO_SERVICE`` environment variable is set;
+        ``False`` (e.g. ``tdst campaign --no-service``) forces the
+        one-shot route.  Artifacts are byte-identical either way.
     """
 
     def __init__(
@@ -303,6 +311,7 @@ class Scheduler:
         resume: bool = False,
         batch: Optional[bool] = None,
         tracestore: Optional[bool] = None,
+        fast: Optional[bool] = None,
         service: Optional[bool] = None,
     ) -> None:
         self.spec = spec
@@ -314,6 +323,9 @@ class Scheduler:
             tracestore
             if tracestore is not None
             else not os.environ.get(NO_TRACESTORE_ENV)
+        )
+        self.fast = bool(
+            fast if fast is not None else not os.environ.get(NO_FAST_ENV)
         )
         if self.tracestore:
             from repro.tracestore.campaign import tracestore_root_for
@@ -330,8 +342,6 @@ class Scheduler:
             batch = spec.batch.enabled and not os.environ.get(NO_BATCH_ENV)
         self.batch = bool(batch)
         if service is None:
-            from repro.campaign.service.server import NO_SERVICE_ENV
-
             service = spec.service.enabled and not os.environ.get(NO_SERVICE_ENV)
         self.service = bool(service)
 
@@ -384,8 +394,11 @@ class Scheduler:
         started = time.monotonic()
         with telemetry.span("campaign.expand", cat="campaign"):
             trace_tasks, jobs = expand_jobs(self.spec)
-            if not self.tracestore:
-                jobs = [replace(job, tracestore=False) for job in jobs]
+            if not (self.tracestore and self.fast):
+                jobs = [
+                    replace(job, tracestore=self.tracestore, fast=self.fast)
+                    for job in jobs
+                ]
         previous: Dict[str, Dict[str, Any]] = {}
         if self.resume and self.manifest_path.exists():
             previous = RunManifest.completed_jobs(
@@ -641,14 +654,14 @@ class Scheduler:
         manifest: RunManifest,
     ) -> List[JobOutcome]:
         """Service executor: drive the batch through an in-process
-        campaign service (shard workers, work stealing, chunk-parallel
-        simulation).
+        campaign service (shard workers, work stealing) bound on
+        ``<directory>/service.sock``.
 
-        Workers run the exact one-shot job bodies against the same
-        artifact store, so stored artifacts are byte-identical to the
-        serial/parallel routes.  Retries happen inside the service
-        (``job-retry`` rows are not emitted; the terminal row carries
-        the attempt count instead).
+        Workers run :func:`execute_task`, the process pool's job body,
+        against the same artifact store, so stored artifacts are
+        byte-identical to the serial/parallel routes.  Retries happen
+        inside the service (``job-retry`` rows are not emitted; the
+        terminal row carries the attempt count instead).
         """
         import asyncio
 
@@ -666,9 +679,6 @@ class Scheduler:
             retries=self.retries,
             backoff=self.backoff,
             timeout=self.timeout,
-            chunk_parallel=opts.chunk_parallel,
-            chunk_shards=opts.chunk_shards,
-            min_chunk_records=opts.min_chunk_records,
         )
         with get_telemetry().span(
             "campaign.service", cat="campaign", shards=config.shards
@@ -939,6 +949,7 @@ def run_campaign(
     resume: bool = False,
     batch: Optional[bool] = None,
     tracestore: Optional[bool] = None,
+    fast: Optional[bool] = None,
     service: Optional[bool] = None,
 ) -> CampaignResult:
     """One-call campaign execution (see :class:`Scheduler` for knobs)."""
@@ -952,5 +963,6 @@ def run_campaign(
         resume=resume,
         batch=batch,
         tracestore=tracestore,
+        fast=fast,
         service=service,
     ).run()

@@ -3,30 +3,19 @@
 The service turns the one-shot campaign scheduler into a long-lived
 local endpoint: jobs arrive as plain-JSON descriptions over a
 newline-delimited-JSON unix-socket protocol, land on a bounded
-work-stealing shard queue, and execute through the exact same job
-bodies the scheduler runs — so a service-run campaign produces
-byte-identical artifacts.  Large simulate stages additionally split
-into trace chunks simulated in parallel and merged through the shard
-merge algebra (:mod:`repro.campaign.service.merge`), which is proven
-bit-identical to whole-trace simulation.
+work-stealing shard queue, and execute through
+:func:`repro.campaign.jobs.execute_task`, the job body the scheduler's
+process pool runs — so a service-run campaign produces byte-identical
+artifacts by construction.
 
-Layers (bottom up): :mod:`~repro.campaign.service.merge` (chunk-merge
-algebra), :mod:`~repro.campaign.service.protocol` (wire frames),
-:mod:`~repro.campaign.service.queue` (work-stealing shard queue),
-:mod:`~repro.campaign.service.wire` (task <-> JSON codec),
+Layers (bottom up): :mod:`~repro.campaign.service.protocol` (wire
+frames), :mod:`~repro.campaign.service.queue` (work-stealing shard
+queue), :mod:`~repro.campaign.service.wire` (task <-> JSON codec),
 :mod:`~repro.campaign.service.server` and
 :mod:`~repro.campaign.service.client`.
 """
 
 from repro.campaign.service.client import ServiceClient
-from repro.campaign.service.merge import (
-    ResidencyEffect,
-    ShardStats,
-    compose_effects,
-    identity_effect,
-    merge_stats,
-    sharded_simulation_fields,
-)
 from repro.campaign.service.protocol import (
     MAX_FRAME_BYTES,
     PROTO_VERSION,
@@ -34,7 +23,6 @@ from repro.campaign.service.protocol import (
 )
 from repro.campaign.service.queue import QueueClosed, ShardQueue
 from repro.campaign.service.server import (
-    NO_SERVICE_ENV,
     CampaignService,
     ServiceConfig,
     serve_forever,
@@ -50,23 +38,16 @@ from repro.campaign.service.wire import (
 __all__ = [
     "CampaignService",
     "MAX_FRAME_BYTES",
-    "NO_SERVICE_ENV",
     "PROTO_VERSION",
     "ProtocolError",
     "QueueClosed",
-    "ResidencyEffect",
     "ServiceClient",
     "ServiceConfig",
     "ShardQueue",
-    "ShardStats",
-    "compose_effects",
     "execute_wire_job",
-    "identity_effect",
-    "merge_stats",
     "serve_forever",
     "service_running",
     "service_socket_path",
-    "sharded_simulation_fields",
     "task_from_wire",
     "task_to_wire",
 ]

@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import asyncio
 import hashlib
-import os
 import tempfile
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import asynccontextmanager
@@ -51,18 +50,22 @@ from repro.campaign.service.protocol import (
 )
 from repro.campaign.service.queue import QueueClosed, ShardQueue
 from repro.campaign.service.wire import execute_wire_job
-from repro.errors import CacheConfigError, CampaignError
+from repro.errors import CampaignError
 from repro.obsv.telemetry import get_telemetry
-
-#: Environment escape hatch: disable the service route even when a spec
-#: or CLI flag enables it (same spirit as ``TDST_NO_FAST``).
-NO_SERVICE_ENV = "TDST_NO_SERVICE"
 
 #: Unix socket paths are capped around 104-108 bytes on common kernels;
 #: beyond this we fall back to a short temp-dir path.
 _SOCKET_PATH_BUDGET = 96
 
+#: Name prefix of the temp directory a too-long socket path falls back to.
+_FALLBACK_PREFIX = "tdst-svc-"
+
 _TERMINAL = ("done", "failed")
+
+
+def socket_path_fits(path: Union[str, Path]) -> bool:
+    """Whether ``path`` fits the ``sun_path`` budget (touches no disk)."""
+    return len(str(path).encode("utf-8")) <= _SOCKET_PATH_BUDGET
 
 
 def service_socket_path(directory: Union[str, Path]) -> str:
@@ -71,14 +74,22 @@ def service_socket_path(directory: Union[str, Path]) -> str:
     Prefers ``<directory>/service.sock``; when that would overflow the
     kernel's ``sun_path`` limit, falls back to a fresh short path under
     the system temp dir (the campaign directory only hosts the socket
-    for discoverability, nothing reads it back).
+    for discoverability, nothing reads it back).  A service stopped on
+    a fallback path removes the temp dir again.
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    candidate = str(directory / "service.sock")
-    if len(candidate.encode("utf-8")) <= _SOCKET_PATH_BUDGET:
-        return candidate
-    return str(Path(tempfile.mkdtemp(prefix="tdst-svc-")) / "s.sock")
+    candidate = directory / "service.sock"
+    if socket_path_fits(candidate):
+        return str(candidate)
+    return str(Path(tempfile.mkdtemp(prefix=_FALLBACK_PREFIX)) / "s.sock")
+
+
+def _is_fallback_dir(directory: Path) -> bool:
+    """True for a temp dir :func:`service_socket_path` fell back to."""
+    return directory.name.startswith(_FALLBACK_PREFIX) and (
+        directory.parent == Path(tempfile.gettempdir())
+    )
 
 
 def _id_hash(job_id: str) -> int:
@@ -89,14 +100,7 @@ def _id_hash(job_id: str) -> int:
 
 @dataclass
 class ServiceConfig:
-    """Tunables of one :class:`CampaignService`.
-
-    ``chunk_parallel`` turns on trace-chunk-level parallelism: eligible
-    simulate stages are split into ``chunk_shards`` ranges, simulated
-    concurrently on the chunk pool and merged through the shard-merge
-    algebra (:mod:`repro.campaign.service.merge`) — bit-identical to the
-    whole-trace fast path by construction.
-    """
+    """Tunables of one :class:`CampaignService`."""
 
     socket_path: str = ""
     store_root: Optional[str] = None
@@ -105,9 +109,6 @@ class ServiceConfig:
     retries: int = 1
     backoff: float = 0.0
     timeout: Optional[float] = None
-    chunk_parallel: bool = False
-    chunk_shards: int = 4
-    min_chunk_records: int = 4096
     monitor_interval: float = 0.05
     stall_timeout: Optional[float] = None
 
@@ -120,10 +121,6 @@ class ServiceConfig:
             )
         if self.retries < 0:
             raise CampaignError(f"service retries must be >= 0, got {self.retries}")
-        if self.chunk_shards <= 0:
-            raise CampaignError(
-                f"service chunk_shards must be positive, got {self.chunk_shards}"
-            )
 
 
 @dataclass
@@ -178,11 +175,6 @@ class CampaignService:
         self._pool = ThreadPoolExecutor(
             max_workers=config.shards, thread_name_prefix="tdst-svc"
         )
-        self._chunk_pool: Optional[ThreadPoolExecutor] = None
-        if config.chunk_parallel:
-            self._chunk_pool = ThreadPoolExecutor(
-                max_workers=config.chunk_shards, thread_name_prefix="tdst-chunk"
-            )
         self.counters: Dict[str, int] = {
             "queued": 0,
             "done": 0,
@@ -192,63 +184,37 @@ class CampaignService:
             "dup_results": 0,
             "respawns": 0,
             "stalls": 0,
-            "chunk_merges": 0,
         }
 
     # -- job bodies -----------------------------------------------------------
 
-    def _chunk_fields(self, trace, config, attribution) -> Dict[str, Any]:
-        """Simulate-stage substitute: chunk-parallel when eligible.
-
-        Falls back to the stock :func:`simulation_fields` for short
-        traces, non-fast-path geometries and the ``TDST_NO_FAST``
-        escape; the sharded route is proven bit-identical to the
-        whole-trace fast path, so artifacts cannot tell.
-        """
-        from repro.campaign.jobs import NO_FAST_ENV, simulation_fields
-        from repro.campaign.service.merge import sharded_simulation_fields
-        from repro.simbatch.plan import supports_fast_path
-
-        if (
-            len(trace) < self.config.min_chunk_records
-            or os.environ.get(NO_FAST_ENV)
-            or not supports_fast_path(config)
-        ):
-            return simulation_fields(trace, config, attribution)
-        tele = get_telemetry()
-        try:
-            with tele.span("service.chunk-merge", cat="service"):
-                fields = sharded_simulation_fields(
-                    trace,
-                    config,
-                    attribution,
-                    n_shards=self.config.chunk_shards,
-                    pool=self._chunk_pool,
-                )
-        except CacheConfigError:
-            return simulation_fields(trace, config, attribution)
-        self.counters["chunk_merges"] += 1
-        tele.add("service.jobs_merged")
-        return fields
-
     def _run_one(self, job: Dict[str, Any]) -> Dict[str, Any]:
         """Synchronous job body (runs on the worker thread pool)."""
-        if self._runner is not None:
-            return self._runner(job, self.config.store_root)
-        fields_fn = self._chunk_fields if self._chunk_pool is not None else None
-        return execute_wire_job(
-            job, self.config.store_root, fields_fn=fields_fn
-        )
+        runner = self._runner or execute_wire_job
+        return runner(job, self.config.store_root)
 
     # -- lifecycle ------------------------------------------------------------
 
     async def start(self) -> None:
-        """Bind the socket and spawn workers + monitor."""
+        """Bind the socket and spawn workers + monitor.
+
+        A socket file already at the path is replaced only when it is
+        stale (nothing accepts on it); a live server's socket raises
+        :class:`~repro.errors.CampaignError` instead.
+        """
         if not self.config.socket_path:
             raise CampaignError("ServiceConfig.socket_path is required to start")
         sock = Path(self.config.socket_path)
         if sock.exists():
-            sock.unlink()
+            try:
+                _, writer = await asyncio.open_unix_connection(str(sock))
+            except ConnectionRefusedError:
+                sock.unlink()
+            else:
+                writer.close()
+                raise CampaignError(
+                    f"a campaign service is already listening on {sock}"
+                )
         self._server = await asyncio.start_unix_server(
             self._handle_conn, path=str(sock), limit=MAX_FRAME_BYTES + 2
         )
@@ -262,10 +228,12 @@ class CampaignService:
         )
 
     async def stop(self) -> None:
-        """Drain queued work, stop workers, close the socket."""
+        """Drain queued work, stop workers, close and remove the socket
+        (and the temp dir of a fallback socket path)."""
         if self._stopping:
             return
         self._stopping = True
+        bound = self._server is not None
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
@@ -279,10 +247,13 @@ class CampaignService:
             except asyncio.CancelledError:
                 pass
         self._pool.shutdown(wait=True)
-        if self._chunk_pool is not None:
-            self._chunk_pool.shutdown(wait=True)
+        if not bound:
+            return
+        sock = Path(self.config.socket_path)
         try:
-            Path(self.config.socket_path).unlink()
+            sock.unlink(missing_ok=True)
+            if _is_fallback_dir(sock.parent):
+                sock.parent.rmdir()
         except OSError:
             pass
 

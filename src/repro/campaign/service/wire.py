@@ -55,6 +55,7 @@ def _job_from(data: Dict[str, Any]) -> Job:
         attribution=str(data.get("attribution", "base")),
         verify=bool(data.get("verify", False)),
         tracestore=bool(data.get("tracestore", True)),
+        fast=bool(data.get("fast", True)),
     )
 
 
@@ -80,16 +81,12 @@ def task_from_wire(
     raise ProtocolError(f"unknown campaign task {job.get('task')!r}")
 
 
-def execute_wire_job(
-    job: Dict[str, Any], store_root: str, *, fields_fn: Any = None
-) -> Dict[str, Any]:
+def execute_wire_job(job: Dict[str, Any], store_root: str) -> Dict[str, Any]:
     """Execute one wire job description; returns its JSON payload.
 
     This is the default *runner* the service's shard workers call (via
     their executor).  Raises on malformed descriptions and on job
-    failures — the worker loop owns retry policy.  ``fields_fn`` is
-    forwarded to :func:`repro.campaign.jobs.execute_task` so the server
-    can substitute chunk-parallel simulation for the simulate stage.
+    failures — the worker loop owns retry policy.
     """
     kind = job.get("kind")
     if kind == "noop":
@@ -97,7 +94,7 @@ def execute_wire_job(
         # checks for loss/duplication accounting.
         return {"kind": "noop", "echo": job.get("echo")}
     if kind == "campaign-task":
-        return execute_task(task_from_wire(job), store_root, fields_fn=fields_fn)
+        return execute_task(task_from_wire(job), store_root)
     if kind == "simulate":
         from repro.campaign.jobs import simulation_fields
         from repro.trace.stream import Trace

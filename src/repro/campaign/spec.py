@@ -219,15 +219,21 @@ class BatchOptions:
         return cls(**dict(data))
 
 
+#: ``[service]`` keys of the retired chunk-parallel simulate stage.  A
+#: spec that still sets one loads; the key is ignored and ``tdst lint``
+#: warns (TDST026).
+REMOVED_SERVICE_KEYS = ("chunk_parallel", "chunk_shards", "min_chunk_records")
+
+
 @dataclass(frozen=True)
 class ServiceOptions:
     """Campaign-service knobs (the ``[service]`` TOML table).
 
     When enabled, ``tdst campaign`` drives the run through the local
-    asyncio job service (work-stealing shard workers, chunk-parallel
-    simulation) instead of the one-shot process pool.  Artifacts are
-    byte-identical either way; ``tdst campaign --no-service`` and the
-    ``TDST_NO_SERVICE`` environment variable override it downward.
+    asyncio job service (work-stealing shard workers) instead of the
+    one-shot process pool.  Artifacts are byte-identical either way;
+    ``tdst campaign --no-service`` and the ``TDST_NO_SERVICE``
+    environment variable override it downward.
     """
 
     #: master switch for the service route
@@ -236,13 +242,6 @@ class ServiceOptions:
     shards: int = 0
     #: bounded job-queue capacity (the backpressure knob)
     queue_capacity: int = 1024
-    #: split eligible simulate stages into chunk ranges merged through
-    #: the shard-merge algebra
-    chunk_parallel: bool = True
-    #: chunk ranges per simulate stage when chunk-parallel is on
-    chunk_shards: int = 4
-    #: traces shorter than this simulate whole (chunking overhead floor)
-    min_chunk_records: int = 4096
 
     def __post_init__(self) -> None:
         if self.shards < 0:
@@ -254,49 +253,36 @@ class ServiceOptions:
                 f"service queue_capacity must be positive, "
                 f"got {self.queue_capacity}"
             )
-        if self.chunk_shards <= 0:
-            raise CampaignError(
-                f"service chunk_shards must be positive, "
-                f"got {self.chunk_shards}"
-            )
-        if self.min_chunk_records < 0:
-            raise CampaignError(
-                f"service min_chunk_records must be >= 0, "
-                f"got {self.min_chunk_records}"
-            )
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "ServiceOptions":
-        """Build from a TOML ``[service]`` table (unknown keys rejected)."""
+        """Build from a TOML ``[service]`` table.
+
+        Unknown keys are rejected; :data:`REMOVED_SERVICE_KEYS` are
+        dropped unread.
+        """
         if not isinstance(data, Mapping):
             raise CampaignError(f"[service] must be a table, got {data!r}")
-        known = {
-            "enabled",
-            "shards",
-            "queue_capacity",
-            "chunk_parallel",
-            "chunk_shards",
-            "min_chunk_records",
-        }
-        extra = set(data) - known
+        known = {"enabled", "shards", "queue_capacity"}
+        extra = set(data) - known - set(REMOVED_SERVICE_KEYS)
         if extra:
             raise CampaignError(
                 f"unknown service option keys: {sorted(extra)} "
                 f"(known: {sorted(known)})"
             )
-        for key in ("shards", "queue_capacity", "chunk_shards", "min_chunk_records"):
+        data = {k: v for k, v in data.items() if k in known}
+        for key in ("shards", "queue_capacity"):
             if key in data and (
                 isinstance(data[key], bool) or not isinstance(data[key], int)
             ):
                 raise CampaignError(
                     f"service {key} must be an integer, got {data[key]!r}"
                 )
-        for key in ("enabled", "chunk_parallel"):
-            if key in data and not isinstance(data[key], bool):
-                raise CampaignError(
-                    f"service {key} must be a boolean, got {data[key]!r}"
-                )
-        return cls(**dict(data))
+        if "enabled" in data and not isinstance(data["enabled"], bool):
+            raise CampaignError(
+                f"service enabled must be a boolean, got {data['enabled']!r}"
+            )
+        return cls(**data)
 
 
 @dataclass(frozen=True)

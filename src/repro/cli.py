@@ -505,7 +505,8 @@ def _lint_cost_pass(args: argparse.Namespace, report) -> None:
 def _preflight_lint(spec_path: Path) -> int:
     """Mandatory campaign pre-flight: lint the spec (and, recursively,
     its ``file:`` rule references) before the scheduler spawns anything.
-    Returns the number of errors found (0 = proceed)."""
+    Returns the number of errors found (0 = proceed); warnings of a spec
+    that passes go to stderr."""
     from repro.lint import lint_spec_text, render_text
 
     report = lint_spec_text(
@@ -517,12 +518,14 @@ def _preflight_lint(spec_path: Path) -> int:
             "error: campaign spec failed pre-flight lint "
             "(--no-lint to run anyway)"
         )
+    else:
+        for diag in report.warnings:
+            print(diag.render(), file=sys.stderr)
     return len(report.errors)
 
 
 def _cmd_campaign(args: argparse.Namespace) -> int:
     import dataclasses
-    import os
 
     from repro.analysis.report import campaign_report
     from repro.campaign import (
@@ -531,12 +534,8 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         Scheduler,
         paper_figures_spec,
     )
-    from repro.campaign.jobs import NO_FAST_ENV
     from repro.errors import CampaignError
 
-    if args.no_fast:
-        # Workers inherit the environment (fork), so this reaches them.
-        os.environ[NO_FAST_ENV] = "1"
     directory = Path(args.dir)
     manifest_path = directory / "manifest.jsonl"
     if args.report:
@@ -574,11 +573,16 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         resume=args.resume,
         batch=False if args.no_batch else None,
         tracestore=False if args.no_tracestore else None,
+        fast=False if args.no_fast else None,
         service=(
             True if args.service else (False if args.no_service else None)
         ),
     )
-    result = scheduler.run()
+    try:
+        result = scheduler.run()
+    except CampaignError as exc:
+        print(f"error: {exc}")
+        return 1
     print(result.summary())
     print()
     rows = RunManifest.result_rows(RunManifest.read(manifest_path))
@@ -598,27 +602,27 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.errors import CampaignError
 
     directory = Path(args.dir)
-    socket_path = args.socket or service_socket_path(directory)
     try:
         config = ServiceConfig(
-            socket_path=socket_path,
             store_root=str(directory / "artifacts"),
             shards=args.shards,
             queue_capacity=args.queue_capacity,
             retries=args.retries,
             timeout=args.timeout,
-            chunk_parallel=not args.no_chunks,
-            chunk_shards=args.chunk_shards,
         )
     except CampaignError as exc:
         print(f"error: {exc}")
         return 2
-    print(f"campaign service listening on {socket_path}")
+    config.socket_path = args.socket or service_socket_path(directory)
+    print(f"campaign service listening on {config.socket_path}")
     print(f"artifact store: {config.store_root}")
     try:
         serve_forever(config)
     except KeyboardInterrupt:
         print("interrupted")
+    except CampaignError as exc:
+        print(f"error: {exc}")
+        return 1
     print("campaign service stopped")
     return 0
 
@@ -1156,7 +1160,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--no-fast",
         action="store_true",
         help="force every grid point through the reference simulator "
-        "instead of the vectorized fast path",
+        "instead of the vectorized fast path (also: TDST_NO_FAST=1)",
     )
     p.add_argument(
         "--no-batch",
@@ -1174,8 +1178,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--service",
         action="store_true",
-        help="drive the run through the local asyncio campaign service "
-        "(work-stealing shard workers, chunk-parallel simulation)",
+        help="drive the run through an in-process asyncio campaign service "
+        "on DIR/service.sock (work-stealing shard workers); it does not "
+        "connect to a running 'tdst serve'",
     )
     p.add_argument(
         "--no-service",
@@ -1200,7 +1205,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "serve",
         help="run the local campaign service (asyncio shard workers, "
-        "work stealing, chunk-parallel simulation)",
+        "work stealing)",
     )
     p.add_argument(
         "--dir",
@@ -1230,17 +1235,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=None,
         help="per-job wall-clock budget in seconds",
-    )
-    p.add_argument(
-        "--no-chunks",
-        action="store_true",
-        help="disable trace-chunk-level parallel simulation",
-    )
-    p.add_argument(
-        "--chunk-shards",
-        type=int,
-        default=4,
-        help="chunk ranges per eligible simulate stage",
     )
     p.set_defaults(func=_cmd_serve)
 

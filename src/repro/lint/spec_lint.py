@@ -12,11 +12,11 @@ group anything — ``max_configs = 1``, or a grid whose geometries the
 batched kernel cannot cover — warn with TDST025.  The ``[service]``
 table follows the same pattern under TDST026: unknown keys and bad shard
 counts are errors (again stripped before the whole-spec parse), and
-configurations that run but misbehave — knobs set while disabled,
-``chunk_shards = 1`` chunk parallelism, a queue smaller than the shard
-pool, a spec directory so deep the Unix-socket path overflows the OS
-budget — warn.  Cross-file socket collisions (two enabled services under
-one campaign name) are a corpus-level concern checked in
+configurations that run but misbehave — a removed key (ignored), knobs
+set while disabled, a queue smaller than the shard pool, a spec
+directory so deep the Unix-socket path overflows the OS budget — warn.
+Cross-file socket collisions (two enabled services under one campaign
+name) are a corpus-level concern checked in
 :func:`repro.lint.runner.lint_paths`.  Referenced rule files
 are recursively linted with the full rule pass so a campaign fails fast
 on an unsound rule file, not at job time.
@@ -97,11 +97,7 @@ def lint_spec_text(
                     code="TDST026",
                     message=str(exc),
                     path=path,
-                    hint=(
-                        "known [service] keys: enabled, shards, "
-                        "queue_capacity, chunk_parallel, chunk_shards, "
-                        "min_chunk_records"
-                    ),
+                    hint="known [service] keys: enabled, shards, queue_capacity",
                 )
             )
             data = {k: v for k, v in data.items() if k != "service"}
@@ -254,11 +250,28 @@ def _lint_service(
     """TDST026 warnings: service configurations that run but misbehave.
 
     Skipped when the table itself was invalid (already an error).
+    Touches no disk: the socket-path check measures the would-be path.
     """
+    from repro.campaign.spec import REMOVED_SERVICE_KEYS
+
     if service_opts is None:
         return
+    removed = [key for key in REMOVED_SERVICE_KEYS if key in service_table]
+    for key in removed:
+        report.add(
+            Diagnostic(
+                code="TDST026",
+                message=(
+                    f"[service] key {key!r} was removed with chunk-parallel "
+                    "simulation and is ignored"
+                ),
+                path=path,
+                severity="warning",
+                hint=f"drop {key} from the [service] table",
+            )
+        )
     if not service_opts.enabled:
-        knobs = set(service_table) - {"enabled"}
+        knobs = set(service_table) - {"enabled"} - set(removed)
         if knobs:
             report.add(
                 Diagnostic(
@@ -273,19 +286,6 @@ def _lint_service(
                 )
             )
         return
-    if service_opts.chunk_parallel and service_opts.chunk_shards == 1:
-        report.add(
-            Diagnostic(
-                code="TDST026",
-                message=(
-                    "chunk_parallel is on but chunk_shards = 1; every "
-                    "simulate stage runs as a single chunk"
-                ),
-                path=path,
-                severity="warning",
-                hint="raise chunk_shards or set chunk_parallel = false",
-            )
-        )
     if service_opts.shards > 0 and service_opts.queue_capacity < service_opts.shards:
         report.add(
             Diagnostic(
@@ -305,21 +305,18 @@ def _lint_service(
     # overflows sun_path and silently falls back to a tempdir socket.
     from repro.campaign.service.server import (
         _SOCKET_PATH_BUDGET,
-        service_socket_path,
+        socket_path_fits,
     )
 
-    probable_dir = (base_dir / spec.name).resolve()
-    candidate = str(probable_dir / "service.sock")
-    if len(candidate.encode("utf-8")) > _SOCKET_PATH_BUDGET:
-        fallback = service_socket_path(probable_dir)
+    candidate = str((base_dir / spec.name).resolve() / "service.sock")
+    if not socket_path_fits(candidate):
         report.add(
             Diagnostic(
                 code="TDST026",
                 message=(
                     f"socket path {candidate!r} exceeds the "
                     f"{_SOCKET_PATH_BUDGET}-byte sun_path budget; the "
-                    "service will bind a tempdir socket instead "
-                    f"(e.g. {fallback!r})"
+                    "service will bind a socket in a fresh temp dir instead"
                 ),
                 path=path,
                 severity="warning",

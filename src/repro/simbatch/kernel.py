@@ -4,9 +4,9 @@ Every vectorized simulation in the package runs through
 :func:`_stack_positions` — a single config
 (:class:`repro.cache.fastsim.FastSimulator`,
 :func:`repro.cache.fastsim.fast_trace_counts`), a config grid, a
-trace-store chain, a service shard.  The kernel records each access's
-LRU **stack position** (reuse distance over its set's block stream), and
-stack inclusion then answers every member of a geometry group at once::
+trace-store chain.  The kernel records each access's LRU **stack
+position** (reuse distance over its set's block stream), and stack
+inclusion then answers every member of a geometry group at once::
 
     hit in a w-way cache  <=>  position < w        (w == 1: direct-mapped)
 
@@ -521,33 +521,6 @@ class MultiConfigSimulator:
             for t in self._totals
         ]
 
-    # -- residency -------------------------------------------------------------
-
-    def residency(self) -> np.ndarray:
-        """Current residency as the fused ``(sets, depth)`` stack matrix.
-
-        Rows are MRU-first block numbers with ``-1`` marking empty ways,
-        one row per virtual set — for a one-config batch, exactly that
-        config's ``(n_sets, ways)`` sets, direct-mapped included.
-        """
-        return self._stacks.copy()
-
-    def prime(self, residency: np.ndarray) -> None:
-        """Seed residency (shaped like :meth:`residency`) before feeding.
-
-        Feeding a shard into a simulator primed with the residency the
-        preceding shards left behind yields hit/miss decisions identical
-        to an uninterrupted whole-trace run; only the compulsory-miss
-        classification stays shard-local.
-        """
-        residency = np.asarray(residency, dtype=np.int64)
-        if residency.shape != self._stacks.shape:
-            raise CacheConfigError(
-                f"residency matrix shape {residency.shape} does not match "
-                f"config geometry {self._stacks.shape}"
-            )
-        self._stacks[:] = residency
-
     # -- snapshots -------------------------------------------------------------
 
     def _describe(self) -> np.ndarray:
@@ -596,7 +569,8 @@ class MultiConfigSimulator:
         """Load a :meth:`state` snapshot taken under the same configs.
 
         Raises :class:`~repro.errors.CacheConfigError` for a snapshot of
-        other configs or of another layout (a missing array).
+        other configs or of another layout (a missing array, or stacks
+        not shaped like this simulator's).
         """
         missing = [key for key in _STATE_KEYS if key not in state]
         if missing:
@@ -611,7 +585,13 @@ class MultiConfigSimulator:
                 f"snapshot was taken under {described.decode('utf-8')!r}, "
                 f"not {expect.decode('utf-8')!r}"
             )
-        self.prime(state["stacks"])
+        stacks = np.asarray(state["stacks"], dtype=np.int64)
+        if stacks.shape != self._stacks.shape:
+            raise CacheConfigError(
+                f"snapshot stacks of shape {stacks.shape} do not match "
+                f"config geometry {self._stacks.shape}"
+            )
+        self._stacks[:] = stacks
         seen = np.split(
             np.asarray(state["seen_blocks"], dtype=np.int64),
             np.cumsum(state["seen_counts"])[:-1],

@@ -222,3 +222,121 @@ class TestCampaignReport:
         ]
         text = campaign_report(rows)
         assert "trace/1a-L64" not in text
+
+
+TWO_CACHE_SPEC = """\
+[campaign]
+name = "two-caches"
+
+[[caches]]
+size = 1024
+block = 32
+assoc = 1
+
+[[caches]]
+size = 2048
+block = 32
+assoc = 2
+
+[[grid]]
+kernel = "1a"
+length = 16
+"""
+
+
+def artifact_tree(directory):
+    """{relative path: bytes} over a campaign's artifact store."""
+    root = directory / "artifacts"
+    return {
+        str(p.relative_to(root)): p.read_bytes()
+        for p in sorted(root.rglob("*"))
+        if p.is_file()
+    }
+
+
+class TestNoFast:
+    """``--no-fast`` is one campaign's choice, not process state."""
+
+    def test_no_fast_reaches_batched_points_and_leaks_nothing(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        import os
+
+        import repro.campaign.jobs as jobs
+        import repro.simbatch.runner as runner
+        from repro.simbatch.kernel import MultiConfigSimulator
+
+        monkeypatch.delenv("TDST_NO_FAST", raising=False)
+        calls = {"batch": 0, "fast_trace_counts": 0, "kernel": 0}
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(
+            runner,
+            "batch_simulation_fields",
+            counting("batch", runner.batch_simulation_fields),
+        )
+        monkeypatch.setattr(
+            jobs,
+            "fast_trace_counts",
+            counting("fast_trace_counts", jobs.fast_trace_counts),
+        )
+        monkeypatch.setattr(
+            MultiConfigSimulator,
+            "feed",
+            counting("kernel", MultiConfigSimulator.feed),
+        )
+        spec = tmp_path / "two.toml"
+        spec.write_text(TWO_CACHE_SPEC)
+        env = dict(os.environ)
+
+        reference = tmp_path / "reference"
+        assert main(["campaign", str(spec), "--dir", str(reference), "--no-fast"]) == 0
+        assert calls == {"batch": 0, "fast_trace_counts": 0, "kernel": 0}
+        assert dict(os.environ) == env
+
+        # The next campaign in the same process is back on the fast path.
+        fast = tmp_path / "fast"
+        assert main(["campaign", str(spec), "--dir", str(fast)]) == 0
+        assert calls["batch"] == 1 and calls["kernel"] >= 1
+        assert "done: 2" in capsys.readouterr().out
+        assert artifact_tree(reference) == artifact_tree(fast)
+
+
+class TestImports:
+    def test_process_pool_campaign_skips_the_service_package(self, tmp_path):
+        """A plain ``tdst campaign`` never imports asyncio or the service."""
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import repro
+
+        probe = (
+            "import sys\n"
+            "from repro.cli import main\n"
+            "code = main(['campaign', 'paper', '--length', '16', '--jobs', '2',"
+            f" '--dir', {str(tmp_path / 'out')!r}])\n"
+            "assert code == 0, code\n"
+            "loaded = sorted(m for m in ('asyncio', 'repro.campaign.service')"
+            " if m in sys.modules)\n"
+            "print('LOADED', loaded)\n"
+        )
+        src = str(Path(repro.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        env.pop("TDST_NO_SERVICE", None)
+        out = subprocess.run(
+            [sys.executable, "-c", probe],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=300,
+        )
+        assert out.returncode == 0, out.stderr
+        assert "LOADED []" in out.stdout

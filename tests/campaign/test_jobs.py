@@ -192,14 +192,25 @@ class TestSimulationFields:
         assert auto == slow
 
     def test_env_escape_hatch(self, kernel_traces, monkeypatch):
-        from repro.campaign.jobs import NO_FAST_ENV, simulation_fields
+        """The opt-out is an argument; ``simulation_fields`` itself never
+        reads TDST_NO_FAST (only the Scheduler does, once)."""
+        import repro.campaign.jobs as jobs
         from repro.cache.config import CacheConfig
 
         cfg = CacheConfig(size=2048, block_size=32, associativity=2)
         trace = kernel_traces["2a"]
-        fast = simulation_fields(trace, cfg, "base")
-        monkeypatch.setenv(NO_FAST_ENV, "1")
-        forced_slow = simulation_fields(trace, cfg, "base")
+        calls = []
+        kernel = jobs.fast_trace_counts
+        monkeypatch.setattr(
+            jobs,
+            "fast_trace_counts",
+            lambda *a, **kw: calls.append(1) or kernel(*a, **kw),
+        )
+        forced_slow = jobs.simulation_fields(trace, cfg, "base", use_fast=False)
+        assert calls == []
+        monkeypatch.setenv(jobs.NO_FAST_ENV, "1")
+        fast = jobs.simulation_fields(trace, cfg, "base")
+        assert calls == [1]
         assert fast == forced_slow  # identical payloads either way
 
     def test_payload_has_expected_fields(self, kernel_traces):

@@ -1,25 +1,25 @@
 """End-to-end tests for the campaign service (server + client + scheduler).
 
 The acceptance bar lives here: a campaign routed through the service
-must leave a byte-identical artifact tree to the one-shot scheduler —
-on the golden T1/T2/T3 transformation grid, with chunk-parallel
-simulation engaged — and the protocol endpoint must behave (dedupe,
-drain, status, discard accounting, shutdown).
+must leave a byte-identical artifact tree to the one-shot scheduler on
+the golden T1/T2/T3 transformation grid, and the protocol endpoint must
+behave (dedupe, drain, status, discard accounting, shutdown, socket
+ownership).
 """
 
 from __future__ import annotations
 
 import asyncio
 import hashlib
-import os
+import tempfile
 from pathlib import Path
 
 import pytest
 
+from repro.campaign.jobs import NO_SERVICE_ENV
 from repro.campaign.manifest import RunManifest
 from repro.campaign.scheduler import run_campaign
 from repro.campaign.service import (
-    NO_SERVICE_ENV,
     CampaignService,
     ProtocolError,
     ServiceClient,
@@ -62,13 +62,8 @@ def svc_config(tmp_path, **overrides):
     return ServiceConfig(**defaults)
 
 
-def golden_spec(*, service=False, min_chunk_records=64):
-    """The golden grid: kernel 1a under baseline + T1/T2/T3, two caches.
-
-    ``min_chunk_records=64`` forces chunk-parallel simulation onto the
-    ~516-record kernel traces, so the byte-parity assertion covers the
-    shard-merge route, not just the classic one.
-    """
+def golden_spec(*, service=False):
+    """The golden grid: kernel 1a under baseline + T1/T2/T3, two caches."""
     return CampaignSpec(
         name="golden",
         grid=(
@@ -81,13 +76,7 @@ def golden_spec(*, service=False, min_chunk_records=64):
             CacheSpec(size=2048, block=32, assoc=2),
         ),
         attribution=("base", "member"),
-        service=ServiceOptions(
-            enabled=service,
-            shards=2,
-            chunk_parallel=True,
-            chunk_shards=3,
-            min_chunk_records=min_chunk_records,
-        ),
+        service=ServiceOptions(enabled=service, shards=2),
     )
 
 
@@ -258,15 +247,70 @@ class TestServiceLifecycle:
             ServiceConfig(socket_path="s", queue_capacity=0)
         with pytest.raises(CampaignError):
             ServiceConfig(socket_path="s", retries=-1)
-        with pytest.raises(CampaignError):
-            ServiceConfig(socket_path="s", chunk_shards=0)
 
     def test_socket_path_fallback_for_long_directories(self, tmp_path):
-        """Deeply nested campaign dirs still get a bindable socket path."""
+        """Deeply nested campaign dirs still get a bindable socket path,
+        and a service stopped on it removes the fallback temp dir."""
         deep = tmp_path / ("x" * 120)
         path = service_socket_path(deep)
         assert len(path.encode("utf-8")) <= 108
         assert path.endswith(".sock")
+        fallback = Path(path).parent
+        assert fallback.parent == Path(tempfile.gettempdir())
+
+        async def body():
+            async with service_running(svc_config(tmp_path, socket_path=path)):
+                client = ServiceClient(path)
+                await client.connect()
+                assert (await client.status())["unsettled"] == 0
+                await client.close()
+
+        run(body())
+        assert not fallback.exists()
+
+    def test_second_start_on_a_live_socket_raises(self, tmp_path):
+        """A live server's socket is never clobbered by a second start."""
+        import re
+
+        from repro.errors import CampaignError
+
+        async def body():
+            config = svc_config(tmp_path)
+            async with service_running(config):
+                second = CampaignService(config)
+                with pytest.raises(
+                    CampaignError, match=re.escape(config.socket_path)
+                ):
+                    await second.start()
+                await second.stop()
+                client = ServiceClient(config.socket_path)
+                await client.connect()
+                status = await client.status()
+                assert status["shards"] == 2
+                await client.close()
+
+        run(body())
+
+    def test_stale_socket_file_is_replaced(self, tmp_path):
+        """A socket nobody accepts on (a crashed server's) is rebound."""
+        import socket
+
+        config = svc_config(tmp_path)
+        stale = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+        stale.bind(config.socket_path)
+        stale.close()  # bound, never listened: connections are refused
+        assert Path(config.socket_path).exists()
+
+        async def body():
+            async with service_running(config):
+                client = ServiceClient(config.socket_path)
+                await client.connect()
+                await client.submit("j", {"kind": "noop"})
+                assert (await client.result("j"))["status"] == "done"
+                await client.close()
+
+        run(body())
+        assert not Path(config.socket_path).exists()
 
 
 class TestArtifactParity:
@@ -275,9 +319,8 @@ class TestArtifactParity:
     def test_golden_grid_byte_identical(self, tmp_path):
         """Golden T1/T2/T3 grid: every artifact file matches exactly.
 
-        One-shot run vs service run (chunk-parallel engaged via
-        ``min_chunk_records=64``): identical artifact trees, byte for
-        byte.
+        One-shot process-pool run vs service run: identical artifact
+        trees, byte for byte.
         """
         one_shot = run_campaign(
             golden_spec(service=False), tmp_path / "oneshot", workers=2
@@ -346,89 +389,6 @@ class TestArtifactParity:
         assert events.count("job-done") == 17
         assert 0 < events.count("job-start") <= events.count("job-done")
         assert events.count("job-failed") == 0
-
-
-class TestChunkParallel:
-    """The chunk-parallel simulate stage actually engages and merges."""
-
-    def test_chunk_merges_counted(self, tmp_path):
-        """Eligible simulate stages route through the shard merge."""
-
-        async def body():
-            from repro.campaign.jobs import TraceTask, execute_task
-            from repro.campaign.service.wire import task_to_wire
-
-            config = svc_config(
-                tmp_path,
-                store_root=str(tmp_path / "store"),
-                chunk_parallel=True,
-                chunk_shards=3,
-                min_chunk_records=64,
-            )
-            task = TraceTask(kernel="1a", length=64)
-            async with service_running(config) as service:
-                client = ServiceClient(config.socket_path)
-                await client.connect()
-                await client.submit(task.job_id, task_to_wire(task))
-                trace_res = await client.result(task.job_id)
-                assert trace_res["status"] == "done"
-                from repro.campaign.jobs import Job
-
-                job = Job(
-                    kernel="1a",
-                    length=64,
-                    rule="baseline",
-                    cache=CacheSpec(size=1024, block=32, assoc=1),
-                    attribution="base",
-                )
-                await client.submit(job.job_id, task_to_wire(job))
-                job_res = await client.result(job.job_id)
-                assert job_res["status"] == "done"
-                assert service.counters["chunk_merges"] >= 1
-                # The chunk-merged payload equals the classic payload.
-                classic = execute_task(job, str(tmp_path / "classic"))
-                merged = dict(job_res["payload"])
-                for volatile in ("cache_hits", "compute_seconds"):
-                    merged.pop(volatile, None)
-                    classic.pop(volatile, None)
-                assert merged == classic
-                await client.close()
-
-        run(body())
-
-    def test_short_traces_skip_chunking(self, tmp_path):
-        """Below min_chunk_records the classic stage runs (no merges)."""
-
-        async def body():
-            from repro.campaign.jobs import Job, TraceTask
-            from repro.campaign.service.wire import task_to_wire
-
-            config = svc_config(
-                tmp_path,
-                store_root=str(tmp_path / "store"),
-                chunk_parallel=True,
-                min_chunk_records=10**6,
-            )
-            task = TraceTask(kernel="1a", length=32)
-            job = Job(
-                kernel="1a",
-                length=32,
-                rule="baseline",
-                cache=CacheSpec(size=1024, block=32, assoc=1),
-                attribution="base",
-            )
-            async with service_running(config) as service:
-                client = ServiceClient(config.socket_path)
-                await client.connect()
-                await client.submit(task.job_id, task_to_wire(task))
-                await client.result(task.job_id)
-                await client.submit(job.job_id, task_to_wire(job))
-                res = await client.result(job.job_id)
-                assert res["status"] == "done"
-                assert service.counters["chunk_merges"] == 0
-                await client.close()
-
-        run(body())
 
 
 class TestWorkStealing:

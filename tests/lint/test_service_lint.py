@@ -1,7 +1,12 @@
 """TDST026: the ``[service]`` table pass and cross-spec socket collisions."""
 
+import tempfile
+from pathlib import Path
+
 import pytest
 
+from repro.campaign.spec import REMOVED_SERVICE_KEYS, CampaignSpec
+from repro.cli import main
 from repro.lint import lint_paths, lint_spec_text
 
 pytestmark = pytest.mark.lint
@@ -76,18 +81,6 @@ class TestServiceTable:
         report = lint_spec_text(spec(service="[service]\nenabled = false\n"))
         assert not by_code(report, "TDST026")
 
-    def test_chunk_parallel_with_one_shard_warns(self):
-        report = lint_spec_text(
-            spec(
-                service=(
-                    "[service]\nenabled = true\nchunk_parallel = true\n"
-                    "chunk_shards = 1\n"
-                )
-            )
-        )
-        diags = by_code(report, "TDST026")
-        assert any("chunk_shards" in d.message for d in diags)
-
     def test_queue_capacity_below_shards_warns(self):
         report = lint_spec_text(
             spec(
@@ -109,10 +102,51 @@ class TestServiceTable:
             service="[service]\nenabled = true\n",
         )
         path.write_text(text)
+        tree_before = sorted(tmp_path.rglob("*"))
+        tmp_before = sorted(Path(tempfile.gettempdir()).glob("tdst-svc-*"))
         report = lint_spec_text(text, path=str(path))
         diags = by_code(report, "TDST026")
         assert any("sun_path" in d.message for d in diags)
         assert all(d.severity == "warning" for d in diags)
+        # Linting measures the would-be socket path; it creates nothing.
+        assert sorted(tmp_path.rglob("*")) == tree_before
+        assert (
+            sorted(Path(tempfile.gettempdir()).glob("tdst-svc-*"))
+            == tmp_before
+        )
+
+
+class TestRemovedKeys:
+    """Keys of the retired chunk-parallel stage load, warn, and are ignored."""
+
+    VALUES = {
+        "chunk_parallel": "true",
+        "chunk_shards": "3",
+        "min_chunk_records": "64",
+    }
+
+    @pytest.mark.parametrize("key", REMOVED_SERVICE_KEYS)
+    def test_spec_loads_lint_warns_campaign_runs(self, key, tmp_path, capsys):
+        service = f"[service]\nenabled = true\n{key} = {self.VALUES[key]}\n"
+        text = spec(name="removed", service=service).replace(
+            "length = 64", "length = 16"
+        )
+        loaded = CampaignSpec.from_toml(text)
+        assert loaded.service.enabled
+
+        report = lint_spec_text(text)
+        diags = [d for d in by_code(report, "TDST026") if key in d.message]
+        assert len(diags) == 1
+        assert diags[0].severity == "warning"
+        assert report.ok
+
+        path = tmp_path / "removed.toml"
+        path.write_text(text)
+        code = main(["campaign", str(path), "--dir", str(tmp_path / "out")])
+        captured = capsys.readouterr()
+        assert code == 0
+        assert "TDST026" in captured.err and key in captured.err
+        assert "done: 1  failed: 0" in captured.out
 
 
 class TestCrossSpecCollisions:

@@ -1,6 +1,7 @@
 """Campaign batching: grouping, execution parity, resume, lint, CLI."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -124,6 +125,14 @@ class TestGrouping:
         _, jobs = expand_jobs(grid_spec(attribution=("base",)))
         with pytest.raises(ValueError):
             BatchJob(members=(jobs[0],))
+
+    def test_reference_only_jobs_stay_single(self):
+        """Jobs forced onto the reference simulator never batch."""
+        _, jobs = expand_jobs(grid_spec(attribution=("base",)))
+        opted_out = [replace(job, fast=False) for job in jobs]
+        assert group_batch_jobs(opted_out) == opted_out
+        with pytest.raises(ValueError, match="reference simulator"):
+            BatchJob(members=tuple(opted_out[:2]))
 
 
 class TestExecutionParity:

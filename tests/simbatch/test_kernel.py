@@ -129,6 +129,27 @@ class TestAgainstFastPath:
             assert counts.demand_accesses == 0
 
 
+class TestRestore:
+    """``restore`` guards snapshots read back from disk."""
+
+    @pytest.mark.parametrize("cut", ["rows", "ways"])
+    def test_rejects_misshapen_stacks(self, cut):
+        configs = grid_configs()
+        addrs = np.arange(0, 1 << 13, 24, dtype=np.uint64)
+        sim = MultiConfigSimulator(configs)
+        sim.feed(addrs)
+        state = sim.state()
+        stacks = state["stacks"]
+        state["stacks"] = stacks[:-1] if cut == "rows" else stacks[:, :-1]
+        fresh = MultiConfigSimulator(configs)
+        with pytest.raises(CacheConfigError, match="stacks"):
+            fresh.restore(state)
+        # The refused snapshot left the simulator cold.
+        fresh.feed(addrs)
+        for a, b in zip(fresh.results(), batch_trace_counts(addrs, configs)):
+            assert_counts_equal(a, b)
+
+
 class TestAgainstReference:
     @given(
         st.lists(st.integers(0, 1 << 12), min_size=1, max_size=120),

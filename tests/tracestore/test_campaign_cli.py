@@ -82,17 +82,22 @@ class TestEligibility:
         monkeypatch.setenv(NO_TRACESTORE_ENV, "1")
         assert tracestore_eligible(job, "x")
         monkeypatch.delenv(NO_TRACESTORE_ENV)
+        # TDST_NO_FAST likewise reaches workers as Job.fast.
+        assert not tracestore_eligible(self._job(rule_file, fast=False), "x")
         monkeypatch.setenv("TDST_NO_FAST", "1")
-        assert not tracestore_eligible(job, "x")
+        assert tracestore_eligible(job, "x")
 
     def test_service_wire_carries_the_opt_out(self, rule_file):
         import json
 
         from repro.campaign.service.wire import task_from_wire, task_to_wire
 
-        job = self._job(rule_file, tracestore=False)
-        frame = json.loads(json.dumps(task_to_wire(job)))
-        assert task_from_wire(frame) == job
+        for job in (
+            self._job(rule_file, tracestore=False),
+            self._job(rule_file, fast=False),
+        ):
+            frame = json.loads(json.dumps(task_to_wire(job)))
+            assert task_from_wire(frame) == job
 
     def test_scheduler_resolves_env_onto_jobs(
         self, tmp_path, rule_file, clean_env, monkeypatch
@@ -104,6 +109,9 @@ class TestEligibility:
         assert scheduler.tracestore is False
         monkeypatch.delenv(NO_TRACESTORE_ENV)
         assert Scheduler(file_spec(rule_file), tmp_path / "camp2").tracestore
+        monkeypatch.setenv("TDST_NO_FAST", "1")
+        assert Scheduler(file_spec(rule_file), tmp_path / "camp3").fast is False
+        assert Scheduler(file_spec(rule_file), tmp_path / "camp4", fast=True).fast
 
     def test_non_fast_path_config_keeps_classic_route(
         self, rule_file, clean_env

@@ -57,7 +57,7 @@ def v1_direct_mapped_state(sim):
         "var_ids": np.array([v for v, _ in per_var], dtype=np.int64),
         "var_hits": np.array([h for _, (h, _) in per_var], dtype=np.int64),
         "var_misses": np.array([m for _, (_, m) in per_var], dtype=np.int64),
-        "carry": sim.residency()[:, 0],
+        "carry": state["stacks"][:, 0],
     }
 
 
