@@ -25,6 +25,7 @@ from repro.cache.config import CacheConfig
 from repro.cache.conflict import ConflictMatrix
 from repro.cache.stats import CacheStats
 from repro.obsv.telemetry import get_telemetry
+from repro.trace.columns import path_label
 from repro.trace.record import AccessType, TraceRecord
 
 
@@ -46,23 +47,12 @@ class SimulationResult:
 
 
 def attribution_label(record: TraceRecord, mode: str) -> Optional[str]:
-    """The attribution key of one record under a given mode.
-
-    - ``"base"``  — the root variable name (``lSoA``), the default;
-    - ``"member"``— root plus field names with indices stripped
-      (``lSoA.mX``), which separates the per-field series the paper's
-      Figure 3 plots for the structure-of-arrays layout.
-    """
+    """The attribution key of one record under a given mode (``None``
+    for a record without a variable; see
+    :func:`repro.trace.columns.path_label` for the modes)."""
     if record.var is None:
         return None
-    if mode == "base":
-        return record.var.base
-    if mode == "member":
-        fields = record.var.field_names()
-        if fields:
-            return record.var.base + "." + ".".join(fields)
-        return record.var.base
-    raise ValueError(f"unknown attribution mode {mode!r}")
+    return path_label(record.var, mode)
 
 
 class CacheSimulator:

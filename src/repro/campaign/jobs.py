@@ -31,10 +31,10 @@ from repro.campaign.artifacts import ArtifactStore, content_key
 from repro.campaign.spec import BASELINE_NAMES, CacheSpec, CampaignSpec
 from repro.cache.config import CacheConfig
 from repro.cache.fastsim import fast_trace_counts
-from repro.cache.simulator import attribution_label, simulate
+from repro.cache.simulator import simulate
 from repro.obsv.telemetry import get_telemetry
 from repro.simbatch.plan import supports_fast_path
-from repro.trace.record import AccessType
+from repro.trace.columns import MISC_KIND, attribution_ids
 from repro.trace.stream import Trace
 from repro.tracer.interp import trace_program
 from repro.transform.engine import TransformEngine
@@ -236,22 +236,16 @@ def simulation_fields(
     route.  ``use_fast=False`` forces the reference simulator.
     """
     if use_fast and supports_fast_path(config):
-        data = [r for r in trace if r.op is not AccessType.MISC]
-        n = len(data)
-        addrs = np.fromiter((r.addr for r in data), dtype=np.uint64, count=n)
-        sizes = np.fromiter((r.size for r in data), dtype=np.uint32, count=n)
-        name_ids: Dict[str, int] = {}
-        var_ids = np.empty(n, dtype=np.int64)
-        for i, record in enumerate(data):
-            label = attribution_label(record, attribution)
-            if label is None:
-                var_ids[i] = -1
-            else:
-                var_ids[i] = name_ids.setdefault(label, len(name_ids))
-        result = fast_trace_counts(addrs, config, sizes, var_ids)
+        cols = trace.columns()
+        data = np.flatnonzero(cols.kind != MISC_KIND)
+        names, var_ids = attribution_ids(cols.var_id[data], cols.paths, attribution)
+        name_ids = {name: vid for vid, name in enumerate(names)}
+        result = fast_trace_counts(
+            cols.addr[data], config, cols.size[data].astype(np.uint32), var_ids
+        )
         return {
             "config": config.describe(),
-            "accesses": n,
+            "accesses": len(data),
             "hits": result.demand_hits,
             "misses": result.demand_misses,
             "miss_ratio": round(result.demand_miss_ratio, 6),

@@ -182,7 +182,7 @@ class VariablePath:
     # -- rendering -------------------------------------------------------
 
     def __str__(self) -> str:
-        return self.base + "".join(str(e) for e in self.elements)
+        return self.base + "".join(map(str, self.elements))
 
     def __repr__(self) -> str:
         return f"VariablePath({str(self)!r})"

@@ -5,7 +5,9 @@ Three entry shapes, one kernel:
 - :func:`simulate_batch` — the CLI/API front door.  Takes a path (a
   memory-mapped :class:`~repro.trace.columnar.ColumnarTrace` is the
   zero-copy fast path; v1 binary and text traces stream record by
-  record), an open ``ColumnarTrace``, or any record iterable.
+  record), an open ``ColumnarTrace``, a
+  :class:`~repro.trace.stream.Trace` (fed from its columns) or any
+  record iterable.
 - :func:`batch_simulation_fields` — the campaign-facing form: produces
   per-config payload dicts *field-identical* to
   :func:`repro.campaign.jobs.simulation_fields`, so a batched grid
@@ -25,6 +27,7 @@ import numpy as np
 from repro.cache.config import CacheConfig
 from repro.obsv.telemetry import get_telemetry
 from repro.simbatch.kernel import FastTraceCounts, MultiConfigSimulator
+from repro.trace.columns import MISC_KIND, TraceColumns, attribution_ids
 from repro.trace.record import AccessType, TraceRecord
 from repro.trace.stream import DEFAULT_CHUNK_RECORDS, Trace
 
@@ -75,6 +78,27 @@ def _feed_columnar(
             None if all_ids is None else all_ids[sel],
         )
     return len(indices), list(names)
+
+
+def _feed_columns(
+    sim: MultiConfigSimulator,
+    cols: TraceColumns,
+    chunk_records: int,
+    attribution: Optional[str],
+) -> Tuple[int, List[str]]:
+    """Stream an in-memory trace's columns through the kernel in slices,
+    labelling each distinct variable path once."""
+    data = np.flatnonzero(cols.kind != MISC_KIND)
+    names: List[str] = []
+    ids: Optional[np.ndarray] = None
+    if attribution is not None:
+        names, ids = attribution_ids(cols.var_id[data], cols.paths, attribution)
+    addrs = cols.addr[data]
+    sizes = cols.size[data].astype(np.uint32)
+    for start in range(0, len(data), chunk_records):
+        part = slice(start, start + chunk_records)
+        sim.feed(addrs[part], sizes[part], None if ids is None else ids[part])
+    return len(data), names
 
 
 def _feed_records(
@@ -167,6 +191,10 @@ def simulate_batch(
                 accesses, names = _feed_columnar(
                     sim, source, chunk_records, attribution
                 )
+            elif isinstance(source, Trace):
+                accesses, names = _feed_columns(
+                    sim, source.columns(), chunk_records, attribution
+                )
             else:
                 if isinstance(source, (str, Path)):
                     from repro.trace.stream import iter_records
@@ -204,9 +232,9 @@ def batch_simulation_fields(
 
     Each returned dict carries exactly the fields (names, rounding,
     ordering) of :func:`repro.campaign.jobs.simulation_fields`, so the
-    batched campaign route stores byte-identical artifacts — the
-    expensive per-record decode/label loop runs once for the whole
-    config list instead of once per grid point.
+    batched campaign route stores byte-identical artifacts — the column
+    projection and the per-path label pass run once for the whole config
+    list instead of once per grid point.
     """
     result = simulate_batch(
         trace,

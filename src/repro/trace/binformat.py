@@ -16,11 +16,16 @@ than text.
 
 :func:`save_binary` packs a trace's columns
 (:class:`~repro.trace.columns.TraceColumns`) into the record array as
-one numpy structured array.  Frame and thread are one byte each and
-function ids two, with the top value (``0xFF``, ``0xFFFF``) meaning
-"absent"; a real value there, or a size above 65535, raises
-:class:`~repro.errors.TraceFormatError` naming the field, the value and
-the record index instead of being saved as something else.
+one numpy structured array, and the readers decode it back into columns
+the same way: :func:`load_binary` decompresses the body and reads it
+with one ``np.frombuffer``, returning a columns-backed
+:class:`~repro.trace.stream.Trace`; :func:`iter_binary` does the same
+per decompression window and builds each window's records.  Frame and
+thread are one byte each and function ids two, with the top value
+(``0xFF``, ``0xFFFF``) meaning "absent"; a real value there, or a size
+above 65535, raises :class:`~repro.errors.TraceFormatError` naming the
+field, the value and the record index instead of being saved as
+something else.
 :func:`read_record_count` reads the record count from the header after
 the same checks :func:`iter_binary` makes before it decompresses.
 """
@@ -32,20 +37,26 @@ import os
 import struct
 import zlib
 from pathlib import Path
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
+from typing import Iterable, Iterator, List, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.errors import TraceFormatError
 from repro.ctypes_model.path import VariablePath
-from repro.trace.columns import OPS, SCOPES, TraceColumns, intern_order, narrowed
-from repro.trace.record import AccessType, TraceRecord
+from repro.trace.columns import (
+    ABSENT,
+    OPS,
+    SCOPES,
+    TraceColumns,
+    intern_order,
+    narrowed,
+)
+from repro.trace.record import TraceRecord
 from repro.trace.stream import Trace, columns_of
 
 _MAGIC = b"TDST"
 _VERSION = 1
-_RECORD = struct.Struct("<BBBBHHIQ")
-#: The same 20-byte record as a packed numpy structured dtype.
+#: The 20-byte record as a packed numpy structured dtype.
 _RECORD_DTYPE = np.dtype(
     [
         ("op", "u1"),
@@ -197,18 +208,109 @@ def read_record_count(path: Union[str, Path]) -> int:
     return _parse_header(head, size, path)[3]
 
 
-def iter_binary(path: Union[str, Path]) -> Iterator[TraceRecord]:
-    """Yield records from a compact binary trace one at a time.
+def _record_windows(
+    mm, body_off: int, body_len: int, count: int, path: Path
+) -> Iterator[bytes]:
+    """Decompress the record body incrementally, yielding each window of
+    whole records as it completes; checks the body against ``count``."""
+    decomp = zlib.decompressobj()
+    buffer = bytearray()
+    decoded = 0
+    rec_size = _RECORD_DTYPE.itemsize
+    position = body_off
+    body_end = body_off + body_len
+    while position < body_end:
+        step = min(_DECOMPRESS_CHUNK, body_end - position)
+        try:
+            buffer += decomp.decompress(mm[position : position + step])
+        except zlib.error as exc:
+            raise TraceFormatError(
+                f"{path}: corrupt record body at offset {position}: {exc}"
+            ) from exc
+        position += step
+        if position >= body_end:
+            buffer += decomp.flush()
+        n_full = len(buffer) // rec_size
+        if n_full:
+            if decoded + n_full > count:
+                raise TraceFormatError(
+                    f"{path}: record body at offset {body_off} "
+                    f"holds more than the declared {count} records"
+                )
+            decoded += n_full
+            window = bytes(buffer[: n_full * rec_size])
+            del buffer[: n_full * rec_size]
+            yield window
+    if buffer:
+        raise TraceFormatError(
+            f"{path}: record body at offset {body_off} ends with "
+            f"{len(buffer)} trailing bytes (not a whole "
+            f"{rec_size}-byte record)"
+        )
+    if decoded != count:
+        raise TraceFormatError(
+            f"{path}: record body at offset {body_off} decoded "
+            f"{decoded} records but the header declares {count}"
+        )
+
+
+def widened(raw: np.ndarray, absent: int, dtype: type) -> np.ndarray:
+    """A narrow file column as an in-memory one: ``raw`` cast to
+    ``dtype``, with the file's ``absent`` marker replaced by ``ABSENT``."""
+    out = raw.astype(dtype)
+    out[raw == absent] = ABSENT
+    return out
+
+
+def _columns(
+    window: bytes,
+    start: int,
+    funcs: Sequence[str],
+    variables: Sequence[str],
+    paths: Tuple[VariablePath, ...],
+    path: Path,
+) -> TraceColumns:
+    """Whole v1 records, the first at record ``start``, as in-memory
+    columns."""
+    body = np.frombuffer(window, dtype=_RECORD_DTYPE)
+    cols = TraceColumns(
+        kind=body["op"].copy(),
+        addr=body["addr"].astype(np.uint64),
+        size=body["size"].astype(np.int64),
+        scope=body["scope"].copy(),
+        frame=widened(body["frame"], _NO_FIELD, np.int64),
+        thread=widened(body["thread"], _NO_FIELD, np.int64),
+        func_id=widened(body["func_id"], _NO_FUNC, np.int32),
+        var_id=widened(body["var_id"], _NO_VAR, np.int32),
+        functions=tuple(funcs),
+        variables=tuple(variables),
+        paths=paths,
+    )
+    for field, column, limit in (
+        ("op code", cols.kind, len(OPS)),
+        ("scope code", cols.scope, len(SCOPES)),
+        ("function id", cols.func_id, len(funcs)),
+        ("variable id", cols.var_id, len(variables)),
+    ):
+        bad = column >= limit
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise TraceFormatError(
+                f"{path}: record {start + i} holds {field} {int(column[i])} "
+                f"but the file defines only {limit}"
+            )
+    return cols
+
+
+def _decode(path: Union[str, Path], *, whole: bool = False) -> Iterator[TraceColumns]:
+    """Decode a v1 trace into columns, one decompression window at a
+    time, or (``whole``) as one set of columns.
 
     The file is memory-mapped and the zlib-compressed record body is
-    decompressed *incrementally*, so peak resident memory is one
-    decompression window plus one record — not the whole file and not
-    the full 20-byte-per-record body (a 100M-record trace used to pin
-    ~2 GiB before the first record came out).
-
+    decompressed *incrementally*; each window of whole records is read
+    with one ``np.frombuffer``, and every variable path is parsed once.
     Truncated or corrupt files raise :class:`TraceFormatError` naming
-    the byte offset where the file stopped making sense, so a torn
-    download or interrupted copy is diagnosable from the message alone.
+    the byte offset where the file stopped making sense.
     """
     path = Path(path)
     with open(path, "rb") as handle:
@@ -230,72 +332,35 @@ def iter_binary(path: Union[str, Path]) -> Iterator[TraceRecord]:
         )
         funcs = func_blob.decode("utf-8").split("\n") if func_blob else []
         variables = var_blob.decode("utf-8").split("\n") if var_blob else []
-
-        parsed_paths: Dict[int, VariablePath] = {}
-        decomp = zlib.decompressobj()
-        buffer = bytearray()
-        yielded = 0
-        rec_size = _RECORD.size
-        position = body_off
-        body_end = body_off + body_len
-        while position < body_end or buffer:
-            if position < body_end:
-                step = min(_DECOMPRESS_CHUNK, body_end - position)
-                try:
-                    buffer += decomp.decompress(mm[position : position + step])
-                except zlib.error as exc:
-                    raise TraceFormatError(
-                        f"{path}: corrupt record body at offset "
-                        f"{position}: {exc}"
-                    ) from exc
-                position += step
-                if position >= body_end:
-                    buffer += decomp.flush()
-            n_full = len(buffer) // rec_size
-            if n_full:
-                window = bytes(buffer[: n_full * rec_size])
-                del buffer[: n_full * rec_size]
-                for fields in _RECORD.iter_unpack(window):
-                    op_i, scope_i, frame, thread, size_, func_id, var_id, addr = fields
-                    if yielded >= count:
-                        raise TraceFormatError(
-                            f"{path}: record body at offset {body_off} "
-                            f"holds more than the declared {count} records"
-                        )
-                    var: Optional[VariablePath] = None
-                    if var_id != _NO_VAR:
-                        var = parsed_paths.get(var_id)
-                        if var is None:
-                            var = VariablePath.parse(variables[var_id])
-                            parsed_paths[var_id] = var
-                    yielded += 1
-                    yield TraceRecord(
-                        op=AccessType(OPS[op_i]),
-                        addr=addr,
-                        size=size_,
-                        func=funcs[func_id] if func_id != _NO_FUNC else "",
-                        scope=SCOPES[scope_i] if scope_i else None,
-                        frame=frame if frame != _NO_FIELD else None,
-                        thread=thread if thread != _NO_FIELD else None,
-                        var=var,
-                    )
-            elif position >= body_end:
-                break
-        if buffer:
-            raise TraceFormatError(
-                f"{path}: record body at offset {body_off} ends with "
-                f"{len(buffer)} trailing bytes (not a whole "
-                f"{rec_size}-byte record)"
-            )
-        if yielded != count:
-            raise TraceFormatError(
-                f"{path}: record body at offset {body_off} decoded "
-                f"{yielded} records but the header declares {count}"
-            )
+        paths = tuple(VariablePath.parse(text) for text in variables)
+        windows: Iterable[bytes] = _record_windows(
+            mm, body_off, body_len, count, path
+        )
+        if whole:
+            windows = [b"".join(windows)]
+        start = 0
+        for window in windows:
+            cols = _columns(window, start, funcs, variables, paths, path)
+            start += len(cols)
+            yield cols
     finally:
         mm.close()
 
 
+def iter_binary(path: Union[str, Path]) -> Iterator[TraceRecord]:
+    """Yield records from a compact binary trace, built one
+    decompression window at a time, so peak resident memory is one
+    window — not the whole file and not the full 20-byte-per-record
+    body (a 100M-record trace used to pin ~2 GiB before the first
+    record came out).
+    """
+    for cols in _decode(path):
+        yield from cols.records()
+
+
 def load_binary(path: Union[str, Path]) -> Trace:
-    """Read a compact binary trace."""
-    return Trace(iter_binary(path))
+    """Read a compact binary trace into a columns-backed :class:`Trace`:
+    the whole body is decompressed and read with one ``np.frombuffer``,
+    and records are built only if a consumer asks for them."""
+    (cols,) = _decode(path, whole=True)
+    return Trace.from_columns(cols)

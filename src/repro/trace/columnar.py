@@ -57,15 +57,16 @@ import numpy as np
 
 from repro.errors import TraceFormatError
 from repro.ctypes_model.path import VariablePath
-from repro.trace.binformat import _NO_FIELD, _NO_FUNC
+from repro.trace.binformat import _NO_FIELD, _NO_FUNC, widened
 from repro.trace.columns import (
     ABSENT,
-    OPS,
+    MISC_KIND,
     TraceColumns,
+    attribution_ids,
     intern_order,
     narrowed,
 )
-from repro.trace.record import AccessType, TraceRecord
+from repro.trace.record import TraceRecord
 from repro.trace.stream import DEFAULT_CHUNK_RECORDS, Trace, columns_of
 
 _MAGIC = b"TDST"
@@ -91,9 +92,6 @@ _COLUMNS: Tuple[Tuple[str, np.dtype], ...] = (
 #: Footer: record count + ``(offset, length)`` per column and per string
 #: table (functions, then variables).
 _FOOTER = struct.Struct("<Q" + "QQ" * (len(_COLUMNS) + 2))
-
-#: Op code of miscellaneous (``X``) records within the ``kind`` column.
-MISC_KIND = OPS.index("X")
 
 
 def _pad8(n: int) -> int:
@@ -348,39 +346,20 @@ class ColumnarTrace:
     ) -> Tuple[List[str], np.ndarray]:
         """Per-record attribution labels as ``(names, int64 ids)``.
 
-        Maps the ``var_id`` column through
-        :func:`repro.cache.simulator.attribution_label` — each distinct
-        variable path is parsed once, so the cost is O(distinct vars +
-        n), not O(n) path parses.  Ids are assigned in first-appearance
-        order over the *record stream* (the same order the per-record
-        pipeline produces); ``-1`` marks unattributed records.
+        Labels every table entry once, in table order, with
+        :func:`repro.trace.columns.attribution_ids` (parsing each path
+        text there, one at a time) and maps the ``var_id`` column
+        through the result, so the cost is O(distinct vars + n), not
+        O(n) path parses.  The writers intern paths in first-appearance
+        order, so ids follow the *record stream* (the same order the
+        per-record pipeline produces); ``-1`` marks unattributed records.
         """
-        from repro.cache.simulator import attribution_label
-
-        # Label per table entry, computed once per distinct path.
         table = self.variables
-        entry_labels: List[Optional[str]] = []
-        for text in table:
-            record = TraceRecord(
-                op=AccessType.LOAD,
-                addr=0,
-                size=1,
-                var=VariablePath.parse(text),
-            )
-            entry_labels.append(attribution_label(record, attribution))
-        names: List[str] = []
-        name_ids: Dict[str, int] = {}
-        entry_ids = np.full(len(table) + 1, -1, dtype=np.int64)
-        for i, label in enumerate(entry_labels):
-            if label is None:
-                continue
-            lid = name_ids.get(label)
-            if lid is None:
-                lid = name_ids[label] = len(names)
-                names.append(label)
-            entry_ids[i] = lid
-        # var_id -1 indexes the sentinel slot at the end of entry_ids.
-        return names, entry_ids[self.var_ids]
+        names, entry_ids = attribution_ids(
+            np.arange(len(table)), table, attribution
+        )
+        # var_id -1 picks the ABSENT slot appended at the end.
+        return names, np.append(entry_ids, ABSENT)[self.var_ids]
 
     # -- decoded views -------------------------------------------------------
 
@@ -395,23 +374,16 @@ class ColumnarTrace:
         """Records ``[start, stop)`` as in-memory columns (copied out of
         the map, absent markers widened to ``-1``)."""
         part = slice(start, self._count if stop is None else stop)
-        cols = self._cols
-
-        def widen(name: str, absent: int, dtype: type) -> np.ndarray:
-            raw = cols[name][part]
-            out = raw.astype(dtype)
-            out[raw == absent] = ABSENT
-            return out
-
+        cols = {name: column[part] for name, column in self._cols.items()}
         return TraceColumns(
-            kind=cols["kind"][part].copy(),
-            addr=cols["addr"][part].copy(),
-            size=cols["size"][part].astype(np.int64),
-            scope=cols["scope"][part].copy(),
-            frame=widen("frame", _NO_FIELD, np.int64),
-            thread=widen("thread", _NO_FIELD, np.int64),
-            func_id=widen("func_id", _NO_FUNC, np.int32),
-            var_id=cols["var_id"][part].copy(),
+            kind=cols["kind"].copy(),
+            addr=cols["addr"].copy(),
+            size=cols["size"].astype(np.int64),
+            scope=cols["scope"].copy(),
+            frame=widened(cols["frame"], _NO_FIELD, np.int64),
+            thread=widened(cols["thread"], _NO_FIELD, np.int64),
+            func_id=widened(cols["func_id"], _NO_FUNC, np.int32),
+            var_id=cols["var_id"].copy(),
             functions=tuple(self.functions),
             variables=tuple(self.variables),
             paths=self._paths(),

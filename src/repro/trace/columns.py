@@ -22,18 +22,22 @@ two bytes and reserve their top value as the "absent" marker;
 overflow the field, naming the field, the value and the record index.
 
 The tracer builds columns directly (one symbolisation per distinct
-symbol and offset), the writers encode them without a per-record loop,
-and :meth:`TraceColumns.records` is the one place that turns columns
-back into :class:`TraceRecord` objects — for a whole
+symbol and offset), both binary readers decode into them, the transform
+engine rewrites them, the writers encode them without a per-record
+loop, and :meth:`TraceColumns.records` is the one place that turns
+columns back into :class:`TraceRecord` objects — for a whole
 :class:`~repro.trace.stream.Trace` or window by window for
-:meth:`repro.trace.columnar.ColumnarTrace.iter_records`.  Every record
-it builds is counted in the ``trace.records_built`` telemetry counter.
+:meth:`repro.trace.columnar.ColumnarTrace.iter_records` and
+:func:`repro.trace.binformat.iter_binary`.  Every record it builds is
+counted in the ``trace.records_built`` telemetry counter.
+:func:`attribution_ids` labels a ``var_id`` column for per-variable
+simulation counts, one :func:`path_label` per distinct path.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -44,6 +48,8 @@ from repro.trace.record import AccessType, TraceRecord
 
 #: Op codes of the ``kind`` column: a record's op is ``OPS[kind]``.
 OPS = "LSMX"
+#: Op code of miscellaneous (``X``) records, which the simulators skip.
+MISC_KIND = OPS.index("X")
 #: Scope codes of the ``scope`` column; code 0 means "no scope".
 SCOPES = ("", "LV", "LS", "GV", "GS", "HV", "HS")
 SCOPE_ID = {name: i for i, name in enumerate(SCOPES)}
@@ -195,6 +201,23 @@ class TraceColumns:
         return (self.kind == OPS.index("S")) | (self.kind == OPS.index("M"))
 
 
+def first_use(ids: np.ndarray) -> np.ndarray:
+    """The distinct ids ``>= 0`` of a column, in first-appearance order.
+
+    A column whose ids first appear as 0, 1, 2, ... (the tracer's,
+    :meth:`TraceColumns.from_records`'s) passes an O(n) check; any other
+    column costs one sort.
+    """
+    used = ids[ids >= 0]
+    if not len(used):
+        return np.empty(0, dtype=np.int64)
+    top = np.maximum.accumulate(used)
+    if used[0] == 0 and not (np.diff(top) > 1).any():
+        return np.arange(int(top[-1]) + 1)
+    unique, first = np.unique(used, return_index=True)
+    return unique[np.argsort(first)]
+
+
 def intern_order(
     ids: np.ndarray, texts: Sequence[str]
 ) -> Tuple[np.ndarray, List[str]]:
@@ -207,25 +230,60 @@ def intern_order(
     passes an O(n) check and comes back unchanged.
     """
     table = list(texts)
-    used = ids[ids >= 0]
-    if len(used):
-        top = np.maximum.accumulate(used)
-        if (
-            used[0] == 0
-            and top[-1] == len(table) - 1
-            and not (np.diff(top) > 1).any()
-            and len(set(table)) == len(table)
-        ):
-            return ids, table
-    elif not table:
+    order = first_use(ids)
+    in_order = np.array_equal(order, np.arange(len(table)))
+    if in_order and len(set(table)) == len(table):
         return ids, table
-    unique, first = np.unique(used, return_index=True)
     # The extra last slot maps ABSENT (-1) to itself.
     mapping = np.full(len(table) + 1, ABSENT, dtype=np.int64)
-    order: Dict[str, int] = {}
-    for old in unique[np.argsort(first)].tolist():
-        mapping[old] = order.setdefault(table[old], len(order))
-    return mapping[ids].astype(ids.dtype), list(order)
+    interned: Dict[str, int] = {}
+    for old in order.tolist():
+        mapping[old] = interned.setdefault(table[old], len(interned))
+    return mapping[ids].astype(ids.dtype), list(interned)
+
+
+def path_label(path: VariablePath, mode: str) -> str:
+    """The attribution label of one variable path.
+
+    - ``"base"``  — the root variable name (``lSoA``), the default;
+    - ``"member"``— root plus field names with indices stripped
+      (``lSoA.mX``), which separates the per-field series the paper's
+      Figure 3 plots for the structure-of-arrays layout.
+    """
+    if mode == "base":
+        return path.base
+    if mode == "member":
+        fields = path.field_names()
+        if fields:
+            return path.base + "." + ".".join(fields)
+        return path.base
+    raise ValueError(f"unknown attribution mode {mode!r}")
+
+
+def attribution_ids(
+    var_id: np.ndarray,
+    paths: Sequence[Union[VariablePath, str]],
+    mode: str,
+) -> Tuple[List[str], np.ndarray]:
+    """Per-record attribution labels of a ``var_id`` column as
+    ``(names, int64 ids)``.
+
+    Each table entry the column uses is labelled once
+    (:func:`path_label`); an entry given as its text is parsed then, and
+    not kept.  Names are numbered in the order the records first use
+    them; a label only unused table entries carry is left out, and
+    ``-1`` marks records without a variable.
+    """
+    lut = np.full(len(paths) + 1, ABSENT, dtype=np.int64)
+    label_ids: Dict[str, int] = {}
+    for entry in first_use(var_id).tolist():
+        path = paths[entry]
+        if isinstance(path, str):
+            path = VariablePath.parse(path)
+        label = path_label(path, mode)
+        lut[entry] = label_ids.setdefault(label, len(label_ids))
+    # var_id -1 indexes the ABSENT slot at the end of lut.
+    return list(label_ids), lut[var_id]
 
 
 def narrowed(

@@ -8,9 +8,10 @@ cache simulator.
 
 A trace holds either a record list or
 :class:`~repro.trace.columns.TraceColumns` (the columnar v2 column set
-with its function and variable-path tables), or both.  The tracer
-returns a columns-backed trace: its length, projections, slices and
-both binary writers read the columns, and the record list is built once,
+with its function and variable-path tables), or both.  The tracer, both
+binary readers and the transform engine return columns-backed traces:
+their length, projections, slices, both binary writers and the fast
+simulation path read the columns, and the record list is built once,
 on first record access, by the shared materialiser
 (:meth:`TraceColumns.records`).  A trace built from records derives
 columns only when a column consumer (a writer) asks for them, and does

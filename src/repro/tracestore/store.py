@@ -30,7 +30,8 @@ import numpy as np
 from repro.errors import TraceFormatError
 from repro.obsv.atomic import atomic_write
 from repro.obsv.telemetry import get_telemetry
-from repro.trace.columnar import MISC_KIND, ColumnarTrace, save_columnar
+from repro.trace.columnar import ColumnarTrace, save_columnar
+from repro.trace.columns import MISC_KIND
 from repro.trace.record import TraceRecord
 from repro.trace.stream import (
     DEFAULT_CHUNK_RECORDS,
@@ -117,10 +118,11 @@ class TraceStore:
             raise TraceFormatError(f"{self.root}: no blob {bid}")
         return ColumnarTrace(path)
 
-    def read_chunk(self, bid: str) -> List[TraceRecord]:
-        """Decode one chunk blob back to records."""
+    def read_chunk(self, bid: str) -> Trace:
+        """Decode one chunk blob into a columns-backed trace (records are
+        built only if a consumer asks for them)."""
         with self.open_blob(bid) as columnar:
-            return list(columnar.iter_records())
+            return columnar.to_trace()
 
     # -- commits -------------------------------------------------------------
 

@@ -8,12 +8,21 @@ a chunk whose variable footprint is disjoint from the edit's changed set
 is provably transformed identically by both rule files, so its old blob
 is linked into the new commit without running the engine at all.
 
+Chunks that do need the engine go through one
+:class:`~repro.transform.engine.TransformEngine` in commit order, as
+columns: :meth:`TraceStore.read_chunk` decodes a blob into a
+columns-backed trace, the engine rewrites its columns (one plan per
+distinct variable path, carried from chunk to chunk, so pool slots,
+learned bases and ``existing`` injects continue across chunk cuts) and
+:meth:`TraceStore.put_chunk` stores the output columns.  No record
+object is built.
+
 Correctness argument, spelled out because it is the whole point:
 
-- the engine's per-record translation is a pure function of (rule
-  content, allocation bases, record) once pattern rules and ``existing``
-  injects are excluded — and :func:`rule_delta` degrades to conservative
-  mode whenever either appears;
+- the engine's translation of a record is a pure function of (rule
+  content, allocation bases, variable path, address) once pattern rules
+  and ``existing`` injects are excluded — and :func:`rule_delta`
+  degrades to conservative mode whenever either appears;
 - allocation bases are compared via the lint arena replay, so an edit
   that shifts a *later, textually identical* rule's base still marks
   that rule's variables changed;
@@ -114,12 +123,7 @@ def apply_rules(
                 chunks.append(prev.chunks[i])
                 reused += 1
                 continue
-            records = store.read_chunk(base_chunk.blob)
-            out = [
-                emitted
-                for record in records
-                for emitted in engine.transform_record(record)
-            ]
+            out = engine.transform(store.read_chunk(base_chunk.blob)).trace
             chunks.append(store.put_chunk(out))
             transformed += 1
         tele.add("tracestore.chunks_reused", reused)

@@ -15,6 +15,20 @@ Implements the five-step process of the paper's Section IV:
    ``transformed_trace.out``.
 5. **Compare** — :func:`repro.trace.diff.diff_traces` on
    ``result.original`` / ``result.trace``.
+
+Steps 2 and 3 depend only on a record's variable path, so the engine
+works them out once per distinct path — a *plan*: the outcome, the
+target address or displacement, the accesses to insert and the in-type
+offset and element size the validity check needs — and then rewrites the
+trace's columns (:class:`~repro.trace.columns.TraceColumns`) with numpy.
+Injected accesses are laid out with one ``np.repeat``; an ``existing``
+inject re-reads the last record of its variable through a running
+last-index gather.  Plans are built in the order paths first appear in
+the record stream (a pool rule assigns slots on first touch), and the
+plans, the report, the learned in-structure bases and the last record
+of every variable an ``existing`` inject reads carry over between calls
+on one engine, so a trace transformed in pieces equals the trace
+transformed whole.
 """
 
 from __future__ import annotations
@@ -22,20 +36,17 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
+from typing import Dict, Iterable, List, NamedTuple, Sequence, Set, Tuple, Union
+
+import numpy as np
 
 from repro.errors import TransformError
 from repro.ctypes_model.path import VariablePath
 from repro.obsv.telemetry import get_telemetry
+from repro.trace.columns import OPS, SCOPE_ID, SCOPES, TraceColumns, first_use
 from repro.trace.record import TraceRecord
 from repro.trace.stream import Trace
-from repro.transform.rules import (
-    InsertedAccess,
-    MappedAccess,
-    Rule,
-    RuleSet,
-    Translation,
-)
+from repro.transform.rules import InsertedAccess, Rule, RuleSet, Translation
 
 #: Default base of the transformation arena: well above the program stack
 #: so synthesised objects never collide with traced addresses.
@@ -95,8 +106,88 @@ class TransformResult:
         return target
 
 
+#: What a plan does with the records of its path.
+_NO_VAR, _PASS, _OUT, _UNCOVERED, _MAPPED, _DISPLACED = range(6)
+
+_ADDR_MAX = 2**64 - 1
+
+#: ``_RESCOPE[suffix, scope]``: the scope code of a mapped access — the
+#: record's L/G/H segment (L when it has none) with a V (0) or S (1)
+#: suffix.
+_RESCOPE = np.array(
+    [[SCOPE_ID[(name[:1] or "L") + suffix] for name in SCOPES] for suffix in "VS"],
+    dtype=np.uint8,
+)
+
+
+class _Plan(NamedTuple):
+    """What the engine does with every record of one variable path."""
+
+    outcome: int
+    #: base-name id of the path (-1: records without a variable)
+    base: int = -1
+    #: index of the matched rule (-1: no rule)
+    rule: int = -1
+    #: mapped: the target address; displaced: the delta modulo 2**64
+    addr: int = 0
+    #: displaced: the lowest and highest address the shift keeps in range
+    lo: int = 0
+    hi: int = _ADDR_MAX
+    #: new-path id of the target (or renamed) path; -1 keeps the record's
+    path: int = -1
+    #: 0/1: recompute the scope with a V/S suffix; -1 keeps the record's
+    scope: int = -1
+    #: in-type offset and element size for the validity check (-1: none)
+    check_off: int = -1
+    check_size: int = 0
+    #: the accesses to insert before the target: a run of rows in the
+    #: engine's insert table
+    ins_start: int = 0
+    ins_n: int = 0
+
+
+class _Insert(NamedTuple):
+    """One access a plan inserts before its target."""
+
+    op: int
+    #: base-name id an ``existing`` inject re-reads (-1: a mapped access)
+    base: int = -1
+    addr: int = 0
+    size: int = 0
+    scope: int = 0
+    path: int = -1
+
+
+class _Seen(NamedTuple):
+    """The last record of a variable an ``existing`` inject re-reads."""
+
+    addr: int
+    size: int
+    scope: int
+    frame: int
+    thread: int
+    path: int
+
+
+def _arrays(
+    rows: Sequence[Tuple[int, ...]], dtypes: Dict[str, type]
+) -> Dict[str, np.ndarray]:
+    """A table of named-tuple rows as one numpy array per field."""
+    columns = zip(*rows) if rows else ((),) * len(dtypes)
+    return {
+        name: np.array(column, dtype=dtypes[name])
+        for name, column in zip(dtypes, columns)
+    }
+
+
+_PLAN_DTYPES: Dict[str, type] = {name: np.int64 for name in _Plan._fields}
+_PLAN_DTYPES.update(addr=np.uint64, lo=np.uint64, hi=np.uint64)
+_INSERT_DTYPES: Dict[str, type] = {name: np.int64 for name in _Insert._fields}
+_INSERT_DTYPES.update(addr=np.uint64)
+
+
 class TransformEngine:
-    """Applies a rule set to trace records.
+    """Applies a rule set to traces.
 
     Parameters
     ----------
@@ -119,6 +210,8 @@ class TransformEngine:
         self.rules = rules if isinstance(rules, RuleSet) else _to_ruleset(rules)
         self.strict = strict
         self.report = TransformReport()
+        self._rules: List[Rule] = list(self.rules)
+        self._rule_ids = {id(rule): i for i, rule in enumerate(self._rules)}
         self._by_in: Dict[str, Rule] = {
             r.in_name: r for r in self.rules if not r.is_pattern
         }
@@ -140,139 +233,186 @@ class TransformEngine:
                 cursor += alloc.size
         #: learned base address of each in variable (validity checking)
         self._in_bases: Dict[str, int] = {}
-        #: last seen address/metadata per variable base name (for
-        #: ``existing`` inject specs)
-        self._last_seen: Dict[str, TraceRecord] = {}
+        #: one plan per distinct path text (plan 0: no variable)
+        self._plans: List[_Plan] = [_Plan(_NO_VAR)]
+        self._plan_of: Dict[str, int] = {}
+        self._inserts: List[_Insert] = []
+        #: insert tuple (by identity) -> its first insert-table row
+        self._insert_runs: Dict[int, Tuple[Tuple[InsertedAccess, ...], int]] = {}
+        #: the two tables as numpy columns, extended as rows are added
+        self._plan_columns = _arrays([], _PLAN_DTYPES)
+        self._insert_columns = _arrays([], _INSERT_DTYPES)
+        #: base-name ids, and the paths the engine creates (every output
+        #: table lists them after the input trace's own paths)
+        self._base_ids: Dict[str, int] = {}
+        self._new_paths: List[VariablePath] = []
+        self._new_texts: List[str] = []
+        self._new_ids: Dict[str, int] = {}
+        #: base ids ``existing`` injects re-read, and the last record of
+        #: each seen so far
+        self._watched: Set[int] = {
+            self._base_id(spec.name)
+            for rule in self.rules
+            for spec in getattr(rule, "inject", ())
+            if spec.existing
+        }
+        self._last_seen: Dict[int, _Seen] = {}
 
-    # -- per-record transformation ------------------------------------------
+    # -- plans ---------------------------------------------------------------
 
-    def transform_record(self, record: TraceRecord) -> List[TraceRecord]:
-        """Steps 2-3 for one record; returns the replacement list."""
-        self.report.total += 1
-        if record.var is not None:
-            self._last_seen[record.var.base] = record
-        if record.var is None:
-            self.report.passthrough += 1
-            return [record]
-        base = record.var.base
+    def _base_id(self, name: str) -> int:
+        return self._base_ids.setdefault(name, len(self._base_ids))
+
+    def _path_id(self, path: VariablePath) -> int:
+        """Id of a path the engine creates (one per distinct text)."""
+        text = str(path)
+        pid = self._new_ids.setdefault(text, len(self._new_paths))
+        if pid == len(self._new_paths):
+            self._new_paths.append(path)
+            self._new_texts.append(text)
+        return pid
+
+    def _plan(self, path: VariablePath) -> int:
+        """Steps 2-3 for one path: match it and translate it once."""
+        base = path.base
+        base_id = self._base_id(base)
         if base in self._out_names:
             # Same nesting as an out rule: "the simulator will simply
             # ignore it" — mapping is not bi-directional.
-            self.report.ignored_out += 1
-            return [record]
-        rule = self._by_in.get(base)
-        if rule is None:
-            for candidate in self._pattern_rules:
-                if candidate.matches(base):
-                    rule = candidate
-                    break
-        if rule is None:
-            self.report.passthrough += 1
-            return [record]
-        if rule.is_pattern:
-            translation = rule.translate_named(base, record.var.elements)
+            plan = _Plan(_OUT, base_id)
         else:
-            translation = rule.translate(record.var.elements)
-        if translation is None:
-            self.report.uncovered += 1
-            return [record]
-        self._check_consistency(rule, record)
-        out: List[TraceRecord] = []
-        for insert in translation.inserts:
-            out.append(self._materialise_insert(record, insert))
-            self.report.inserted += 1
-        out.append(self._materialise_target(record, translation))
-        self.report.transformed += 1
-        self.report.per_rule[rule.name] += 1
-        return out
+            rule = self._by_in.get(base)
+            if rule is None:
+                for candidate in self._pattern_rules:
+                    if candidate.matches(base):
+                        rule = candidate
+                        break
+            if rule is None:
+                plan = _Plan(_PASS, base_id)
+            else:
+                if rule.is_pattern:
+                    translation = rule.translate_named(base, path.elements)
+                else:
+                    translation = rule.translate(path.elements)
+                if translation is None:
+                    plan = _Plan(_UNCOVERED, base_id)
+                else:
+                    plan = self._moved(base_id, rule, path, translation)
+        self._plans.append(plan)
+        return len(self._plans) - 1
 
-    def _check_consistency(self, rule: Rule, record: TraceRecord) -> None:
-        """Validate size and learned base address of the in structure."""
+    def _moved(
+        self, base_id: int, rule: Rule, path: VariablePath, translation: Translation
+    ) -> _Plan:
+        """The plan of a path a rule translates."""
+        check_off, check_size = -1, 0
         in_type = getattr(rule, "in_type", None)
-        if in_type is None:
-            return  # rule kinds without a declared in layout (displace)
-        try:
-            offset, leaf = in_type.resolve(record.var.elements)
-        except Exception:
-            return
-        if record.size != leaf.size:
-            self.report.size_mismatches += 1
-            if self.strict:
-                raise TransformError(
-                    f"{record.var}: access size {record.size} != "
-                    f"element size {leaf.size}"
-                )
-        base = record.addr - offset
-        known = self._in_bases.setdefault(rule.in_name, base)
-        if known != base:
-            self.report.base_inconsistencies += 1
-            if self.strict:
-                raise TransformError(
-                    f"{rule.in_name}: inconsistent base address "
-                    f"{base:#x} (expected {known:#x}) at {record.var}"
-                )
-
-    def _scope_for(self, record: TraceRecord, mapped: MappedAccess) -> str:
-        """New scope code: keep the L/G/H segment, recompute V vs S."""
-        prefix = record.scope[0] if record.scope else "L"
-        suffix = "S" if mapped.elements else "V"
-        return prefix + suffix
-
-    def _materialise_target(
-        self, record: TraceRecord, translation: Translation
-    ) -> TraceRecord:
-        if translation.address_delta is not None:
+        if in_type is not None:  # rule kinds without one (displace) skip the check
+            try:
+                offset, leaf = in_type.resolve(path.elements)
+            except Exception:
+                pass
+            else:
+                check_off, check_size = offset, leaf.size
+        ins_start = ins_n = 0
+        inserts = translation.inserts
+        if inserts:
+            # A rule that hands out one shared tuple (a stride rule's
+            # injects) gets one run of rows; the entry keeps the tuple
+            # alive, so its id cannot be reused by another tuple.
+            kept, ins_start = self._insert_runs.get(id(inserts), ((), -1))
+            if kept is not inserts:
+                ins_start = len(self._inserts)
+                self._insert_runs[id(inserts)] = (inserts, ins_start)
+                self._inserts.extend(map(self._insert, inserts))
+            ins_n = len(inserts)
+        rule_id = self._rule_ids[id(rule)]
+        delta = translation.address_delta
+        if delta is not None:
             # Displacement mode: shift in place, optionally rename.
-            var = record.var
-            if translation.rename is not None and var is not None:
-                var = var.with_base(translation.rename)
-            return record.evolve(
-                addr=record.addr + translation.address_delta, var=var
+            lo, hi = max(0, -delta), min(_ADDR_MAX, _ADDR_MAX - delta)
+            if lo > hi:  # the shift moves every address out of range
+                lo, hi = _ADDR_MAX, 0
+            renamed = (
+                -1
+                if translation.rename is None
+                else self._path_id(path.with_base(translation.rename))
+            )
+            return _Plan(
+                _DISPLACED,
+                base_id,
+                rule_id,
+                addr=delta % 2**64,
+                lo=lo,
+                hi=hi,
+                path=renamed,
+                check_off=check_off,
+                check_size=check_size,
+                ins_start=ins_start,
+                ins_n=ins_n,
             )
         mapped = translation.target
-        addr = self.allocations[mapped.alloc] + mapped.offset
-        return record.evolve(
-            addr=addr,
-            var=VariablePath(mapped.alloc, mapped.elements),
-            scope=self._scope_for(record, mapped),
+        return _Plan(
+            _MAPPED,
+            base_id,
+            rule_id,
+            addr=self.allocations[mapped.alloc] + mapped.offset,
+            path=self._path_id(VariablePath(mapped.alloc, mapped.elements)),
+            scope=1 if mapped.elements else 0,
+            check_off=check_off,
+            check_size=check_size,
+            ins_start=ins_start,
+            ins_n=ins_n,
         )
 
-    def _materialise_insert(
-        self, record: TraceRecord, insert: InsertedAccess
-    ) -> TraceRecord:
+    def _insert(self, insert: InsertedAccess) -> _Insert:
+        op = OPS.index(insert.op)
         if insert.existing_var is not None:
-            seen = self._last_seen.get(insert.existing_var)
-            if seen is not None:
-                return seen.evolve(op=insert.op, func=record.func)
-            raise TransformError(
-                f"inject references {insert.existing_var!r} which has not "
-                "appeared in the trace"
-            )
-        assert insert.mapped is not None
+            base = self._base_id(insert.existing_var)
+            self._watched.add(base)
+            return _Insert(op, base)
         mapped = insert.mapped
-        addr = self.allocations[mapped.alloc] + mapped.offset
-        scope = self._alloc_scope.get(mapped.alloc, "LV")
-        if mapped.elements:
-            scope = scope[0] + "S"
-        else:
-            scope = scope[0] + "V"
-        return record.evolve(
-            op=insert.op,
-            addr=addr,
+        assert mapped is not None
+        scope = self._alloc_scope.get(mapped.alloc, "LV")[0]
+        scope += "S" if mapped.elements else "V"
+        return _Insert(
+            op,
+            addr=self.allocations[mapped.alloc] + mapped.offset,
             size=insert.size,
-            var=VariablePath(mapped.alloc, mapped.elements),
-            scope=scope,
+            scope=SCOPE_ID.get(scope, 0),
+            path=self._path_id(VariablePath(mapped.alloc, mapped.elements)),
         )
+
+    def _plan_tables(self) -> Tuple[Dict[str, np.ndarray], Dict[str, np.ndarray]]:
+        """The plan and insert tables as numpy columns, extended by the
+        rows added since the last call."""
+        for rows, dtypes, table in (
+            (self._plans, _PLAN_DTYPES, self._plan_columns),
+            (self._inserts, _INSERT_DTYPES, self._insert_columns),
+        ):
+            done = len(next(iter(table.values())))
+            if len(rows) > done:
+                for name, column in _arrays(rows[done:], dtypes).items():
+                    table[name] = np.concatenate([table[name], column])
+        return self._plan_columns, self._insert_columns
+
+    @staticmethod
+    def _target_addresses(
+        addr: np.ndarray, shifted: np.ndarray, plan_addr: np.ndarray
+    ) -> np.ndarray:
+        """Step 3's new address of each transformed record: its plan's
+        target address, or (``shifted``) its own address plus the plan's
+        displacement, modulo 2**64."""
+        return np.where(shifted, addr + plan_addr, plan_addr)
 
     # -- whole-trace APIs --------------------------------------------------------
 
-    def stream(self, records: Iterable[TraceRecord]) -> Iterator[TraceRecord]:
-        """Transform lazily (for feeding a simulator without a copy)."""
-        for record in records:
-            yield from self.transform_record(record)
-
     def transform(self, records: Iterable[TraceRecord]) -> TransformResult:
-        """Transform a full trace, keeping the original for diffing."""
+        """Transform a trace, keeping the original for diffing.
+
+        Successive calls continue one stream: a trace transformed in
+        pieces, one call per piece, equals the trace transformed whole.
+        """
         tele = get_telemetry()
         if not tele.enabled:
             return self._transform(records)
@@ -285,17 +425,259 @@ class TransformEngine:
         return result
 
     def _transform(self, records: Iterable[TraceRecord]) -> TransformResult:
-        """Uninstrumented :meth:`transform` body (the overhead baseline)."""
+        """Uninstrumented :meth:`transform` body."""
         original = records if isinstance(records, Trace) else Trace(records)
-        out = Trace()
-        for record in original:
-            out.extend(self.transform_record(record))
         return TransformResult(
             original=original,
-            trace=out,
+            trace=Trace.from_columns(self._apply(original.columns())),
             report=self.report,
             allocations=dict(self.allocations),
         )
+
+    def _apply(self, cols: TraceColumns) -> TraceColumns:
+        """Rewrite one piece of the stream.  The report, the learned
+        bases and the last records seen change only if the piece
+        transforms without error (the plans built for it are kept)."""
+        plan = self._plan_records(cols)
+        plans, inserts = self._plan_tables()
+        errors: List[Tuple[int, int, str]] = []
+        size_bad, base_bad, learned = self._validity(cols, plan, plans, errors)
+        self._check_displacements(cols, plan, plans, errors)
+
+        # Layout: each record's plan inserts come first, then the record.
+        n_ins = plans["ins_n"][plan]
+        width = n_ins + 1
+        target = np.cumsum(width) - 1
+        rec = np.flatnonzero(n_ins)
+        k = n_ins[rec]
+        ins_rec = np.repeat(rec, k)
+        ins_j = np.arange(len(ins_rec)) - np.repeat(np.cumsum(k) - k, k)
+        ins_slot = target[ins_rec] - n_ins[ins_rec] + ins_j
+        ins_row = plans["ins_start"][plan[ins_rec]] + ins_j
+        ins_base = inserts["base"][ins_row]
+        last, sources = self._existing_sources(cols, plan, plans, ins_base, ins_rec, errors)
+        if errors:
+            raise TransformError(min(errors)[2])
+
+        # The output: every input column repeated over its record's slots,
+        # then the targets and inserts overwritten.
+        n_entries = len(cols.paths)
+        out = {
+            name: np.repeat(getattr(cols, name), width)
+            for name in ("kind", "addr", "size", "scope", "frame", "thread", "func_id", "var_id")
+        }
+        outcome = plans["outcome"][plan]
+        moved = np.flatnonzero(outcome >= _MAPPED)
+        slot, mplan = target[moved], plan[moved]
+        out["addr"][slot] = self._target_addresses(
+            cols.addr[moved], outcome[moved] == _DISPLACED, plans["addr"][mplan]
+        )
+        new_path = plans["path"][mplan]
+        renamed = new_path >= 0
+        out["var_id"][slot[renamed]] = n_entries + new_path[renamed]
+        suffix = plans["scope"][mplan]
+        rescoped = suffix >= 0
+        out["scope"][slot[rescoped]] = _RESCOPE[
+            suffix[rescoped], cols.scope[moved[rescoped]]
+        ]
+        out["kind"][ins_slot] = inserts["op"][ins_row]
+        fixed = ins_base < 0
+        s, r = ins_slot[fixed], ins_row[fixed]
+        out["addr"][s] = inserts["addr"][r]
+        out["size"][s] = inserts["size"][r]
+        out["scope"][s] = inserts["scope"][r]
+        out["var_id"][s] = n_entries + inserts["path"][r]
+        for b, (sel, src) in sources.items():
+            inside = src >= 0
+            s, j = ins_slot[sel[inside]], src[inside]
+            for name in ("addr", "size", "scope", "frame", "thread", "var_id"):
+                out[name][s] = getattr(cols, name)[j]
+            s = ins_slot[sel[~inside]]
+            if len(s):
+                seen = self._last_seen[b]
+                for name in ("addr", "size", "scope", "frame", "thread"):
+                    out[name][s] = getattr(seen, name)
+                out["var_id"][s] = n_entries + seen.path
+
+        result = TraceColumns(
+            **out,
+            functions=cols.functions,
+            variables=(*cols.variables, *self._new_texts),
+            paths=(*cols.paths, *self._new_paths),
+        )
+        self._commit(cols, plan, plans, size_bad, base_bad, learned, last)
+        return result
+
+    def _plan_records(self, cols: TraceColumns) -> np.ndarray:
+        """Each record's plan id, building a plan for every path the
+        piece uses that has none yet, in the order paths first appear."""
+        # The last slot serves var_id -1 (plan 0: no variable).
+        entry_plan = np.zeros(len(cols.paths) + 1, dtype=np.int64)
+        for entry in first_use(cols.var_id).tolist():
+            text = cols.variables[entry]
+            pid = self._plan_of.get(text)
+            if pid is None:
+                pid = self._plan_of[text] = self._plan(cols.paths[entry])
+            entry_plan[entry] = pid
+        return entry_plan[cols.var_id]
+
+    def _validity(
+        self,
+        cols: TraceColumns,
+        plan: np.ndarray,
+        plans: Dict[str, np.ndarray],
+        errors: List[Tuple[int, int, str]],
+    ) -> Tuple[np.ndarray, np.ndarray, Dict[str, int]]:
+        """Step 2's checks: the element size, then the in structure's
+        base address (learned from its first checked record).  Returns
+        the size and base anomaly masks and the newly learned bases;
+        under ``strict`` the first anomaly of each kind is an error."""
+        addr = cols.addr
+        check_off = plans["check_off"][plan]
+        checked = check_off >= 0
+        size_bad = checked & (cols.size != plans["check_size"][plan])
+        base_bad = np.zeros(len(cols), dtype=bool)
+        learned: Dict[str, int] = {}
+        expected: Dict[int, int] = {}
+        rule = plans["rule"][plan]
+        if checked.any():
+            known = np.zeros(len(self._rules), dtype=np.uint64)
+            for r in np.flatnonzero(np.bincount(rule[checked])).tolist():
+                name = self._rules[r].in_name
+                value = self._in_bases.get(name)
+                if value is None:
+                    i = int(np.argmax(checked & (rule == r)))
+                    value = learned[name] = int(addr[i]) - int(check_off[i])
+                expected[r] = value
+                known[r] = value % 2**64
+            # Modulo 2**64 like the known values: equal bases stay equal.
+            base_bad = checked & (addr - check_off.astype(np.uint64) != known[rule])
+        if self.strict and size_bad.any():
+            i = int(np.argmax(size_bad))
+            errors.append(
+                (
+                    i,
+                    0,
+                    f"{cols.paths[cols.var_id[i]]}: access size {cols.size[i]} "
+                    f"!= element size {plans['check_size'][plan[i]]}",
+                )
+            )
+        if self.strict and base_bad.any():
+            i = int(np.argmax(base_bad))
+            r = int(rule[i])
+            errors.append(
+                (
+                    i,
+                    1,
+                    f"{self._rules[r].in_name}: inconsistent base address "
+                    f"{int(addr[i]) - int(check_off[i]):#x} (expected "
+                    f"{expected[r]:#x}) at {cols.paths[cols.var_id[i]]}",
+                )
+            )
+        return size_bad, base_bad, learned
+
+    def _check_displacements(
+        self,
+        cols: TraceColumns,
+        plan: np.ndarray,
+        plans: Dict[str, np.ndarray],
+        errors: List[Tuple[int, int, str]],
+    ) -> None:
+        """A displacement must keep every address inside [0, 2**64)."""
+        addr = cols.addr
+        outside = (plans["outcome"][plan] == _DISPLACED) & (
+            (addr < plans["lo"][plan]) | (addr > plans["hi"][plan])
+        )
+        if outside.any():
+            i = int(np.argmax(outside))
+            delta = int(plans["addr"][plan[i]])
+            delta -= 2**64 if delta > _ADDR_MAX // 2 else 0
+            errors.append(
+                (
+                    i,
+                    3,
+                    f"{self._rules[int(plans['rule'][plan[i]])].name}: displacing "
+                    f"{cols.paths[cols.var_id[i]]} at record {self.report.total + i} "
+                    f"moves address {int(addr[i]):#x} to {int(addr[i]) + delta:#x}, "
+                    "outside [0, 2**64)",
+                )
+            )
+
+    def _existing_sources(
+        self,
+        cols: TraceColumns,
+        plan: np.ndarray,
+        plans: Dict[str, np.ndarray],
+        ins_base: np.ndarray,
+        ins_rec: np.ndarray,
+        errors: List[Tuple[int, int, str]],
+    ) -> Tuple[Dict[int, np.ndarray], Dict[int, Tuple[np.ndarray, np.ndarray]]]:
+        """Where each ``existing`` inject reads from: the last record (at
+        or before its own) of the variable, ``-1`` for the last one of an
+        earlier piece.  Returns the running last-index per watched base
+        this piece touches, and ``{base: (insert positions, sources)}``."""
+        rec_base = plans["base"][plan]
+        positions = np.arange(len(cols))
+        last: Dict[int, np.ndarray] = {}
+        for b in self._watched:
+            hit = rec_base == b
+            if hit.any():
+                last[b] = np.maximum.accumulate(np.where(hit, positions, -1))
+        sources: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
+        for b in np.flatnonzero(np.bincount(ins_base[ins_base >= 0])).tolist():
+            sel = np.flatnonzero(ins_base == b)
+            src = last[b][ins_rec[sel]] if b in last else np.full(len(sel), -1)
+            sources[b] = (sel, src)
+            if b not in self._last_seen and (src < 0).any():
+                name = next(n for n, v in self._base_ids.items() if v == b)
+                errors.append(
+                    (
+                        int(ins_rec[sel[np.argmax(src < 0)]]),
+                        2,
+                        f"inject references {name!r} which has not "
+                        "appeared in the trace",
+                    )
+                )
+        return last, sources
+
+    def _commit(
+        self,
+        cols: TraceColumns,
+        plan: np.ndarray,
+        plans: Dict[str, np.ndarray],
+        size_bad: np.ndarray,
+        base_bad: np.ndarray,
+        learned: Dict[str, int],
+        last: Dict[int, np.ndarray],
+    ) -> None:
+        """Book a transformed piece: counters, learned bases, and the last
+        record of every watched variable it touched."""
+        report = self.report
+        counts = np.bincount(plan, minlength=len(self._plans))
+        used = np.flatnonzero(counts)
+        c, o = counts[used], plans["outcome"][used]
+        report.total += len(cols)
+        report.passthrough += int(c[o <= _PASS].sum())
+        report.ignored_out += int(c[o == _OUT].sum())
+        report.uncovered += int(c[o == _UNCOVERED].sum())
+        hit = o >= _MAPPED
+        report.transformed += int(c[hit].sum())
+        report.inserted += int((c * plans["ins_n"][used]).sum())
+        for r, count in zip(plans["rule"][used][hit].tolist(), c[hit].tolist()):
+            report.per_rule[self._rules[r].name] += count
+        report.size_mismatches += int(size_bad.sum())
+        report.base_inconsistencies += int(base_bad.sum())
+        self._in_bases.update(learned)
+        for b, positions in last.items():
+            i = int(positions[-1])
+            self._last_seen[b] = _Seen(
+                int(cols.addr[i]),
+                int(cols.size[i]),
+                int(cols.scope[i]),
+                int(cols.frame[i]),
+                int(cols.thread[i]),
+                self._path_id(cols.paths[cols.var_id[i]]),
+            )
 
 
 def _to_ruleset(rules: Iterable[Rule]) -> RuleSet:

@@ -39,9 +39,14 @@ def leaf_key(elements: Sequence[PathElement]) -> LeafKey:
     ``lSoA.mX[3]`` and ``lAoS[3].mX`` produce the same key
     ``(("mX",), (3,))`` — exactly the identity the paper matches on.
     """
-    names = tuple(e.name for e in elements if isinstance(e, Field))
-    indices = tuple(e.value for e in elements if isinstance(e, Index))
-    return names, indices
+    names: List[str] = []
+    indices: List[int] = []
+    for e in elements:
+        if isinstance(e, Field):
+            names.append(e.name)
+        elif isinstance(e, Index):
+            indices.append(e.value)
+    return tuple(names), tuple(indices)
 
 
 @dataclass(frozen=True)
@@ -243,7 +248,53 @@ class LayoutRule(Rule):
         )
 
 
-class OutlineRule(Rule):
+def _split_index(
+    elements: Sequence[PathElement], length: int
+) -> Tuple[Optional[int], Tuple[PathElement, ...], Tuple[PathElement, ...]]:
+    """``(index, prefix, rest)`` of a path into an array of ``length``
+    structs (a lone struct when ``length`` is 1): the leading ``[i]``,
+    as an int and as the prefix to keep, and the elements after it.
+    ``index`` is ``None`` when an array path lacks its leading index."""
+    elements = tuple(elements)
+    if length <= 1:
+        return 0, (), elements
+    if not elements or not isinstance(elements[0], Index):
+        return None, (), ()
+    return elements[0].value, elements[:1], elements[1:]
+
+
+class _PointerLoads:
+    """The inserted pointer load of a split rule's cold accesses.
+
+    One tuple per element index, shared by every cold access of that
+    element, so the engine lays out each element's load once.
+    """
+
+    _out_name: str
+    pointer_member: str
+    out_elem: StructType
+    _ptr_offset: int
+    _pointer_loads: Dict[int, Tuple[InsertedAccess, ...]]
+
+    def _pointer_load(
+        self, index: int, prefix: Tuple[PathElement, ...]
+    ) -> Tuple[InsertedAccess, ...]:
+        loads = self._pointer_loads
+        load = loads.get(index)
+        if load is None:
+            pointer_access = MappedAccess(
+                self._out_name,
+                (*prefix, Field(self.pointer_member)),
+                index * self.out_elem.size + self._ptr_offset,
+                8,
+            )
+            load = loads[index] = (
+                InsertedAccess(AccessType.LOAD, mapped=pointer_access, size=8),
+            )
+        return load
+
+
+class OutlineRule(_PointerLoads, Rule):
     """T2: outline a nested member into a storage pool behind a pointer.
 
     Accesses to the hot members are re-laid into the new outer structure;
@@ -299,6 +350,7 @@ class OutlineRule(Rule):
                 f"{self.name}: out member {pointer_member!r} must be a pointer"
             )
         self._ptr_offset = ptr.offset
+        self._pointer_loads = {}
         # Hot members map by name between in and out structs.
         self._hot: Dict[str, Tuple[int, int]] = {}
         for f in self.in_elem.fields:
@@ -358,20 +410,11 @@ class OutlineRule(Rule):
         )
 
     def translate(self, elements: Sequence[PathElement]) -> Optional[Translation]:
-        elems = list(elements)
         # Normalise the optional leading index ([i] for array rules).
-        if self.length > 1:
-            if not elems or not isinstance(elems[0], Index):
-                return None
-            index = elems[0].value
-            rest = elems[1:]
-        else:
-            index = 0
-            rest = elems
-        if not rest or not isinstance(rest[0], Field):
+        index, prefix, rest = _split_index(elements, self.length)
+        if index is None or not rest or not isinstance(rest[0], Field):
             return None
         head = rest[0].name
-        out_stride = self.out_elem.size
         if head == self.pointer_member:
             # Cold access: pointer load + storage access.
             cold_elements = rest[1:]
@@ -381,49 +424,34 @@ class OutlineRule(Rule):
                 return None
             if not s_leaf.is_scalar:
                 return None
-            storage_stride = self.storage_elem.size
-            prefix: Tuple[PathElement, ...] = (
-                (Index(index),) if self.length > 1 else ()
-            )
-            pointer_access = MappedAccess(
-                self._out_name,
-                (*prefix, Field(self.pointer_member)),
-                index * out_stride + self._ptr_offset,
-                8,
-            )
             target = MappedAccess(
                 self.storage_name,
-                (*prefix, *cold_elements),
-                index * storage_stride + s_offset,
+                prefix + cold_elements,
+                index * self.storage_elem.size + s_offset,
                 s_leaf.size,
             )
-            return Translation(
-                target,
-                inserts=(InsertedAccess(AccessType.LOAD, mapped=pointer_access, size=8),),
-            )
+            return Translation(target, inserts=self._pointer_load(index, prefix))
         # Hot access: relocate into the out struct.
         entry = self._hot.get(head)
         if entry is None:
             return None
-        base_offset, _ = entry
         try:
             rel_offset, leaf = self.out_elem.resolve(rest)
         except Exception:
             return None
         if not leaf.is_scalar:
             return None
-        prefix = (Index(index),) if self.length > 1 else ()
         return Translation(
             MappedAccess(
                 self._out_name,
-                (*prefix, *rest),
-                index * out_stride + rel_offset,
+                prefix + rest,
+                index * self.out_elem.size + rel_offset,
                 leaf.size,
             )
         )
 
 
-class HotColdSplitRule(Rule):
+class HotColdSplitRule(_PointerLoads, Rule):
     """T2 variant: outline *direct* cold fields behind a pointer.
 
     The paper's Listing 8 assumes the cold fields already sit in a nested
@@ -468,6 +496,7 @@ class HotColdSplitRule(Rule):
                 f"{self.name}: out member {pointer_member!r} must be a pointer"
             )
         self._ptr_offset = ptr.offset
+        self._pointer_loads = {}
         self._hot = {
             f.name for f in self.out_elem.fields if f.name != pointer_member
         }
@@ -506,21 +535,10 @@ class HotColdSplitRule(Rule):
         )
 
     def translate(self, elements: Sequence[PathElement]) -> Optional[Translation]:
-        elems = list(elements)
-        if self.length > 1:
-            if not elems or not isinstance(elems[0], Index):
-                return None
-            index = elems[0].value
-            rest = elems[1:]
-        else:
-            index = 0
-            rest = elems
-        if not rest or not isinstance(rest[0], Field):
+        index, prefix, rest = _split_index(elements, self.length)
+        if index is None or not rest or not isinstance(rest[0], Field):
             return None
         head = rest[0].name
-        prefix: Tuple[PathElement, ...] = (
-            (Index(index),) if self.length > 1 else ()
-        )
         if head in self._cold:
             try:
                 s_offset, leaf = self.storage_elem.resolve(rest)
@@ -528,22 +546,14 @@ class HotColdSplitRule(Rule):
                 return None
             if not leaf.is_scalar:
                 return None
-            pointer_access = MappedAccess(
-                self._out_name,
-                (*prefix, Field(self.pointer_member)),
-                index * self.out_elem.size + self._ptr_offset,
-                8,
-            )
             return Translation(
                 MappedAccess(
                     self.storage_name,
-                    (*prefix, *rest),
+                    prefix + rest,
                     index * self.storage_elem.size + s_offset,
                     leaf.size,
                 ),
-                inserts=(
-                    InsertedAccess(AccessType.LOAD, mapped=pointer_access, size=8),
-                ),
+                inserts=self._pointer_load(index, prefix),
             )
         if head in self._hot:
             try:
@@ -555,7 +565,7 @@ class HotColdSplitRule(Rule):
             return Translation(
                 MappedAccess(
                     self._out_name,
-                    (*prefix, *rest),
+                    prefix + rest,
                     index * self.out_elem.size + rel_offset,
                     leaf.size,
                 )
@@ -612,6 +622,23 @@ class StrideRule(Rule):
                 "stand-in for the transformed program",
                 code="TDST007",
             )
+        # The same accesses precede every remapped line.
+        inserts: List[InsertedAccess] = []
+        for spec in self.inject:
+            for _ in range(spec.count):
+                if spec.existing:
+                    inserts.append(
+                        InsertedAccess(spec.op, existing_var=spec.name, size=spec.size)
+                    )
+                else:
+                    inserts.append(
+                        InsertedAccess(
+                            spec.op,
+                            mapped=MappedAccess(spec.name, (), 0, spec.size),
+                            size=spec.size,
+                        )
+                    )
+        self._inserts: Tuple[InsertedAccess, ...] = tuple(inserts)
 
     def out_allocations(self) -> Tuple[OutAllocation, ...]:
         """The strided array plus any synthetic inject scalars."""
@@ -637,21 +664,6 @@ class StrideRule(Rule):
         if not 0 <= index < self.in_type.length:
             return None
         new_index = self.formula(index)
-        inserts: List[InsertedAccess] = []
-        for spec in self.inject:
-            for _ in range(spec.count):
-                if spec.existing:
-                    inserts.append(
-                        InsertedAccess(spec.op, existing_var=spec.name, size=spec.size)
-                    )
-                else:
-                    inserts.append(
-                        InsertedAccess(
-                            spec.op,
-                            mapped=MappedAccess(spec.name, (), 0, spec.size),
-                            size=spec.size,
-                        )
-                    )
         return Translation(
             MappedAccess(
                 self._out_name,
@@ -659,7 +671,7 @@ class StrideRule(Rule):
                 new_index * self.elem.size,
                 self.elem.size,
             ),
-            inserts=tuple(inserts),
+            inserts=self._inserts,
         )
 
 

@@ -181,6 +181,44 @@ class TestSimulationFields:
             slow = simulation_fields(trace, cfg, attribution, use_fast=False)
             assert fast == slow, (name, assoc, attribution)
 
+    @pytest.mark.parametrize("attribution", ["base", "member"])
+    def test_labels_only_from_data_records(self, attribution):
+        """A label only an ``X`` record carries, and a table entry no
+        record uses (a window of a bigger trace), stay out of
+        ``by_variable_misses`` on both routes, and batched too."""
+        from repro.campaign.jobs import simulation_fields
+        from repro.cache.config import CacheConfig
+        from repro.ctypes_model.path import VariablePath
+        from repro.simbatch.runner import batch_simulation_fields
+        from repro.trace.record import AccessType, TraceRecord
+        from repro.trace.stream import Trace
+
+        def access(op, addr, var):
+            return TraceRecord(op, addr, 4, "main", "LS",
+                               var=VariablePath.parse(var))
+
+        whole = Trace.from_columns(
+            Trace(
+                [
+                    access(AccessType.LOAD, 0x100, "unused.mA"),
+                    access(AccessType.MISC, 0x400, "onlyX.mB"),
+                    access(AccessType.LOAD, 0x200, "lA.mX"),
+                    access(AccessType.STORE, 0x208, "lA[1].mY"),
+                    access(AccessType.MODIFY, 0x300, "lB"),
+                ]
+            ).columns()
+        )
+        trace = whole[1:]
+        cfg = CacheConfig(size=2048, block_size=32, associativity=2)
+        fast = simulation_fields(trace, cfg, attribution, use_fast=True)
+        slow = simulation_fields(trace, cfg, attribution, use_fast=False)
+        assert fast == slow
+        assert set(fast["by_variable_misses"]) == (
+            {"lA", "lB"} if attribution == "base" else {"lA.mX", "lA.mY", "lB"}
+        )
+        (batched,) = batch_simulation_fields(trace, [cfg], attribution)
+        assert batched == fast
+
     def test_uncovered_config_falls_back(self, kernel_traces):
         from repro.campaign.jobs import simulation_fields
         from repro.cache.config import CacheConfig

@@ -260,6 +260,42 @@ rules = ["baseline", "t1"]
         assert "campaign.run" in capsys.readouterr().out
 
 
+class TestCampaignRecordsBuilt:
+    """A campaign job decodes, transforms, saves and simulates columns;
+    only the reference simulator (PPC440 round-robin) builds records."""
+
+    def _profile(self, tmp_path, *args):
+        profile = tmp_path / "p.jsonl"
+        argv = ["campaign", *args, "--dir", str(tmp_path / "camp")]
+        assert main([*argv, "--jobs", "2", "--profile", str(profile)]) == 0
+        return read_jsonl_profile(profile)["counters"]
+
+    def test_direct_mapped_campaign_builds_no_records(self, tmp_path, capsys):
+        spec = tmp_path / "spec.toml"
+        spec.write_text(
+            '[[grid]]\nkernel = "1a"\nlength = 64\nrules = ["baseline", "t1"]\n',
+            encoding="utf-8",
+        )
+        counters = self._profile(tmp_path, str(spec))
+        assert counters["campaign.points_done"] == 2
+        assert counters["transform.records_in"] > 0
+        assert counters.get("trace.records_built", 0) == 0
+
+    def test_paper_campaign_builds_only_the_ppc440_inputs(self, tmp_path, capsys):
+        from repro.tracer.interp import trace_program
+        from repro.transform.engine import TransformEngine
+        from repro.transform.paper_rules import paper_rule
+        from repro.workloads.paper_kernels import paper_kernel
+
+        counters = self._profile(tmp_path, "paper", "--length", "64")
+        assert counters["campaign.points_done"] == 6
+        trace = trace_program(paper_kernel("3a", length=64))
+        transformed = TransformEngine(paper_rule("t3", length=64)).transform(trace)
+        assert counters["trace.records_built"] == len(trace) + len(
+            transformed.trace
+        )
+
+
 class TestVerifyRunnerHooks:
     def test_verify_case_counts_and_spans(self, global_telemetry, tmp_path):
         from repro.verify.golden import paper_cases

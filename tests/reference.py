@@ -13,17 +13,25 @@ equality checks every field the fast path reports.
 :class:`RecordInterpreter` symbolises every access as it happens and
 builds one :class:`TraceRecord` per access, as the tracer did before it
 emitted columns; :func:`reference_trace_program` runs it.
+
+**The per-record transform engine, for the columnar one.**
+:class:`RecordEngine` matches, translates and checks every record on its
+own and builds its replacement records one by one, as the engine did
+before it worked out one plan per distinct path and rewrote columns.
 """
 
 import numpy as np
 
 from repro.cache.simulator import simulate
 from repro.ctypes_model.path import VariablePath
+from repro.errors import TransformError
 from repro.memory.symbols import Segment
 from repro.simbatch.kernel import FastCounts, FastTraceCounts
 from repro.trace.columns import OPS
 from repro.trace.record import AccessType, TraceRecord
+from repro.trace.stream import Trace
 from repro.tracer.interp import Interpreter
+from repro.transform.engine import TransformEngine, TransformResult
 
 
 def reference_counts(config, addrs, sizes=None, var_ids=None):
@@ -137,3 +145,137 @@ def reference_trace_program(program, **options):
     """:func:`~repro.tracer.interp.trace_program` through the per-record
     emitter: a record-backed trace."""
     return RecordInterpreter(program, **options).run()
+
+
+# -- the per-record transform engine ------------------------------------------
+
+
+class RecordEngine(TransformEngine):
+    """The per-record engine the columnar one replaced, kept as its oracle.
+
+    Shares step 1 (the arena allocations) with :class:`TransformEngine`
+    and redoes steps 2-3 for every record: match the path, translate it,
+    check the element size and the learned in-structure base, and build
+    the inserted and target records.
+    """
+
+    def __init__(self, rules, **options):
+        super().__init__(rules, **options)
+        self._in_bases = {}
+        #: last record seen per variable base name (``existing`` injects)
+        self._last_seen = {}
+
+    def _transform(self, records):
+        original = records if isinstance(records, Trace) else Trace(records)
+        out = []
+        for record in original:
+            out.extend(self.transform_record(record))
+        return TransformResult(
+            original=original,
+            trace=Trace(out),
+            report=self.report,
+            allocations=dict(self.allocations),
+        )
+
+    def transform_record(self, record):
+        """Steps 2-3 for one record; returns the replacement list."""
+        self.report.total += 1
+        if record.var is not None:
+            self._last_seen[record.var.base] = record
+        if record.var is None:
+            self.report.passthrough += 1
+            return [record]
+        base = record.var.base
+        if base in self._out_names:
+            self.report.ignored_out += 1
+            return [record]
+        rule = self._by_in.get(base)
+        if rule is None:
+            for candidate in self._pattern_rules:
+                if candidate.matches(base):
+                    rule = candidate
+                    break
+        if rule is None:
+            self.report.passthrough += 1
+            return [record]
+        if rule.is_pattern:
+            translation = rule.translate_named(base, record.var.elements)
+        else:
+            translation = rule.translate(record.var.elements)
+        if translation is None:
+            self.report.uncovered += 1
+            return [record]
+        self._check_consistency(rule, record)
+        out = []
+        for insert in translation.inserts:
+            out.append(self._materialise_insert(record, insert))
+            self.report.inserted += 1
+        out.append(self._materialise_target(rule, record, translation))
+        self.report.transformed += 1
+        self.report.per_rule[rule.name] += 1
+        return out
+
+    def _check_consistency(self, rule, record):
+        in_type = getattr(rule, "in_type", None)
+        if in_type is None:
+            return
+        try:
+            offset, leaf = in_type.resolve(record.var.elements)
+        except Exception:
+            return
+        if record.size != leaf.size:
+            self.report.size_mismatches += 1
+            if self.strict:
+                raise TransformError(
+                    f"{record.var}: access size {record.size} != "
+                    f"element size {leaf.size}"
+                )
+        base = record.addr - offset
+        known = self._in_bases.setdefault(rule.in_name, base)
+        if known != base:
+            self.report.base_inconsistencies += 1
+            if self.strict:
+                raise TransformError(
+                    f"{rule.in_name}: inconsistent base address "
+                    f"{base:#x} (expected {known:#x}) at {record.var}"
+                )
+
+    def _materialise_target(self, rule, record, translation):
+        if translation.address_delta is not None:
+            addr = record.addr + translation.address_delta
+            if not 0 <= addr < 2**64:
+                raise TransformError(
+                    f"{rule.name}: displacing {record.var} at record "
+                    f"{self.report.total - 1} moves address {record.addr:#x} "
+                    f"to {addr:#x}, outside [0, 2**64)"
+                )
+            var = record.var
+            if translation.rename is not None:
+                var = var.with_base(translation.rename)
+            return record.evolve(addr=addr, var=var)
+        mapped = translation.target
+        prefix = record.scope[0] if record.scope else "L"
+        return record.evolve(
+            addr=self.allocations[mapped.alloc] + mapped.offset,
+            var=VariablePath(mapped.alloc, mapped.elements),
+            scope=prefix + ("S" if mapped.elements else "V"),
+        )
+
+    def _materialise_insert(self, record, insert):
+        if insert.existing_var is not None:
+            seen = self._last_seen.get(insert.existing_var)
+            if seen is not None:
+                return seen.evolve(op=insert.op, func=record.func)
+            raise TransformError(
+                f"inject references {insert.existing_var!r} which has not "
+                "appeared in the trace"
+            )
+        mapped = insert.mapped
+        scope = self._alloc_scope.get(mapped.alloc, "LV")[0]
+        return record.evolve(
+            op=insert.op,
+            addr=self.allocations[mapped.alloc] + mapped.offset,
+            size=insert.size,
+            var=VariablePath(mapped.alloc, mapped.elements),
+            scope=scope + ("S" if mapped.elements else "V"),
+        )

@@ -36,7 +36,7 @@ class TestBlobs:
     def test_read_chunk_round_trip(self, store, trace_64):
         records = list(trace_64)[:50]
         meta = store.put_chunk(records)
-        assert store.read_chunk(meta.blob) == records
+        assert store.read_chunk(meta.blob) == Trace(records)
 
     def test_missing_blob_raises(self, store):
         with pytest.raises(TraceFormatError):

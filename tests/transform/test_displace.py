@@ -2,9 +2,11 @@
 
 import pytest
 
-from repro.errors import RuleError
+from repro.errors import RuleError, TransformError
 from repro.cache.config import CacheConfig
 from repro.cache.simulator import simulate
+from repro.ctypes_model.path import VariablePath
+from repro.trace.record import AccessType, TraceRecord
 from repro.tracer.interp import trace_program
 from repro.transform.displace import DisplaceRule, parse_displacements
 from repro.transform.engine import transform_trace
@@ -136,3 +138,35 @@ class TestEngineIntegration:
         conflicts_after = after.conflicts.cross_conflicts().get(("a", "b"), 0)
         assert conflicts_after < conflicts_before
         assert after.stats.misses < before.stats.misses
+
+
+class TestAddressRange:
+    """A displacement must keep every address inside [0, 2**64)."""
+
+    @staticmethod
+    def access(addr, name="x"):
+        return TraceRecord(
+            AccessType.LOAD, addr, 4, "main", "LV", var=VariablePath.parse(name)
+        )
+
+    def test_shift_below_zero_raises(self):
+        trace = [self.access(0x2000, "y"), self.access(0x1000)]
+        with pytest.raises(TransformError) as info:
+            transform_trace(trace, "displace:\nx - 8192\n")
+        message = str(info.value)
+        assert message.startswith("displace:x-8192: displacing x at record 1")
+        assert "0x1000 to -0x1000" in message
+
+    def test_shift_past_the_top_raises(self):
+        with pytest.raises(TransformError, match=r"record 0 .* 0x10000000000000010"):
+            transform_trace(
+                [self.access(2**64 - 16)], [DisplaceRule("x", 32)]
+            )
+
+    def test_shift_to_either_end_is_allowed(self):
+        trace = [self.access(8192), self.access(2**64 - 1, "z")]
+        rules = [DisplaceRule("x", -8192), DisplaceRule("z", -(2**64 - 1))]
+        result = transform_trace(trace, rules)
+        assert [r.addr for r in result.trace] == [0, 0]
+        top = transform_trace([self.access(0)], [DisplaceRule("x", 2**64 - 1)])
+        assert [r.addr for r in top.trace] == [2**64 - 1]

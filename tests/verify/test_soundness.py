@@ -6,6 +6,7 @@ the address materialisation — must be *caught* by the checker, proving
 the oracle really is independent of the code under test.
 """
 
+import numpy as np
 import pytest
 
 from repro.ctypes_model.path import Field, Index, VariablePath
@@ -214,14 +215,13 @@ class TestMutationSmoke:
 
     @pytest.fixture
     def corrupted_engine(self, monkeypatch):
-        pristine = TransformEngine._materialise_target
+        pristine = TransformEngine._target_addresses
 
-        def off_by_one(self, record, translation):
-            out = pristine(self, record, translation)
-            return out.evolve(addr=out.addr + 1)
+        def off_by_one(addr, shifted, plan_addr):
+            return pristine(addr, shifted, plan_addr) + np.uint64(1)
 
         monkeypatch.setattr(
-            TransformEngine, "_materialise_target", off_by_one
+            TransformEngine, "_target_addresses", staticmethod(off_by_one)
         )
 
     def test_off_by_one_remap_is_caught(self, corrupted_engine):
