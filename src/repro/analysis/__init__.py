@@ -14,32 +14,21 @@ output".  This package regenerates the same data:
   transformation + conflicts).
 """
 
-from repro.analysis.per_set import FigureSeries, SetSeries, figure_series
-from repro.analysis.ascii_plot import ascii_bars, render_figure
-from repro.analysis.gnuplot import write_gnuplot_data, write_gnuplot_script
-from repro.analysis.heatmap import SetHeatmap, compute_heatmap
-from repro.analysis.report import comparison_report, simulation_report
-from repro.analysis.sweep import (
-    SweepPoint,
-    associativity_sweep,
-    sweep_configs,
-    sweep_table,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "SetSeries",
-    "FigureSeries",
-    "figure_series",
-    "ascii_bars",
-    "render_figure",
-    "write_gnuplot_data",
-    "write_gnuplot_script",
-    "SetHeatmap",
-    "compute_heatmap",
-    "simulation_report",
-    "comparison_report",
-    "SweepPoint",
-    "sweep_configs",
-    "sweep_table",
-    "associativity_sweep",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.analysis.per_set": ("FigureSeries", "SetSeries", "figure_series"),
+        "repro.analysis.ascii_plot": ("ascii_bars", "render_figure"),
+        "repro.analysis.gnuplot": ("write_gnuplot_data", "write_gnuplot_script"),
+        "repro.analysis.heatmap": ("SetHeatmap", "compute_heatmap"),
+        "repro.analysis.report": ("comparison_report", "simulation_report"),
+        "repro.analysis.sweep": (
+            "SweepPoint",
+            "associativity_sweep",
+            "sweep_configs",
+            "sweep_table",
+        ),
+    },
+)

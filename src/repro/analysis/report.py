@@ -2,18 +2,18 @@
 
 These are the human-facing equivalents of the modified DineroIV's output
 plus the transformation module's log — what a user of the paper's tool
-reads after step 5 of the process.
+reads after step 5 of the process.  :func:`campaign_report` needs only
+manifest rows, so it imports no numpy or simulator.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Dict, Optional, Sequence, Tuple
 
-from repro.analysis.per_set import figure_series
-from repro.analysis.ascii_plot import render_figure
-from repro.cache.simulator import SimulationResult
-from repro.trace.diff import TraceDiff
-from repro.transform.engine import TransformResult
+if TYPE_CHECKING:
+    from repro.cache.simulator import SimulationResult
+    from repro.trace.diff import TraceDiff
+    from repro.transform.engine import TransformResult
 
 
 def simulation_report(
@@ -24,6 +24,9 @@ def simulation_report(
     top_conflicts: int = 5,
 ) -> str:
     """Full per-simulation report: stats, conflict pairs, per-set plot."""
+    from repro.analysis.ascii_plot import render_figure
+    from repro.analysis.per_set import figure_series
+
     sections = []
     if title:
         sections.append(f"== {title} ==")

@@ -25,75 +25,47 @@ provides that simulator:
   import it from its module (or from :mod:`repro.api`).
 """
 
-from repro.cache.config import CacheConfig, WritePolicy, AllocatePolicy
-from repro.cache.policies import (
-    FIFOPolicy,
-    LRUPolicy,
-    PLRUTreePolicy,
-    RandomPolicy,
-    ReplacementPolicy,
-    RoundRobinPolicy,
-    make_policy,
-)
-from repro.cache.cache import AccessOutcome, BlockEvent, SetAssociativeCache
-from repro.cache.stats import CacheStats, PerSetCounts
-from repro.cache.conflict import ConflictMatrix
-from repro.cache.simulator import (
-    CacheSimulator,
-    SimulationResult,
-    attribution_label,
-    simulate,
-)
-from repro.cache.hierarchy import CacheHierarchy, HierarchyResult, simulate_hierarchy
-from repro.cache.threec import ThreeCCounts, ThreeCReport, classify_misses
-from repro.cache.split import SplitCacheSimulator, SplitResult, simulate_split
-from repro.cache.victim import (
-    VictimCacheSimulator,
-    VictimResult,
-    simulate_with_victim,
-)
-from repro.cache.prefetch import (
-    PrefetchPolicy,
-    PrefetchResult,
-    PrefetchingSimulator,
-    simulate_with_prefetch,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "CacheConfig",
-    "WritePolicy",
-    "AllocatePolicy",
-    "ReplacementPolicy",
-    "LRUPolicy",
-    "FIFOPolicy",
-    "RoundRobinPolicy",
-    "RandomPolicy",
-    "PLRUTreePolicy",
-    "make_policy",
-    "SetAssociativeCache",
-    "AccessOutcome",
-    "BlockEvent",
-    "CacheStats",
-    "PerSetCounts",
-    "ConflictMatrix",
-    "CacheSimulator",
-    "SimulationResult",
-    "simulate",
-    "attribution_label",
-    "CacheHierarchy",
-    "HierarchyResult",
-    "simulate_hierarchy",
-    "ThreeCCounts",
-    "ThreeCReport",
-    "classify_misses",
-    "SplitCacheSimulator",
-    "SplitResult",
-    "simulate_split",
-    "VictimCacheSimulator",
-    "VictimResult",
-    "simulate_with_victim",
-    "PrefetchPolicy",
-    "PrefetchResult",
-    "PrefetchingSimulator",
-    "simulate_with_prefetch",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.cache.config": ("CacheConfig", "WritePolicy", "AllocatePolicy"),
+        "repro.cache.policies": (
+            "FIFOPolicy",
+            "LRUPolicy",
+            "PLRUTreePolicy",
+            "RandomPolicy",
+            "ReplacementPolicy",
+            "RoundRobinPolicy",
+            "make_policy",
+        ),
+        "repro.cache.cache": ("AccessOutcome", "BlockEvent", "SetAssociativeCache"),
+        "repro.cache.stats": ("CacheStats", "PerSetCounts"),
+        "repro.cache.conflict": ("ConflictMatrix",),
+        "repro.cache.simulator": (
+            "CacheSimulator",
+            "SimulationResult",
+            "attribution_label",
+            "simulate",
+        ),
+        "repro.cache.hierarchy": (
+            "CacheHierarchy",
+            "HierarchyResult",
+            "simulate_hierarchy",
+        ),
+        "repro.cache.threec": ("ThreeCCounts", "ThreeCReport", "classify_misses"),
+        "repro.cache.split": ("SplitCacheSimulator", "SplitResult", "simulate_split"),
+        "repro.cache.victim": (
+            "VictimCacheSimulator",
+            "VictimResult",
+            "simulate_with_victim",
+        ),
+        "repro.cache.prefetch": (
+            "PrefetchPolicy",
+            "PrefetchResult",
+            "PrefetchingSimulator",
+            "simulate_with_prefetch",
+        ),
+    },
+)

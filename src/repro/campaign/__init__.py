@@ -5,8 +5,11 @@ to full studies through this subpackage:
 
 - :mod:`repro.campaign.spec` — declarative :class:`CampaignSpec` (TOML
   or dict): a grid of kernels x rules x cache geometries x attribution;
-- :mod:`repro.campaign.jobs` — grid expansion with shared-stage
-  deduplication and the idempotent per-job pipeline workers execute;
+- :mod:`repro.campaign.grid` — grid expansion with shared-stage
+  deduplication, task kinds and content keys (no numpy: the parent
+  plans a run and answers stored points with it alone);
+- :mod:`repro.campaign.jobs` — the idempotent per-job pipeline workers
+  execute;
 - :mod:`repro.campaign.artifacts` — content-addressed
   :class:`ArtifactStore` (SHA-256 of kernel + rule text + config) that
   makes re-runs and ``--resume`` incremental;
@@ -28,63 +31,43 @@ Quick start::
     print(result.summary())
 """
 
-from repro.campaign.artifacts import ArtifactStore, content_key
-from repro.campaign.jobs import (
-    BatchJob,
-    Job,
-    TraceTask,
-    execute_batch_job,
-    execute_job,
-    execute_task,
-    execute_trace_task,
-    expand_jobs,
-    group_batch_jobs,
-    resolve_rule_text,
-    simulation_key,
-    trace_key,
-    transform_key,
-)
-from repro.campaign.manifest import RunManifest
-from repro.campaign.scheduler import (
-    CampaignResult,
-    JobOutcome,
-    Scheduler,
-    run_campaign,
-)
-from repro.campaign.spec import (
-    BatchOptions,
-    CacheSpec,
-    CampaignSpec,
-    GridEntry,
-    ServiceOptions,
-    paper_figures_spec,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ArtifactStore",
-    "BatchJob",
-    "BatchOptions",
-    "CacheSpec",
-    "CampaignResult",
-    "CampaignSpec",
-    "GridEntry",
-    "Job",
-    "JobOutcome",
-    "RunManifest",
-    "Scheduler",
-    "ServiceOptions",
-    "TraceTask",
-    "content_key",
-    "execute_batch_job",
-    "execute_job",
-    "execute_task",
-    "execute_trace_task",
-    "expand_jobs",
-    "group_batch_jobs",
-    "paper_figures_spec",
-    "resolve_rule_text",
-    "run_campaign",
-    "simulation_key",
-    "trace_key",
-    "transform_key",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.campaign.artifacts": ("ArtifactStore", "content_key"),
+        "repro.campaign.grid": (
+            "BatchJob",
+            "Job",
+            "TraceTask",
+            "expand_jobs",
+            "group_batch_jobs",
+            "resolve_rule_text",
+            "simulation_key",
+            "trace_key",
+            "transform_key",
+        ),
+        "repro.campaign.jobs": (
+            "execute_batch_job",
+            "execute_job",
+            "execute_task",
+            "execute_trace_task",
+        ),
+        "repro.campaign.manifest": ("RunManifest",),
+        "repro.campaign.scheduler": (
+            "CampaignResult",
+            "JobOutcome",
+            "Scheduler",
+            "run_campaign",
+        ),
+        "repro.campaign.spec": (
+            "BatchOptions",
+            "CacheSpec",
+            "CampaignSpec",
+            "GridEntry",
+            "ServiceOptions",
+            "paper_figures_spec",
+        ),
+    },
+)

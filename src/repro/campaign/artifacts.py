@@ -15,6 +15,10 @@ Layout on disk (two-level fan-out keeps directories small at scale)::
 Writes are atomic (temp file + ``os.replace``) so parallel workers
 racing to produce the same artifact cannot leave a torn file; the loser
 of the race simply overwrites with identical bytes.
+
+The JSON half needs nothing but the standard library: the campaign
+scheduler answers stored grid points through it without loading numpy
+or the trace codec, which the trace methods import on first use.
 """
 
 from __future__ import annotations
@@ -24,11 +28,12 @@ import json
 import re
 import time
 from pathlib import Path
-from typing import Any, Dict, Iterable, Optional, Union
+from typing import TYPE_CHECKING, Any, Dict, Iterable, Optional, Union
 
 from repro.obsv.atomic import atomic_write
-from repro.trace.binformat import load_binary, read_record_count, save_binary
-from repro.trace.stream import Trace
+
+if TYPE_CHECKING:
+    from repro.trace.stream import Trace
 
 #: Artifact filename suffixes by kind.
 TRACE_SUFFIX = ".trace.tdst"
@@ -49,6 +54,20 @@ def _is_tmp_entry(name: str) -> bool:
     return _TMP_PATTERN.search(name) is not None
 
 
+def save_binary(trace: Trace, path: Union[str, Path]) -> Path:
+    """Write a trace artifact (:func:`repro.trace.binformat.save_binary`)."""
+    from repro.trace.binformat import save_binary as save
+
+    return save(trace, path)
+
+
+def load_binary(path: Union[str, Path]) -> Trace:
+    """Read a trace artifact (:func:`repro.trace.binformat.load_binary`)."""
+    from repro.trace.binformat import load_binary as load
+
+    return load(path)
+
+
 def content_key(*parts: Union[str, int, bytes]) -> str:
     """SHA-256 hex digest of the canonical join of ``parts``.
 
@@ -67,12 +86,18 @@ def content_key(*parts: Union[str, int, bytes]) -> str:
 
 
 class ArtifactStore:
-    """Disk-backed, content-addressed cache of stage outputs."""
+    """Disk-backed, content-addressed cache of stage outputs.
 
-    def __init__(self, root: Union[str, Path]) -> None:
+    Opening a store sweeps stale temp files (:meth:`sweep_stale_tmp`), a
+    walk of the whole store.  ``sweep=False`` skips it: a campaign's job
+    bodies open the store their scheduler or service already swept.
+    """
+
+    def __init__(self, root: Union[str, Path], *, sweep: bool = True) -> None:
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
-        self.sweep_stale_tmp()
+        if sweep:
+            self.sweep_stale_tmp()
 
     # -- addressing ----------------------------------------------------------
 
@@ -117,6 +142,8 @@ class ArtifactStore:
         makes before decompressing still run, so a truncated artifact
         raises :class:`~repro.errors.TraceFormatError`.
         """
+        from repro.trace.binformat import read_record_count
+
         target = self.path_for(key, TRACE_SUFFIX)
         if not target.exists():
             return None

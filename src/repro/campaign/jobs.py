@@ -1,199 +1,75 @@
-"""Campaign jobs: grid expansion and the per-job pipeline workers run.
+"""Campaign jobs: the per-job pipeline workers run.
 
-A :class:`CampaignSpec` expands into two picklable task kinds:
-
-- :class:`TraceTask` — generate (or reuse) the trace of one
-  ``(kernel, length)`` pair.  Trace generation is the expensive shared
-  stage: every rule x cache x attribution point of the same program
-  reuses one trace artifact, so the scheduler runs these first and
-  exactly once per distinct program.
-- :class:`Job` — one grid point: take the shared trace, optionally
-  transform it under a rule, simulate against one cache geometry at one
-  attribution granularity, and store the result JSON.
+:mod:`repro.campaign.grid` expands a :class:`CampaignSpec` into
+picklable tasks and names every stage's artifact by content key; this
+module holds the stage bodies — trace, transform, simulate — that the
+scheduler's process pool and the campaign service's workers execute.
+It is the campaign's pipeline half: it loads numpy, the tracer, the
+transform engine and both simulators, so the scheduler imports it only
+once some grid point is missing from the artifact store.
 
 All stage outputs are content-addressed through the
 :class:`~repro.campaign.artifacts.ArtifactStore` (SHA-256 of kernel
-identity + rule text + config tuple), so both functions are idempotent
-and safe to retry; workers only ever exchange plain dicts with the
-parent process.
+identity + rule text + config tuple), so every body is idempotent and
+safe to retry; workers only ever exchange plain dicts with the parent
+process.  Besides ``cache_hits``, each grid point's returned payload
+names its ``route`` (``store``, ``fast``, ``batch``, ``tracestore`` or
+``reference``, with a ``route_reason`` for the last); neither is part of
+the stored artifact.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
-from repro.campaign.artifacts import ArtifactStore, content_key
-from repro.campaign.spec import BASELINE_NAMES, CacheSpec, CampaignSpec
+# Modules the stage bodies import on first use (the artifact store's
+# trace codec, the batched kernel's runner, the rule parser's section
+# parsers), loaded with this module so that pool workers inherit them
+# from the parent.
+import repro.simbatch.runner  # noqa: F401
+import repro.trace.binformat  # noqa: F401
+import repro.transform.displace  # noqa: F401
+import repro.transform.dynamic  # noqa: F401
+from repro.campaign.artifacts import ArtifactStore
+# The planning half, re-exported: this module's API predates the split.
+from repro.campaign.grid import (
+    NO_BATCH_ENV,
+    NO_FAST_ENV,
+    NO_SERVICE_ENV,
+    NO_TRACESTORE_ENV,
+    SIMULATE_STAGE,
+    TRACE_STAGE,
+    TRANSFORM_STAGE,
+    BatchJob,
+    Job,
+    TraceTask,
+    expand_jobs,
+    group_batch_jobs,
+    point_input_key,
+    resolve_rule_text,
+    returned_payload,
+    simulation_key,
+    trace_key,
+    transform_key,
+)
 from repro.cache.config import CacheConfig
 from repro.cache.fastsim import fast_trace_counts
 from repro.cache.simulator import simulate
 from repro.obsv.telemetry import get_telemetry
-from repro.simbatch.plan import supports_fast_path
+from repro.simbatch.plan import fast_path_declined, supports_fast_path
 from repro.trace.columns import MISC_KIND, attribution_ids
 from repro.trace.stream import Trace
 from repro.tracer.interp import trace_program
 from repro.transform.engine import TransformEngine
-from repro.transform.paper_rules import (
-    RULE_T1_SOA_TO_AOS,
-    RULE_T2_OUTLINE,
-    RULE_T3_STRIDE,
-)
 from repro.transform.rule_parser import parse_rules
 from repro.workloads.paper_kernels import paper_kernel
 
-#: Stage-schema versions folded into every content key: bump one to
-#: invalidate that stage's cached artifacts after a semantic change.
-TRACE_STAGE = "trace-v1"
-TRANSFORM_STAGE = "transform-v1"
-SIMULATE_STAGE = "simulate-v1"
-
-
-@dataclass(frozen=True)
-class TraceTask:
-    """Shared-stage task: materialise one program's trace artifact."""
-
-    kernel: str
-    length: int
-
-    @property
-    def job_id(self) -> str:
-        """Stable id used in the manifest."""
-        return f"trace/{self.kernel}-L{self.length}"
-
-
-@dataclass(frozen=True)
-class Job:
-    """One grid point of a campaign."""
-
-    kernel: str
-    length: int
-    rule: str
-    cache: CacheSpec
-    attribution: str = "base"
-    #: run the soundness oracle over the transform stage's output
-    verify: bool = False
-    #: let eligible ``file:`` rule points use the trace commit store
-    tracestore: bool = True
-    #: let fast-path-eligible geometries skip the reference simulator
-    fast: bool = True
-
-    @property
-    def job_id(self) -> str:
-        """Stable id used in the manifest and reports."""
-        return (
-            f"{self.kernel}-L{self.length}/{self.rule}"
-            f"/{self.cache.label()}/{self.attribution}"
-        )
-
-    @property
-    def is_baseline(self) -> bool:
-        """True when this point simulates the untransformed trace."""
-        return self.rule.lower() in BASELINE_NAMES
-
-
-def expand_jobs(spec: CampaignSpec) -> Tuple[List[TraceTask], List[Job]]:
-    """Expand a spec into deduplicated trace tasks plus all grid points.
-
-    Both lists are deduplicated: overlapping grid entries (the same
-    kernel appearing in several entries with intersecting rule sets)
-    collapse to one job per distinct ``job_id``, so every manifest row
-    names distinct work.
-    """
-    traces: Dict[Tuple[str, int], TraceTask] = {}
-    jobs: Dict[str, Job] = {}
-    for entry in spec.grid:
-        key = (entry.kernel.lower(), entry.length)
-        if key not in traces:
-            traces[key] = TraceTask(kernel=key[0], length=entry.length)
-        for rule in entry.rules:
-            for cache in spec.caches_for(entry):
-                for attribution in spec.attribution:
-                    job = Job(
-                        kernel=key[0],
-                        length=entry.length,
-                        rule=rule,
-                        cache=cache,
-                        attribution=attribution,
-                        verify=spec.verify,
-                    )
-                    jobs.setdefault(job.job_id, job)
-    return list(traces.values()), list(jobs.values())
-
-
-# -- stage keys ---------------------------------------------------------------
-
-
-def trace_key(kernel: str, length: int) -> str:
-    """Content key of one program's trace artifact."""
-    return content_key(TRACE_STAGE, kernel.lower(), length)
-
-
-def resolve_rule_text(rule: str, length: int) -> Optional[str]:
-    """The rule-file source text a rule reference denotes.
-
-    ``None`` for baseline points; paper rules are instantiated at the
-    job's array length (exactly what :func:`repro.api.paper_rule`
-    parses); ``file:`` references read the file — a missing or
-    unreadable file raises here, inside the worker, where the
-    scheduler's retry/degradation policy owns the failure.
-    """
-    lowered = rule.lower()
-    if lowered in BASELINE_NAMES:
-        return None
-    if lowered == "t1":
-        return RULE_T1_SOA_TO_AOS.format(length=length)
-    if lowered == "t2":
-        return RULE_T2_OUTLINE.format(length=length)
-    if lowered == "t3":
-        sets, cacheline = 16, 32
-        ipl = cacheline // 4
-        return RULE_T3_STRIDE.format(
-            length=length, out_length=length * sets, ipl=ipl, sets=sets
-        )
-    if rule.startswith("file:"):
-        return Path(rule[len("file:"):]).read_text(encoding="utf-8")
-    raise ValueError(f"unresolvable rule reference {rule!r}")
-
-
-def transform_key(base_trace_key: str, rule_text: str) -> str:
-    """Content key of a transformed-trace artifact."""
-    return content_key(TRANSFORM_STAGE, base_trace_key, rule_text)
-
-
-def simulation_key(input_trace_key: str, job: Job) -> str:
-    """Content key of one simulation-result artifact."""
-    return content_key(
-        SIMULATE_STAGE, input_trace_key, job.cache.label(), job.attribution
-    )
-
 
 # -- simulation stage ---------------------------------------------------------
-
-#: Environment escape hatch: set to any non-empty value to force every
-#: grid point through the reference simulator (e.g. when cross-checking
-#: the fast path itself).  Only :class:`~repro.campaign.scheduler.Scheduler`
-#: reads it, and carries the outcome on each :attr:`Job.fast`.
-NO_FAST_ENV = "TDST_NO_FAST"
-
-#: Environment escape hatch: disable batched multi-config jobs even when
-#: the spec enables them (same spirit as :data:`NO_FAST_ENV`).
-NO_BATCH_ENV = "TDST_NO_BATCH"
-
-#: Environment escape hatch: route every grid point through the classic
-#: transform-then-simulate stages instead of the incremental trace
-#: commit store.  Only :class:`~repro.campaign.scheduler.Scheduler`
-#: reads it, and carries the outcome on each :attr:`Job.tracestore`.
-NO_TRACESTORE_ENV = "TDST_NO_TRACESTORE"
-
-#: Environment escape hatch: keep the one-shot process pool even when a
-#: spec's ``[service]`` table enables the campaign service.  Only the
-#: :class:`~repro.campaign.scheduler.Scheduler` reads it.
-NO_SERVICE_ENV = "TDST_NO_SERVICE"
 
 
 def tracestore_eligible(job: Job, rule_text: Optional[str]) -> bool:
@@ -272,6 +148,18 @@ def simulation_fields(
     }
 
 
+def simulation_route(config: CacheConfig, use_fast: bool) -> Dict[str, str]:
+    """Provenance of :func:`simulation_fields`' answer: ``route`` is
+    ``fast`` or ``reference``, and a reference answer says in
+    ``route_reason`` why the kernel was declined."""
+    if not use_fast:
+        return {"route": "reference", "route_reason": "fast path off (--no-fast)"}
+    reason = fast_path_declined(config)
+    if reason is not None:
+        return {"route": "reference", "route_reason": reason}
+    return {"route": "fast"}
+
+
 # -- worker entry points ------------------------------------------------------
 
 
@@ -324,7 +212,7 @@ def execute_trace_task(
     the stored trace's header; the trace is decoded by the jobs that
     read its records.
     """
-    store = ArtifactStore(store_root)
+    store = ArtifactStore(store_root, sweep=False)
     started = time.monotonic()
     tele = get_telemetry()
     with tele.span("campaign.trace-task", cat="campaign", job=task.job_id):
@@ -353,7 +241,8 @@ def execute_job(job: Job, store_root: Union[str, Path]) -> Dict[str, Any]:
     """Worker body for one grid point.
 
     Consults the artifact store stage by stage; a fully cached point
-    returns without touching the tracer, engine or simulator at all.
+    returns without touching the tracer, engine or simulator at all
+    (the scheduler answers such points itself and never sends them).
     Raises on unrecoverable input problems (bad rule file, invalid
     config) — the scheduler turns that into retry-then-degrade.
     """
@@ -369,14 +258,10 @@ def _execute_job(
 ) -> Tuple[Dict[str, Any], Dict[str, bool]]:
     """:func:`execute_job` body; returns (payload, per-stage cache hits)."""
     tele = get_telemetry()
-    store = ArtifactStore(store_root)
+    store = ArtifactStore(store_root, sweep=False)
     started = time.monotonic()
     tkey = trace_key(job.kernel, job.length)
-    rule_text = resolve_rule_text(job.rule, job.length)
-    if rule_text is None:
-        input_key = tkey
-    else:
-        input_key = transform_key(tkey, rule_text)
+    rule_text, input_key = point_input_key(job)
     skey = simulation_key(input_key, job)
 
     hits: Dict[str, bool] = {}
@@ -384,10 +269,7 @@ def _execute_job(
         cached = store.get_json(skey)
     if cached is not None:
         hits["simulation"] = True
-        cached = dict(cached)
-        cached["cache_hits"] = hits
-        cached["compute_seconds"] = round(time.monotonic() - started, 6)
-        return cached, hits
+        return returned_payload(cached, hits, {"route": "store"}, started), hits
     hits["simulation"] = False
 
     with tele.span("campaign.stage.trace", cat="campaign"):
@@ -423,10 +305,7 @@ def _execute_job(
             }
             payload.update(fields)
             store.put_json(skey, payload)
-        payload = dict(payload)
-        payload["cache_hits"] = hits
-        payload["compute_seconds"] = round(time.monotonic() - started, 6)
-        return payload, hits
+        return returned_payload(payload, hits, {"route": "tracestore"}, started), hits
 
     transformed_records = None
     verified = False
@@ -459,114 +338,17 @@ def _execute_job(
         "transformed_records": transformed_records,
         "verified": verified,
     }
+    config = job.cache.to_config()
     with tele.span("campaign.stage.simulate", cat="campaign"):
         payload.update(
-            simulation_fields(
-                trace, job.cache.to_config(), job.attribution, use_fast=job.fast
-            )
+            simulation_fields(trace, config, job.attribution, use_fast=job.fast)
         )
         store.put_json(skey, payload)
-    payload = dict(payload)
-    payload["cache_hits"] = hits
-    payload["compute_seconds"] = round(time.monotonic() - started, 6)
-    return payload, hits
+    route = simulation_route(config, job.fast)
+    return returned_payload(payload, hits, route, started), hits
 
 
 # -- batched jobs -------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class BatchJob:
-    """Several grid points sharing one input trace, run as one pass.
-
-    Members agree on everything but the cache geometry (same kernel,
-    length, rule, attribution, verify flag), so the trace/transform
-    stages and the per-record decode run once and the batched kernel
-    answers every geometry together.  Each member still stores its own
-    simulation artifact under its own key and appears in the manifest
-    as its own ``job_done`` row — resume, reports and the artifact
-    store cannot tell the routes apart.
-    """
-
-    members: Tuple[Job, ...]
-    #: records per chunk streamed through the batched kernel
-    chunk: int = 65536
-
-    def __post_init__(self) -> None:
-        if len(self.members) < 2:
-            raise ValueError("a BatchJob needs >= 2 member jobs")
-        head = self.members[0]
-        for job in self.members:
-            if not job.fast:
-                raise ValueError(
-                    f"batch member {job.job_id!r} is forced onto the "
-                    "reference simulator; it cannot run batched"
-                )
-            if (job.kernel, job.length, job.rule, job.attribution, job.verify) != (
-                head.kernel,
-                head.length,
-                head.rule,
-                head.attribution,
-                head.verify,
-            ):
-                raise ValueError(
-                    f"batch member {job.job_id!r} does not share "
-                    f"{head.job_id!r}'s trace identity"
-                )
-
-    @property
-    def job_id(self) -> str:
-        """Stable id for the batch itself (manifest ``job_start`` rows)."""
-        head = self.members[0]
-        return (
-            f"batch/{head.kernel}-L{head.length}/{head.rule}"
-            f"/{head.attribution}[{len(self.members)}]"
-        )
-
-    @property
-    def member_ids(self) -> Tuple[str, ...]:
-        return tuple(job.job_id for job in self.members)
-
-
-def group_batch_jobs(
-    jobs: List[Job], *, max_configs: int = 64, chunk: int = 65536
-) -> List[Union[Job, "BatchJob"]]:
-    """Fold batchable grid points into :class:`BatchJob` groups.
-
-    Jobs group by shared trace identity ``(kernel, length, rule,
-    attribution, verify)`` when their cache geometry is batch-eligible;
-    groups larger than ``max_configs`` split, and singletons, ineligible
-    geometries (round-robin, PLRU, fully associative) and jobs forced
-    onto the reference simulator (:attr:`Job.fast` false) pass through
-    unchanged.  Output order preserves each job's first appearance, so
-    manifests stay readable.
-    """
-    from repro.simbatch.plan import batch_eligible
-
-    groups: Dict[Tuple[str, int, str, str, bool], List[Job]] = {}
-    ordered: List[Union[Job, Tuple[str, int, str, str, bool]]] = []
-    for job in jobs:
-        if not (job.fast and batch_eligible(job.cache.to_config())):
-            ordered.append(job)
-            continue
-        key = (job.kernel, job.length, job.rule, job.attribution, job.verify)
-        if key not in groups:
-            groups[key] = []
-            ordered.append(key)
-        groups[key].append(job)
-    out: List[Union[Job, BatchJob]] = []
-    for item in ordered:
-        if isinstance(item, Job):
-            out.append(item)
-            continue
-        members = groups[item]
-        for start in range(0, len(members), max_configs):
-            split = members[start : start + max_configs]
-            if len(split) == 1:
-                out.append(split[0])
-            else:
-                out.append(BatchJob(members=tuple(split), chunk=chunk))
-    return out
 
 
 def execute_batch_job(
@@ -583,7 +365,7 @@ def execute_batch_job(
     test suite).
     """
     tele = get_telemetry()
-    store = ArtifactStore(store_root)
+    store = ArtifactStore(store_root, sweep=False)
     started = time.monotonic()
     head = batch.members[0]
     with tele.span(
@@ -592,9 +374,7 @@ def execute_batch_job(
         job=batch.job_id,
         configs=len(batch.members),
     ):
-        tkey = trace_key(head.kernel, head.length)
-        rule_text = resolve_rule_text(head.rule, head.length)
-        input_key = tkey if rule_text is None else transform_key(tkey, rule_text)
+        rule_text, input_key = point_input_key(head)
 
         member_payloads: Dict[str, Dict[str, Any]] = {}
         pending: List[Job] = []
@@ -603,9 +383,9 @@ def execute_batch_job(
             skey = simulation_key(input_key, job)
             cached = store.get_json(skey)
             if cached is not None:
-                payload = dict(cached)
-                payload["cache_hits"] = {"simulation": True}
-                member_payloads[job.job_id] = payload
+                member_payloads[job.job_id] = returned_payload(
+                    cached, {"simulation": True}, {"route": "store"}, started
+                )
             else:
                 pending.append(job)
         hits["simulation"] = not pending
@@ -661,9 +441,9 @@ def execute_batch_job(
                     }
                     payload.update(sim_fields)
                     store.put_json(skey, payload)
-                    payload = dict(payload)
-                    payload["cache_hits"] = dict(hits)
-                    member_payloads[job.job_id] = payload
+                    member_payloads[job.job_id] = returned_payload(
+                        payload, dict(hits), {"route": "batch"}, started
+                    )
     _count_artifact_hits(tele, hits)
     elapsed = round(time.monotonic() - started, 6)
     for payload in member_payloads.values():

@@ -2,10 +2,16 @@
 
 Execution model:
 
+- **Planning** happens in the parent: every pending grid point's
+  simulation artifact is looked up by content key, and a stored point is
+  recorded as done on the spot.  Only the points left over start any
+  work, and a campaign with none left starts no worker, no service and
+  no pipeline import (:mod:`repro.campaign.jobs`, numpy, the tracer).
 - **Phase 1** runs the deduplicated :class:`TraceTask` list — one task
-  per distinct ``(kernel, length)`` — so the expensive shared stage is
-  computed exactly once no matter how many grid points reuse it.
-- **Phase 2** fans every :class:`Job` out over a pool of worker
+  per distinct ``(kernel, length)`` a missing point needs — so the
+  expensive shared stage is computed exactly once no matter how many
+  grid points reuse it.
+- **Phase 2** fans every missing :class:`Job` out over a pool of worker
   *processes* (one dedicated task queue per worker, one shared result
   queue).  The parent knows which worker owns which job and when it
   started, which is what makes per-job **timeouts** enforceable: a
@@ -22,22 +28,22 @@ Execution model:
 
 Every state change is appended to the JSONL
 :class:`~repro.campaign.manifest.RunManifest`; ``resume=True`` reads the
-previous manifest, skips already-completed jobs, and appends to it.
+previous manifest, carries its completed jobs forward as skipped, and
+appends to it.
 """
 
 from __future__ import annotations
 
 import heapq
-import multiprocessing as mp
 import os
 import queue as queue_mod
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.campaign.artifacts import ArtifactStore
-from repro.campaign.jobs import (
+from repro.campaign.grid import (
     NO_BATCH_ENV,
     NO_FAST_ENV,
     NO_SERVICE_ENV,
@@ -45,9 +51,11 @@ from repro.campaign.jobs import (
     BatchJob,
     Job,
     TraceTask,
-    execute_task,
     expand_jobs,
     group_batch_jobs,
+    point_input_key,
+    returned_payload,
+    simulation_key,
 )
 from repro.campaign.manifest import (
     EVENT_CAMPAIGN_END,
@@ -62,6 +70,9 @@ from repro.campaign.manifest import (
 )
 from repro.campaign.spec import CampaignSpec
 from repro.obsv.telemetry import get_telemetry
+
+if TYPE_CHECKING:
+    from multiprocessing.process import BaseProcess
 
 #: Upper bound on one backoff delay, seconds.
 MAX_BACKOFF = 30.0
@@ -153,6 +164,20 @@ class CampaignResult:
         return "\n".join(lines)
 
 
+def execute_task(
+    task: Union[TraceTask, Job, BatchJob], store_root: str
+) -> Dict[str, Any]:
+    """Run one task: :func:`repro.campaign.jobs.execute_task`.
+
+    Every executor calls the pipeline through this name.  The scheduler
+    imports :mod:`repro.campaign.jobs` before it starts any work, so
+    forked workers inherit it and this import is a lookup.
+    """
+    from repro.campaign.jobs import execute_task as execute
+
+    return execute(task, store_root)
+
+
 def _result_rows(
     task: Union[TraceTask, Job, BatchJob], payload: Any
 ) -> List[Tuple[str, Any]]:
@@ -189,7 +214,7 @@ class _WorkerSlot:
 
     __slots__ = ("process", "task_queue", "busy", "started_at")
 
-    def __init__(self, process: mp.process.BaseProcess, task_queue) -> None:
+    def __init__(self, process: BaseProcess, task_queue) -> None:
         self.process = process
         self.task_queue = task_queue
         self.busy: Optional[Tuple[int, int]] = None
@@ -239,7 +264,13 @@ def _worker_main(worker_id: int, task_queue, result_queue, store_root: str) -> N
 
 
 def _mp_context():
-    """Prefer ``fork`` (cheap task pickling) with a portable fallback."""
+    """Prefer ``fork`` (cheap task pickling) with a portable fallback.
+
+    Imported on use: a campaign with nothing left to run never loads
+    multiprocessing.
+    """
+    import multiprocessing as mp
+
     try:
         return mp.get_context("fork")
     except ValueError:  # pragma: no cover - non-POSIX
@@ -327,12 +358,6 @@ class Scheduler:
         self.fast = bool(
             fast if fast is not None else not os.environ.get(NO_FAST_ENV)
         )
-        if self.tracestore:
-            from repro.tracestore.campaign import tracestore_root_for
-
-            tracestore_root_for(self.store.root).mkdir(
-                parents=True, exist_ok=True
-            )
         self.workers = max(0, workers)
         self.timeout = timeout
         self.retries = max(0, retries)
@@ -418,56 +443,30 @@ class Scheduler:
                 tracestore=self.tracestore,
             )
             run_jobs: List[Job] = []
-            for job in jobs:
-                row = previous.get(job.job_id)
-                if row is not None:
-                    # Carry the prior result forward so reports built from
-                    # the latest terminal row per job still have the data.
-                    manifest.record(
-                        EVENT_JOB_SKIPPED,
-                        job_id=job.job_id,
-                        result=row.get("result"),
-                    )
-                    result.outcomes.append(
-                        JobOutcome(
+            with telemetry.span("campaign.plan", cat="campaign"):
+                for job in jobs:
+                    row = previous.get(job.job_id)
+                    if row is not None:
+                        # Carry the prior result forward so reports built
+                        # from the latest terminal row per job still have
+                        # the data.
+                        manifest.record(
+                            EVENT_JOB_SKIPPED,
                             job_id=job.job_id,
-                            status="skipped",
-                            attempts=0,
                             result=row.get("result"),
                         )
-                    )
-                    continue
-                recovered = (
-                    self._recover_orphan(job) if self.resume else None
-                )
-                if recovered is not None:
-                    # A previous run died between the artifact write and
-                    # the manifest append: the content-addressed payload
-                    # exists but no terminal row does.  Dedupe by content
-                    # key on replay — serve the orphaned artifact as a
-                    # recovered job-done instead of re-executing.
-                    manifest.record(
-                        EVENT_JOB_DONE,
-                        job_id=job.job_id,
-                        attempt=0,
-                        worker=-1,
-                        elapsed=0.0,
-                        result=recovered,
-                        recovered=True,
-                    )
-                    result.outcomes.append(
-                        JobOutcome(
-                            job_id=job.job_id,
-                            status="done",
-                            attempts=0,
-                            result=recovered,
+                        result.outcomes.append(
+                            JobOutcome(
+                                job_id=job.job_id,
+                                status="skipped",
+                                attempts=0,
+                                result=row.get("result"),
+                            )
                         )
-                    )
-                    telemetry.add("campaign.orphans_recovered")
-                else:
-                    run_jobs.append(job)
+                    elif not self._serve_stored(job, manifest, result, telemetry):
+                        run_jobs.append(job)
             # Phase 1: shared trace stages, deduplicated.  Only needed
-            # for programs some remaining job actually uses.
+            # for programs some missing point actually uses.
             needed = {(j.kernel, j.length) for j in run_jobs}
             phase1 = [
                 t for t in trace_tasks if (t.kernel, t.length) in needed
@@ -520,36 +519,60 @@ class Scheduler:
             )
         return result
 
-    def _recover_orphan(self, job: Job) -> Optional[Dict[str, Any]]:
-        """Resume-time content-key dedupe for one pending grid point.
+    def _serve_stored(
+        self,
+        job: Job,
+        manifest: RunManifest,
+        result: CampaignResult,
+        telemetry,
+    ) -> bool:
+        """Answer one pending grid point from the artifact store.
 
-        Returns the orphaned simulation payload when the artifact store
-        already holds this job's content-addressed result (a prior
-        worker died after the atomic artifact write but before the
-        manifest append), shaped exactly like a fully cached execution;
-        ``None`` means the job must actually run.
+        Looks the point's simulation artifact up by content key; when it
+        is stored, records the point as done (worker ``-1``, route
+        ``store``) and returns True, and the point starts no work.  On
+        ``--resume`` a stored point without a terminal row is an orphan
+        (a previous run died between the artifact write and the manifest
+        append): it is recorded as ``recovered`` with attempt 0.  False
+        means the point must run; so does a rule reference that cannot
+        be resolved, whose failure the normal run path records.
         """
-        from repro.campaign.jobs import (
-            resolve_rule_text,
-            simulation_key,
-            trace_key,
-            transform_key,
-        )
-
+        started = time.monotonic()
         try:
-            rule_text = resolve_rule_text(job.rule, job.length)
-        except Exception:
-            # Unresolvable rule: let the normal run path own the failure.
-            return None
-        tkey = trace_key(job.kernel, job.length)
-        input_key = tkey if rule_text is None else transform_key(tkey, rule_text)
-        payload = self.store.get_json(simulation_key(input_key, job))
-        if payload is None:
-            return None
-        payload = dict(payload)
-        payload["cache_hits"] = {"simulation": True}
-        payload["compute_seconds"] = 0.0
-        return payload
+            _, input_key = point_input_key(job)
+        except (OSError, ValueError):
+            return False
+        stored = self.store.get_json(simulation_key(input_key, job))
+        if stored is None:
+            return False
+        payload = returned_payload(
+            stored, {"simulation": True}, {"route": "store"}, started
+        )
+        elapsed = payload["compute_seconds"]
+        attempt = 0 if self.resume else 1
+        extra = {"recovered": True} if self.resume else {}
+        manifest.record(
+            EVENT_JOB_DONE,
+            job_id=job.job_id,
+            attempt=attempt,
+            worker=-1,
+            elapsed=elapsed,
+            result=payload,
+            **extra,
+        )
+        result.outcomes.append(
+            JobOutcome(
+                job_id=job.job_id,
+                status="done",
+                attempts=attempt,
+                elapsed=elapsed,
+                result=payload,
+            )
+        )
+        telemetry.add("campaign.artifact_hits")
+        if self.resume:
+            telemetry.add("campaign.orphans_recovered")
+        return True
 
     # -- batch executors -----------------------------------------------------
 
@@ -561,6 +584,10 @@ class Scheduler:
         """Drive one task batch to terminal state (serial or parallel)."""
         if not tasks:
             return []
+        # Load the pipeline here, before any fork, so pool workers
+        # inherit it instead of importing it once each.
+        import repro.campaign.jobs  # noqa: F401
+
         if self.service:
             return self._run_service(tasks, manifest)
         # A single task still goes through the process pool when workers

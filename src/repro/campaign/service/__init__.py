@@ -15,39 +15,29 @@ queue), :mod:`~repro.campaign.service.wire` (task <-> JSON codec),
 :mod:`~repro.campaign.service.client`.
 """
 
-from repro.campaign.service.client import ServiceClient
-from repro.campaign.service.protocol import (
-    MAX_FRAME_BYTES,
-    PROTO_VERSION,
-    ProtocolError,
-)
-from repro.campaign.service.queue import QueueClosed, ShardQueue
-from repro.campaign.service.server import (
-    CampaignService,
-    ServiceConfig,
-    serve_forever,
-    service_running,
-    service_socket_path,
-)
-from repro.campaign.service.wire import (
-    execute_wire_job,
-    task_from_wire,
-    task_to_wire,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "CampaignService",
-    "MAX_FRAME_BYTES",
-    "PROTO_VERSION",
-    "ProtocolError",
-    "QueueClosed",
-    "ServiceClient",
-    "ServiceConfig",
-    "ShardQueue",
-    "execute_wire_job",
-    "serve_forever",
-    "service_running",
-    "service_socket_path",
-    "task_from_wire",
-    "task_to_wire",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.campaign.service.client": ("ServiceClient",),
+        "repro.campaign.service.protocol": (
+            "MAX_FRAME_BYTES",
+            "PROTO_VERSION",
+            "ProtocolError",
+        ),
+        "repro.campaign.service.queue": ("QueueClosed", "ShardQueue"),
+        "repro.campaign.service.server": (
+            "CampaignService",
+            "ServiceConfig",
+            "serve_forever",
+            "service_running",
+            "service_socket_path",
+        ),
+        "repro.campaign.service.wire": (
+            "execute_wire_job",
+            "task_from_wire",
+            "task_to_wire",
+        ),
+    },
+)

@@ -557,7 +557,15 @@ async def service_running(
 
 
 def serve_forever(config: ServiceConfig) -> None:
-    """Blocking entry point for ``tdst serve`` (runs until shutdown)."""
+    """Blocking entry point for ``tdst serve`` (runs until shutdown).
+
+    Opening the artifact store here sweeps its stale temp files once;
+    the job bodies open it without sweeping.
+    """
+    if config.store_root:
+        from repro.campaign.artifacts import ArtifactStore
+
+        ArtifactStore(config.store_root)
 
     async def _main() -> None:
         async with service_running(config) as service:

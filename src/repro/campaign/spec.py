@@ -43,7 +43,7 @@ from typing import Any, Dict, Iterable, Mapping, Optional, Sequence, Tuple, Unio
 
 from repro.cache.config import CacheConfig
 from repro.errors import CampaignError
-from repro.workloads.paper_kernels import PAPER_KERNELS
+from repro.workloads.names import PAPER_KERNEL_NAMES
 
 #: Rule names resolvable without a rule file.
 PAPER_RULE_NAMES = ("t1", "t2", "t3")
@@ -109,10 +109,10 @@ class GridEntry:
     caches: Tuple[CacheSpec, ...] = ()
 
     def __post_init__(self) -> None:
-        if self.kernel.lower() not in PAPER_KERNELS:
+        if self.kernel.lower() not in PAPER_KERNEL_NAMES:
             raise CampaignError(
                 f"unknown kernel {self.kernel!r}; "
-                f"choose from {sorted(PAPER_KERNELS)}"
+                f"choose from {sorted(PAPER_KERNEL_NAMES)}"
             )
         if self.length <= 0:
             raise CampaignError(f"length must be positive, got {self.length}")

@@ -39,24 +39,13 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
-from typing import List, Optional, Sequence
+from typing import TYPE_CHECKING, List, Optional, Sequence
 
-from repro.analysis.ascii_plot import render_figure
-from repro.analysis.gnuplot import write_gnuplot_data, write_gnuplot_script
-from repro.analysis.per_set import figure_series
-from repro.analysis.report import simulation_report
-from repro.cache.config import CacheConfig
-from repro.cache.simulator import simulate
-from repro.cache.threec import classify_misses
-from repro.memory.paging import PageTable
-from repro.trace.diff import diff_traces
-from repro.trace.physical import to_physical
-from repro.trace.stats import compute_stats
-from repro.trace.stream import Trace
-from repro.tracer.interp import trace_program
-from repro.transform.engine import TransformEngine
-from repro.transform.rule_parser import parse_rules_file
-from repro.workloads.paper_kernels import PAPER_KERNELS, paper_kernel
+# Each subcommand imports what it uses: a warm ``tdst campaign`` or
+# ``tdst obsv`` never loads numpy, the tracer or a simulator.
+if TYPE_CHECKING:
+    from repro.cache.config import CacheConfig
+    from repro.trace.stream import Trace
 
 
 def _add_cache_args(parser: argparse.ArgumentParser) -> None:
@@ -116,6 +105,8 @@ def _add_profile_args(parser: argparse.ArgumentParser) -> None:
 
 
 def _cache_config(args: argparse.Namespace) -> CacheConfig:
+    from repro.cache.config import CacheConfig
+
     if getattr(args, "ppc440", False):
         return CacheConfig.ppc440()
     return CacheConfig(
@@ -126,7 +117,17 @@ def _cache_config(args: argparse.Namespace) -> CacheConfig:
     )
 
 
+def _load_trace(path) -> Trace:
+    """Read a trace file of any format (see ``Trace.load_any``)."""
+    from repro.trace.stream import Trace
+
+    return Trace.load_any(path)
+
+
 def _cmd_trace(args: argparse.Namespace) -> int:
+    from repro.tracer.interp import trace_program
+    from repro.workloads.paper_kernels import paper_kernel
+
     program = paper_kernel(args.kernel, length=args.length)
     trace = trace_program(program)
     if args.binary:
@@ -140,7 +141,9 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
-    trace = Trace.load_any(args.trace)
+    from repro.trace.stats import compute_stats
+
+    trace = _load_trace(args.trace)
     print(compute_stats(trace).summary())
     return 0
 
@@ -148,6 +151,9 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 def _apply_physical(trace: Trace, args: argparse.Namespace) -> Trace:
     if not getattr(args, "physical", None):
         return trace
+    from repro.memory.paging import PageTable
+    from repro.trace.physical import to_physical
+
     table = PageTable(args.physical, colors=args.colors, seed=args.seed)
     return to_physical(trace, table)
 
@@ -158,7 +164,10 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     if args.check:
         print("error: --check requires --fast")
         return 2
-    trace = _apply_physical(Trace.load_any(args.trace), args)
+    from repro.analysis.report import simulation_report
+    from repro.cache.simulator import simulate
+
+    trace = _apply_physical(_load_trace(args.trace), args)
     result = simulate(trace, _cache_config(args), attribution=args.attribution)
     print(simulation_report(result, title=str(args.trace), plot=args.plot))
     return 0
@@ -204,7 +213,9 @@ def _check_fast_window(args, config) -> int:
 
 
 def _cmd_threec(args: argparse.Namespace) -> int:
-    trace = _apply_physical(Trace.load_any(args.trace), args)
+    from repro.cache.threec import classify_misses
+
+    trace = _apply_physical(_load_trace(args.trace), args)
     report = classify_misses(
         trace, _cache_config(args), attribution=args.attribution
     )
@@ -213,7 +224,10 @@ def _cmd_threec(args: argparse.Namespace) -> int:
 
 
 def _cmd_transform(args: argparse.Namespace) -> int:
-    trace = Trace.load_any(args.trace)
+    from repro.transform.engine import TransformEngine
+    from repro.transform.rule_parser import parse_rules_file
+
+    trace = _load_trace(args.trace)
     rules = parse_rules_file(args.rules)
     engine = TransformEngine(rules, strict=args.strict)
     result = engine.transform(trace)
@@ -224,8 +238,10 @@ def _cmd_transform(args: argparse.Namespace) -> int:
 
 
 def _cmd_diff(args: argparse.Namespace) -> int:
-    original = Trace.load_any(args.original)
-    transformed = Trace.load_any(args.transformed)
+    from repro.trace.diff import diff_traces
+
+    original = _load_trace(args.original)
+    transformed = _load_trace(args.transformed)
     diff = diff_traces(original, transformed)
     print(diff.render(context=args.context))
     print(diff.summary())
@@ -239,7 +255,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         sweep_table,
     )
 
-    trace = _apply_physical(Trace.load_any(args.trace), args)
+    trace = _apply_physical(_load_trace(args.trace), args)
     configs = associativity_sweep(
         args.size, args.block, max_ways=args.max_ways, policy=args.policy
     )
@@ -253,7 +269,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 def _cmd_heatmap(args: argparse.Namespace) -> int:
     from repro.analysis.heatmap import compute_heatmap
 
-    trace = _apply_physical(Trace.load_any(args.trace), args)
+    trace = _apply_physical(_load_trace(args.trace), args)
     heat = compute_heatmap(
         trace,
         _cache_config(args),
@@ -274,7 +290,7 @@ def _cmd_advise(args: argparse.Namespace) -> int:
         suggest_hot_cold_split,
     )
 
-    trace = Trace.load_any(args.trace)
+    trace = _load_trace(args.trace)
     decls = parse_declarations(Path(args.layout).read_text(encoding="utf-8"))
     variables = dict(decls.variables)
     for tag, ctype in decls.structs.items():
@@ -349,6 +365,7 @@ def _cmd_simbatch(args: argparse.Namespace) -> int:
     """
     import json
 
+    from repro.cache.config import CacheConfig
     from repro.errors import CacheConfigError
     from repro.simbatch import plan_batch, simulate_batch
 
@@ -414,6 +431,7 @@ def _cmd_convert(args: argparse.Namespace) -> int:
     from repro.trace.binformat import load_binary, save_binary
     from repro.trace.columnar import load_columnar, save_columnar
     from repro.trace.dinero import read_dinero, write_dinero
+    from repro.trace.stream import Trace
 
     readers = {
         "text": Trace.load,
@@ -485,7 +503,7 @@ def _lint_cost_pass(args: argparse.Namespace, report) -> None:
     from repro.lint.runner import _expand, detect_kind
     from repro.trace.digest import compute_digest
 
-    digest = compute_digest(Trace.load_any(args.trace))
+    digest = compute_digest(_load_trace(args.trace))
     config = _cache_config(args)
     for path in _expand(args.paths):
         try:
@@ -524,69 +542,84 @@ def _preflight_lint(spec_path: Path) -> int:
     return len(report.errors)
 
 
+def _print_campaign_report(manifest_path: Path) -> None:
+    from repro.analysis.report import campaign_report
+    from repro.campaign.manifest import RunManifest
+
+    rows = RunManifest.result_rows(RunManifest.read(manifest_path))
+    print(campaign_report(rows))
+
+
 def _cmd_campaign(args: argparse.Namespace) -> int:
+    """``tdst campaign``: lint, plan and run a grid, then report it.
+
+    Under ``--profile`` the command's own work is timed beside the
+    scheduler's ``campaign.run``: ``campaign.preflight`` (spec lint),
+    ``campaign.setup`` (imports, spec load, scheduler set-up) and
+    ``campaign.report`` (manifest read-back and tables).
+    """
     import dataclasses
 
-    from repro.analysis.report import campaign_report
-    from repro.campaign import (
-        CampaignSpec,
-        RunManifest,
-        Scheduler,
-        paper_figures_spec,
-    )
     from repro.errors import CampaignError
+    from repro.obsv.telemetry import get_telemetry
 
+    tele = get_telemetry()
     directory = Path(args.dir)
     manifest_path = directory / "manifest.jsonl"
     if args.report:
         if not manifest_path.exists():
             print(f"error: no manifest at {manifest_path}")
             return 1
-        rows = RunManifest.result_rows(RunManifest.read(manifest_path))
-        print(campaign_report(rows))
+        with tele.span("campaign.report", cat="campaign"):
+            _print_campaign_report(manifest_path)
         return 0
-    if args.spec == "paper":
-        spec = paper_figures_spec(length=args.length)
-    else:
-        spec_path = Path(args.spec)
-        if not args.no_lint:
+    if args.spec != "paper" and not args.no_lint:
+        with tele.span("campaign.preflight", cat="campaign"):
             try:
-                if _preflight_lint(spec_path):
-                    return 1
+                errors = _preflight_lint(Path(args.spec))
             except OSError as exc:
                 print(f"error: {exc}")
                 return 1
-        try:
-            spec = CampaignSpec.load(args.spec)
-        except (CampaignError, OSError) as exc:
-            print(f"error: {exc}")
+        if errors:
             return 1
-    if args.verify:
-        spec = dataclasses.replace(spec, verify=True)
-    scheduler = Scheduler(
-        spec,
-        directory,
-        workers=args.jobs,
-        timeout=args.timeout,
-        retries=args.retries,
-        backoff=args.backoff,
-        resume=args.resume,
-        batch=False if args.no_batch else None,
-        tracestore=False if args.no_tracestore else None,
-        fast=False if args.no_fast else None,
-        service=(
-            True if args.service else (False if args.no_service else None)
-        ),
-    )
+    with tele.span("campaign.setup", cat="campaign"):
+        from repro.campaign.scheduler import Scheduler
+        from repro.campaign.spec import CampaignSpec, paper_figures_spec
+
+        if args.spec == "paper":
+            spec = paper_figures_spec(length=args.length)
+        else:
+            try:
+                spec = CampaignSpec.load(args.spec)
+            except (CampaignError, OSError) as exc:
+                print(f"error: {exc}")
+                return 1
+        if args.verify:
+            spec = dataclasses.replace(spec, verify=True)
+        scheduler = Scheduler(
+            spec,
+            directory,
+            workers=args.jobs,
+            timeout=args.timeout,
+            retries=args.retries,
+            backoff=args.backoff,
+            resume=args.resume,
+            batch=False if args.no_batch else None,
+            tracestore=False if args.no_tracestore else None,
+            fast=False if args.no_fast else None,
+            service=(
+                True if args.service else (False if args.no_service else None)
+            ),
+        )
     try:
         result = scheduler.run()
     except CampaignError as exc:
         print(f"error: {exc}")
         return 1
-    print(result.summary())
-    print()
-    rows = RunManifest.result_rows(RunManifest.read(manifest_path))
-    print(campaign_report(rows))
+    with tele.span("campaign.report", cat="campaign"):
+        print(result.summary())
+        print()
+        _print_campaign_report(manifest_path)
     # Graceful degradation: failed points are recorded, not fatal — the
     # exit code only signals a campaign that produced nothing at all.
     return 0 if (result.n_done + result.n_skipped) else 1
@@ -752,7 +785,7 @@ def _cmd_commit(args: argparse.Namespace) -> int:
     if not args.trace:
         print("error: commit needs a TRACE file or --rules/--onto")
         return 2
-    trace = Trace.load_any(args.trace)
+    trace = _load_trace(args.trace)
     commit = store.commit_trace(
         trace,
         chunk_records=args.chunk,
@@ -869,11 +902,12 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         print("error: ad-hoc verification needs ORIGINAL TRANSFORMED RULES")
         return 2
     if args.original:
+        from repro.transform.rule_parser import parse_rules_file
         from repro.verify.soundness import check_transform
 
         report = check_transform(
-            Trace.load_any(args.original),
-            Trace.load_any(args.transformed),
+            _load_trace(args.original),
+            _load_trace(args.transformed),
             parse_rules_file(args.rules),
         )
         print(report.summary())
@@ -933,7 +967,12 @@ def _cmd_obsv(args: argparse.Namespace) -> int:
 
 
 def _cmd_figure(args: argparse.Namespace) -> int:
-    trace = Trace.load_any(args.trace)
+    from repro.analysis.ascii_plot import render_figure
+    from repro.analysis.gnuplot import write_gnuplot_data, write_gnuplot_script
+    from repro.analysis.per_set import figure_series
+    from repro.cache.simulator import simulate
+
+    trace = _load_trace(args.trace)
     result = simulate(trace, _cache_config(args), attribution=args.attribution)
     figure = figure_series(result, title=str(args.trace))
     print(render_figure(figure))
@@ -947,6 +986,8 @@ def _cmd_figure(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from repro.workloads.names import PAPER_KERNEL_NAMES
+
     parser = argparse.ArgumentParser(
         prog="tdst",
         description="Trace-driven data structure transformations (SC 2012 reproduction)",
@@ -954,7 +995,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("trace", help="trace a built-in kernel")
-    p.add_argument("kernel", choices=sorted(PAPER_KERNELS))
+    p.add_argument("kernel", choices=sorted(PAPER_KERNEL_NAMES))
     p.add_argument("--length", type=int, default=16)
     p.add_argument("-o", "--output", default="trace.out")
     p.add_argument(

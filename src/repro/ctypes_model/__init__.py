@@ -18,54 +18,33 @@ Public surface:
   parser covering the subset used by the paper's rule files.
 """
 
-from repro.ctypes_model.path import Field, Index, PathElement, VariablePath
-from repro.ctypes_model.types import (
-    CHAR,
-    DOUBLE,
-    FLOAT,
-    INT,
-    LONG,
-    POINTER_SIZE,
-    SHORT,
-    UCHAR,
-    UINT,
-    ULONG,
-    USHORT,
-    ArrayType,
-    CType,
-    PointerType,
-    PrimitiveType,
-    StructField,
-    StructType,
-    UnionType,
-    primitive,
-)
-from repro.ctypes_model.parser import parse_declaration, parse_declarations
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "CType",
-    "PrimitiveType",
-    "PointerType",
-    "ArrayType",
-    "StructField",
-    "StructType",
-    "UnionType",
-    "primitive",
-    "CHAR",
-    "UCHAR",
-    "SHORT",
-    "USHORT",
-    "INT",
-    "UINT",
-    "LONG",
-    "ULONG",
-    "FLOAT",
-    "DOUBLE",
-    "POINTER_SIZE",
-    "VariablePath",
-    "PathElement",
-    "Field",
-    "Index",
-    "parse_declaration",
-    "parse_declarations",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.ctypes_model.path": ("Field", "Index", "PathElement", "VariablePath"),
+        "repro.ctypes_model.types": (
+            "CHAR",
+            "DOUBLE",
+            "FLOAT",
+            "INT",
+            "LONG",
+            "POINTER_SIZE",
+            "SHORT",
+            "UCHAR",
+            "UINT",
+            "ULONG",
+            "USHORT",
+            "ArrayType",
+            "CType",
+            "PointerType",
+            "PrimitiveType",
+            "StructField",
+            "StructType",
+            "UnionType",
+            "primitive",
+        ),
+        "repro.ctypes_model.parser": ("parse_declaration", "parse_declarations"),
+    },
+)

@@ -13,40 +13,29 @@ Public surface:
   ``tdst lint --cost --trace <t>``.
 """
 
-from repro.lint.cost.chains import (
-    ChainProof,
-    canonical_stream,
-    commuting_pairs,
-    layout_equivalent,
-    prove_dominates,
-    prove_idempotent,
-    prove_reorder,
-)
-from repro.lint.cost.lint import lint_cost
-from repro.lint.cost.model import (
-    CostReport,
-    ElementGroup,
-    LayoutImage,
-    MissInterval,
-    SetPressure,
-    build_layout_image,
-    evaluate_rules,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ChainProof",
-    "CostReport",
-    "ElementGroup",
-    "LayoutImage",
-    "MissInterval",
-    "SetPressure",
-    "build_layout_image",
-    "canonical_stream",
-    "commuting_pairs",
-    "evaluate_rules",
-    "layout_equivalent",
-    "lint_cost",
-    "prove_dominates",
-    "prove_idempotent",
-    "prove_reorder",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.lint.cost.chains": (
+            "ChainProof",
+            "canonical_stream",
+            "commuting_pairs",
+            "layout_equivalent",
+            "prove_dominates",
+            "prove_idempotent",
+            "prove_reorder",
+        ),
+        "repro.lint.cost.lint": ("lint_cost",),
+        "repro.lint.cost.model": (
+            "CostReport",
+            "ElementGroup",
+            "LayoutImage",
+            "MissInterval",
+            "SetPressure",
+            "build_layout_image",
+            "evaluate_rules",
+        ),
+    },
+)

@@ -17,31 +17,21 @@ The default base addresses are chosen to look like the paper's traces
 (globals near ``0x601040``, stack near ``0x7ff000xxx``).
 """
 
-from repro.memory.layout_constants import (
-    GLOBAL_BASE,
-    HEAP_BASE,
-    STACK_ALIGNMENT,
-    STACK_TOP,
-)
-from repro.memory.symbols import Symbol, SymbolTable, Segment
-from repro.memory.stack import StackAllocator, StackFrame
-from repro.memory.heap import HeapAllocator, HeapBlock
-from repro.memory.address_space import AddressSpace
-from repro.memory.paging import PAGE_SIZE, PageTable
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "GLOBAL_BASE",
-    "HEAP_BASE",
-    "STACK_TOP",
-    "STACK_ALIGNMENT",
-    "Segment",
-    "Symbol",
-    "SymbolTable",
-    "StackAllocator",
-    "StackFrame",
-    "HeapAllocator",
-    "HeapBlock",
-    "AddressSpace",
-    "PageTable",
-    "PAGE_SIZE",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.memory.layout_constants": (
+            "GLOBAL_BASE",
+            "HEAP_BASE",
+            "STACK_ALIGNMENT",
+            "STACK_TOP",
+        ),
+        "repro.memory.symbols": ("Symbol", "SymbolTable", "Segment"),
+        "repro.memory.stack": ("StackAllocator", "StackFrame"),
+        "repro.memory.heap": ("HeapAllocator", "HeapBlock"),
+        "repro.memory.address_space": ("AddressSpace",),
+        "repro.memory.paging": ("PAGE_SIZE", "PageTable"),
+    },
+)

@@ -21,44 +21,30 @@ Everything is zero-dependency and a true no-op unless enabled via
 ``get_telemetry().enable()``.
 """
 
-from repro.obsv.atomic import atomic_write
-from repro.obsv.sinks import (
-    GENERATOR,
-    chrome_trace_document,
-    profile_events,
-    read_jsonl_profile,
-    write_chrome_trace,
-    write_jsonl_profile,
-)
-from repro.obsv.summary import phase_coverage, render_summary, wall_us
-from repro.obsv.telemetry import (
-    RSS_GAUGE,
-    SCHEMA_VERSION,
-    Telemetry,
-    counters,
-    get_telemetry,
-    merge_snapshots,
-    phase,
-    span_forest,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "SCHEMA_VERSION",
-    "RSS_GAUGE",
-    "GENERATOR",
-    "Telemetry",
-    "get_telemetry",
-    "phase",
-    "counters",
-    "merge_snapshots",
-    "span_forest",
-    "atomic_write",
-    "profile_events",
-    "write_jsonl_profile",
-    "read_jsonl_profile",
-    "chrome_trace_document",
-    "write_chrome_trace",
-    "render_summary",
-    "phase_coverage",
-    "wall_us",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.obsv.atomic": ("atomic_write",),
+        "repro.obsv.sinks": (
+            "GENERATOR",
+            "chrome_trace_document",
+            "profile_events",
+            "read_jsonl_profile",
+            "write_chrome_trace",
+            "write_jsonl_profile",
+        ),
+        "repro.obsv.summary": ("phase_coverage", "render_summary", "wall_us"),
+        "repro.obsv.telemetry": (
+            "RSS_GAUGE",
+            "SCHEMA_VERSION",
+            "Telemetry",
+            "counters",
+            "get_telemetry",
+            "merge_snapshots",
+            "phase",
+            "span_forest",
+        ),
+    },
+)

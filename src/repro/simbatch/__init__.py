@@ -21,27 +21,22 @@ factors the shared work out:
   zero-copy fast path — and exposes the campaign-facing helpers.
 """
 
-from repro.simbatch.kernel import MultiConfigSimulator, batch_trace_counts
-from repro.simbatch.plan import (
-    BatchPlan,
-    GeometryGroup,
-    batch_eligible,
-    plan_batch,
-)
-from repro.simbatch.runner import (
-    BatchResult,
-    batch_simulation_fields,
-    simulate_batch,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "BatchPlan",
-    "BatchResult",
-    "GeometryGroup",
-    "MultiConfigSimulator",
-    "batch_eligible",
-    "batch_simulation_fields",
-    "batch_trace_counts",
-    "plan_batch",
-    "simulate_batch",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.simbatch.kernel": ("MultiConfigSimulator", "batch_trace_counts"),
+        "repro.simbatch.plan": (
+            "BatchPlan",
+            "GeometryGroup",
+            "batch_eligible",
+            "plan_batch",
+        ),
+        "repro.simbatch.runner": (
+            "BatchResult",
+            "batch_simulation_fields",
+            "simulate_batch",
+        ),
+    },
+)

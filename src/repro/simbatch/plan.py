@@ -23,7 +23,7 @@ So a grid of N configs collapses to one block expansion per distinct
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 from repro.cache.config import AllocatePolicy, CacheConfig
 
@@ -38,13 +38,21 @@ def supports_fast_path(config: CacheConfig) -> bool:
     set the time-step kernel degenerates to a per-access Python loop and
     the reference simulator is the better tool.
     """
+    return fast_path_declined(config) is None
+
+
+def fast_path_declined(config: CacheConfig) -> Optional[str]:
+    """Why the kernel does not cover ``config``, or ``None`` when it does
+    (the coverage matrix of :func:`supports_fast_path`)."""
     if config.allocate_policy is not AllocatePolicy.WRITE_ALLOCATE:
-        return False
+        return f"{config.allocate_policy.value} caches are not covered"
     if config.ways == 1:
-        return True
+        return None
     if config.associativity == 0:
-        return False
-    return config.policy.lower() == "lru"
+        return "fully associative caches are not covered"
+    if config.policy.lower() != "lru":
+        return f"{config.policy} replacement is not covered (LRU only)"
+    return None
 
 
 def batch_eligible(config: CacheConfig) -> bool:

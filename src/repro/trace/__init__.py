@@ -16,44 +16,30 @@ provides:
 - :mod:`repro.trace.diff` — the structural diff used for Figures 5/8/9.
 """
 
-from repro.trace.record import AccessType, TraceRecord
-from repro.trace.format import (
-    format_record,
-    format_trace,
-    parse_line,
-    parse_trace,
-    read_trace,
-    write_trace,
-)
-from repro.trace.stream import Trace
-from repro.trace.stats import TraceStats, compute_stats
-from repro.trace.diff import DiffEntry, DiffOp, TraceDiff, diff_traces
-from repro.trace.physical import iter_physical, to_physical
-from repro.trace.dinero import from_dinero, read_dinero, to_dinero, write_dinero
-from repro.trace.binformat import load_binary, save_binary
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "AccessType",
-    "TraceRecord",
-    "Trace",
-    "format_record",
-    "format_trace",
-    "parse_line",
-    "parse_trace",
-    "read_trace",
-    "write_trace",
-    "TraceStats",
-    "compute_stats",
-    "DiffOp",
-    "DiffEntry",
-    "TraceDiff",
-    "diff_traces",
-    "to_physical",
-    "iter_physical",
-    "to_dinero",
-    "from_dinero",
-    "read_dinero",
-    "write_dinero",
-    "save_binary",
-    "load_binary",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.trace.record": ("AccessType", "TraceRecord"),
+        "repro.trace.format": (
+            "format_record",
+            "format_trace",
+            "parse_line",
+            "parse_trace",
+            "read_trace",
+            "write_trace",
+        ),
+        "repro.trace.stream": ("Trace",),
+        "repro.trace.stats": ("TraceStats", "compute_stats"),
+        "repro.trace.diff": ("DiffEntry", "DiffOp", "TraceDiff", "diff_traces"),
+        "repro.trace.physical": ("iter_physical", "to_physical"),
+        "repro.trace.dinero": (
+            "from_dinero",
+            "read_dinero",
+            "to_dinero",
+            "write_dinero",
+        ),
+        "repro.trace.binformat": ("load_binary", "save_binary"),
+    },
+)

@@ -26,75 +26,45 @@ optimising compiler; see DESIGN.md "substitutions"):
   pointer) and one ``S`` per parameter.
 """
 
-from repro.tracer.expr import (
-    AddrOf,
-    Arrow,
-    BinOp,
-    Cast,
-    Const,
-    Deref,
-    Expr,
-    Member,
-    PointerValue,
-    Subscript,
-    Var,
-    V,
-)
-from repro.tracer.stmt import (
-    Assign,
-    AugAssign,
-    Block,
-    Call,
-    CallAssign,
-    DeclLocal,
-    ExprStmt,
-    For,
-    HeapAlloc,
-    HeapFree,
-    If,
-    Return,
-    StartInstrumentation,
-    Stmt,
-    StopInstrumentation,
-    While,
-    simple_for,
-)
-from repro.tracer.program import Function, GlobalDecl, Program
-from repro.tracer.interp import Interpreter, trace_program
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Expr",
-    "Const",
-    "Var",
-    "V",
-    "Subscript",
-    "Member",
-    "Arrow",
-    "Deref",
-    "AddrOf",
-    "BinOp",
-    "Cast",
-    "PointerValue",
-    "Stmt",
-    "Block",
-    "DeclLocal",
-    "Assign",
-    "AugAssign",
-    "ExprStmt",
-    "If",
-    "While",
-    "For",
-    "simple_for",
-    "Call",
-    "CallAssign",
-    "Return",
-    "HeapAlloc",
-    "HeapFree",
-    "StartInstrumentation",
-    "StopInstrumentation",
-    "Function",
-    "GlobalDecl",
-    "Program",
-    "Interpreter",
-    "trace_program",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.tracer.expr": (
+            "AddrOf",
+            "Arrow",
+            "BinOp",
+            "Cast",
+            "Const",
+            "Deref",
+            "Expr",
+            "Member",
+            "PointerValue",
+            "Subscript",
+            "Var",
+            "V",
+        ),
+        "repro.tracer.stmt": (
+            "Assign",
+            "AugAssign",
+            "Block",
+            "Call",
+            "CallAssign",
+            "DeclLocal",
+            "ExprStmt",
+            "For",
+            "HeapAlloc",
+            "HeapFree",
+            "If",
+            "Return",
+            "StartInstrumentation",
+            "Stmt",
+            "StopInstrumentation",
+            "While",
+            "simple_for",
+        ),
+        "repro.tracer.program": ("Function", "GlobalDecl", "Program"),
+        "repro.tracer.interp": ("Interpreter", "trace_program"),
+    },
+)

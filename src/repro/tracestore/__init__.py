@@ -7,58 +7,34 @@ editing a rule file costs only the chunks the edit provably touched
 (:mod:`repro.tracestore.delta` carries the static proof).
 """
 
-from repro.tracestore.chain import (
-    KIND_SNAPSHOT,
-    KIND_TRANSFORM,
-    ChunkMeta,
-    Commit,
-    blob_id,
-    build_commit,
-    chunk_variables,
-    commit_id,
-    common_prefix_chunks,
-    encode_chunk,
-    rules_id,
-)
-from repro.tracestore.delta import RuleDelta, rule_delta
-from repro.tracestore.digests import (
-    digest_for_commit,
-    get_digest,
-    has_digest,
-    put_digest,
-)
-from repro.tracestore.resim import ChainSimResult, simulate_chain, snapshot_id
-from repro.tracestore.store import TraceStore
-from repro.tracestore.transform import ApplyResult, apply_rules
-from repro.tracestore.campaign import (
-    incremental_job_fields,
-    tracestore_root_for,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "KIND_SNAPSHOT",
-    "KIND_TRANSFORM",
-    "ApplyResult",
-    "ChainSimResult",
-    "ChunkMeta",
-    "Commit",
-    "RuleDelta",
-    "TraceStore",
-    "apply_rules",
-    "blob_id",
-    "build_commit",
-    "chunk_variables",
-    "commit_id",
-    "common_prefix_chunks",
-    "digest_for_commit",
-    "encode_chunk",
-    "get_digest",
-    "has_digest",
-    "incremental_job_fields",
-    "put_digest",
-    "rule_delta",
-    "rules_id",
-    "simulate_chain",
-    "snapshot_id",
-    "tracestore_root_for",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.tracestore.chain": (
+            "KIND_SNAPSHOT",
+            "KIND_TRANSFORM",
+            "ChunkMeta",
+            "Commit",
+            "blob_id",
+            "build_commit",
+            "chunk_variables",
+            "commit_id",
+            "common_prefix_chunks",
+            "encode_chunk",
+            "rules_id",
+        ),
+        "repro.tracestore.delta": ("RuleDelta", "rule_delta"),
+        "repro.tracestore.digests": (
+            "digest_for_commit",
+            "get_digest",
+            "has_digest",
+            "put_digest",
+        ),
+        "repro.tracestore.resim": ("ChainSimResult", "simulate_chain", "snapshot_id"),
+        "repro.tracestore.store": ("TraceStore",),
+        "repro.tracestore.transform": ("ApplyResult", "apply_rules"),
+        "repro.tracestore.campaign": ("incremental_job_fields", "tracestore_root_for"),
+    },
+)

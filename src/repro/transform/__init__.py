@@ -25,43 +25,29 @@ Three rule kinds reproduce the paper's Section V:
   for cache-set pinning, with injected index-arithmetic loads (T3).
 """
 
-from repro.transform.formula import FormulaError, IndexFormula
-from repro.transform.rules import (
-    InjectSpec,
-    LayoutRule,
-    OutlineRule,
-    Rule,
-    RuleSet,
-    StrideRule,
-)
-from repro.transform.displace import DisplaceRule
-from repro.transform.dynamic import PoolRule
-from repro.transform.tile import TileRule, tiled_struct
-from repro.transform.rule_parser import parse_rules, parse_rules_file
-from repro.transform.engine import (
-    TransformEngine,
-    TransformReport,
-    TransformResult,
-    transform_trace,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "IndexFormula",
-    "FormulaError",
-    "Rule",
-    "RuleSet",
-    "LayoutRule",
-    "OutlineRule",
-    "StrideRule",
-    "DisplaceRule",
-    "PoolRule",
-    "TileRule",
-    "tiled_struct",
-    "InjectSpec",
-    "parse_rules",
-    "parse_rules_file",
-    "TransformEngine",
-    "TransformReport",
-    "TransformResult",
-    "transform_trace",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.transform.formula": ("FormulaError", "IndexFormula"),
+        "repro.transform.rules": (
+            "InjectSpec",
+            "LayoutRule",
+            "OutlineRule",
+            "Rule",
+            "RuleSet",
+            "StrideRule",
+        ),
+        "repro.transform.displace": ("DisplaceRule",),
+        "repro.transform.dynamic": ("PoolRule",),
+        "repro.transform.tile": ("TileRule", "tiled_struct"),
+        "repro.transform.rule_parser": ("parse_rules", "parse_rules_file"),
+        "repro.transform.engine": (
+            "TransformEngine",
+            "TransformReport",
+            "TransformResult",
+            "transform_trace",
+        ),
+    },
+)

@@ -20,8 +20,10 @@ Listing fidelity notes:
 
 from __future__ import annotations
 
-from repro.transform.rule_parser import parse_rules
-from repro.transform.rules import RuleSet
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from repro.transform.rules import RuleSet
 
 #: T1 — structure of arrays -> array of structures (Listing 5).
 RULE_T1_SOA_TO_AOS = """\
@@ -73,20 +75,28 @@ L lI 4 x2 existing
 """
 
 
+def _parsed(text: str) -> RuleSet:
+    # Imported on use: campaign planning reads the texts above and
+    # never parses them.
+    from repro.transform.rule_parser import parse_rules
+
+    return parse_rules(text)
+
+
 def rule_t1(length: int = 16) -> RuleSet:
     """Parsed Listing 5 rule for arrays of ``length`` elements."""
-    return parse_rules(RULE_T1_SOA_TO_AOS.format(length=length))
+    return _parsed(RULE_T1_SOA_TO_AOS.format(length=length))
 
 
 def rule_t2(length: int = 16) -> RuleSet:
     """Parsed Listing 8 rule for arrays of ``length`` elements."""
-    return parse_rules(RULE_T2_OUTLINE.format(length=length))
+    return _parsed(RULE_T2_OUTLINE.format(length=length))
 
 
 def rule_t3(length: int = 1024, *, sets: int = 16, cacheline: int = 32) -> RuleSet:
     """Parsed Listing 11 rule (ITEMSPERLINE derived from the line size)."""
     ipl = cacheline // 4
-    return parse_rules(
+    return _parsed(
         RULE_T3_STRIDE.format(
             length=length, out_length=length * sets, ipl=ipl, sets=sets
         )

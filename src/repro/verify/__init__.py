@@ -20,40 +20,32 @@ program?*
 on these entry points.
 """
 
-from repro.verify.agreement import AgreementReport, check_kernel_agreement
-from repro.verify.golden import (
-    GOLDEN_DIR,
-    UPDATE_GOLDEN_ENV,
-    GoldenCase,
-    paper_cases,
-    run_case,
-    update_requested,
-)
-from repro.verify.runner import CaseOutcome, VerifyOutcome, verify_case, verify_paper
-from repro.verify.soundness import (
-    MAX_RECORDED_VIOLATIONS,
-    SoundnessReport,
-    Violation,
-    check_result,
-    check_transform,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "AgreementReport",
-    "CaseOutcome",
-    "GOLDEN_DIR",
-    "GoldenCase",
-    "MAX_RECORDED_VIOLATIONS",
-    "SoundnessReport",
-    "UPDATE_GOLDEN_ENV",
-    "VerifyOutcome",
-    "Violation",
-    "check_kernel_agreement",
-    "check_result",
-    "check_transform",
-    "paper_cases",
-    "run_case",
-    "update_requested",
-    "verify_case",
-    "verify_paper",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.verify.agreement": ("AgreementReport", "check_kernel_agreement"),
+        "repro.verify.golden": (
+            "GOLDEN_DIR",
+            "UPDATE_GOLDEN_ENV",
+            "GoldenCase",
+            "paper_cases",
+            "run_case",
+            "update_requested",
+        ),
+        "repro.verify.runner": (
+            "CaseOutcome",
+            "VerifyOutcome",
+            "verify_case",
+            "verify_paper",
+        ),
+        "repro.verify.soundness": (
+            "MAX_RECORDED_VIOLATIONS",
+            "SoundnessReport",
+            "Violation",
+            "check_result",
+            "check_transform",
+        ),
+    },
+)

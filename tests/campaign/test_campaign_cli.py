@@ -340,3 +340,118 @@ class TestImports:
         )
         assert out.returncode == 0, out.stderr
         assert "LOADED []" in out.stdout
+
+    #: Modules only the pipeline needs: a fully warm campaign loads none.
+    PIPELINE = (
+        "numpy",
+        "repro.tracer.interp",
+        "repro.transform.engine",
+        "repro.cache.simulator",
+        "repro.simbatch.kernel",
+    )
+
+    @staticmethod
+    def _probe(code):
+        """Run ``code`` in a fresh interpreter; returns its stdout."""
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import repro
+
+        env = {**os.environ, "PYTHONPATH": str(Path(repro.__file__).parents[1])}
+        for name in ("TDST_NO_SERVICE", "TDST_NO_FAST", "TDST_NO_BATCH"):
+            env.pop(name, None)
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=300,
+        )
+        assert out.returncode == 0, out.stderr
+        return out.stdout
+
+    def _loaded(self, argv):
+        """A probe running ``tdst argv`` that prints what it imported."""
+        return (
+            "import sys\n"
+            "from repro.cli import main\n"
+            f"assert main({argv!r}) == 0\n"
+            "names = ('multiprocessing', 'repro.campaign.jobs')"
+            f" + {self.PIPELINE!r}\n"
+            "print('LOADED', sorted(m for m in names if m in sys.modules))\n"
+        )
+
+    def test_warm_campaign_never_loads_the_pipeline(self, spec_file, tmp_path):
+        """A rerun whose points are all stored is answered in the parent:
+        no pipeline import, no worker process, one done row per point."""
+        import json
+
+        out = tmp_path / "out"
+        argv = ["campaign", str(spec_file), "--dir", str(out), "--jobs", "2"]
+        primed = self._probe(self._loaded(argv))
+        assert "repro.campaign.jobs" in primed and "numpy" in primed
+
+        assert "LOADED []" in self._probe(self._loaded(argv))
+        rows = [
+            json.loads(line)
+            for line in (out / "manifest.jsonl").read_text().splitlines()
+        ]
+        events = [r["event"] for r in rows]
+        assert events.count("job-start") == 0
+        done = [r for r in rows if r["event"] == "job-done"]
+        assert sorted(r["job_id"] for r in done) == [
+            "1a-L64/baseline/2048B-32b-1w-lru/base",
+            "1a-L64/t1/2048B-32b-1w-lru/base",
+        ]
+        assert all(r["worker"] == -1 for r in done)
+        assert all(r["result"]["route"] == "store" for r in done)
+
+    def test_report_and_summarize_load_no_numpy(self, spec_file, tmp_path):
+        out = tmp_path / "out"
+        profile = tmp_path / "p.jsonl"
+        self._probe(
+            self._loaded(
+                ["campaign", str(spec_file), "--dir", str(out),
+                 "--profile", str(profile)]
+            )
+        )
+        for argv in (
+            ["campaign", str(spec_file), "--dir", str(out), "--report"],
+            ["obsv", "summarize", str(profile)],
+        ):
+            assert "LOADED []" in self._probe(self._loaded(argv)), argv
+
+    def test_mixed_run_traces_only_missing_programs(self, spec_file, tmp_path):
+        """Store grid A, then run A+B without --resume: the parent serves
+        A's points and only B's program gets a trace task."""
+        import json
+
+        out = tmp_path / "out"
+        self._probe(self._loaded(["campaign", str(spec_file), "--dir", str(out)]))
+        wider = tmp_path / "wider.toml"
+        wider.write_text(
+            SPEC_TOML + '\n[[grid]]\nkernel = "2a"\nlength = 64\n'
+            'rules = ["baseline"]\n'
+        )
+        mixed = self._probe(
+            self._loaded(["campaign", str(wider), "--dir", str(out), "--jobs", "2"])
+        )
+        assert "repro.campaign.jobs" in mixed
+        rows = [
+            json.loads(line)
+            for line in (out / "manifest.jsonl").read_text().splitlines()
+        ]
+        starts = [r["job_id"] for r in rows if r["event"] == "job-start"]
+        assert starts == ["trace/2a-L64", "2a-L64/baseline/2048B-32b-1w-lru/base"]
+        served = sorted(
+            r["job_id"]
+            for r in rows
+            if r["event"] == "job-done" and r["worker"] == -1
+        )
+        assert served == [
+            "1a-L64/baseline/2048B-32b-1w-lru/base",
+            "1a-L64/t1/2048B-32b-1w-lru/base",
+        ]

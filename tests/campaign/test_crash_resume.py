@@ -77,6 +77,41 @@ class TestStaleTmpFiles:
         assert store.sweep_stale_tmp() == 1
         assert store.sweep_stale_tmp() == 0
 
+    def test_open_without_sweep_keeps_stale_tmp(self, tmp_path):
+        _, _, tmp_file = self._store_with_tmp(
+            tmp_path, age_s=STALE_TMP_AGE_S + 10
+        )
+        ArtifactStore(tmp_path / "store", sweep=False)
+        assert tmp_file.exists()
+
+    def test_inline_campaign_sweeps_once(self, tmp_path, monkeypatch):
+        """The store walk runs once per campaign, not once per task."""
+        sweeps = []
+        sweep = ArtifactStore.sweep_stale_tmp
+
+        def counted(store, *args, **kwargs):
+            sweeps.append(store.root)
+            return sweep(store, *args, **kwargs)
+
+        monkeypatch.setattr(ArtifactStore, "sweep_stale_tmp", counted)
+        spec = CampaignSpec(
+            name="sweeps",
+            grid=(
+                GridEntry(kernel="1a", length=32, rules=("baseline", "t1")),
+                GridEntry(kernel="2a", length=32, rules=("baseline", "t2")),
+            ),
+            caches=(
+                CacheSpec(size=1024, block=32, assoc=1),
+                CacheSpec(size=1024, block=32, assoc=1, policy="fifo"),
+                CacheSpec(size=2048, block=32, assoc=2, policy="plru"),
+            ),
+        )
+        result = run_campaign(spec, tmp_path / "c", workers=1, batch=False)
+        # 2 trace tasks + 12 points, each a task of its own.
+        assert result.n_done == 12
+        assert len(result.trace_outcomes) == 2
+        assert sweeps == [tmp_path / "c" / "artifacts"]
+
 
 class TestTornManifest:
     def _manifest(self, tmp_path, tail):

@@ -172,3 +172,123 @@ class TestSchedulerObject:
         scheduler = Scheduler(mini_spec(), tmp_path / "c")
         assert scheduler.store.root == tmp_path / "c" / "artifacts"
         assert scheduler.manifest_path == tmp_path / "c" / "manifest.jsonl"
+
+
+def done_rows(directory):
+    """``{job_id: manifest row}`` of the run's grid-point ``job-done`` rows."""
+    return {
+        r["job_id"]: r
+        for r in RunManifest.read(directory / "manifest.jsonl")
+        if r["event"] == "job-done" and not r["job_id"].startswith("trace/")
+    }
+
+
+def stored_json(directory):
+    return {
+        p.name: p.read_bytes()
+        for p in sorted((directory / "artifacts").rglob("*.json"))
+    }
+
+
+class TestPlanning:
+    """Stored points are answered by the parent before any work starts."""
+
+    def test_warm_rerun_starts_nothing(self, tmp_path):
+        directory = tmp_path / "c"
+        run_campaign(mini_spec(), directory, workers=2)
+        again = run_campaign(mini_spec(), directory, workers=2)
+        assert again.n_done == 3
+        assert again.trace_outcomes == []
+        rows = RunManifest.read(directory / "manifest.jsonl")
+        events = [r["event"] for r in rows]
+        assert events.count("job-start") == 0
+        assert events.count("job-done") == 3
+        for row in done_rows(directory).values():
+            assert row["worker"] == -1 and row["attempt"] == 1
+            assert "recovered" not in row
+            assert row["result"]["cache_hits"] == {"simulation": True}
+
+    def test_only_missing_programs_get_trace_tasks(self, tmp_path):
+        directory = tmp_path / "c"
+        run_campaign(mini_spec(), directory)
+        wider = mini_spec(
+            grid=(
+                GridEntry(kernel="1a", length=64, rules=("baseline", "t1")),
+                GridEntry(kernel="3a", length=64, rules=("baseline",)),
+                GridEntry(kernel="2a", length=64, rules=("baseline", "t2")),
+            )
+        )
+        result = run_campaign(wider, directory)
+        assert [o.job_id for o in result.trace_outcomes] == ["trace/2a-L64"]
+        served = {
+            job_id
+            for job_id, row in done_rows(directory).items()
+            if row["worker"] == -1
+        }
+        assert served == {
+            "1a-L64/baseline/2048B-32b-1w-lru/base",
+            "1a-L64/t1/2048B-32b-1w-lru/base",
+            "3a-L64/baseline/2048B-32b-1w-lru/base",
+        }
+        assert result.n_done == 5
+
+    def test_served_points_count_as_artifact_hits(self, tmp_path):
+        from repro.obsv.telemetry import get_telemetry
+
+        directory = tmp_path / "c"
+        run_campaign(mini_spec(), directory)
+        tele = get_telemetry()
+        tele.reset()
+        tele.enable()
+        try:
+            run_campaign(mini_spec(), directory)
+            counters = tele.snapshot()["counters"]
+        finally:
+            tele.disable()
+        assert counters["campaign.artifact_hits"] == 3
+        assert "campaign.orphans_recovered" not in counters
+
+
+class TestRouteProvenance:
+    """Each done row says which route produced its result; the stored
+    artifact does not."""
+
+    def test_paper_grid_routes(self, tmp_path):
+        from repro.campaign.spec import paper_figures_spec
+
+        directory = tmp_path / "c"
+        spec = paper_figures_spec(length=32)
+        run_campaign(spec, directory)
+        cold = stored_json(directory)
+        rows = done_rows(directory)
+        assert len(rows) == 6
+        for job_id, row in rows.items():
+            result = row["result"]
+            if "/ppc440/" in job_id:
+                assert result["route"] == "reference"
+                assert "round-robin" in result["route_reason"]
+            else:
+                assert result["route"] == "fast"
+                assert "route_reason" not in result
+
+        run_campaign(spec, directory)
+        assert {r["result"]["route"] for r in done_rows(directory).values()} == {
+            "store"
+        }
+        assert stored_json(directory) == cold
+        for blob in cold.values():
+            assert b"route" not in blob and b"cache_hits" not in blob
+
+    def test_no_fast_and_batch_routes(self, tmp_path):
+        spec = mini_spec(
+            grid=(GridEntry(kernel="1a", length=32, rules=("baseline",)),),
+            caches=(CacheSpec(size=1024), CacheSpec(size=2048, assoc=2)),
+        )
+        run_campaign(spec, tmp_path / "b")
+        routes = {r["result"]["route"] for r in done_rows(tmp_path / "b").values()}
+        assert routes == {"batch"}
+        run_campaign(spec, tmp_path / "r", fast=False)
+        for row in done_rows(tmp_path / "r").values():
+            assert row["result"]["route"] == "reference"
+            assert "--no-fast" in row["result"]["route_reason"]
+        assert stored_json(tmp_path / "b") == stored_json(tmp_path / "r")

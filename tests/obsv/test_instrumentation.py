@@ -296,6 +296,51 @@ class TestCampaignRecordsBuilt:
         )
 
 
+class TestCampaignCommandSpans:
+    """``tdst campaign --profile`` times its own work under the root."""
+
+    def _children(self, profile):
+        from repro.obsv.telemetry import span_forest
+
+        snapshot = read_jsonl_profile(profile)
+        roots = [
+            root
+            for roots in span_forest(snapshot["spans"]).values()
+            for root in roots
+            if root["name"] == "tdst.campaign"
+        ]
+        (root,) = roots
+        return [child["name"] for child in root["children"]], snapshot
+
+    def test_run_phases_nest_under_the_root(self, tmp_path, capsys):
+        spec = tmp_path / "spec.toml"
+        spec.write_text(
+            '[[grid]]\nkernel = "1a"\nlength = 32\nrules = ["baseline"]\n',
+            encoding="utf-8",
+        )
+        profile = tmp_path / "p.jsonl"
+        argv = ["campaign", str(spec), "--dir", str(tmp_path / "camp")]
+        assert main([*argv, "--profile", str(profile)]) == 0
+        children, snapshot = self._children(profile)
+        assert children == [
+            "campaign.preflight",
+            "campaign.setup",
+            "campaign.run",
+            "campaign.report",
+        ]
+        plan = [s for s in snapshot["spans"] if s["name"] == "campaign.plan"]
+        run = [s for s in snapshot["spans"] if s["name"] == "campaign.run"]
+        assert [s["parent"] for s in plan] == [s["id"] for s in run]
+
+    def test_report_mode_times_the_report(self, tmp_path, capsys):
+        argv = ["campaign", "paper", "--dir", str(tmp_path / "camp")]
+        assert main([*argv, "--length", "16"]) == 0
+        profile = tmp_path / "p.jsonl"
+        assert main([*argv, "--report", "--profile", str(profile)]) == 0
+        children, _ = self._children(profile)
+        assert children == ["campaign.report"]
+
+
 class TestVerifyRunnerHooks:
     def test_verify_case_counts_and_spans(self, global_telemetry, tmp_path):
         from repro.verify.golden import paper_cases

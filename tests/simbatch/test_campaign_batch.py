@@ -42,7 +42,7 @@ def payload_key(payload):
     return {
         k: v
         for k, v in payload.items()
-        if k not in ("cache_hits", "compute_seconds")
+        if k not in ("cache_hits", "compute_seconds", "route", "route_reason")
     }
 
 

@@ -210,6 +210,7 @@ class TestCampaignParity:
         )
         payload = execute_job(job, tmp_path / "artifacts")
         assert payload["kind"] == "simulation"
+        assert payload["route"] == "tracestore"
         assert payload["records"] == payload["transformed_records"]
         assert payload["verified"] is False
         assert "miss_ratio" in payload and "by_variable_misses" in payload

@@ -20,6 +20,12 @@ class TestRegistry:
             trace = trace_program(paper_kernel(name, length=4))
             assert len(trace) > 0, name
 
+    def test_names_module_matches_registry(self):
+        """Specs and the CLI check kernel names against the light list."""
+        from repro.workloads.names import PAPER_KERNEL_NAMES
+
+        assert tuple(PAPER_KERNELS) == PAPER_KERNEL_NAMES
+
     def test_unknown_kernel(self):
         with pytest.raises(KeyError):
             paper_kernel("9z")
