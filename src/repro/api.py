@@ -41,7 +41,6 @@ from repro.campaign import (
     GridEntry,
     RunManifest,
     Scheduler,
-    ServiceOptions,
     paper_figures_spec,
     run_campaign,
 )
@@ -294,7 +293,6 @@ __all__ = [
     "Scheduler",
     "ServiceClient",
     "ServiceConfig",
-    "ServiceOptions",
     "paper_figures_spec",
     "run_campaign",
     # trace commit chains (incremental re-simulation)

@@ -15,12 +15,14 @@ to full studies through this subpackage:
   makes re-runs and ``--resume`` incremental;
 - :mod:`repro.campaign.manifest` — append-only JSONL
   :class:`RunManifest` of every job start/retry/failure/completion;
-- :mod:`repro.campaign.scheduler` — the parallel :class:`Scheduler`
-  with per-job timeouts, bounded retry with exponential backoff, and
-  graceful degradation (a failed point never aborts the grid);
+- :mod:`repro.campaign.scheduler` — the :class:`Scheduler`, the one
+  campaign executor: inline or on a process pool, with per-job
+  timeouts, bounded retry with exponential backoff, and graceful
+  degradation (a failed point never aborts the grid);
 - :mod:`repro.campaign.service` — the asyncio campaign service
-  (``tdst serve``, ``--service``).  It is imported on demand only, so
-  a process-pool campaign never loads asyncio.
+  (``tdst serve``/``submit``/``status``) that runs job descriptions
+  clients submit.  No campaign runs through it, and it is imported on
+  demand only, so a campaign never loads asyncio.
 
 Quick start::
 
@@ -66,7 +68,6 @@ __all__, __getattr__, __dir__ = lazy_exports(
             "CacheSpec",
             "CampaignSpec",
             "GridEntry",
-            "ServiceOptions",
             "paper_figures_spec",
         ),
     },

@@ -59,11 +59,6 @@ NO_BATCH_ENV = "TDST_NO_BATCH"
 #: reads it, and carries the outcome on each :attr:`Job.tracestore`.
 NO_TRACESTORE_ENV = "TDST_NO_TRACESTORE"
 
-#: Environment escape hatch: keep the one-shot process pool even when a
-#: spec's ``[service]`` table enables the campaign service.  Only the
-#: :class:`~repro.campaign.scheduler.Scheduler` reads it.
-NO_SERVICE_ENV = "TDST_NO_SERVICE"
-
 
 @dataclass(frozen=True)
 class TraceTask:

@@ -5,8 +5,8 @@ Execution model:
 - **Planning** happens in the parent: every pending grid point's
   simulation artifact is looked up by content key, and a stored point is
   recorded as done on the spot.  Only the points left over start any
-  work, and a campaign with none left starts no worker, no service and
-  no pipeline import (:mod:`repro.campaign.jobs`, numpy, the tracer).
+  work, and a campaign with none left starts no worker and no pipeline
+  import (:mod:`repro.campaign.jobs`, numpy, the tracer).
 - **Phase 1** runs the deduplicated :class:`TraceTask` list — one task
   per distinct ``(kernel, length)`` a missing point needs — so the
   expensive shared stage is computed exactly once no matter how many
@@ -22,9 +22,10 @@ Execution model:
   delay; after that it is recorded as *failed* in the manifest and the
   rest of the grid continues — a broken rule file costs one point, not
   the campaign.
-- ``workers <= 1`` runs everything inline (deterministic, easily
-  debugged, no subprocesses); timeouts are not enforceable inline and
-  are ignored there.
+- ``workers <= 1`` without a timeout runs everything inline
+  (deterministic, easily debugged, no subprocesses).  A timeout cannot
+  be enforced inline, so a run with one always uses the process pool,
+  with at least one worker.
 
 Every state change is appended to the JSONL
 :class:`~repro.campaign.manifest.RunManifest`; ``resume=True`` reads the
@@ -46,7 +47,6 @@ from repro.campaign.artifacts import ArtifactStore
 from repro.campaign.grid import (
     NO_BATCH_ENV,
     NO_FAST_ENV,
-    NO_SERVICE_ENV,
     NO_TRACESTORE_ENV,
     BatchJob,
     Job,
@@ -288,10 +288,11 @@ class Scheduler:
         Campaign working directory; holds ``artifacts/`` (the
         content-addressed store) and ``manifest.jsonl``.
     workers:
-        Worker processes; ``<= 1`` runs inline (no timeout enforcement).
+        Worker processes; ``<= 1`` runs inline unless a ``timeout`` is
+        set, which always runs on the process pool (at least one
+        worker).
     timeout:
-        Per-job wall-clock budget in seconds (``None`` = unlimited;
-        parallel mode only).
+        Per-job wall-clock budget in seconds (``None`` = unlimited).
     retries:
         Re-attempts after the first failure of a job.
     backoff:
@@ -321,13 +322,6 @@ class Scheduler:
         --no-fast``) sends every grid point, batched ones included,
         through the reference simulator.  The choice travels on each
         :class:`Job`, like ``tracestore``.
-    service:
-        Drive the run through the local asyncio campaign service
-        (work-stealing shard workers) instead of the process pool.
-        ``None`` (the default) follows the spec's ``[service]`` table
-        unless the ``TDST_NO_SERVICE`` environment variable is set;
-        ``False`` (e.g. ``tdst campaign --no-service``) forces the
-        one-shot route.  Artifacts are byte-identical either way.
     """
 
     def __init__(
@@ -343,7 +337,6 @@ class Scheduler:
         batch: Optional[bool] = None,
         tracestore: Optional[bool] = None,
         fast: Optional[bool] = None,
-        service: Optional[bool] = None,
     ) -> None:
         self.spec = spec
         self.directory = Path(directory)
@@ -366,9 +359,6 @@ class Scheduler:
         if batch is None:
             batch = spec.batch.enabled and not os.environ.get(NO_BATCH_ENV)
         self.batch = bool(batch)
-        if service is None:
-            service = spec.service.enabled and not os.environ.get(NO_SERVICE_ENV)
-        self.service = bool(service)
 
     # -- public API ----------------------------------------------------------
 
@@ -588,11 +578,9 @@ class Scheduler:
         # inherit it instead of importing it once each.
         import repro.campaign.jobs  # noqa: F401
 
-        if self.service:
-            return self._run_service(tasks, manifest)
-        # A single task still goes through the process pool when workers
-        # were requested: inline execution cannot enforce timeouts.
-        if self.workers <= 1:
+        # Inline execution cannot enforce a timeout, so a run with one
+        # goes through the process pool even with a single worker.
+        if self.workers <= 1 and self.timeout is None:
             return self._run_serial(tasks, manifest)
         return self._run_parallel(tasks, manifest)
 
@@ -675,120 +663,6 @@ class Scheduler:
                 break
         return outcomes
 
-    def _run_service(
-        self,
-        tasks: Sequence[Union[TraceTask, Job, BatchJob]],
-        manifest: RunManifest,
-    ) -> List[JobOutcome]:
-        """Service executor: drive the batch through an in-process
-        campaign service (shard workers, work stealing) bound on
-        ``<directory>/service.sock``.
-
-        Workers run :func:`execute_task`, the process pool's job body,
-        against the same artifact store, so stored artifacts are
-        byte-identical to the serial/parallel routes.  Retries happen
-        inside the service (``job-retry`` rows are not emitted; the
-        terminal row carries the attempt count instead).
-        """
-        import asyncio
-
-        from repro.campaign.service.server import (
-            ServiceConfig,
-            service_socket_path,
-        )
-
-        opts = self.spec.service
-        config = ServiceConfig(
-            socket_path=service_socket_path(self.directory),
-            store_root=str(self.store.root),
-            shards=opts.shards or max(1, self.workers),
-            queue_capacity=opts.queue_capacity,
-            retries=self.retries,
-            backoff=self.backoff,
-            timeout=self.timeout,
-        )
-        with get_telemetry().span(
-            "campaign.service", cat="campaign", shards=config.shards
-        ):
-            return asyncio.run(self._drive_service(tasks, manifest, config))
-
-    async def _drive_service(
-        self,
-        tasks: Sequence[Union[TraceTask, Job, BatchJob]],
-        manifest: RunManifest,
-        config,
-    ) -> List[JobOutcome]:
-        """:meth:`_run_service` body: submit, drain, record outcomes."""
-        from repro.campaign.service.client import ServiceClient
-        from repro.campaign.service.server import service_running
-        from repro.campaign.service.wire import task_to_wire
-
-        outcomes: List[JobOutcome] = []
-        async with service_running(config):
-            client = ServiceClient(config.socket_path, timeout=30.0, retries=3)
-            await client.connect()
-            try:
-                for task in tasks:
-                    manifest.record(
-                        EVENT_JOB_START,
-                        job_id=task.job_id,
-                        attempt=1,
-                        worker=-1,
-                    )
-                await client.submit_many(
-                    (task.job_id, task_to_wire(task)) for task in tasks
-                )
-                await client.drain(timeout=7 * 24 * 3600.0)
-                for task in tasks:
-                    res = await client.result(task.job_id)
-                    attempts = int(res.get("attempts", 1))
-                    if res.get("status") == "done":
-                        payload = res.get("payload")
-                        for job_id, row in _result_rows(task, payload):
-                            elapsed = float(
-                                (row or {}).get("compute_seconds", 0.0)
-                            )
-                            manifest.record(
-                                EVENT_JOB_DONE,
-                                job_id=job_id,
-                                attempt=attempts,
-                                worker=-1,
-                                elapsed=round(elapsed, 6),
-                                result=row,
-                            )
-                            outcomes.append(
-                                JobOutcome(
-                                    job_id=job_id,
-                                    status="done",
-                                    attempts=attempts,
-                                    elapsed=elapsed,
-                                    result=row,
-                                )
-                            )
-                    else:
-                        error = str(
-                            res.get("error")
-                            or f"service status {res.get('status')!r}"
-                        )
-                        for job_id in _failure_ids(task):
-                            manifest.record(
-                                EVENT_JOB_FAILED,
-                                job_id=job_id,
-                                attempts=attempts,
-                                error=error,
-                            )
-                            outcomes.append(
-                                JobOutcome(
-                                    job_id=job_id,
-                                    status="failed",
-                                    attempts=attempts,
-                                    error=error,
-                                )
-                            )
-            finally:
-                await client.close()
-        return outcomes
-
     def _run_parallel(
         self,
         tasks: Sequence[Union[TraceTask, Job, BatchJob]],
@@ -798,7 +672,7 @@ class Scheduler:
         ctx = _mp_context()
         store_root = str(self.store.root)
         result_queue = ctx.Queue()
-        n_workers = min(self.workers, len(tasks))
+        n_workers = max(1, min(self.workers, len(tasks)))
 
         def spawn(worker_id: int) -> _WorkerSlot:
             task_queue = ctx.Queue()
@@ -977,7 +851,6 @@ def run_campaign(
     batch: Optional[bool] = None,
     tracestore: Optional[bool] = None,
     fast: Optional[bool] = None,
-    service: Optional[bool] = None,
 ) -> CampaignResult:
     """One-call campaign execution (see :class:`Scheduler` for knobs)."""
     return Scheduler(
@@ -991,5 +864,4 @@ def run_campaign(
         batch=batch,
         tracestore=tracestore,
         fast=fast,
-        service=service,
     ).run()

@@ -1,12 +1,14 @@
 """Campaign service: asyncio job queue with work-stealing shard workers.
 
-The service turns the one-shot campaign scheduler into a long-lived
-local endpoint: jobs arrive as plain-JSON descriptions over a
-newline-delimited-JSON unix-socket protocol, land on a bounded
-work-stealing shard queue, and execute through
-:func:`repro.campaign.jobs.execute_task`, the job body the scheduler's
-process pool runs — so a service-run campaign produces byte-identical
-artifacts by construction.
+The service is a long-lived local endpoint (``tdst serve``) that runs
+job descriptions clients submit (``tdst submit``, :class:`ServiceClient`):
+``campaign-task``, ``simulate`` and ``noop`` jobs arrive as plain JSON
+over a newline-delimited-JSON unix-socket protocol, land on a bounded
+work-stealing shard queue, and execute on worker threads.  A
+``campaign-task`` job runs :func:`repro.campaign.jobs.execute_task`, the
+job body the scheduler's process pool runs, so its artifacts are
+byte-identical to the pool's by construction.  ``tdst campaign`` itself
+runs inline or on the process pool, never through the service.
 
 Layers (bottom up): :mod:`~repro.campaign.service.protocol` (wire
 frames), :mod:`~repro.campaign.service.queue` (work-stealing shard

@@ -6,16 +6,17 @@ coroutine per shard (each executing job bodies in a thread pool so the
 event loop never blocks on simulation), and a newline-delimited-JSON
 protocol endpoint on a unix socket.  Clients submit wire job
 descriptions (:mod:`repro.campaign.service.wire`), poll for results,
-and drain; the scheduler drives whole campaigns through it and gets
-byte-identical artifacts because workers run the exact one-shot job
-bodies.
+and drain.  A ``campaign-task`` job runs the process pool's job body,
+so its artifacts are byte-identical to the pool's; campaigns
+themselves (``tdst campaign``) never run through the service.
 
 Failure model
 -------------
 
 - A job body that *raises* is retried up to ``retries`` times (requeued
-  on its home shard), then recorded as failed.  Artifact writes are
-  content-addressed and atomic, so a retry after a partial run is safe.
+  on its home shard at once), then recorded as failed.  Artifact writes
+  are content-addressed and atomic, so a retry after a partial run is
+  safe.
 - A worker coroutine that *dies* (a fault-injection kill, a bug) is
   noticed by the monitor task: its in-flight job is requeued and the
   worker respawned.  Nothing is lost because a job is only settled once
@@ -63,11 +64,6 @@ _FALLBACK_PREFIX = "tdst-svc-"
 _TERMINAL = ("done", "failed")
 
 
-def socket_path_fits(path: Union[str, Path]) -> bool:
-    """Whether ``path`` fits the ``sun_path`` budget (touches no disk)."""
-    return len(str(path).encode("utf-8")) <= _SOCKET_PATH_BUDGET
-
-
 def service_socket_path(directory: Union[str, Path]) -> str:
     """A usable unix-socket path for a service rooted at ``directory``.
 
@@ -80,7 +76,7 @@ def service_socket_path(directory: Union[str, Path]) -> str:
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     candidate = directory / "service.sock"
-    if socket_path_fits(candidate):
+    if len(str(candidate).encode("utf-8")) <= _SOCKET_PATH_BUDGET:
         return str(candidate)
     return str(Path(tempfile.mkdtemp(prefix=_FALLBACK_PREFIX)) / "s.sock")
 
@@ -107,7 +103,6 @@ class ServiceConfig:
     shards: int = 2
     queue_capacity: int = 1024
     retries: int = 1
-    backoff: float = 0.0
     timeout: Optional[float] = None
     monitor_interval: float = 0.05
     stall_timeout: Optional[float] = None
@@ -305,10 +300,6 @@ class CampaignService:
                     self.counters["retried"] += 1
                     tele.add("service.jobs_retried")
                     state.status = "queued"
-                    if self.config.backoff:
-                        await asyncio.sleep(
-                            self.config.backoff * (2 ** (state.attempts - 1))
-                        )
                     await self._queue.requeue(
                         job_id, shard=self._queue.shard_for(job_id)
                     )

@@ -4,10 +4,13 @@ The socket protocol carries *job descriptions*, never pickles: a remote
 worker on another machine must be able to execute a job from nothing but
 the frame and a shared artifact-store root.  Three kinds exist:
 
-- ``campaign-task`` — one scheduler task (:class:`TraceTask`,
-  :class:`Job` or :class:`BatchJob`) flattened to primitives; executing
-  it runs the exact same :func:`repro.campaign.jobs.execute_task` body
-  the one-shot scheduler runs, so artifacts are byte-identical by
+- ``campaign-task`` — one campaign task (:class:`TraceTask`,
+  :class:`Job` or :class:`BatchJob`, as
+  :func:`~repro.campaign.grid.expand_jobs` and
+  :func:`~repro.campaign.grid.group_batch_jobs` plan them) flattened to primitives by a
+  client; executing it runs the exact same
+  :func:`repro.campaign.jobs.execute_task` body the scheduler's process
+  pool runs, so artifacts are byte-identical to the pool's by
   construction.
 - ``simulate`` — an ad-hoc simulation of an on-disk trace file against
   one cache geometry (the ``tdst submit`` surface).
@@ -29,7 +32,7 @@ JOB_KINDS = ("campaign-task", "simulate", "noop")
 
 
 def task_to_wire(task: Union[TraceTask, Job, BatchJob]) -> Dict[str, Any]:
-    """Flatten one scheduler task into a JSON-safe job description."""
+    """Flatten one campaign task into a JSON-safe job description."""
     if isinstance(task, TraceTask):
         body: Dict[str, Any] = {"task": "trace", **asdict(task)}
     elif isinstance(task, Job):
@@ -62,7 +65,7 @@ def _job_from(data: Dict[str, Any]) -> Job:
 def task_from_wire(
     job: Dict[str, Any]
 ) -> Union[TraceTask, Job, BatchJob]:
-    """Rebuild a scheduler task from a ``campaign-task`` description."""
+    """Rebuild a campaign task from a ``campaign-task`` description."""
     try:
         task = job["task"]
         if task == "trace":

@@ -33,6 +33,11 @@ Rules are referenced by paper name (``t1``/``t2``/``t3``, parameterised
 by the entry's ``length``), by ``file:path/to/rules`` for on-disk rule
 files, or ``baseline`` (alias ``none``) for the untransformed control
 point every before/after table needs.
+
+Top-level tables other than ``[campaign]``, ``[[caches]]``, ``[[grid]]``
+and ``[batch]`` are ignored; for a ``[service]`` table ``tdst lint``
+says so (TDST026), since campaigns never run through the campaign
+service.
 """
 
 from __future__ import annotations
@@ -219,72 +224,6 @@ class BatchOptions:
         return cls(**dict(data))
 
 
-#: ``[service]`` keys of the retired chunk-parallel simulate stage.  A
-#: spec that still sets one loads; the key is ignored and ``tdst lint``
-#: warns (TDST026).
-REMOVED_SERVICE_KEYS = ("chunk_parallel", "chunk_shards", "min_chunk_records")
-
-
-@dataclass(frozen=True)
-class ServiceOptions:
-    """Campaign-service knobs (the ``[service]`` TOML table).
-
-    When enabled, ``tdst campaign`` drives the run through the local
-    asyncio job service (work-stealing shard workers) instead of the
-    one-shot process pool.  Artifacts are byte-identical either way;
-    ``tdst campaign --no-service`` and the ``TDST_NO_SERVICE``
-    environment variable override it downward.
-    """
-
-    #: master switch for the service route
-    enabled: bool = False
-    #: shard workers; 0 means "follow the scheduler's worker count"
-    shards: int = 0
-    #: bounded job-queue capacity (the backpressure knob)
-    queue_capacity: int = 1024
-
-    def __post_init__(self) -> None:
-        if self.shards < 0:
-            raise CampaignError(
-                f"service shards must be >= 0, got {self.shards}"
-            )
-        if self.queue_capacity <= 0:
-            raise CampaignError(
-                f"service queue_capacity must be positive, "
-                f"got {self.queue_capacity}"
-            )
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "ServiceOptions":
-        """Build from a TOML ``[service]`` table.
-
-        Unknown keys are rejected; :data:`REMOVED_SERVICE_KEYS` are
-        dropped unread.
-        """
-        if not isinstance(data, Mapping):
-            raise CampaignError(f"[service] must be a table, got {data!r}")
-        known = {"enabled", "shards", "queue_capacity"}
-        extra = set(data) - known - set(REMOVED_SERVICE_KEYS)
-        if extra:
-            raise CampaignError(
-                f"unknown service option keys: {sorted(extra)} "
-                f"(known: {sorted(known)})"
-            )
-        data = {k: v for k, v in data.items() if k in known}
-        for key in ("shards", "queue_capacity"):
-            if key in data and (
-                isinstance(data[key], bool) or not isinstance(data[key], int)
-            ):
-                raise CampaignError(
-                    f"service {key} must be an integer, got {data[key]!r}"
-                )
-        if "enabled" in data and not isinstance(data["enabled"], bool):
-            raise CampaignError(
-                f"service enabled must be a boolean, got {data['enabled']!r}"
-            )
-        return cls(**data)
-
-
 @dataclass(frozen=True)
 class CampaignSpec:
     """The full declarative campaign: grid entries plus shared defaults."""
@@ -305,8 +244,6 @@ class CampaignSpec:
     profile_trace: Optional[str] = None
     #: batched multi-config simulation knobs (the ``[batch]`` table)
     batch: BatchOptions = BatchOptions()
-    #: campaign-service knobs (the ``[service]`` table)
-    service: ServiceOptions = ServiceOptions()
 
     def __post_init__(self) -> None:
         if not self.grid:
@@ -355,7 +292,6 @@ class CampaignSpec:
                 else None
             ),
             batch=BatchOptions.from_dict(data.get("batch", {})),
-            service=ServiceOptions.from_dict(data.get("service", {})),
         )
 
     @classmethod

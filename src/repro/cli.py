@@ -573,6 +573,10 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         with tele.span("campaign.report", cat="campaign"):
             _print_campaign_report(manifest_path)
         return 0
+    if args.spec is None:
+        args.usage_error(
+            "the following arguments are required: SPEC (unless --report)"
+        )
     if args.spec != "paper" and not args.no_lint:
         with tele.span("campaign.preflight", cat="campaign"):
             try:
@@ -607,9 +611,6 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
             batch=False if args.no_batch else None,
             tracestore=False if args.no_tracestore else None,
             fast=False if args.no_fast else None,
-            service=(
-                True if args.service else (False if args.no_service else None)
-            ),
         )
     try:
         result = scheduler.run()
@@ -1155,8 +1156,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "spec",
+        nargs="?",
+        metavar="SPEC",
         help="TOML campaign spec path, or the literal 'paper' for the "
-        "built-in spec reproducing the paper's T1/T2/T3 studies",
+        "built-in spec reproducing the paper's T1/T2/T3 studies "
+        "(not needed with --report)",
     )
     p.add_argument(
         "--dir",
@@ -1170,7 +1174,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--timeout",
         type=float,
         default=None,
-        help="per-job wall-clock budget in seconds (needs --jobs >= 2)",
+        help="per-job wall-clock budget in seconds",
     )
     p.add_argument(
         "--retries", type=int, default=1, help="re-attempts per failing job"
@@ -1217,19 +1221,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(also: TDST_NO_TRACESTORE=1)",
     )
     p.add_argument(
-        "--service",
-        action="store_true",
-        help="drive the run through an in-process asyncio campaign service "
-        "on DIR/service.sock (work-stealing shard workers); it does not "
-        "connect to a running 'tdst serve'",
-    )
-    p.add_argument(
-        "--no-service",
-        action="store_true",
-        help="force the one-shot scheduler even when the spec's [service] "
-        "table enables the service route (also: TDST_NO_SERVICE=1)",
-    )
-    p.add_argument(
         "--verify",
         action="store_true",
         help="soundness-check every transformed trace as a post-job step "
@@ -1241,7 +1232,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="skip the mandatory pre-flight lint of the spec and its "
         "file: rule references",
     )
-    p.set_defaults(func=_cmd_campaign)
+    p.set_defaults(func=_cmd_campaign, usage_error=p.error)
 
     p = sub.add_parser(
         "serve",

@@ -4,7 +4,7 @@ Dispatch is by suffix first (``.rules`` / ``.toml``), with a content
 sniff as fallback so ad-hoc extensions still lint: a ``[campaign]`` or
 ``[[grid]]`` table means a spec, an ``in:``/``out:``/``displace:``
 section means a rule file, anything else is treated as a declaration
-file.
+file.  Every file lints on its own: no check spans two files.
 """
 
 from __future__ import annotations
@@ -87,62 +87,12 @@ def lint_paths(
     tele = get_telemetry()
     report = LintReport()
     with tele.phase("lint.run"):
-        expanded = _expand(paths)
-        for path in expanded:
+        for path in _expand(paths):
             tele.add("lint.files")
             report.extend(
                 lint_file(path, model=model, cache_config=cache_config)
             )
-        _lint_service_collisions(report, expanded)
     return report
-
-
-def _lint_service_collisions(
-    report: LintReport, paths: Sequence[Path]
-) -> None:
-    """TDST026: two service-enabled specs sharing one campaign name.
-
-    Campaign directories are conventionally named after the campaign, so
-    two enabled services under the same name bind the same
-    ``service.sock`` — the second ``tdst campaign`` run fails (or worse,
-    talks to the first one's server).  Only a corpus-level pass can see
-    this, so it lives here rather than in the per-file spec lint.
-    """
-    import tomllib
-
-    from repro.lint.diagnostics import Diagnostic
-
-    by_name: dict = {}
-    for path in paths:
-        if path.suffix.lower() != ".toml":
-            continue
-        try:
-            data = tomllib.loads(path.read_text(encoding="utf-8"))
-        except (OSError, tomllib.TOMLDecodeError):
-            continue  # unreadable/invalid: already reported per-file
-        service = data.get("service", {})
-        if not (isinstance(service, dict) and service.get("enabled") is True):
-            continue
-        name = str(data.get("campaign", {}).get("name", "campaign"))
-        by_name.setdefault(name, []).append(path)
-    for name, group in sorted(by_name.items()):
-        if len(group) < 2:
-            continue
-        others = ", ".join(str(p) for p in group)
-        for path in group:
-            report.add(
-                Diagnostic(
-                    code="TDST026",
-                    message=(
-                        f"campaign name {name!r} has {len(group)} "
-                        f"service-enabled specs ({others}); concurrent "
-                        "runs would collide on one service.sock"
-                    ),
-                    path=str(path),
-                    severity="warning",
-                    hint="give each service-enabled campaign a unique name",
-                )
-            )
 
 
 def _expand(paths: Iterable[Union[str, Path]]) -> Sequence[Path]:

@@ -9,16 +9,10 @@ The ``[batch]`` table gets its own pass: invalid batch options are
 TDST024 (checked *before* the whole-spec parse so one mistake yields one
 diagnostic, not a TDST020/TDST024 pair), and batch setups that can never
 group anything — ``max_configs = 1``, or a grid whose geometries the
-batched kernel cannot cover — warn with TDST025.  The ``[service]``
-table follows the same pattern under TDST026: unknown keys and bad shard
-counts are errors (again stripped before the whole-spec parse), and
-configurations that run but misbehave — a removed key (ignored), knobs
-set while disabled, a queue smaller than the shard pool, a spec
-directory so deep the Unix-socket path overflows the OS budget — warn.
-Cross-file socket collisions (two enabled services under one campaign
-name) are a corpus-level concern checked in
-:func:`repro.lint.runner.lint_paths`.  Referenced rule files
-are recursively linted with the full rule pass so a campaign fails fast
+batched kernel cannot cover — warn with TDST025.  A ``[service]`` table,
+whatever it holds, is one TDST026 warning: no campaign runs through the
+campaign service, so the loader ignores the table.  Referenced rule
+files are recursively linted with the full rule pass so a campaign fails fast
 on an unsound rule file, not at job time.
 """
 
@@ -45,7 +39,7 @@ def lint_spec_text(
     ``base_dir`` anchors relative ``file:`` references (defaults to the
     spec file's directory when ``path`` is given, else the cwd).
     """
-    from repro.campaign.spec import BatchOptions, CampaignSpec, ServiceOptions
+    from repro.campaign.spec import BatchOptions, CampaignSpec
 
     tele = get_telemetry()
     report = LintReport()
@@ -86,21 +80,20 @@ def lint_spec_text(
                 )
             )
             data = {k: v for k, v in data.items() if k != "batch"}
-        # [service] table, same pattern: one bad option is one TDST026.
-        service_table = data.get("service", {})
-        service_opts: Optional[ServiceOptions] = None
-        try:
-            service_opts = ServiceOptions.from_dict(service_table)
-        except CampaignError as exc:
+        # The loader ignores a [service] table; say so once, whatever
+        # it holds.
+        if "service" in data:
             report.add(
                 Diagnostic(
                     code="TDST026",
-                    message=str(exc),
+                    message=(
+                        "[service] table is ignored: campaigns run inline "
+                        "or on the process pool"
+                    ),
                     path=path,
-                    hint="known [service] keys: enabled, shards, queue_capacity",
+                    hint="drop the [service] table",
                 )
             )
-            data = {k: v for k, v in data.items() if k != "service"}
         try:
             spec = CampaignSpec.from_dict(data)
         except CampaignError as exc:
@@ -111,7 +104,6 @@ def lint_spec_text(
             return report
 
         _lint_batch(report, spec, batch_opts, path)
-        _lint_service(report, spec, service_opts, service_table, path, base_dir)
 
         # Cache geometries: CacheSpec construction is lazy about
         # legality; realise each one.
@@ -240,87 +232,6 @@ def _lint_batch(report: LintReport, spec, batch_opts, path) -> None:
                 ),
                 path=path,
                 hint="use policy = \"lru\" geometries or set [batch] enabled = false",
-            )
-        )
-
-
-def _lint_service(
-    report: LintReport, spec, service_opts, service_table, path, base_dir
-) -> None:
-    """TDST026 warnings: service configurations that run but misbehave.
-
-    Skipped when the table itself was invalid (already an error).
-    Touches no disk: the socket-path check measures the would-be path.
-    """
-    from repro.campaign.spec import REMOVED_SERVICE_KEYS
-
-    if service_opts is None:
-        return
-    removed = [key for key in REMOVED_SERVICE_KEYS if key in service_table]
-    for key in removed:
-        report.add(
-            Diagnostic(
-                code="TDST026",
-                message=(
-                    f"[service] key {key!r} was removed with chunk-parallel "
-                    "simulation and is ignored"
-                ),
-                path=path,
-                severity="warning",
-                hint=f"drop {key} from the [service] table",
-            )
-        )
-    if not service_opts.enabled:
-        knobs = set(service_table) - {"enabled"} - set(removed)
-        if knobs:
-            report.add(
-                Diagnostic(
-                    code="TDST026",
-                    message=(
-                        f"[service] sets {sorted(knobs)} but enabled is "
-                        "false; the options have no effect"
-                    ),
-                    path=path,
-                    severity="warning",
-                    hint="set [service] enabled = true or drop the table",
-                )
-            )
-        return
-    if service_opts.shards > 0 and service_opts.queue_capacity < service_opts.shards:
-        report.add(
-            Diagnostic(
-                code="TDST026",
-                message=(
-                    f"queue_capacity ({service_opts.queue_capacity}) is "
-                    f"below the shard count ({service_opts.shards}); "
-                    "backpressure will idle workers"
-                ),
-                path=path,
-                severity="warning",
-                hint="raise queue_capacity to at least the shard count",
-            )
-        )
-    # Unix-socket path budget: the scheduler binds <campaign dir>/
-    # service.sock; a campaign directory under a deep spec directory
-    # overflows sun_path and silently falls back to a tempdir socket.
-    from repro.campaign.service.server import (
-        _SOCKET_PATH_BUDGET,
-        socket_path_fits,
-    )
-
-    candidate = str((base_dir / spec.name).resolve() / "service.sock")
-    if not socket_path_fits(candidate):
-        report.add(
-            Diagnostic(
-                code="TDST026",
-                message=(
-                    f"socket path {candidate!r} exceeds the "
-                    f"{_SOCKET_PATH_BUDGET}-byte sun_path budget; the "
-                    "service will bind a socket in a fresh temp dir instead"
-                ),
-                path=path,
-                severity="warning",
-                hint="run the campaign from a shallower directory",
             )
         )
 

@@ -73,6 +73,21 @@ class TestCampaignCommand:
         out = capsys.readouterr().out
         assert "totals: 2 done" in out
 
+    def test_report_needs_no_spec(self, spec_file, tmp_path, capsys):
+        directory = tmp_path / "out"
+        assert main(["campaign", str(spec_file), "--dir", str(directory)]) == 0
+        capsys.readouterr()
+        assert main(["campaign", "--dir", str(directory), "--report"]) == 0
+        assert "totals: 2 done" in capsys.readouterr().out
+
+    def test_no_spec_without_report_is_a_usage_error(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["campaign", "--dir", str(tmp_path / "out")])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err and "SPEC" in err
+        assert not (tmp_path / "out").exists()
+
     def test_report_without_manifest_errors(self, spec_file, tmp_path, capsys):
         assert (
             main(
@@ -330,7 +345,6 @@ class TestImports:
         )
         src = str(Path(repro.__file__).parents[1])
         env = {**os.environ, "PYTHONPATH": src}
-        env.pop("TDST_NO_SERVICE", None)
         out = subprocess.run(
             [sys.executable, "-c", probe],
             capture_output=True,
@@ -361,7 +375,7 @@ class TestImports:
         import repro
 
         env = {**os.environ, "PYTHONPATH": str(Path(repro.__file__).parents[1])}
-        for name in ("TDST_NO_SERVICE", "TDST_NO_FAST", "TDST_NO_BATCH"):
+        for name in ("TDST_NO_FAST", "TDST_NO_BATCH"):
             env.pop(name, None)
         out = subprocess.run(
             [sys.executable, "-c", code],

@@ -68,15 +68,18 @@ class TestParallelRun:
         workers = {r["worker"] for r in rows if r["event"] == "job-done"}
         assert workers  # at least one worker id observed
 
-    def test_timeout_kills_and_records(self, tmp_path):
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_timeout_kills_and_records(self, tmp_path, workers):
         # A kernel big enough to blow a 100 ms budget deterministically.
+        # A timeout runs on the process pool even at one worker: inline
+        # execution could not enforce it.
         spec = CampaignSpec(
             name="slow",
             grid=(GridEntry(kernel="1a", length=20000, rules=("baseline",)),),
             caches=(CacheSpec(),),
         )
         result = run_campaign(
-            spec, tmp_path / "c", workers=2, timeout=0.1, retries=0
+            spec, tmp_path / "c", workers=workers, timeout=0.1, retries=0
         )
         assert result.n_failed == 1
         (failed,) = result.by_status("failed")

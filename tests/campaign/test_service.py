@@ -1,10 +1,10 @@
-"""End-to-end tests for the campaign service (server + client + scheduler).
+"""End-to-end tests for the campaign service (server + client).
 
-The acceptance bar lives here: a campaign routed through the service
-must leave a byte-identical artifact tree to the one-shot scheduler on
-the golden T1/T2/T3 transformation grid, and the protocol endpoint must
-behave (dedupe, drain, status, discard accounting, shutdown, socket
-ownership).
+The acceptance bar lives here: a campaign's planned tasks submitted to
+the service as ``campaign-task`` jobs must leave a byte-identical
+artifact tree to the process-pool scheduler on the golden T1/T2/T3
+transformation grid, and the protocol endpoint must behave (dedupe,
+drain, status, discard accounting, shutdown, socket ownership).
 """
 
 from __future__ import annotations
@@ -16,8 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.campaign.jobs import NO_SERVICE_ENV
-from repro.campaign.manifest import RunManifest
+from repro.campaign.grid import expand_jobs, group_batch_jobs
 from repro.campaign.scheduler import run_campaign
 from repro.campaign.service import (
     CampaignService,
@@ -26,13 +25,9 @@ from repro.campaign.service import (
     ServiceConfig,
     service_running,
     service_socket_path,
+    task_to_wire,
 )
-from repro.campaign.spec import (
-    CacheSpec,
-    CampaignSpec,
-    GridEntry,
-    ServiceOptions,
-)
+from repro.campaign.spec import CacheSpec, CampaignSpec, GridEntry
 
 
 pytestmark = pytest.mark.service
@@ -62,7 +57,7 @@ def svc_config(tmp_path, **overrides):
     return ServiceConfig(**defaults)
 
 
-def golden_spec(*, service=False):
+def golden_spec():
     """The golden grid: kernel 1a under baseline + T1/T2/T3, two caches."""
     return CampaignSpec(
         name="golden",
@@ -76,8 +71,55 @@ def golden_spec(*, service=False):
             CacheSpec(size=2048, block=32, assoc=2),
         ),
         attribution=("base", "member"),
-        service=ServiceOptions(enabled=service, shards=2),
     )
+
+
+def run_through_service(spec, directory):
+    """Plan ``spec`` like the scheduler and run it on a 2-shard service.
+
+    The trace tasks are submitted and drained first, then the grid
+    tasks (batched as the scheduler batches them), all as
+    ``campaign-task`` jobs against ``directory / "artifacts"``.  Returns
+    {job id: returned payload} per grid point, batch members fanned out.
+    """
+    trace_tasks, jobs = expand_jobs(spec)
+    grid_tasks = group_batch_jobs(
+        jobs, max_configs=spec.batch.max_configs, chunk=spec.batch.chunk
+    )
+    config = ServiceConfig(
+        socket_path=service_socket_path(directory),
+        store_root=str(directory / "artifacts"),
+        shards=2,
+    )
+
+    async def body():
+        payloads = {}
+        async with service_running(config):
+            client = ServiceClient(config.socket_path, timeout=60.0)
+            await client.connect()
+            try:
+                for phase in (trace_tasks, grid_tasks):
+                    await client.submit_many(
+                        (t.job_id, task_to_wire(t)) for t in phase
+                    )
+                    await client.drain(timeout=300.0)
+                    for task in phase:
+                        res = await client.result(task.job_id)
+                        assert res["status"] == "done", res
+                        payloads[task.job_id] = res["payload"]
+            finally:
+                await client.close()
+        return payloads
+
+    payloads = run(body())
+    rows = {}
+    for task in grid_tasks:
+        payload = payloads[task.job_id]
+        if payload.get("kind") == "batch":
+            rows.update(payload["members"])
+        else:
+            rows[task.job_id] = payload
+    return rows
 
 
 def tree_digest(root: Path):
@@ -314,81 +356,34 @@ class TestServiceLifecycle:
 
 
 class TestArtifactParity:
-    """Service campaigns are byte-identical to one-shot campaigns."""
+    """``campaign-task`` jobs are byte-identical to the process pool."""
 
     def test_golden_grid_byte_identical(self, tmp_path):
         """Golden T1/T2/T3 grid: every artifact file matches exactly.
 
-        One-shot process-pool run vs service run: identical artifact
-        trees, byte for byte.
+        Process-pool campaign vs the same planned tasks submitted to a
+        2-shard service: identical artifact trees, byte for byte.
         """
-        one_shot = run_campaign(
-            golden_spec(service=False), tmp_path / "oneshot", workers=2
-        )
-        service = run_campaign(
-            golden_spec(service=True), tmp_path / "service", workers=2
-        )
-        assert one_shot.n_failed == 0
-        assert service.n_failed == 0
-        assert service.n_done == one_shot.n_done == 16
-        left = tree_digest(tmp_path / "oneshot" / "artifacts")
+        pool = run_campaign(golden_spec(), tmp_path / "pool", workers=2)
+        rows = run_through_service(golden_spec(), tmp_path / "service")
+        assert pool.n_failed == 0
+        assert len(rows) == pool.n_done == 16
+        left = tree_digest(tmp_path / "pool" / "artifacts")
         right = tree_digest(tmp_path / "service" / "artifacts")
         assert left == right
         assert left  # non-vacuous: the grid produced artifacts
 
     def test_outcomes_match_one_shot(self, tmp_path):
-        """Result rows (misses per job) agree between routes."""
-        one_shot = run_campaign(
-            golden_spec(service=False), tmp_path / "a", workers=1
-        )
-        service = run_campaign(
-            golden_spec(service=True), tmp_path / "b", workers=2
-        )
-        key = lambda r: sorted(
+        """Result rows (misses per job) agree with an inline campaign."""
+        one_shot = run_campaign(golden_spec(), tmp_path / "a", workers=1)
+        rows = run_through_service(golden_spec(), tmp_path / "b")
+        assert sorted(
             (o.job_id, o.result["misses"], o.result["miss_ratio"])
-            for o in r.outcomes
+            for o in one_shot.outcomes
+        ) == sorted(
+            (job_id, row["misses"], row["miss_ratio"])
+            for job_id, row in rows.items()
         )
-        assert key(one_shot) == key(service)
-
-    def test_no_service_env_escape(self, tmp_path, monkeypatch):
-        """TDST_NO_SERVICE forces the classic route even when enabled."""
-        monkeypatch.setenv(NO_SERVICE_ENV, "1")
-        result = run_campaign(
-            golden_spec(service=True), tmp_path / "c", workers=1
-        )
-        assert result.n_failed == 0
-        rows = RunManifest.read(tmp_path / "c" / "manifest.jsonl")
-        # The classic scheduler records per-worker ids >= 0; the service
-        # route records worker -1.  All rows classic => escape worked.
-        workers = {r["worker"] for r in rows if r["event"] == "job-done"}
-        assert -1 not in workers
-
-    def test_service_flag_overrides_spec(self, tmp_path):
-        """service=False beats spec.service.enabled=True."""
-        result = run_campaign(
-            golden_spec(service=True),
-            tmp_path / "c",
-            workers=1,
-            service=False,
-        )
-        assert result.n_failed == 0
-        rows = RunManifest.read(tmp_path / "c" / "manifest.jsonl")
-        workers = {r["worker"] for r in rows if r["event"] == "job-done"}
-        assert -1 not in workers
-
-    def test_manifest_records_service_route(self, tmp_path):
-        """The service route writes start/done rows for every job."""
-        run_campaign(golden_spec(service=True), tmp_path / "c", workers=2)
-        rows = RunManifest.read(tmp_path / "c" / "manifest.jsonl")
-        events = [r["event"] for r in rows]
-        assert events[0] == "campaign-start"
-        assert events[-1] == "campaign-end"
-        # One done row per grid point + the shared trace stage; start
-        # rows are per *submitted* task, so batch grouping can emit
-        # fewer starts than dones but never more.
-        assert events.count("job-done") == 17
-        assert 0 < events.count("job-start") <= events.count("job-done")
-        assert events.count("job-failed") == 0
 
 
 class TestWorkStealing:
