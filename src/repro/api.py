@@ -44,7 +44,6 @@ from repro.campaign import (
     paper_figures_spec,
     run_campaign,
 )
-from repro.campaign.service import CampaignService, ServiceClient, ServiceConfig
 from repro.tracestore import (
     ApplyResult,
     ChainSimResult,
@@ -286,13 +285,10 @@ __all__ = [
     "BatchOptions",
     "CacheSpec",
     "CampaignResult",
-    "CampaignService",
     "CampaignSpec",
     "GridEntry",
     "RunManifest",
     "Scheduler",
-    "ServiceClient",
-    "ServiceConfig",
     "paper_figures_spec",
     "run_campaign",
     # trace commit chains (incremental re-simulation)

@@ -18,11 +18,7 @@ to full studies through this subpackage:
 - :mod:`repro.campaign.scheduler` — the :class:`Scheduler`, the one
   campaign executor: inline or on a process pool, with per-job
   timeouts, bounded retry with exponential backoff, and graceful
-  degradation (a failed point never aborts the grid);
-- :mod:`repro.campaign.service` — the asyncio campaign service
-  (``tdst serve``/``submit``/``status``) that runs job descriptions
-  clients submit.  No campaign runs through it, and it is imported on
-  demand only, so a campaign never loads asyncio.
+  degradation (a failed point never aborts the grid).
 
 Quick start::
 

@@ -90,7 +90,7 @@ class ArtifactStore:
 
     Opening a store sweeps stale temp files (:meth:`sweep_stale_tmp`), a
     walk of the whole store.  ``sweep=False`` skips it: a campaign's job
-    bodies open the store their scheduler or service already swept.
+    bodies open the store their scheduler already swept.
     """
 
     def __init__(self, root: Union[str, Path], *, sweep: bool = True) -> None:

@@ -3,11 +3,10 @@
 :mod:`repro.campaign.grid` expands a :class:`CampaignSpec` into
 picklable tasks and names every stage's artifact by content key; this
 module holds the stage bodies — trace, transform, simulate — that the
-scheduler runs inline or on its process pool, and that a running
-campaign service's workers run for submitted ``campaign-task`` jobs.
-It is the campaign's pipeline half: it loads numpy, the tracer, the
-transform engine and both simulators, so the scheduler imports it only
-once some grid point is missing from the artifact store.
+scheduler runs inline or on its process pool.  It is the campaign's
+pipeline half: it loads numpy, the tracer, the transform engine and both
+simulators, so the scheduler imports it only once some grid point is
+missing from the artifact store.
 
 All stage outputs are content-addressed through the
 :class:`~repro.campaign.artifacts.ArtifactStore` (SHA-256 of kernel
@@ -462,8 +461,8 @@ def execute_batch_job(
 def execute_task(
     task: Union[TraceTask, Job, BatchJob], store_root: Union[str, Path]
 ) -> Dict[str, Any]:
-    """Dispatch any task kind: the one job body the scheduler and the
-    campaign service's workers run."""
+    """Dispatch any task kind: the one job body the scheduler runs,
+    inline or on its process pool."""
     if isinstance(task, TraceTask):
         return execute_trace_task(task, store_root)
     if isinstance(task, BatchJob):

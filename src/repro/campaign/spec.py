@@ -34,10 +34,10 @@ by the entry's ``length``), by ``file:path/to/rules`` for on-disk rule
 files, or ``baseline`` (alias ``none``) for the untransformed control
 point every before/after table needs.
 
-Top-level tables other than ``[campaign]``, ``[[caches]]``, ``[[grid]]``
-and ``[batch]`` are ignored; for a ``[service]`` table ``tdst lint``
-says so (TDST026), since campaigns never run through the campaign
-service.
+The loader ignores top-level names other than ``[campaign]``,
+``[[caches]]``, ``[[grid]]`` and ``[batch]``, and ``[campaign]`` keys it
+does not know; ``tdst lint`` warns about each one (TDST026), so a
+misspelled key does not pass silently.
 """
 
 from __future__ import annotations
@@ -58,6 +58,12 @@ BASELINE_NAMES = ("baseline", "none")
 
 #: Attribution modes understood by the simulator.
 ATTRIBUTION_MODES = ("base", "member")
+
+#: Top-level names the loader reads; it ignores any other.
+SPEC_TABLES = ("batch", "caches", "campaign", "grid")
+
+#: ``[campaign]`` keys the loader reads; it ignores any other.
+CAMPAIGN_KEYS = ("attribution", "name", "profile", "profile_trace", "verify")
 
 
 @dataclass(frozen=True)

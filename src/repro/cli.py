@@ -626,112 +626,6 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
     return 0 if (result.n_done + result.n_skipped) else 1
 
 
-def _cmd_serve(args: argparse.Namespace) -> int:
-    """``tdst serve``: run a campaign service until a shutdown frame."""
-    from repro.campaign.service import (
-        ServiceConfig,
-        serve_forever,
-        service_socket_path,
-    )
-    from repro.errors import CampaignError
-
-    directory = Path(args.dir)
-    try:
-        config = ServiceConfig(
-            store_root=str(directory / "artifacts"),
-            shards=args.shards,
-            queue_capacity=args.queue_capacity,
-            retries=args.retries,
-            timeout=args.timeout,
-        )
-    except CampaignError as exc:
-        print(f"error: {exc}")
-        return 2
-    config.socket_path = args.socket or service_socket_path(directory)
-    print(f"campaign service listening on {config.socket_path}")
-    print(f"artifact store: {config.store_root}")
-    try:
-        serve_forever(config)
-    except KeyboardInterrupt:
-        print("interrupted")
-    except CampaignError as exc:
-        print(f"error: {exc}")
-        return 1
-    print("campaign service stopped")
-    return 0
-
-
-def _cmd_submit(args: argparse.Namespace) -> int:
-    """``tdst submit``: run one ad-hoc simulation through a service."""
-    import asyncio
-    import dataclasses
-    import json
-
-    from repro.campaign.service import ProtocolError, ServiceClient
-    from repro.campaign.spec import CacheSpec
-
-    cache = CacheSpec(
-        size=args.size, block=args.block, assoc=args.assoc, policy=args.policy
-    )
-    trace_path = str(Path(args.trace).resolve())
-    job = {
-        "kind": "simulate",
-        "trace": trace_path,
-        "cache": dataclasses.asdict(cache),
-        "attribution": args.attribution,
-    }
-    job_id = f"submit/{trace_path}/{cache.label()}/{args.attribution}"
-
-    async def _run() -> int:
-        client = ServiceClient(args.socket, timeout=args.timeout)
-        await client.connect()
-        try:
-            await client.submit(job_id, job)
-            result = await client.result(job_id)
-        finally:
-            await client.close()
-        if result.get("status") != "done":
-            print(f"error: {result.get('error') or result.get('status')}")
-            return 1
-        print(json.dumps(result["payload"], indent=2, sort_keys=True))
-        return 0
-
-    try:
-        return asyncio.run(_run())
-    except (ProtocolError, OSError) as exc:
-        print(f"error: {exc}")
-        return 1
-
-
-def _cmd_status(args: argparse.Namespace) -> int:
-    """``tdst status``: query (and optionally stop) a campaign service."""
-    import asyncio
-    import json
-
-    from repro.campaign.service import ProtocolError, ServiceClient
-
-    async def _run() -> int:
-        client = ServiceClient(args.socket, timeout=args.timeout)
-        await client.connect()
-        try:
-            status = await client.status()
-            status.pop("type", None)
-            status.pop("re", None)
-            print(json.dumps(status, indent=2, sort_keys=True))
-            if args.shutdown:
-                await client.shutdown()
-                print("shutdown requested")
-        finally:
-            await client.close()
-        return 0
-
-    try:
-        return asyncio.run(_run())
-    except (ProtocolError, OSError) as exc:
-        print(f"error: {exc}")
-        return 1
-
-
 def _cmd_commit(args: argparse.Namespace) -> int:
     """``tdst commit``: record a trace or a rule application as a commit.
 
@@ -917,7 +811,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         from repro.verify.runner import verify_paper
 
         outcome = verify_paper(
-            update_golden=True if args.update_golden else None,
+            update_golden=args.update_golden,
             golden_dir=Path(args.golden_dir) if args.golden_dir else None,
         )
         print(outcome.summary())
@@ -1235,84 +1129,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_campaign, usage_error=p.error)
 
     p = sub.add_parser(
-        "serve",
-        help="run the local campaign service (asyncio shard workers, "
-        "work stealing)",
-    )
-    p.add_argument(
-        "--dir",
-        default="campaign_out",
-        help="service directory (artifacts/ + default socket location)",
-    )
-    p.add_argument(
-        "--socket",
-        default=None,
-        help="unix socket path (default: DIR/service.sock, with a "
-        "temp-dir fallback when the path is too long)",
-    )
-    p.add_argument(
-        "--shards", type=int, default=2, help="shard workers"
-    )
-    p.add_argument(
-        "--queue-capacity",
-        type=int,
-        default=1024,
-        help="bounded job-queue capacity (the backpressure knob)",
-    )
-    p.add_argument(
-        "--retries", type=int, default=1, help="re-attempts per failing job"
-    )
-    p.add_argument(
-        "--timeout",
-        type=float,
-        default=None,
-        help="per-job wall-clock budget in seconds",
-    )
-    p.set_defaults(func=_cmd_serve)
-
-    p = sub.add_parser(
-        "submit",
-        help="submit one ad-hoc trace simulation to a running service",
-    )
-    p.add_argument("trace", help="trace file to simulate")
-    p.add_argument("--socket", required=True, help="service unix socket path")
-    p.add_argument("--size", type=int, default=32 * 1024, help="cache bytes")
-    p.add_argument("--block", type=int, default=32, help="line bytes")
-    p.add_argument("--assoc", type=int, default=1, help="ways per set")
-    p.add_argument("--policy", default="lru", help="replacement policy")
-    p.add_argument(
-        "--attribution",
-        default="base",
-        choices=["base", "member"],
-        help="per-variable miss attribution granularity",
-    )
-    p.add_argument(
-        "--timeout",
-        type=float,
-        default=60.0,
-        help="reply deadline per request in seconds",
-    )
-    p.set_defaults(func=_cmd_submit)
-
-    p = sub.add_parser(
-        "status",
-        help="query a running campaign service (queue depths, counters)",
-    )
-    p.add_argument("--socket", required=True, help="service unix socket path")
-    p.add_argument(
-        "--shutdown",
-        action="store_true",
-        help="ask the service to stop after reporting",
-    )
-    p.add_argument(
-        "--timeout",
-        type=float,
-        default=10.0,
-        help="reply deadline per request in seconds",
-    )
-    p.set_defaults(func=_cmd_status)
-
-    p = sub.add_parser(
         "commit",
         help="record a trace or a rule application as a content-addressed "
         "commit in a trace store",
@@ -1443,8 +1259,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--update-golden",
         action="store_true",
-        help="regenerate the golden corpus instead of comparing "
-        "(equivalent to UPDATE_GOLDEN=1)",
+        help="regenerate the golden corpus instead of comparing",
     )
     p.add_argument(
         "--golden-dir",

@@ -59,7 +59,7 @@ CODES: Dict[str, CodeInfo] = {
         CodeInfo("TDST023", "error", "cache geometry invalid"),
         CodeInfo("TDST024", "error", "batch options invalid"),
         CodeInfo("TDST025", "warning", "batch configuration ineffective"),
-        CodeInfo("TDST026", "warning", "[service] table ignored"),
+        CodeInfo("TDST026", "warning", "unknown spec key ignored"),
         # -- static cache-set analysis (03x) -------------------------------
         CodeInfo("TDST030", "info", "set footprint summary"),
         CodeInfo("TDST031", "warning", "predicted set conflict"),

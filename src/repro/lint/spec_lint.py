@@ -9,11 +9,11 @@ The ``[batch]`` table gets its own pass: invalid batch options are
 TDST024 (checked *before* the whole-spec parse so one mistake yields one
 diagnostic, not a TDST020/TDST024 pair), and batch setups that can never
 group anything — ``max_configs = 1``, or a grid whose geometries the
-batched kernel cannot cover — warn with TDST025.  A ``[service]`` table,
-whatever it holds, is one TDST026 warning: no campaign runs through the
-campaign service, so the loader ignores the table.  Referenced rule
-files are recursively linted with the full rule pass so a campaign fails fast
-on an unsound rule file, not at job time.
+batched kernel cannot cover — warn with TDST025.  Each top-level name
+and ``[campaign]`` key the loader ignores (a misspelling such as
+``[bacth]``, or a leftover ``[service]`` table) is one TDST026 warning.
+Referenced rule files are recursively linted with the full rule pass so
+a campaign fails fast on an unsound rule file, not at job time.
 """
 
 from __future__ import annotations
@@ -80,20 +80,7 @@ def lint_spec_text(
                 )
             )
             data = {k: v for k, v in data.items() if k != "batch"}
-        # The loader ignores a [service] table; say so once, whatever
-        # it holds.
-        if "service" in data:
-            report.add(
-                Diagnostic(
-                    code="TDST026",
-                    message=(
-                        "[service] table is ignored: campaigns run inline "
-                        "or on the process pool"
-                    ),
-                    path=path,
-                    hint="drop the [service] table",
-                )
-            )
+        _lint_unknown_keys(report, data, path)
         try:
             spec = CampaignSpec.from_dict(data)
         except CampaignError as exc:
@@ -186,6 +173,31 @@ def lint_spec_text(
 
     _count(tele, report, sub_counts)
     return report
+
+
+def _lint_unknown_keys(report: LintReport, data: dict, path) -> None:
+    """TDST026: one warning per top-level name or ``[campaign]`` key the
+    loader ignores."""
+    from repro.campaign.spec import CAMPAIGN_KEYS, SPEC_TABLES
+
+    scopes = [("top-level name", data, SPEC_TABLES)]
+    campaign = data.get("campaign")
+    if isinstance(campaign, dict):
+        scopes.append(("[campaign] key", campaign, CAMPAIGN_KEYS))
+    for what, table, known in scopes:
+        for key in table:
+            if key not in known:
+                report.add(
+                    Diagnostic(
+                        code="TDST026",
+                        message=(
+                            f"unknown {what} {key!r} is ignored "
+                            f"(known: {', '.join(known)})"
+                        ),
+                        path=path,
+                        hint="fix the spelling or drop it",
+                    )
+                )
 
 
 def _lint_batch(report: LintReport, spec, batch_opts, path) -> None:

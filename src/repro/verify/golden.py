@@ -11,8 +11,6 @@ comparison.
 
 Regeneration (after an *intentional* semantic change)::
 
-    UPDATE_GOLDEN=1 PYTHONPATH=src python -m pytest tests/verify/test_golden.py
-    # or
     PYTHONPATH=src python -m repro.cli verify --paper --update-golden
 
 The regenerated files must be committed together with the change that
@@ -22,7 +20,6 @@ explains them — that is the whole point of the corpus.
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple
@@ -38,9 +35,6 @@ from repro.workloads.paper_kernels import paper_kernel
 
 #: Where the checked-in expected metrics live (package data).
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden_data"
-
-#: Environment variable that switches comparison into regeneration.
-UPDATE_GOLDEN_ENV = "UPDATE_GOLDEN"
 
 
 @dataclass(frozen=True)
@@ -193,8 +187,3 @@ def save_golden(
     with atomic_write(path) as handle:
         handle.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     return path
-
-
-def update_requested() -> bool:
-    """True when the environment asks for golden regeneration."""
-    return bool(os.environ.get(UPDATE_GOLDEN_ENV))

@@ -31,7 +31,6 @@ from repro.verify.golden import (
     paper_cases,
     run_case,
     save_golden,
-    update_requested,
 )
 from repro.verify.soundness import SoundnessReport, check_result
 
@@ -149,17 +148,14 @@ def verify_case(
 
 def verify_paper(
     *,
-    update_golden: Optional[bool] = None,
+    update_golden: bool = False,
     golden_dir: Optional[Path] = None,
 ) -> VerifyOutcome:
     """Verify the T1/T2/T3 pipelines (soundness + golden + agreement).
 
-    ``update_golden=None`` consults the ``UPDATE_GOLDEN`` environment
-    variable, so both the pytest suite and the CLI share one regeneration
-    path.
+    ``update_golden=True`` rewrites the golden documents instead of
+    comparing against them (``tdst verify --paper --update-golden``).
     """
-    if update_golden is None:
-        update_golden = update_requested()
     outcome = VerifyOutcome()
     with get_telemetry().span("verify.paper", cat="verify"):
         for case in paper_cases():

@@ -324,37 +324,6 @@ class TestNoFast:
 
 
 class TestImports:
-    def test_process_pool_campaign_skips_the_service_package(self, tmp_path):
-        """A plain ``tdst campaign`` never imports asyncio or the service."""
-        import os
-        import subprocess
-        import sys
-        from pathlib import Path
-
-        import repro
-
-        probe = (
-            "import sys\n"
-            "from repro.cli import main\n"
-            "code = main(['campaign', 'paper', '--length', '16', '--jobs', '2',"
-            f" '--dir', {str(tmp_path / 'out')!r}])\n"
-            "assert code == 0, code\n"
-            "loaded = sorted(m for m in ('asyncio', 'repro.campaign.service')"
-            " if m in sys.modules)\n"
-            "print('LOADED', loaded)\n"
-        )
-        src = str(Path(repro.__file__).parents[1])
-        env = {**os.environ, "PYTHONPATH": src}
-        out = subprocess.run(
-            [sys.executable, "-c", probe],
-            capture_output=True,
-            text=True,
-            env=env,
-            timeout=300,
-        )
-        assert out.returncode == 0, out.stderr
-        assert "LOADED []" in out.stdout
-
     #: Modules only the pipeline needs: a fully warm campaign loads none.
     PIPELINE = (
         "numpy",

@@ -1,4 +1,5 @@
-"""TDST026: a ``[service]`` table is ignored, with one warning."""
+"""TDST026: an unknown top-level name or ``[campaign]`` key is ignored,
+with one warning."""
 
 import hashlib
 import json
@@ -26,8 +27,8 @@ length = 16
 """
 
 
-def spec(name="svc-test", service=""):
-    return SPEC_HEAD.format(name=name) + service
+def spec(name="svc-test", tail=""):
+    return SPEC_HEAD.format(name=name) + tail
 
 
 def tree_digest(root):
@@ -40,14 +41,21 @@ def tree_digest(root):
 
 
 class TestRemovedKeys:
-    """Every ``[service]`` table loads, warns once, and changes nothing."""
+    """Every ``[service]`` table, misspelled table and misspelled
+    ``[campaign]`` key loads, warns once, and changes nothing."""
 
     CASES = {
-        "enabled": spec(service="[service]\nenabled = true\nshards = 4\n"),
-        "chunk_parallel": spec(service="[service]\nchunk_parallel = true\n"),
-        "unknown_key": spec(service="[service]\nsherds = 4\n"),
+        "enabled": spec(tail="[service]\nenabled = true\nshards = 4\n"),
+        "chunk_parallel": spec(tail="[service]\nchunk_parallel = true\n"),
+        "unknown_key": spec(tail="[service]\nsherds = 4\n"),
         # A top-level scalar must precede the first table header.
         "scalar": "service = 3\n" + spec(),
+        # Batching stays on: the loader never reads [bacth].
+        "misspelled_table": spec(tail="[bacth]\nenabled = false\n"),
+        # Attribution stays "base": the loader never reads attributon.
+        "misspelled_campaign_key": spec().replace(
+            "[campaign]\n", '[campaign]\nattributon = ["member"]\n'
+        ),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))

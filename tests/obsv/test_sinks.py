@@ -9,6 +9,7 @@ intentional schema change (and bump ``SCHEMA_VERSION``) with::
 from __future__ import annotations
 
 import json
+import os
 from pathlib import Path
 
 import pytest
@@ -24,7 +25,6 @@ from repro.obsv.sinks import (
     write_jsonl_profile,
 )
 from repro.obsv.telemetry import SCHEMA_VERSION
-from repro.verify.golden import update_requested
 
 pytestmark = pytest.mark.obsv
 
@@ -34,7 +34,7 @@ GOLDEN_DIR = Path(__file__).parent / "golden"
 def _check_golden(name: str, text: str) -> None:
     """Compare ``text`` against the checked-in golden (or regenerate)."""
     path = GOLDEN_DIR / name
-    if update_requested():
+    if os.environ.get("UPDATE_GOLDEN"):
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(text, encoding="utf-8")
         return

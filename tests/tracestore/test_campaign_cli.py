@@ -87,18 +87,6 @@ class TestEligibility:
         monkeypatch.setenv("TDST_NO_FAST", "1")
         assert tracestore_eligible(job, "x")
 
-    def test_service_wire_carries_the_opt_out(self, rule_file):
-        import json
-
-        from repro.campaign.service.wire import task_from_wire, task_to_wire
-
-        for job in (
-            self._job(rule_file, tracestore=False),
-            self._job(rule_file, fast=False),
-        ):
-            frame = json.loads(json.dumps(task_to_wire(job)))
-            assert task_from_wire(frame) == job
-
     def test_scheduler_resolves_env_onto_jobs(
         self, tmp_path, rule_file, clean_env, monkeypatch
     ):

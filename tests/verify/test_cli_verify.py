@@ -1,10 +1,14 @@
 """End-to-end tests of ``tdst verify`` and ``tdst campaign --verify``."""
 
+import json
+import shutil
+
 import pytest
 
 from repro.cli import main
 from repro.trace.stream import Trace
 from repro.transform.paper_rules import RULE_T1_SOA_TO_AOS
+from repro.verify.golden import GOLDEN_DIR
 
 
 @pytest.fixture
@@ -50,6 +54,24 @@ class TestVerifyPaper:
         assert "regenerated" in capsys.readouterr().out
         # The freshly regenerated corpus then verifies clean.
         assert main(["verify", "--golden-dir", str(tmp_path)]) == 0
+
+    def test_update_golden_env_does_not_rewrite(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        """Only ``--update-golden`` regenerates; ``UPDATE_GOLDEN`` (the
+        sink-golden switch of the obsv tests) leaves the corpus alone."""
+        for path in GOLDEN_DIR.glob("*.json"):
+            shutil.copy(path, tmp_path / path.name)
+        t1 = tmp_path / "t1.json"
+        doc = json.loads(t1.read_text())
+        doc["trace_records"] += 1
+        t1.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+
+        monkeypatch.setenv("UPDATE_GOLDEN", "1")
+        assert main(["verify", "--paper", "--golden-dir", str(tmp_path)]) == 1
+        assert "verify: FAIL" in capsys.readouterr().out
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
 class TestVerifyAdHoc:

@@ -5,7 +5,7 @@ semantic drift in the tracer, the rule engine or either simulator
 changes at least one number in the checked-in JSON documents.  When the
 drift is *intentional*, regenerate with::
 
-    UPDATE_GOLDEN=1 PYTHONPATH=src python -m pytest tests/verify/test_golden.py
+    PYTHONPATH=src python -m repro.cli verify --paper --update-golden
 
 and commit the diff with the change that explains it (see
 ``docs/TESTING.md``).
@@ -18,14 +18,12 @@ import pytest
 from repro.cache.config import CacheConfig
 from repro.verify.golden import (
     GOLDEN_DIR,
-    UPDATE_GOLDEN_ENV,
     GoldenCase,
     compare_payloads,
     load_golden,
     paper_cases,
     run_case,
     save_golden,
-    update_requested,
 )
 from repro.verify.runner import verify_case, verify_paper
 
@@ -96,12 +94,6 @@ class TestRegeneration:
 
     def test_load_golden_absent_returns_none(self, small_case, tmp_path):
         assert load_golden(small_case, tmp_path) is None
-
-    def test_update_requested_reads_environment(self, monkeypatch):
-        monkeypatch.delenv(UPDATE_GOLDEN_ENV, raising=False)
-        assert not update_requested()
-        monkeypatch.setenv(UPDATE_GOLDEN_ENV, "1")
-        assert update_requested()
 
 
 class TestComparePayloads:
