@@ -88,10 +88,10 @@ def sweep():
 
 def classic_resweep(trace, rule_text, configs):
     """The classic route's cost for one edited-rule re-sweep: one full
-    transform plus one full fast-path simulation per config."""
+    transform plus one batched kernel pass over every config."""
     t0 = time.perf_counter()
     transformed = transform_trace(trace, rule_text).trace
-    fields = [simulation_fields(transformed, c, "base") for c in configs]
+    fields = simulation_fields(transformed, configs, "base")
     return time.perf_counter() - t0, fields
 
 

@@ -34,7 +34,6 @@ from repro.cache.fastsim import (
 from repro.cache.simulator import CacheSimulator, SimulationResult, simulate
 from repro.campaign import (
     ArtifactStore,
-    BatchOptions,
     CacheSpec,
     CampaignResult,
     CampaignSpec,
@@ -282,7 +281,6 @@ __all__ = [
     "render_summary",
     # campaigns
     "ArtifactStore",
-    "BatchOptions",
     "CacheSpec",
     "CampaignResult",
     "CampaignSpec",

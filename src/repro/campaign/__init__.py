@@ -6,9 +6,10 @@ to full studies through this subpackage:
 - :mod:`repro.campaign.spec` — declarative :class:`CampaignSpec` (TOML
   or dict): a grid of kernels x rules x cache geometries x attribution;
 - :mod:`repro.campaign.grid` — grid expansion with shared-stage
-  deduplication, task kinds and content keys (no numpy: the parent
-  plans a run and answers stored points with it alone);
-- :mod:`repro.campaign.jobs` — the idempotent per-job pipeline workers
+  deduplication, the route planner, task kinds and content keys (no
+  numpy: the parent plans a run and answers stored points with it
+  alone);
+- :mod:`repro.campaign.jobs` — the idempotent task bodies workers
   execute;
 - :mod:`repro.campaign.artifacts` — content-addressed
   :class:`ArtifactStore` (SHA-256 of kernel + rule text + config) that
@@ -36,18 +37,19 @@ __all__, __getattr__, __dir__ = lazy_exports(
     {
         "repro.campaign.artifacts": ("ArtifactStore", "content_key"),
         "repro.campaign.grid": (
-            "BatchJob",
+            "GridTask",
             "Job",
             "TraceTask",
             "expand_jobs",
-            "group_batch_jobs",
+            "plan_route",
+            "plan_tasks",
             "resolve_rule_text",
             "simulation_key",
             "trace_key",
             "transform_key",
         ),
         "repro.campaign.jobs": (
-            "execute_batch_job",
+            "execute_grid_task",
             "execute_job",
             "execute_task",
             "execute_trace_task",
@@ -60,7 +62,6 @@ __all__, __getattr__, __dir__ = lazy_exports(
             "run_campaign",
         ),
         "repro.campaign.spec": (
-            "BatchOptions",
             "CacheSpec",
             "CampaignSpec",
             "GridEntry",

@@ -1,12 +1,12 @@
-"""Campaign grid: task kinds, grid expansion and content keys.
+"""Campaign grid: task kinds, grid expansion, route planning, content keys.
 
 This is the half of the campaign machinery the parent process needs to
 plan a run: expand a :class:`CampaignSpec` into picklable tasks, name
-each stage's artifact by content key, and fold batchable points into
-:class:`BatchJob` groups.  It imports no numpy, tracer, engine or
-simulator, so a campaign whose points are all stored is answered from
-the artifact store without loading the pipeline;
-:mod:`repro.campaign.jobs` holds the stage bodies workers run.
+each stage's artifact by content key, and pick each grid point's route
+(:func:`plan_route`, the one place a route is chosen).  It imports no
+numpy, tracer, engine or simulator, so a campaign whose points are all
+stored is answered from the artifact store without loading the
+pipeline; :mod:`repro.campaign.jobs` holds the stage bodies workers run.
 
 Task kinds:
 
@@ -15,11 +15,10 @@ Task kinds:
   stage: every rule x cache x attribution point of the same program
   reuses one trace artifact, so the scheduler runs these first and
   exactly once per distinct program.
-- :class:`Job` — one grid point: take the shared trace, optionally
-  transform it under a rule, simulate against one cache geometry at one
-  attribution granularity, and store the result JSON.
-- :class:`BatchJob` — several grid points sharing one input trace, run
-  as one batched kernel pass.
+- :class:`GridTask` — one or more grid points (:class:`Job`) sharing a
+  trace identity and a route: take the shared trace, optionally
+  transform it under the rule, simulate every member's cache geometry,
+  and store one result JSON per member.
 """
 
 from __future__ import annotations
@@ -27,7 +26,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.campaign.artifacts import content_key
 from repro.campaign.spec import BASELINE_NAMES, CacheSpec, CampaignSpec
@@ -42,23 +41,6 @@ from repro.transform.paper_rules import (
 TRACE_STAGE = "trace-v1"
 TRANSFORM_STAGE = "transform-v1"
 SIMULATE_STAGE = "simulate-v1"
-
-#: Environment escape hatch: set to any non-empty value to force every
-#: grid point through the reference simulator (e.g. when cross-checking
-#: the fast path itself).  Only :class:`~repro.campaign.scheduler.Scheduler`
-#: reads it, and carries the outcome on each :attr:`Job.fast`.
-NO_FAST_ENV = "TDST_NO_FAST"
-
-#: Environment escape hatch: disable batched multi-config jobs even when
-#: the spec enables them (same spirit as :data:`NO_FAST_ENV`).
-NO_BATCH_ENV = "TDST_NO_BATCH"
-
-#: Environment escape hatch: route every grid point through the classic
-#: transform-then-simulate stages instead of the incremental trace
-#: commit store.  Only :class:`~repro.campaign.scheduler.Scheduler`
-#: reads it, and carries the outcome on each :attr:`Job.tracestore`.
-NO_TRACESTORE_ENV = "TDST_NO_TRACESTORE"
-
 
 @dataclass(frozen=True)
 class TraceTask:
@@ -84,10 +66,6 @@ class Job:
     attribution: str = "base"
     #: run the soundness oracle over the transform stage's output
     verify: bool = False
-    #: let eligible ``file:`` rule points use the trace commit store
-    tracestore: bool = True
-    #: let fast-path-eligible geometries skip the reference simulator
-    fast: bool = True
 
     @property
     def job_id(self) -> str:
@@ -209,98 +187,88 @@ def returned_payload(
     return payload
 
 
-# -- batched jobs -------------------------------------------------------------
+# -- route planning -----------------------------------------------------------
+
+
+def plan_route(job: Job, fast: bool) -> Tuple[str, Optional[str]]:
+    """``(route, reason)`` of one grid point, from its inputs alone.
+
+    - ``tracestore``: a ``file:`` rule on a kernel-covered geometry,
+      without ``verify`` — the edit loop's unit, transformed and
+      simulated incrementally through the trace commit store;
+    - ``fast``: any other kernel-covered geometry;
+    - ``reference``: everything else, with ``reason`` saying why the
+      kernel was declined (the coverage matrix of
+      :func:`repro.simbatch.plan.fast_path_declined`, or ``fast`` off).
+
+    ``fast=False`` (``tdst campaign --no-fast``) is the reference
+    oracle: every point takes the reference simulator.
+    """
+    from repro.errors import ReproError
+    from repro.simbatch.plan import fast_path_declined
+
+    if not fast:
+        return "reference", "fast path off (--no-fast)"
+    try:
+        reason = fast_path_declined(job.cache.to_config())
+    except (ReproError, TypeError) as exc:
+        # An invalid geometry fails inside its task, where the retry and
+        # degradation policy records it.
+        return "reference", str(exc)
+    if reason is not None:
+        return "reference", reason
+    if job.rule.startswith("file:") and not job.verify:
+        return "tracestore", None
+    return "fast", None
 
 
 @dataclass(frozen=True)
-class BatchJob:
-    """Several grid points sharing one input trace, run as one pass.
+class GridTask:
+    """Grid points sharing one trace identity and one route, run as one task.
 
     Members agree on everything but the cache geometry (same kernel,
-    length, rule, attribution, verify flag), so the trace/transform
-    stages and the per-record decode run once and the batched kernel
-    answers every geometry together.  Each member still stores its own
-    simulation artifact under its own key and appears in the manifest
-    as its own ``job_done`` row — resume, reports and the artifact
-    store cannot tell the routes apart.
+    length, rule, attribution and verify flag), so the trace and
+    transform stages run once for all of them.  Each member still stores
+    its own simulation artifact under its own key and appears in the
+    manifest as its own ``job-done`` row.
     """
 
     members: Tuple[Job, ...]
-    #: records per chunk streamed through the batched kernel
-    chunk: int = 65536
-
-    def __post_init__(self) -> None:
-        if len(self.members) < 2:
-            raise ValueError("a BatchJob needs >= 2 member jobs")
-        head = self.members[0]
-        for job in self.members:
-            if not job.fast:
-                raise ValueError(
-                    f"batch member {job.job_id!r} is forced onto the "
-                    "reference simulator; it cannot run batched"
-                )
-            if (job.kernel, job.length, job.rule, job.attribution, job.verify) != (
-                head.kernel,
-                head.length,
-                head.rule,
-                head.attribution,
-                head.verify,
-            ):
-                raise ValueError(
-                    f"batch member {job.job_id!r} does not share "
-                    f"{head.job_id!r}'s trace identity"
-                )
+    route: str
+    #: why the kernel was declined (``reference`` tasks only)
+    route_reason: Optional[str] = None
 
     @property
     def job_id(self) -> str:
-        """Stable id for the batch itself (manifest ``job_start`` rows)."""
+        """A one-point task is named by its point; a wider task by the
+        trace identity it shares (manifest ``job-start`` rows)."""
         head = self.members[0]
+        if len(self.members) == 1:
+            return head.job_id
         return (
-            f"batch/{head.kernel}-L{head.length}/{head.rule}"
-            f"/{head.attribution}[{len(self.members)}]"
+            f"{head.kernel}-L{head.length}/{head.rule}"
+            f"/{len(self.members)}-caches/{head.attribution}"
         )
 
-    @property
-    def member_ids(self) -> Tuple[str, ...]:
-        return tuple(job.job_id for job in self.members)
 
+def plan_tasks(jobs: Sequence[Job], fast: bool) -> List[GridTask]:
+    """Route every grid point and fold the points into tasks.
 
-def group_batch_jobs(
-    jobs: List[Job], *, max_configs: int = 64, chunk: int = 65536
-) -> List[Union[Job, BatchJob]]:
-    """Fold batchable grid points into :class:`BatchJob` groups.
-
-    Jobs group by shared trace identity ``(kernel, length, rule,
-    attribution, verify)`` when their cache geometry is batch-eligible;
-    groups larger than ``max_configs`` split, and singletons, ineligible
-    geometries (round-robin, PLRU, fully associative) and jobs forced
-    onto the reference simulator (:attr:`Job.fast` false) pass through
-    unchanged.  Output order preserves each job's first appearance, so
-    manifests stay readable.
+    Kernel-route points (``fast``, ``tracestore``) that share a trace
+    identity fold into one task; each ``reference`` point stays a task
+    of its own, so slow reference simulations still spread over the
+    workers.  Tasks keep the order of their first member.
     """
-    from repro.simbatch.plan import batch_eligible
-
-    groups: Dict[Tuple[str, int, str, str, bool], List[Job]] = {}
-    ordered: List[Union[Job, Tuple[str, int, str, str, bool]]] = []
+    planned: Dict[Tuple[Any, ...], Tuple[str, Optional[str], List[Job]]] = {}
     for job in jobs:
-        if not (job.fast and batch_eligible(job.cache.to_config())):
-            ordered.append(job)
-            continue
-        key = (job.kernel, job.length, job.rule, job.attribution, job.verify)
-        if key not in groups:
-            groups[key] = []
-            ordered.append(key)
-        groups[key].append(job)
-    out: List[Union[Job, BatchJob]] = []
-    for item in ordered:
-        if isinstance(item, Job):
-            out.append(item)
-            continue
-        members = groups[item]
-        for start in range(0, len(members), max_configs):
-            split = members[start : start + max_configs]
-            if len(split) == 1:
-                out.append(split[0])
-            else:
-                out.append(BatchJob(members=tuple(split), chunk=chunk))
-    return out
+        route, reason = plan_route(job, fast)
+        key: Tuple[Any, ...] = (
+            (job.job_id,)
+            if route == "reference"
+            else (route, job.kernel, job.length, job.rule, job.attribution, job.verify)
+        )
+        planned.setdefault(key, (route, reason, []))[2].append(job)
+    return [
+        GridTask(members=tuple(members), route=route, route_reason=reason)
+        for route, reason, members in planned.values()
+    ]

@@ -11,12 +11,15 @@ Execution model:
   per distinct ``(kernel, length)`` a missing point needs — so the
   expensive shared stage is computed exactly once no matter how many
   grid points reuse it.
-- **Phase 2** fans every missing :class:`Job` out over a pool of worker
-  *processes* (one dedicated task queue per worker, one shared result
-  queue).  The parent knows which worker owns which job and when it
-  started, which is what makes per-job **timeouts** enforceable: a
-  worker that blows its deadline is terminated and replaced, and the job
-  re-enters the queue under the retry policy.
+- **Phase 2** routes every missing grid point
+  (:func:`~repro.campaign.grid.plan_tasks`), folds the points that share
+  a trace and a kernel route into one :class:`GridTask`, and fans the
+  tasks out over a pool of worker *processes* (one dedicated task queue
+  per worker, one shared result queue).  The parent knows which worker
+  owns which task and when it started, which is what makes per-task
+  **timeouts** enforceable: a worker that blows its deadline is
+  terminated and replaced, and the task re-enters the queue under the
+  retry policy.
 - **Bounded retry with exponential backoff**: a failing job is re-queued
   up to ``retries`` times with ``backoff * 2^(attempt-1)`` seconds of
   delay; after that it is recorded as *failed* in the manifest and the
@@ -36,23 +39,19 @@ appends to it.
 from __future__ import annotations
 
 import heapq
-import os
 import queue as queue_mod
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.campaign.artifacts import ArtifactStore
 from repro.campaign.grid import (
-    NO_BATCH_ENV,
-    NO_FAST_ENV,
-    NO_TRACESTORE_ENV,
-    BatchJob,
+    GridTask,
     Job,
     TraceTask,
     expand_jobs,
-    group_batch_jobs,
+    plan_tasks,
     point_input_key,
     returned_payload,
     simulation_key,
@@ -165,7 +164,7 @@ class CampaignResult:
 
 
 def execute_task(
-    task: Union[TraceTask, Job, BatchJob], store_root: str
+    task: Union[TraceTask, GridTask], store_root: str
 ) -> Dict[str, Any]:
     """Run one task: :func:`repro.campaign.jobs.execute_task`.
 
@@ -179,28 +178,24 @@ def execute_task(
 
 
 def _result_rows(
-    task: Union[TraceTask, Job, BatchJob], payload: Any
+    task: Union[TraceTask, GridTask], payload: Any
 ) -> List[Tuple[str, Any]]:
     """``(job_id, result)`` manifest rows one success produces.
 
-    A :class:`BatchJob` fans out into one row per member — keyed by the
+    A :class:`GridTask` fans out into one row per member — keyed by the
     *member's* job id with the member's own payload — so resume,
-    reports and ``completed_jobs`` never see the batch route.
+    reports and ``completed_jobs`` never see how points were grouped.
     """
-    if (
-        isinstance(task, BatchJob)
-        and isinstance(payload, dict)
-        and payload.get("kind") == "batch"
-    ):
+    if isinstance(task, GridTask):
         members = payload.get("members", {})
-        return [(job_id, members.get(job_id)) for job_id in task.member_ids]
+        return [(job.job_id, members.get(job.job_id)) for job in task.members]
     return [(task.job_id, payload)]
 
 
-def _failure_ids(task: Union[TraceTask, Job, BatchJob]) -> List[str]:
-    """Job ids a terminal failure marks failed (batch = every member)."""
-    if isinstance(task, BatchJob):
-        return list(task.member_ids)
+def _failure_ids(task: Union[TraceTask, GridTask]) -> List[str]:
+    """Job ids a terminal failure marks failed (every member of a task)."""
+    if isinstance(task, GridTask):
+        return [job.job_id for job in task.members]
     return [task.job_id]
 
 
@@ -301,27 +296,13 @@ class Scheduler:
     resume:
         Skip jobs already recorded as done in the existing manifest and
         append new events to it instead of truncating.
-    batch:
-        Route grid points sharing one trace to batched multi-config
-        jobs.  ``None`` (the default) follows the spec's ``[batch]``
-        table unless the ``TDST_NO_BATCH`` environment variable is set;
-        ``False`` (e.g. ``tdst campaign --no-batch``) forces per-config
-        execution.
-    tracestore:
-        Route eligible ``file:`` rule points through the incremental
-        trace commit store (chunk blobs, residency snapshots).  ``None``
-        (the default) enables it unless the ``TDST_NO_TRACESTORE``
-        environment variable is set; ``False`` (e.g. ``tdst campaign
-        --no-tracestore``) sends every point through the classic
-        transform-then-simulate stages.  The choice travels on each
-        :class:`Job`, so it never outlives this scheduler.
     fast:
-        Let fast-path-eligible geometries use the vectorized kernel.
-        ``None`` (the default) enables it unless the ``TDST_NO_FAST``
-        environment variable is set; ``False`` (e.g. ``tdst campaign
-        --no-fast``) sends every grid point, batched ones included,
-        through the reference simulator.  The choice travels on each
-        :class:`Job`, like ``tracestore``.
+        Let kernel-covered geometries use the vectorized kernel (and
+        ``file:`` rule points the trace commit store).  ``False`` (``tdst
+        campaign --no-fast``) is the reference oracle: every grid point
+        takes the reference simulator.  It reaches the route planner
+        (:func:`~repro.campaign.grid.plan_route`) as an argument, so it
+        never outlives this scheduler.
     """
 
     def __init__(
@@ -334,31 +315,19 @@ class Scheduler:
         retries: int = 1,
         backoff: float = 0.5,
         resume: bool = False,
-        batch: Optional[bool] = None,
-        tracestore: Optional[bool] = None,
-        fast: Optional[bool] = None,
+        fast: bool = True,
     ) -> None:
         self.spec = spec
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
         self.store = ArtifactStore(self.directory / "artifacts")
         self.manifest_path = self.directory / "manifest.jsonl"
-        self.tracestore = bool(
-            tracestore
-            if tracestore is not None
-            else not os.environ.get(NO_TRACESTORE_ENV)
-        )
-        self.fast = bool(
-            fast if fast is not None else not os.environ.get(NO_FAST_ENV)
-        )
+        self.fast = fast
         self.workers = max(0, workers)
         self.timeout = timeout
         self.retries = max(0, retries)
         self.backoff = max(0.0, backoff)
         self.resume = resume
-        if batch is None:
-            batch = spec.batch.enabled and not os.environ.get(NO_BATCH_ENV)
-        self.batch = bool(batch)
 
     # -- public API ----------------------------------------------------------
 
@@ -409,11 +378,6 @@ class Scheduler:
         started = time.monotonic()
         with telemetry.span("campaign.expand", cat="campaign"):
             trace_tasks, jobs = expand_jobs(self.spec)
-            if not (self.tracestore and self.fast):
-                jobs = [
-                    replace(job, tracestore=self.tracestore, fast=self.fast)
-                    for job in jobs
-                ]
         previous: Dict[str, Dict[str, Any]] = {}
         if self.resume and self.manifest_path.exists():
             previous = RunManifest.completed_jobs(
@@ -430,7 +394,6 @@ class Scheduler:
                 timeout=self.timeout,
                 retries=self.retries,
                 resume=self.resume,
-                tracestore=self.tracestore,
             )
             run_jobs: List[Job] = []
             with telemetry.span("campaign.plan", cat="campaign"):
@@ -465,26 +428,11 @@ class Scheduler:
                 result.trace_outcomes = self._run_batch(phase1, manifest)
             # Phase 2: the grid.  A failed trace stage degrades the
             # points that need it (they will retry the stage themselves
-            # and fail the same way), but never stops the others.
-            # Batching (when on) folds points sharing a trace into
-            # multi-config jobs *after* resume filtering, so resumed
-            # groups re-batch only their pending members.
-            if self.batch:
-                with telemetry.span("campaign.batch-plan", cat="campaign"):
-                    phase2: List[Union[Job, BatchJob]] = group_batch_jobs(
-                        run_jobs,
-                        max_configs=self.spec.batch.max_configs,
-                        chunk=self.spec.batch.chunk,
-                    )
-                    n_batched = sum(
-                        len(t.members)
-                        for t in phase2
-                        if isinstance(t, BatchJob)
-                    )
-                telemetry.add("campaign.points_batched", n_batched)
-            else:
-                phase2 = list(run_jobs)
+            # and fail the same way), but never stops the others.  Only
+            # the points the store did not answer are routed and
+            # grouped, so a resumed group runs only its pending members.
             with telemetry.span("campaign.grid", cat="campaign"):
+                phase2 = plan_tasks(run_jobs, self.fast)
                 result.outcomes.extend(self._run_batch(phase2, manifest))
             result.wall_seconds = time.monotonic() - started
             telemetry.add("campaign.points_done", result.n_done)
@@ -568,7 +516,7 @@ class Scheduler:
 
     def _run_batch(
         self,
-        tasks: Sequence[Union[TraceTask, Job, BatchJob]],
+        tasks: Sequence[Union[TraceTask, GridTask]],
         manifest: RunManifest,
     ) -> List[JobOutcome]:
         """Drive one task batch to terminal state (serial or parallel)."""
@@ -590,7 +538,7 @@ class Scheduler:
 
     def _run_serial(
         self,
-        tasks: Sequence[Union[TraceTask, Job, BatchJob]],
+        tasks: Sequence[Union[TraceTask, GridTask]],
         manifest: RunManifest,
     ) -> List[JobOutcome]:
         """Inline executor: same policy, no processes, no timeouts."""
@@ -665,10 +613,10 @@ class Scheduler:
 
     def _run_parallel(
         self,
-        tasks: Sequence[Union[TraceTask, Job, BatchJob]],
+        tasks: Sequence[Union[TraceTask, GridTask]],
         manifest: RunManifest,
     ) -> List[JobOutcome]:
-        """Process-pool executor with per-job deadlines and replacement."""
+        """Process-pool executor with per-task deadlines and replacement."""
         ctx = _mp_context()
         store_root = str(self.store.root)
         result_queue = ctx.Queue()
@@ -691,8 +639,8 @@ class Scheduler:
         heapq.heapify(ready)
         attempts = [0] * len(tasks)
         elapsed_total = [0.0] * len(tasks)
-        # One list per settled task: a BatchJob settles into one
-        # outcome per member, everything else into exactly one.
+        # One list per settled task: a GridTask settles into one
+        # outcome per member, a TraceTask into exactly one.
         outcomes: Dict[int, List[JobOutcome]] = {}
 
         def settle_failure(seq: int, worker_id: int, error: str, took: float) -> None:
@@ -848,9 +796,7 @@ def run_campaign(
     retries: int = 1,
     backoff: float = 0.5,
     resume: bool = False,
-    batch: Optional[bool] = None,
-    tracestore: Optional[bool] = None,
-    fast: Optional[bool] = None,
+    fast: bool = True,
 ) -> CampaignResult:
     """One-call campaign execution (see :class:`Scheduler` for knobs)."""
     return Scheduler(
@@ -861,7 +807,5 @@ def run_campaign(
         retries=retries,
         backoff=backoff,
         resume=resume,
-        batch=batch,
-        tracestore=tracestore,
         fast=fast,
     ).run()

@@ -32,17 +32,22 @@ The spec is a plain dataclass tree, loadable from a TOML document::
 Rules are referenced by paper name (``t1``/``t2``/``t3``, parameterised
 by the entry's ``length``), by ``file:path/to/rules`` for on-disk rule
 files, or ``baseline`` (alias ``none``) for the untransformed control
-point every before/after table needs.
+point every before/after table needs.  :meth:`CampaignSpec.load`
+resolves a relative ``file:`` path against the spec file's directory,
+as ``tdst lint`` does; a spec built in code or by
+:meth:`CampaignSpec.from_toml` resolves it against the working
+directory.
 
 The loader ignores top-level names other than ``[campaign]``,
-``[[caches]]``, ``[[grid]]`` and ``[batch]``, and ``[campaign]`` keys it
-does not know; ``tdst lint`` warns about each one (TDST026), so a
-misspelled key does not pass silently.
+``[[caches]]`` and ``[[grid]]``, and ``[campaign]`` keys it does not
+know; ``tdst lint`` warns about each one (TDST026), so a misspelled key
+(or a table a past version read, such as ``[batch]``) does not pass
+silently.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any, Dict, Iterable, Mapping, Optional, Sequence, Tuple, Union
 
@@ -60,7 +65,7 @@ BASELINE_NAMES = ("baseline", "none")
 ATTRIBUTION_MODES = ("base", "member")
 
 #: Top-level names the loader reads; it ignores any other.
-SPEC_TABLES = ("batch", "caches", "campaign", "grid")
+SPEC_TABLES = ("caches", "campaign", "grid")
 
 #: ``[campaign]`` keys the loader reads; it ignores any other.
 CAMPAIGN_KEYS = ("attribution", "name", "profile", "profile_trace", "verify")
@@ -144,7 +149,8 @@ class GridEntry:
         if "kernel" not in data:
             raise CampaignError("grid entry missing required key 'kernel'")
         caches = tuple(
-            CacheSpec.from_dict(c) for c in data.get("caches", ())
+            CacheSpec.from_dict(c)
+            for c in _tables(data.get("caches", []), "grid.caches")
         )
         return cls(
             kernel=str(data["kernel"]),
@@ -152,6 +158,26 @@ class GridEntry:
             rules=tuple(str(r) for r in data.get("rules", ("baseline",))),
             caches=caches,
         )
+
+
+def _tables(value: Any, key: str) -> Sequence[Mapping[str, Any]]:
+    """``value`` if it is an array of tables, else a :class:`CampaignError`
+    naming ``key``."""
+    if isinstance(value, (list, tuple)) and all(
+        isinstance(item, Mapping) for item in value
+    ):
+        return value
+    raise CampaignError(
+        f"{key!r} must be an array of tables ([[{key}]]), got {value!r}"
+    )
+
+
+def _anchor_rule_ref(rule: str, base: Path) -> str:
+    """A relative ``file:`` rule reference joined onto ``base``."""
+    if not rule.startswith("file:"):
+        return rule
+    ref = Path(rule[len("file:"):].strip())
+    return rule if ref.is_absolute() else f"file:{base / ref}"
 
 
 def validate_rule_ref(rule: str) -> None:
@@ -175,62 +201,6 @@ def validate_rule_ref(rule: str) -> None:
 
 
 @dataclass(frozen=True)
-class BatchOptions:
-    """Batched-simulation knobs (the ``[batch]`` TOML table).
-
-    When enabled, grid points that share one input trace (same kernel,
-    length, rule, attribution) and whose cache geometry the batched
-    kernel covers are routed to a single multi-config job; everything
-    else falls back to per-config execution untouched.
-    """
-
-    #: master switch; ``tdst campaign --no-batch`` and the
-    #: ``TDST_NO_BATCH`` environment variable override it downward
-    enabled: bool = True
-    #: records per streamed chunk fed to the batched kernel
-    chunk: int = 65536
-    #: configs per batched job; larger groups split into several jobs
-    max_configs: int = 64
-
-    def __post_init__(self) -> None:
-        if self.chunk <= 0:
-            raise CampaignError(
-                f"batch chunk must be positive, got {self.chunk}"
-            )
-        if self.max_configs <= 0:
-            raise CampaignError(
-                f"batch max_configs must be positive, got {self.max_configs}"
-            )
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "BatchOptions":
-        """Build from a TOML ``[batch]`` table (unknown keys rejected)."""
-        if not isinstance(data, Mapping):
-            raise CampaignError(
-                f"[batch] must be a table, got {data!r}"
-            )
-        known = {"enabled", "chunk", "max_configs"}
-        extra = set(data) - known
-        if extra:
-            raise CampaignError(
-                f"unknown batch option keys: {sorted(extra)} "
-                f"(known: {sorted(known)})"
-            )
-        for key in ("chunk", "max_configs"):
-            if key in data and (
-                isinstance(data[key], bool) or not isinstance(data[key], int)
-            ):
-                raise CampaignError(
-                    f"batch {key} must be an integer, got {data[key]!r}"
-                )
-        if "enabled" in data and not isinstance(data["enabled"], bool):
-            raise CampaignError(
-                f"batch enabled must be a boolean, got {data['enabled']!r}"
-            )
-        return cls(**dict(data))
-
-
-@dataclass(frozen=True)
 class CampaignSpec:
     """The full declarative campaign: grid entries plus shared defaults."""
 
@@ -248,8 +218,6 @@ class CampaignSpec:
     #: companion Chrome ``trace_event`` file for chrome://tracing/Perfetto
     #: (``[campaign] profile_trace = "trace.json"``).
     profile_trace: Optional[str] = None
-    #: batched multi-config simulation knobs (the ``[batch]`` table)
-    batch: BatchOptions = BatchOptions()
 
     def __post_init__(self) -> None:
         if not self.grid:
@@ -273,14 +241,20 @@ class CampaignSpec:
     def from_dict(cls, data: Mapping[str, Any]) -> "CampaignSpec":
         """Build from a parsed TOML document (nested plain dicts)."""
         campaign = data.get("campaign", {})
+        if not isinstance(campaign, Mapping):
+            raise CampaignError(
+                f"'campaign' must be a table ([campaign]), got {campaign!r}"
+            )
         name = str(campaign.get("name", "campaign"))
         attribution = campaign.get("attribution", ["base"])
         if isinstance(attribution, str):
             attribution = [attribution]
         caches = tuple(
-            CacheSpec.from_dict(c) for c in data.get("caches", ())
+            CacheSpec.from_dict(c) for c in _tables(data.get("caches", []), "caches")
         ) or (CacheSpec(),)
-        grid = tuple(GridEntry.from_dict(g) for g in data.get("grid", ()))
+        grid = tuple(
+            GridEntry.from_dict(g) for g in _tables(data.get("grid", []), "grid")
+        )
         return cls(
             name=name,
             grid=grid,
@@ -297,7 +271,6 @@ class CampaignSpec:
                 if campaign.get("profile_trace")
                 else None
             ),
-            batch=BatchOptions.from_dict(data.get("batch", {})),
         )
 
     @classmethod
@@ -313,8 +286,22 @@ class CampaignSpec:
 
     @classmethod
     def load(cls, path: Union[str, Path]) -> "CampaignSpec":
-        """Load a spec from a TOML file."""
-        return cls.from_toml(Path(path).read_text(encoding="utf-8"))
+        """Load a spec from a TOML file.
+
+        Each relative ``file:`` rule reference is joined onto the spec
+        file's directory, so the campaign reads the rule file the
+        pre-flight lint read, whatever the working directory.
+        """
+        path = Path(path)
+        spec = cls.from_toml(path.read_text(encoding="utf-8"))
+        grid = tuple(
+            replace(
+                entry,
+                rules=tuple(_anchor_rule_ref(r, path.parent) for r in entry.rules),
+            )
+            for entry in spec.grid
+        )
+        return replace(spec, grid=grid)
 
     # -- derived -------------------------------------------------------------
 

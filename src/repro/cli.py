@@ -608,9 +608,7 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
             retries=args.retries,
             backoff=args.backoff,
             resume=args.resume,
-            batch=False if args.no_batch else None,
-            tracestore=False if args.no_tracestore else None,
-            fast=False if args.no_fast else None,
+            fast=not args.no_fast,
         )
     try:
         result = scheduler.run()
@@ -1099,20 +1097,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--no-fast",
         action="store_true",
         help="force every grid point through the reference simulator "
-        "instead of the vectorized fast path (also: TDST_NO_FAST=1)",
-    )
-    p.add_argument(
-        "--no-batch",
-        action="store_true",
-        help="run every grid point as its own job instead of batching "
-        "points that share a trace (also: TDST_NO_BATCH=1)",
-    )
-    p.add_argument(
-        "--no-tracestore",
-        action="store_true",
-        help="run file: rule points through the classic transform+simulate "
-        "stages instead of the incremental trace commit store "
-        "(also: TDST_NO_TRACESTORE=1)",
+        "instead of the vectorized fast path (the reference oracle)",
     )
     p.add_argument(
         "--verify",

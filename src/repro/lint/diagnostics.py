@@ -57,8 +57,10 @@ CODES: Dict[str, CodeInfo] = {
         CodeInfo("TDST021", "error", "referenced rule file missing"),
         CodeInfo("TDST022", "warning", "duplicate grid point"),
         CodeInfo("TDST023", "error", "cache geometry invalid"),
-        CodeInfo("TDST024", "error", "batch options invalid"),
-        CodeInfo("TDST025", "warning", "batch configuration ineffective"),
+        # TDST024/025 checked the [batch] table, which nothing reads any
+        # more (a [batch] table is now a TDST026); no pass emits them.
+        CodeInfo("TDST024", "error", "batch options invalid (retired)"),
+        CodeInfo("TDST025", "warning", "batch configuration ineffective (retired)"),
         CodeInfo("TDST026", "warning", "unknown spec key ignored"),
         # -- static cache-set analysis (03x) -------------------------------
         CodeInfo("TDST030", "info", "set footprint summary"),

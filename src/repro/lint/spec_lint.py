@@ -5,13 +5,10 @@ worker-crash at a time: malformed TOML (TDST020), dangling ``file:``
 rule references (TDST021 — deliberately *not* checked by
 ``validate_rule_ref``, which treats it as an execution-time concern),
 invalid cache geometries (TDST023) and duplicate grid points (TDST022).
-The ``[batch]`` table gets its own pass: invalid batch options are
-TDST024 (checked *before* the whole-spec parse so one mistake yields one
-diagnostic, not a TDST020/TDST024 pair), and batch setups that can never
-group anything — ``max_configs = 1``, or a grid whose geometries the
-batched kernel cannot cover — warn with TDST025.  Each top-level name
-and ``[campaign]`` key the loader ignores (a misspelling such as
-``[bacth]``, or a leftover ``[service]`` table) is one TDST026 warning.
+Each top-level name and ``[campaign]`` key the loader ignores (a
+misspelling such as ``[bacth]``, or a table a past version read, such
+as ``[service]`` or ``[batch]``) is one TDST026 warning; TDST024 and
+TDST025 (``[batch]`` options) are retired.
 Referenced rule files are recursively linted with the full rule pass so
 a campaign fails fast on an unsound rule file, not at job time.
 """
@@ -39,7 +36,7 @@ def lint_spec_text(
     ``base_dir`` anchors relative ``file:`` references (defaults to the
     spec file's directory when ``path`` is given, else the cwd).
     """
-    from repro.campaign.spec import BatchOptions, CampaignSpec
+    from repro.campaign.spec import CampaignSpec
 
     tele = get_telemetry()
     report = LintReport()
@@ -63,23 +60,6 @@ def lint_spec_text(
             )
             _count(tele, report)
             return report
-        # [batch] table first, on its own code: a bad batch option should
-        # read as TDST024, not as a generic TDST020 spec failure.  When it
-        # is invalid, parse the rest of the spec without it so the other
-        # passes still run (and no duplicate TDST020 is emitted).
-        batch_opts: Optional[BatchOptions] = None
-        try:
-            batch_opts = BatchOptions.from_dict(data.get("batch", {}))
-        except CampaignError as exc:
-            report.add(
-                Diagnostic(
-                    code="TDST024",
-                    message=str(exc),
-                    path=path,
-                    hint="known [batch] keys: enabled, chunk, max_configs",
-                )
-            )
-            data = {k: v for k, v in data.items() if k != "batch"}
         _lint_unknown_keys(report, data, path)
         try:
             spec = CampaignSpec.from_dict(data)
@@ -89,8 +69,6 @@ def lint_spec_text(
             )
             _count(tele, report)
             return report
-
-        _lint_batch(report, spec, batch_opts, path)
 
         # Cache geometries: CacheSpec construction is lazy about
         # legality; realise each one.
@@ -198,54 +176,6 @@ def _lint_unknown_keys(report: LintReport, data: dict, path) -> None:
                         hint="fix the spelling or drop it",
                     )
                 )
-
-
-def _lint_batch(report: LintReport, spec, batch_opts, path) -> None:
-    """TDST025: batching enabled but configured so it can never group.
-
-    Skipped entirely when the ``[batch]`` table itself was invalid
-    (already a TDST024) or batching is explicitly disabled.
-    """
-    from repro.simbatch.plan import batch_eligible
-
-    if batch_opts is None or not batch_opts.enabled:
-        return
-    if batch_opts.max_configs == 1:
-        report.add(
-            Diagnostic(
-                code="TDST025",
-                message=(
-                    "batch max_configs = 1 makes every batch a singleton; "
-                    "each grid point runs as an ordinary per-config job"
-                ),
-                path=path,
-                hint="raise max_configs or set [batch] enabled = false",
-            )
-        )
-    eligible = False
-    for entry in spec.grid:
-        for cache in spec.caches_for(entry):
-            try:
-                if batch_eligible(cache.to_config()):
-                    eligible = True
-                    break
-            except Exception:
-                continue  # invalid geometry: already a TDST023
-        if eligible:
-            break
-    if not eligible and spec.grid:
-        report.add(
-            Diagnostic(
-                code="TDST025",
-                message=(
-                    "batching is enabled but no grid cache geometry is "
-                    "batch-eligible (write-allocate direct-mapped or "
-                    "set-associative LRU); every point will run per-config"
-                ),
-                path=path,
-                hint="use policy = \"lru\" geometries or set [batch] enabled = false",
-            )
-        )
 
 
 def _count(tele, report: LintReport, sub_counts=None) -> None:

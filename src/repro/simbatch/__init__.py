@@ -18,7 +18,7 @@ factors the shared work out:
   :mod:`repro.cache.fastsim` is that batch's face);
 - :mod:`repro.simbatch.runner` feeds the kernel from any trace source —
   a memory-mapped :class:`~repro.trace.columnar.ColumnarTrace` is the
-  zero-copy fast path — and exposes the campaign-facing helpers.
+  zero-copy fast path — and builds a campaign payload from its counts.
 """
 
 from repro._lazy import lazy_exports
@@ -35,7 +35,7 @@ __all__, __getattr__, __dir__ = lazy_exports(
         ),
         "repro.simbatch.runner": (
             "BatchResult",
-            "batch_simulation_fields",
+            "kernel_fields",
             "simulate_batch",
         ),
     },

@@ -1,19 +1,16 @@
 """Feed the batched kernel from any trace source.
 
-Three entry shapes, one kernel:
-
-- :func:`simulate_batch` — the CLI/API front door.  Takes a path (a
+- :func:`simulate_batch` — the front door.  Takes a path (a
   memory-mapped :class:`~repro.trace.columnar.ColumnarTrace` is the
   zero-copy fast path; v1 binary and text traces stream record by
   record), an open ``ColumnarTrace``, a
   :class:`~repro.trace.stream.Trace` (fed from its columns) or any
   record iterable.
-- :func:`batch_simulation_fields` — the campaign-facing form: produces
-  per-config payload dicts *field-identical* to
-  :func:`repro.campaign.jobs.simulation_fields`, so a batched grid
-  point stores exactly the artifact a per-config run would.
 - :class:`BatchResult` — counts per config plus the streaming telemetry
   (chunks, mapped bytes) the obsv layer reports.
+- :func:`kernel_fields` — one config's campaign payload fields from its
+  kernel counts, shared by the campaign's kernel route and
+  :meth:`~repro.tracestore.resim.ChainSimResult.fields`.
 """
 
 from __future__ import annotations
@@ -221,43 +218,28 @@ def simulate_batch(
     )
 
 
-def batch_simulation_fields(
-    trace: Trace,
-    configs: Sequence[CacheConfig],
-    attribution: str,
-    *,
-    chunk_records: int = DEFAULT_CHUNK_RECORDS,
-) -> List[Dict[str, Any]]:
-    """Per-config simulation payloads from one shared pass.
+def kernel_fields(
+    config: CacheConfig, counts: FastTraceCounts, names: Sequence[str]
+) -> Dict[str, Any]:
+    """The simulation-statistics payload fields of one kernel result.
 
-    Each returned dict carries exactly the fields (names, rounding,
-    ordering) of :func:`repro.campaign.jobs.simulation_fields`, so the
-    batched campaign route stores byte-identical artifacts — the column
-    projection and the per-path label pass run once for the whole config
-    list instead of once per grid point.
+    ``names`` maps per-variable ids to attribution labels; a label with
+    no access in ``counts`` stays out of ``by_variable_misses``.  The
+    fields equal the reference simulator's for the same config
+    (:func:`repro.campaign.jobs.simulation_fields`), so a stored
+    artifact does not depend on the route that produced it.
     """
-    result = simulate_batch(
-        trace,
-        configs,
-        chunk_records=chunk_records,
-        attribution=attribution,
-    )
-    name_ids = {name: vid for vid, name in enumerate(result.names)}
-    payloads: List[Dict[str, Any]] = []
-    for config, counts in zip(result.configs, result.results):
-        payloads.append(
-            {
-                "config": config.describe(),
-                "accesses": result.accesses,
-                "hits": counts.demand_hits,
-                "misses": counts.demand_misses,
-                "miss_ratio": round(counts.demand_miss_ratio, 6),
-                "evictions": counts.evictions,
-                "compulsory_misses": counts.counts.compulsory_misses,
-                "by_variable_misses": {
-                    name: counts.per_variable[vid][1]
-                    for name, vid in sorted(name_ids.items())
-                },
-            }
-        )
-    return payloads
+    per_var = counts.per_variable
+    name_ids = {name: vid for vid, name in enumerate(names) if vid in per_var}
+    return {
+        "config": config.describe(),
+        "accesses": counts.demand_accesses,
+        "hits": counts.demand_hits,
+        "misses": counts.demand_misses,
+        "miss_ratio": round(counts.demand_miss_ratio, 6),
+        "evictions": counts.evictions,
+        "compulsory_misses": counts.counts.compulsory_misses,
+        "by_variable_misses": {
+            name: per_var[vid][1] for name, vid in sorted(name_ids.items())
+        },
+    }

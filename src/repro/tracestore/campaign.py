@@ -1,23 +1,25 @@
 """Campaign integration: O(changed work) sweeps over edited rule files.
 
 ``file:`` rule references are the edit loop's unit of identity — the
-*path* stays fixed while its text changes between sweeps.  Each
-``(trace, rule file)`` pair gets a stable transform ref, so a re-sweep
-after an edit finds the previous transform commit, reuses every chunk
-the edit provably missed (:mod:`repro.tracestore.transform`), and
-resumes simulation from the deepest matching residency snapshot
+*path* stays fixed while its text changes between sweeps.  Every
+``file:`` point on a kernel-covered cache without ``verify`` takes this
+route (:func:`repro.campaign.grid.plan_route`).  Each ``(trace, rule
+file)`` pair gets a stable transform ref, so a re-sweep after an edit
+finds the previous transform commit, reuses every chunk the edit
+provably missed (:mod:`repro.tracestore.transform`), and resumes each
+cache's simulation from the deepest matching residency snapshot
 (:mod:`repro.tracestore.resim`).
 
-The produced payload fields are *identical* to the classic
-transform-then-simulate route — same keys, same values — so artifacts,
-reports and resume cannot tell the routes apart; the savings surface
-only as wall-clock and telemetry counters.
+The produced payload fields are *identical* to the transform-then-
+simulate routes — same keys, same values — so artifacts, reports and
+resume cannot tell the routes apart; the savings surface only as
+wall-clock and telemetry counters.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Any, Dict, Tuple, Union
+from typing import Any, Dict, List, Sequence, Tuple, Union
 
 from repro.cache.config import CacheConfig
 from repro.campaign.artifacts import content_key
@@ -44,16 +46,16 @@ def incremental_job_fields(
     tkey: str,
     rule_reference: str,
     rule_text: str,
-    config: CacheConfig,
+    configs: Sequence[CacheConfig],
     attribution: str,
     *,
     chunk_records: int = DEFAULT_CHUNK_RECORDS,
-) -> Tuple[Dict[str, Any], int]:
-    """Transform + simulate one grid point through the commit store.
+) -> Tuple[List[Dict[str, Any]], int]:
+    """Transform once, then simulate each config, through the commit store.
 
-    Returns ``(simulation fields, transformed record count)`` — the
-    exact values the classic route would produce, computed with only the
-    chunks the rule file's latest edit actually touched.
+    Returns ``(simulation fields per config, transformed record count)``
+    — the exact values the other routes would produce, computed with
+    only the chunks the rule file's latest edit actually touched.
     """
     store = TraceStore(tracestore_root)
 
@@ -83,7 +85,10 @@ def incremental_job_fields(
     if applied.commit.id != prev_cid:
         store.set_ref(xref, applied.commit.id)
 
-    result = simulate_chain(
-        store, applied.commit, config, attribution=attribution
-    )
-    return result.fields(), applied.commit.records
+    fields = [
+        simulate_chain(
+            store, applied.commit, config, attribution=attribution
+        ).fields()
+        for config in configs
+    ]
+    return fields, applied.commit.records

@@ -30,6 +30,7 @@ from repro.campaign.artifacts import content_key
 from repro.errors import CacheConfigError
 from repro.obsv.telemetry import get_telemetry
 from repro.simbatch.kernel import FastTraceCounts
+from repro.simbatch.runner import kernel_fields
 from repro.tracestore.chain import SNAPSHOT_SCHEMA, Commit
 from repro.tracestore.store import TraceStore
 
@@ -75,27 +76,10 @@ class ChainSimResult:
         return self.counts.demand_accesses
 
     def fields(self) -> Dict[str, Any]:
-        """The simulation-statistics payload fields, field-identical to
-        :func:`repro.campaign.jobs.simulation_fields`' fast route."""
-        per_var = self.counts.per_variable
-        name_ids = {
-            name: vid
-            for vid, name in enumerate(self.names)
-            if vid in per_var
-        }
-        return {
-            "config": self.config.describe(),
-            "accesses": self.counts.demand_accesses,
-            "hits": self.counts.demand_hits,
-            "misses": self.counts.demand_misses,
-            "miss_ratio": round(self.counts.demand_miss_ratio, 6),
-            "evictions": self.counts.evictions,
-            "compulsory_misses": self.counts.counts.compulsory_misses,
-            "by_variable_misses": {
-                name: per_var[vid][1]
-                for name, vid in sorted(name_ids.items())
-            },
-        }
+        """The simulation-statistics payload fields: the kernel's
+        :func:`~repro.simbatch.runner.kernel_fields`, as the campaign's
+        other routes store them."""
+        return kernel_fields(self.config, self.counts, self.names)
 
 
 def _restore_point(

@@ -1,5 +1,7 @@
 """End-to-end tests of ``tdst campaign`` and the campaign report."""
 
+from pathlib import Path
+
 import pytest
 
 from repro.analysis.report import campaign_report
@@ -239,6 +241,24 @@ class TestCampaignReport:
         assert "trace/1a-L64" not in text
 
 
+class TestExampleCampaigns:
+    def test_relative_rule_file_runs_from_any_directory(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        """A relative ``file:`` reference is read against the spec's
+        directory, as the pre-flight lint reads it, not the cwd."""
+        import shutil
+
+        examples = Path(__file__).parents[2] / "examples" / "campaigns"
+        shutil.copytree(examples, tmp_path / "campaigns")
+        elsewhere = tmp_path / "elsewhere"
+        elsewhere.mkdir()
+        monkeypatch.chdir(elsewhere)
+        spec = tmp_path / "campaigns" / "custom_rules.toml"
+        assert main(["campaign", str(spec), "--dir", str(tmp_path / "out")]) == 0
+        assert "done: 2  failed: 0" in capsys.readouterr().out
+
+
 TWO_CACHE_SPEC = """\
 [campaign]
 name = "two-caches"
@@ -277,48 +297,30 @@ class TestNoFast:
     ):
         import os
 
-        import repro.campaign.jobs as jobs
-        import repro.simbatch.runner as runner
         from repro.simbatch.kernel import MultiConfigSimulator
 
-        monkeypatch.delenv("TDST_NO_FAST", raising=False)
-        calls = {"batch": 0, "fast_trace_counts": 0, "kernel": 0}
+        feeds = []
+        feed = MultiConfigSimulator.feed
 
-        def counting(name, fn):
-            def wrapper(*args, **kwargs):
-                calls[name] += 1
-                return fn(*args, **kwargs)
+        def counting(sim, *args, **kwargs):
+            feeds.append(len(sim.configs))
+            return feed(sim, *args, **kwargs)
 
-            return wrapper
-
-        monkeypatch.setattr(
-            runner,
-            "batch_simulation_fields",
-            counting("batch", runner.batch_simulation_fields),
-        )
-        monkeypatch.setattr(
-            jobs,
-            "fast_trace_counts",
-            counting("fast_trace_counts", jobs.fast_trace_counts),
-        )
-        monkeypatch.setattr(
-            MultiConfigSimulator,
-            "feed",
-            counting("kernel", MultiConfigSimulator.feed),
-        )
+        monkeypatch.setattr(MultiConfigSimulator, "feed", counting)
         spec = tmp_path / "two.toml"
         spec.write_text(TWO_CACHE_SPEC)
         env = dict(os.environ)
 
         reference = tmp_path / "reference"
         assert main(["campaign", str(spec), "--dir", str(reference), "--no-fast"]) == 0
-        assert calls == {"batch": 0, "fast_trace_counts": 0, "kernel": 0}
+        assert feeds == []
         assert dict(os.environ) == env
 
-        # The next campaign in the same process is back on the fast path.
+        # The next campaign in the same process is back on the fast path:
+        # both caches share its one kernel pass.
         fast = tmp_path / "fast"
         assert main(["campaign", str(spec), "--dir", str(fast)]) == 0
-        assert calls["batch"] == 1 and calls["kernel"] >= 1
+        assert feeds and set(feeds) == {2}
         assert "done: 2" in capsys.readouterr().out
         assert artifact_tree(reference) == artifact_tree(fast)
 
@@ -344,8 +346,6 @@ class TestImports:
         import repro
 
         env = {**os.environ, "PYTHONPATH": str(Path(repro.__file__).parents[1])}
-        for name in ("TDST_NO_FAST", "TDST_NO_BATCH"):
-            env.pop(name, None)
         out = subprocess.run(
             [sys.executable, "-c", code],
             capture_output=True,

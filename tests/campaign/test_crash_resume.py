@@ -106,8 +106,9 @@ class TestStaleTmpFiles:
                 CacheSpec(size=2048, block=32, assoc=2, policy="plru"),
             ),
         )
-        result = run_campaign(spec, tmp_path / "c", workers=1, batch=False)
-        # 2 trace tasks + 12 points, each a task of its own.
+        result = run_campaign(spec, tmp_path / "c", workers=1)
+        # 2 trace tasks + 12 points in 8 grid tasks (per rule, the two
+        # direct-mapped points share one).
         assert result.n_done == 12
         assert len(result.trace_outcomes) == 2
         assert sweeps == [tmp_path / "c" / "artifacts"]

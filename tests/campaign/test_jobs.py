@@ -177,19 +177,18 @@ class TestSimulationFields:
 
         cfg = CacheConfig(size=2048, block_size=32, associativity=assoc)
         for name, trace in kernel_traces.items():
-            fast = simulation_fields(trace, cfg, attribution, use_fast=True)
-            slow = simulation_fields(trace, cfg, attribution, use_fast=False)
+            fast = simulation_fields(trace, [cfg], attribution, use_fast=True)
+            slow = simulation_fields(trace, [cfg], attribution, use_fast=False)
             assert fast == slow, (name, assoc, attribution)
 
     @pytest.mark.parametrize("attribution", ["base", "member"])
     def test_labels_only_from_data_records(self, attribution):
         """A label only an ``X`` record carries, and a table entry no
         record uses (a window of a bigger trace), stay out of
-        ``by_variable_misses`` on both routes, and batched too."""
+        ``by_variable_misses`` on both routes, and beside another config."""
         from repro.campaign.jobs import simulation_fields
         from repro.cache.config import CacheConfig
         from repro.ctypes_model.path import VariablePath
-        from repro.simbatch.runner import batch_simulation_fields
         from repro.trace.record import AccessType, TraceRecord
         from repro.trace.stream import Trace
 
@@ -210,13 +209,14 @@ class TestSimulationFields:
         )
         trace = whole[1:]
         cfg = CacheConfig(size=2048, block_size=32, associativity=2)
-        fast = simulation_fields(trace, cfg, attribution, use_fast=True)
-        slow = simulation_fields(trace, cfg, attribution, use_fast=False)
+        (fast,) = simulation_fields(trace, [cfg], attribution, use_fast=True)
+        (slow,) = simulation_fields(trace, [cfg], attribution, use_fast=False)
         assert fast == slow
         assert set(fast["by_variable_misses"]) == (
             {"lA", "lB"} if attribution == "base" else {"lA.mX", "lA.mY", "lB"}
         )
-        (batched,) = batch_simulation_fields(trace, [cfg], attribution)
+        other = CacheConfig(size=1024, block_size=32, associativity=1)
+        batched, _ = simulation_fields(trace, [cfg, other], attribution)
         assert batched == fast
 
     def test_uncovered_config_falls_back(self, kernel_traces):
@@ -224,30 +224,32 @@ class TestSimulationFields:
         from repro.cache.config import CacheConfig
 
         cfg = CacheConfig.ppc440()  # round-robin: no fast path
+        lru = CacheConfig(size=2048, block_size=32, associativity=2)
         trace = kernel_traces["1a"]
-        auto = simulation_fields(trace, cfg, "base")
-        slow = simulation_fields(trace, cfg, "base", use_fast=False)
+        auto = simulation_fields(trace, [cfg, lru], "base")
+        slow = simulation_fields(trace, [cfg, lru], "base", use_fast=False)
         assert auto == slow
 
     def test_env_escape_hatch(self, kernel_traces, monkeypatch):
-        """The opt-out is an argument; ``simulation_fields`` itself never
-        reads TDST_NO_FAST (only the Scheduler does, once)."""
-        import repro.campaign.jobs as jobs
+        """The opt-out is an argument; ``simulation_fields`` never reads
+        the environment (a ``TDST_NO_FAST`` left set changes nothing)."""
+        from repro.campaign.jobs import simulation_fields
         from repro.cache.config import CacheConfig
+        from repro.simbatch.kernel import MultiConfigSimulator
 
         cfg = CacheConfig(size=2048, block_size=32, associativity=2)
         trace = kernel_traces["2a"]
         calls = []
-        kernel = jobs.fast_trace_counts
+        feed = MultiConfigSimulator.feed
         monkeypatch.setattr(
-            jobs,
-            "fast_trace_counts",
-            lambda *a, **kw: calls.append(1) or kernel(*a, **kw),
+            MultiConfigSimulator,
+            "feed",
+            lambda *a, **kw: calls.append(1) or feed(*a, **kw),
         )
-        forced_slow = jobs.simulation_fields(trace, cfg, "base", use_fast=False)
+        forced_slow = simulation_fields(trace, [cfg], "base", use_fast=False)
         assert calls == []
-        monkeypatch.setenv(jobs.NO_FAST_ENV, "1")
-        fast = jobs.simulation_fields(trace, cfg, "base")
+        monkeypatch.setenv("TDST_NO_FAST", "1")
+        fast = simulation_fields(trace, [cfg], "base")
         assert calls == [1]
         assert fast == forced_slow  # identical payloads either way
 
@@ -256,7 +258,7 @@ class TestSimulationFields:
         from repro.cache.config import CacheConfig
 
         cfg = CacheConfig(size=2048, block_size=32, associativity=4)
-        fields = simulation_fields(kernel_traces["1a"], cfg, "base")
+        (fields,) = simulation_fields(kernel_traces["1a"], [cfg], "base")
         assert set(fields) == {
             "config", "accesses", "hits", "misses", "miss_ratio",
             "evictions", "compulsory_misses", "by_variable_misses",

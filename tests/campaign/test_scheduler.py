@@ -111,6 +111,15 @@ class TestGracefulDegradation:
         assert events.count("job-retry") == 1
         assert events.count("job-failed") == 1
 
+    def test_invalid_geometry_fails_point_not_campaign(self, tmp_path):
+        """A geometry no cache can have (lint's TDST023) fails its own
+        points inside their tasks; planning their route does not raise."""
+        spec = mini_spec(caches=(CacheSpec(size=2048), CacheSpec(size=1000)))
+        result = run_campaign(spec, tmp_path / "c", retries=0)
+        assert result.n_done == 3
+        assert result.n_failed == 3
+        assert all("/1000B-" in o.job_id for o in result.by_status("failed"))
+
     def test_retries_bounded(self, tmp_path):
         rules = tmp_path / "broken.rules"
         rules.write_text("in:\nnope {{{\n")
@@ -289,7 +298,7 @@ class TestRouteProvenance:
         )
         run_campaign(spec, tmp_path / "b")
         routes = {r["result"]["route"] for r in done_rows(tmp_path / "b").values()}
-        assert routes == {"batch"}
+        assert routes == {"fast"}
         run_campaign(spec, tmp_path / "r", fast=False)
         for row in done_rows(tmp_path / "r").values():
             assert row["result"]["route"] == "reference"

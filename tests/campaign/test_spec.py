@@ -152,6 +152,26 @@ class TestCampaignSpec:
         path.write_text(MINI_TOML)
         assert CampaignSpec.load(path).name == "mini"
 
+    def test_load_anchors_relative_rule_files(self, tmp_path):
+        """``load`` reads a relative ``file:`` reference where ``tdst
+        lint`` does, against the spec's directory; ``from_toml`` keeps
+        the working directory."""
+        text = (
+            '[[grid]]\nkernel = "1a"\n'
+            f'rules = ["t1", "file:rules/a.rules", "file:{tmp_path}/b.rules"]\n'
+        )
+        path = tmp_path / "specs" / "spec.toml"
+        path.parent.mkdir()
+        path.write_text(text)
+        (entry,) = CampaignSpec.load(path).grid
+        assert entry.rules == (
+            "t1",
+            f"file:{tmp_path}/specs/rules/a.rules",
+            f"file:{tmp_path}/b.rules",
+        )
+        (entry,) = CampaignSpec.from_toml(text).grid
+        assert entry.rules[1] == "file:rules/a.rules"
+
 
 class TestPaperFiguresSpec:
     def test_covers_the_three_transformations(self):

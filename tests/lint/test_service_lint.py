@@ -41,8 +41,9 @@ def tree_digest(root):
 
 
 class TestRemovedKeys:
-    """Every ``[service]`` table, misspelled table and misspelled
-    ``[campaign]`` key loads, warns once, and changes nothing."""
+    """Every ``[service]`` or ``[batch]`` table, misspelled table and
+    misspelled ``[campaign]`` key loads, warns once, and changes
+    nothing."""
 
     CASES = {
         "enabled": spec(tail="[service]\nenabled = true\nshards = 4\n"),
@@ -50,8 +51,11 @@ class TestRemovedKeys:
         "unknown_key": spec(tail="[service]\nsherds = 4\n"),
         # A top-level scalar must precede the first table header.
         "scalar": "service = 3\n" + spec(),
-        # Batching stays on: the loader never reads [bacth].
+        # The loader never reads [bacth].
         "misspelled_table": spec(tail="[bacth]\nenabled = false\n"),
+        # Tables a past version read: grouping and results stay as they were.
+        "batch_disabled": spec(tail="[batch]\nenabled = false\n"),
+        "batch_max_configs": spec(tail="[batch]\nmax_configs = 1\n"),
         # Attribution stays "base": the loader never reads attributon.
         "misspelled_campaign_key": spec().replace(
             "[campaign]\n", '[campaign]\nattributon = ["member"]\n'

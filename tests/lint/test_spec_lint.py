@@ -48,6 +48,35 @@ def test_unknown_kernel_is_tdst020():
     assert [d.code for d in report.errors] == ["TDST020"]
 
 
+#: Specs whose tables have the wrong shape.
+WRONG_SHAPES = {
+    "campaign-scalar": "campaign = 3\n",
+    "caches-scalar": "caches = 3\n",
+    "grid-scalar": "grid = 3\n",
+    "grid-of-scalars": "grid = [3]\n",
+    "caches-of-scalars": 'caches = [3]\n[[grid]]\nkernel = "1a"\n',
+    "grid.caches-scalar": '[[grid]]\nkernel = "1a"\ncaches = 3\n',
+}
+
+
+@pytest.mark.parametrize("name", sorted(WRONG_SHAPES))
+def test_wrong_table_shape_is_tdst020(name):
+    """Lint never raises: a table of the wrong shape is one TDST020."""
+    report = lint_spec_text(WRONG_SHAPES[name])
+    assert report.codes() == ["TDST020"]
+    assert f"'{name.split('-')[0]}' must be" in report.errors[0].message
+
+
+def test_wrong_table_shape_campaign_exits_cleanly(tmp_path, capsys):
+    from repro.cli import main
+
+    spec = tmp_path / "bad.toml"
+    spec.write_text(WRONG_SHAPES["grid-of-scalars"])
+    argv = ["campaign", str(spec), "--no-lint", "--dir", str(tmp_path / "out")]
+    assert main(argv) == 1
+    assert "error: 'grid' must be an array of tables" in capsys.readouterr().out
+
+
 def test_bad_cache_geometry_is_tdst023():
     report = lint_spec_text(VALID.replace("size = 32768", "size = 1000"))
     assert any(d.code == "TDST023" for d in report.errors)

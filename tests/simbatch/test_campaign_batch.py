@@ -1,22 +1,18 @@
-"""Campaign batching: grouping, execution parity, resume, lint, CLI."""
+"""Campaign grid tasks: grouping, execution parity, resume, CLI."""
 
 import json
-from dataclasses import replace
 
 import pytest
 
-from repro.errors import CampaignError
 from repro.campaign.jobs import (
-    NO_BATCH_ENV,
-    BatchJob,
-    execute_batch_job,
+    execute_grid_task,
     execute_job,
     expand_jobs,
-    group_batch_jobs,
+    plan_tasks,
 )
 from repro.campaign.manifest import RunManifest
 from repro.campaign.scheduler import run_campaign
-from repro.campaign.spec import BatchOptions, CacheSpec, CampaignSpec, GridEntry
+from repro.campaign.spec import CacheSpec, CampaignSpec, GridEntry
 
 pytestmark = pytest.mark.simbatch
 
@@ -46,64 +42,24 @@ def payload_key(payload):
     }
 
 
-class TestBatchOptions:
-    def test_defaults(self):
-        opts = BatchOptions()
-        assert opts.enabled and opts.chunk > 0 and opts.max_configs > 1
-
-    @pytest.mark.parametrize(
-        "data",
-        [
-            {"chunk": 0},
-            {"chunk": -1},
-            {"max_configs": 0},
-            {"chunk": "big"},
-            {"chunk": True},
-            {"enabled": 1},
-            {"unknown_key": 1},
-            5,
-        ],
-    )
-    def test_rejects(self, data):
-        with pytest.raises(CampaignError):
-            BatchOptions.from_dict(data)
-
-    def test_from_toml_table(self):
-        spec = CampaignSpec.from_toml(
-            """
-            [campaign]
-            name = "x"
-            [batch]
-            enabled = true
-            chunk = 1024
-            max_configs = 8
-            [[grid]]
-            kernel = "1a"
-            length = 16
-            """
-        )
-        assert spec.batch == BatchOptions(enabled=True, chunk=1024, max_configs=8)
+def artifact_bytes(directory):
+    return {
+        p.name: p.read_bytes()
+        for p in sorted((directory / "artifacts").rglob("*.json"))
+    }
 
 
 class TestGrouping:
     def test_same_trace_points_group(self):
         _, jobs = expand_jobs(grid_spec())
-        tasks = group_batch_jobs(jobs)
-        batches = [t for t in tasks if isinstance(t, BatchJob)]
-        # one batch per (rule, attribution) pair: 2 rules x 2 modes
-        assert len(batches) == 4
-        assert all(len(b.members) == 3 for b in batches)
+        tasks = plan_tasks(jobs, fast=True)
+        # one task per (rule, attribution) pair: 2 rules x 2 modes
+        assert len(tasks) == 4
+        assert all(len(t.members) == 3 for t in tasks)
+        assert {t.route for t in tasks} == {"fast"}
         assert {j.job_id for j in jobs} == {
-            mid for b in batches for mid in b.member_ids
+            m.job_id for t in tasks for m in t.members
         }
-
-    def test_max_configs_splits(self):
-        _, jobs = expand_jobs(grid_spec(attribution=("base",)))
-        tasks = group_batch_jobs(jobs, max_configs=2)
-        batches = [t for t in tasks if isinstance(t, BatchJob)]
-        singles = [t for t in tasks if not isinstance(t, BatchJob)]
-        # 3 caches with max 2 per batch: each rule gives one pair + one single
-        assert len(batches) == 2 and len(singles) == 2
 
     def test_ineligible_policy_stays_single(self):
         spec = grid_spec(
@@ -115,67 +71,73 @@ class TestGrouping:
             attribution=("base",),
         )
         _, jobs = expand_jobs(spec)
-        tasks = group_batch_jobs(jobs)
-        batches = [t for t in tasks if isinstance(t, BatchJob)]
+        tasks = plan_tasks(jobs, fast=True)
+        fifo = [t for t in tasks if t.members[0].cache.policy == "fifo"]
+        assert [len(t.members) for t in fifo] == [1, 1]
+        assert {t.route for t in fifo} == {"reference"}
+        assert all("fifo" in t.route_reason for t in fifo)
         assert all(
-            all(m.cache.policy != "fifo" for m in b.members) for b in batches
+            all(m.cache.policy != "fifo" for m in t.members)
+            for t in tasks
+            if t.route == "fast"
         )
 
-    def test_batch_requires_two_members(self):
-        _, jobs = expand_jobs(grid_spec(attribution=("base",)))
-        with pytest.raises(ValueError):
-            BatchJob(members=(jobs[0],))
-
     def test_reference_only_jobs_stay_single(self):
-        """Jobs forced onto the reference simulator never batch."""
+        """With the kernel off every point is a reference task of its own."""
         _, jobs = expand_jobs(grid_spec(attribution=("base",)))
-        opted_out = [replace(job, fast=False) for job in jobs]
-        assert group_batch_jobs(opted_out) == opted_out
-        with pytest.raises(ValueError, match="reference simulator"):
-            BatchJob(members=tuple(opted_out[:2]))
+        tasks = plan_tasks(jobs, fast=False)
+        assert [t.members for t in tasks] == [(job,) for job in jobs]
+        assert [t.job_id for t in tasks] == [job.job_id for job in jobs]
+        assert {t.route for t in tasks} == {"reference"}
+        assert all("--no-fast" in t.route_reason for t in tasks)
 
 
 class TestExecutionParity:
     def test_batch_payloads_equal_single_route(self, tmp_path):
         _, jobs = expand_jobs(grid_spec())
-        tasks = group_batch_jobs(jobs)
-        batches = [t for t in tasks if isinstance(t, BatchJob)]
         single = {
             j.job_id: execute_job(j, tmp_path / "single") for j in jobs
         }
-        for batch in batches:
-            result = execute_batch_job(batch, tmp_path / "batched")
-            assert result["kind"] == "batch"
+        for task in plan_tasks(jobs, fast=True):
+            result = execute_grid_task(task, tmp_path / "batched")
+            assert result["kind"] == "grid"
+            assert len(result["members"]) == 3
             for member_id, payload in result["members"].items():
+                assert payload["route"] == "fast"
                 assert payload_key(payload) == payload_key(single[member_id])
 
     def test_cached_members_short_circuit(self, tmp_path):
         _, jobs = expand_jobs(grid_spec(attribution=("base",)))
-        (batch,) = [
-            t
-            for t in group_batch_jobs(jobs)
-            if isinstance(t, BatchJob) and "baseline" in t.job_id
+        (task,) = [
+            t for t in plan_tasks(jobs, fast=True) if "baseline" in t.job_id
         ]
-        first = execute_batch_job(batch, tmp_path / "s")
-        again = execute_batch_job(batch, tmp_path / "s")
-        for member_id in batch.member_ids:
-            assert again["members"][member_id]["cache_hits"]["simulation"]
-            assert payload_key(again["members"][member_id]) == payload_key(
-                first["members"][member_id]
+        first = execute_grid_task(task, tmp_path / "s")
+        again = execute_grid_task(task, tmp_path / "s")
+        for member in task.members:
+            payload = again["members"][member.job_id]
+            assert payload["cache_hits"]["simulation"]
+            assert payload["route"] == "store"
+            assert payload_key(payload) == payload_key(
+                first["members"][member.job_id]
             )
 
 
 class TestScheduledCampaign:
     def test_batched_equals_unbatched(self, tmp_path):
+        """The 12-point grid stores the artifacts the reference oracle
+        (``fast=False``, every point a task of its own) stores for it,
+        byte for byte."""
         spec = grid_spec()
-        batched = run_campaign(spec, tmp_path / "b")
-        unbatched = run_campaign(spec, tmp_path / "u", batch=False)
+        grouped = run_campaign(spec, tmp_path / "b")
+        reference = run_campaign(spec, tmp_path / "r", fast=False)
         key = lambda result: sorted(
             (o.job_id, o.result["misses"], o.result["hits"])
             for o in result.outcomes
         )
-        assert key(batched) == key(unbatched)
-        assert batched.n_done == unbatched.n_done == 12
+        assert key(grouped) == key(reference)
+        assert grouped.n_done == reference.n_done == 12
+        assert artifact_bytes(tmp_path / "b") == artifact_bytes(tmp_path / "r")
+        assert len(artifact_bytes(tmp_path / "b")) == 12
 
     def test_parallel_batched(self, tmp_path):
         spec = grid_spec()
@@ -204,72 +166,52 @@ class TestScheduledCampaign:
         again = run_campaign(grid_spec(), directory, resume=True)
         assert again.n_done == 0 and again.n_failed == 0
 
+    def test_spec_disable(self):
+        """A ``[batch] enabled = false`` table no longer turns grouping
+        off: the loader ignores it (``tdst lint`` warns, TDST026)."""
+        spec = CampaignSpec.from_toml(
+            "[batch]\nenabled = false\n"
+            "[[caches]]\nsize = 1024\n"
+            "[[caches]]\nsize = 2048\nassoc = 2\n"
+            '[[grid]]\nkernel = "1a"\nlength = 16\n'
+        )
+        _, jobs = expand_jobs(spec)
+        (task,) = plan_tasks(jobs, fast=True)
+        assert task.members == tuple(jobs) and task.route == "fast"
+
     def test_no_batch_env(self, tmp_path, monkeypatch):
-        from repro.campaign.scheduler import Scheduler
+        """Routes come from a point's inputs: the retired ``TDST_NO_*``
+        variables change no route and no artifact."""
+        from repro.transform.paper_rules import RULE_T1_SOA_TO_AOS
 
-        monkeypatch.setenv(NO_BATCH_ENV, "1")
-        scheduler = Scheduler(grid_spec(), tmp_path / "c")
-        assert scheduler.batch is False
-
-    def test_spec_disable(self, tmp_path):
-        from repro.campaign.scheduler import Scheduler
-
-        spec = grid_spec(batch=BatchOptions(enabled=False))
-        scheduler = Scheduler(spec, tmp_path / "c")
-        assert scheduler.batch is False
-
-
-class TestLintBatch:
-    def test_invalid_batch_is_tdst024_only(self):
-        from repro.lint import lint_spec_text
-
-        report = lint_spec_text(
-            """
-            [campaign]
-            name = "x"
-            [batch]
-            chunk = -3
-            [[grid]]
-            kernel = "1a"
-            length = 16
-            """
+        names = ("TDST_NO_FAST", "TDST_NO_BATCH", "TDST_NO_TRACESTORE")
+        for name in names:
+            monkeypatch.delenv(name, raising=False)
+        rules = tmp_path / "t1.rules"
+        rules.write_text(RULE_T1_SOA_TO_AOS.format(length=64), encoding="utf-8")
+        spec = grid_spec(
+            grid=(
+                GridEntry(
+                    kernel="1a", length=64, rules=("baseline", f"file:{rules}")
+                ),
+            ),
+            caches=grid_spec().caches
+            + (CacheSpec(size=2048, block=32, assoc=2, policy="plru"),),
+            attribution=("base",),
         )
-        assert report.codes() == ["TDST024"]
+        clean = run_campaign(spec, tmp_path / "clean")
+        for name in names:
+            monkeypatch.setenv(name, "1")
+        env = run_campaign(spec, tmp_path / "env")
 
-    def test_singleton_batch_warns_tdst025(self):
-        from repro.lint import lint_spec_text
+        def routes(result):
+            return {o.job_id: o.result["route"] for o in result.outcomes}
 
-        report = lint_spec_text(
-            """
-            [campaign]
-            name = "x"
-            [batch]
-            max_configs = 1
-            [[grid]]
-            kernel = "1a"
-            length = 16
-            """
+        assert routes(env) == routes(clean)
+        assert set(routes(clean).values()) == {"fast", "tracestore", "reference"}
+        assert artifact_bytes(tmp_path / "env") == artifact_bytes(
+            tmp_path / "clean"
         )
-        assert "TDST025" in report.codes() and report.ok
-
-    def test_no_eligible_geometry_warns(self):
-        from repro.lint import lint_spec_text
-
-        report = lint_spec_text(
-            """
-            [campaign]
-            name = "x"
-            [[caches]]
-            size = 2048
-            block = 32
-            assoc = 4
-            policy = "fifo"
-            [[grid]]
-            kernel = "1a"
-            length = 16
-            """
-        )
-        assert "TDST025" in report.codes()
 
 
 class TestCli:
@@ -298,29 +240,16 @@ class TestCli:
             assert row["misses"] + row["hits"] == row["accesses"]
 
     def test_campaign_no_batch_flag(self, tmp_path, capsys):
+        """``--no-fast`` is the one route switch left on ``tdst campaign``."""
         from repro.cli import main
 
-        spec = tmp_path / "c.toml"
-        spec.write_text(
-            """
-            [campaign]
-            name = "cli"
-            [[caches]]
-            size = 1024
-            block = 32
-            assoc = 1
-            [[caches]]
-            size = 2048
-            block = 32
-            assoc = 2
-            [[grid]]
-            kernel = "1a"
-            length = 32
-            """
-        )
-        code = main(
-            ["campaign", str(spec), "--dir", str(tmp_path / "out"), "--no-batch"]
-        )
-        assert code == 0
-        rows = RunManifest.read(tmp_path / "out" / "manifest.jsonl")
-        assert not any("batch/" in r.get("job_id", "") for r in rows)
+        with pytest.raises(SystemExit) as exit_info:
+            main(["campaign", "--help"])
+        assert exit_info.value.code == 0
+        usage = capsys.readouterr().out
+        assert "--no-fast" in usage
+        assert "--no-batch" not in usage and "--no-tracestore" not in usage
+        for flag in ("--no-batch", "--no-tracestore"):
+            with pytest.raises(SystemExit) as exit_info:
+                main(["campaign", "paper", "--dir", str(tmp_path), flag])
+            assert exit_info.value.code == 2

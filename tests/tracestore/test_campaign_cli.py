@@ -1,14 +1,13 @@
 """Campaign wiring and CLI surface of the trace commit store."""
 
-import os
-
 import pytest
 
+from repro.campaign.grid import plan_route
 from repro.campaign.jobs import (
-    NO_TRACESTORE_ENV,
     Job,
     execute_job,
-    tracestore_eligible,
+    resolve_rule_text,
+    simulation_fields,
 )
 from repro.campaign.scheduler import run_campaign
 from repro.campaign.spec import CacheSpec, CampaignSpec, GridEntry
@@ -16,6 +15,9 @@ from repro.cli import main
 from repro.transform.paper_rules import RULE_T1_SOA_TO_AOS
 
 pytestmark = pytest.mark.tracestore
+
+ONE_CACHE = (CacheSpec(size=1024, block=32, assoc=1),)
+TWO_CACHES = ONE_CACHE + (CacheSpec(size=2048, block=32, assoc=2),)
 
 
 @pytest.fixture
@@ -25,26 +27,24 @@ def rule_file(tmp_path):
     return path
 
 
-@pytest.fixture
-def clean_env(monkeypatch):
-    monkeypatch.delenv(NO_TRACESTORE_ENV, raising=False)
-    monkeypatch.delenv("TDST_NO_FAST", raising=False)
-
-
-def file_spec(rule_file, **overrides):
+def file_spec(rule_file, rule=None, **overrides):
     defaults = dict(
         name="edit-loop",
         grid=(
             GridEntry(
                 kernel="1a",
                 length=64,
-                rules=("baseline", f"file:{rule_file}"),
+                rules=("baseline", rule or f"file:{rule_file}"),
             ),
         ),
-        caches=(CacheSpec(size=1024, block=32, assoc=1),),
+        caches=ONE_CACHE,
     )
     defaults.update(overrides)
     return CampaignSpec(**defaults)
+
+
+def routes(result):
+    return {o.job_id: o.result["route"] for o in result.outcomes}
 
 
 class TestEligibility:
@@ -58,57 +58,50 @@ class TestEligibility:
         defaults.update(kw)
         return Job(**defaults)
 
-    def test_file_rule_is_eligible(self, rule_file, clean_env):
+    def test_file_rule_is_eligible(self, rule_file):
+        assert plan_route(self._job(rule_file), True) == ("tracestore", None)
+
+    def test_baseline_and_paper_rules_are_not(self, rule_file):
+        for rule in ("t1", "baseline"):
+            job = self._job(rule_file, rule=rule)
+            assert plan_route(job, True) == ("fast", None)
+
+    def test_verify_jobs_keep_classic_route(self, rule_file):
+        job = self._job(rule_file, verify=True)
+        assert plan_route(job, True) == ("fast", None)
+
+    def test_env_escape_hatches(self, rule_file, monkeypatch):
+        """A route comes from the point and the ``fast`` argument alone;
+        the retired ``TDST_NO_*`` variables change nothing."""
+        for name in ("TDST_NO_FAST", "TDST_NO_BATCH", "TDST_NO_TRACESTORE"):
+            monkeypatch.setenv(name, "1")
         job = self._job(rule_file)
-        assert tracestore_eligible(job, "in:\nout:\n")
+        assert plan_route(job, True) == ("tracestore", None)
+        route, reason = plan_route(job, False)
+        assert route == "reference" and "--no-fast" in reason
 
-    def test_baseline_and_paper_rules_are_not(self, rule_file, clean_env):
-        assert not tracestore_eligible(self._job(rule_file, rule="t1"), "x")
-        assert not tracestore_eligible(
-            self._job(rule_file, rule="baseline"), None
-        )
-
-    def test_verify_jobs_keep_classic_route(self, rule_file, clean_env):
-        assert not tracestore_eligible(
-            self._job(rule_file, verify=True), "x"
-        )
-
-    def test_env_escape_hatches(self, rule_file, clean_env, monkeypatch):
-        job = self._job(rule_file)
-        # TDST_NO_TRACESTORE is resolved once, by the Scheduler, and
-        # reaches workers as the job's own flag.
-        opted_out = self._job(rule_file, tracestore=False)
-        assert not tracestore_eligible(opted_out, "x")
-        monkeypatch.setenv(NO_TRACESTORE_ENV, "1")
-        assert tracestore_eligible(job, "x")
-        monkeypatch.delenv(NO_TRACESTORE_ENV)
-        # TDST_NO_FAST likewise reaches workers as Job.fast.
-        assert not tracestore_eligible(self._job(rule_file, fast=False), "x")
-        monkeypatch.setenv("TDST_NO_FAST", "1")
-        assert tracestore_eligible(job, "x")
-
-    def test_scheduler_resolves_env_onto_jobs(
-        self, tmp_path, rule_file, clean_env, monkeypatch
-    ):
-        from repro.campaign.scheduler import Scheduler
-
-        monkeypatch.setenv(NO_TRACESTORE_ENV, "1")
-        scheduler = Scheduler(file_spec(rule_file), tmp_path / "camp")
-        assert scheduler.tracestore is False
-        monkeypatch.delenv(NO_TRACESTORE_ENV)
-        assert Scheduler(file_spec(rule_file), tmp_path / "camp2").tracestore
-        monkeypatch.setenv("TDST_NO_FAST", "1")
-        assert Scheduler(file_spec(rule_file), tmp_path / "camp3").fast is False
-        assert Scheduler(file_spec(rule_file), tmp_path / "camp4", fast=True).fast
-
-    def test_non_fast_path_config_keeps_classic_route(
-        self, rule_file, clean_env
-    ):
+    def test_non_fast_path_config_keeps_classic_route(self, rule_file):
         job = self._job(
             rule_file,
             cache=CacheSpec(size=1024, block=32, assoc=2, policy="plru"),
         )
-        assert not tracestore_eligible(job, "x")
+        route, reason = plan_route(job, True)
+        assert route == "reference" and "plru" in reason
+
+    def test_shared_trace_points_take_the_store(self, tmp_path, rule_file):
+        """A ``file:`` point keeps its route when a second kernel-covered
+        cache shares its trace."""
+        result = run_campaign(
+            file_spec(rule_file, caches=TWO_CACHES), tmp_path / "camp"
+        )
+        assert result.n_done == 4
+        file_routes = {
+            route for job_id, route in routes(result).items() if "file:" in job_id
+        }
+        assert file_routes == {"tracestore"}
+        tracestore = tmp_path / "camp" / "tracestore"
+        assert any(tracestore.rglob("*.chunk.tdst"))
+        assert len(list(tracestore.rglob("*.npz"))) >= 2
 
 
 def artifact_bytes(directory):
@@ -119,33 +112,38 @@ def artifact_bytes(directory):
 
 
 class TestCampaignParity:
-    def test_routes_store_identical_artifacts(
-        self, tmp_path, rule_file, clean_env, monkeypatch
-    ):
-        spec = file_spec(rule_file)
-        monkeypatch.setenv(NO_TRACESTORE_ENV, "1")
-        classic = run_campaign(spec, tmp_path / "classic", batch=False)
-        monkeypatch.delenv(NO_TRACESTORE_ENV)
-        incremental = run_campaign(spec, tmp_path / "incr", batch=False)
-        assert classic.n_done == incremental.n_done == 2
-        a, b = artifact_bytes(tmp_path / "classic"), artifact_bytes(
-            tmp_path / "incr"
-        )
-        assert a == b
-        tracestore = tmp_path / "incr" / "tracestore"
-        assert any(tracestore.rglob("*.chunk.tdst"))
-        assert any(tracestore.rglob("*.npz"))
+    def test_routes_store_identical_artifacts(self, tmp_path, rule_file):
+        """A ``file:`` rule holding T1's text stores, through the commit
+        store, exactly the artifacts the ``t1`` campaign stores."""
+        for n, caches in enumerate((ONE_CACHE, TWO_CACHES)):
+            stored = run_campaign(
+                file_spec(rule_file, caches=caches), tmp_path / f"file{n}"
+            )
+            classic = run_campaign(
+                file_spec(rule_file, rule="t1", caches=caches),
+                tmp_path / f"t1-{n}",
+            )
+            assert stored.n_done == classic.n_done == 2 * len(caches)
+            assert "tracestore" in routes(stored).values()
+            assert set(routes(classic).values()) == {"fast"}
+            a = artifact_bytes(tmp_path / f"file{n}")
+            assert len(a) == 2 * len(caches)
+            assert a == artifact_bytes(tmp_path / f"t1-{n}")
+            tracestore = tmp_path / f"file{n}" / "tracestore"
+            assert any(tracestore.rglob("*.chunk.tdst"))
+            assert any(tracestore.rglob("*.npz"))
 
-    def test_edited_rule_file_stays_correct(
-        self, tmp_path, rule_file, clean_env, monkeypatch
-    ):
+    def test_edited_rule_file_stays_correct(self, tmp_path, rule_file):
         from repro.obsv.telemetry import get_telemetry
+        from repro.tracer.interp import trace_program
+        from repro.transform.engine import transform_trace
+        from repro.workloads.paper_kernels import paper_kernel
 
-        spec = file_spec(rule_file)
-        run_campaign(spec, tmp_path / "camp", batch=False)
+        spec = file_spec(rule_file, caches=TWO_CACHES)
+        run_campaign(spec, tmp_path / "camp")
         # Edit: rename the output array.  Same path, new text — the next
         # sweep re-enters the lineage through the stored prev commit and
-        # must store artifacts identical to a from-scratch classic run.
+        # must store what the reference oracle computes for the new text.
         edited = RULE_T1_SOA_TO_AOS.format(length=64).replace(
             "lAoS", "lRenamed"
         )
@@ -154,42 +152,36 @@ class TestCampaignParity:
         tele.reset()
         tele.enable()
         try:
-            result = run_campaign(spec, tmp_path / "camp", batch=False)
+            result = run_campaign(spec, tmp_path / "camp")
         finally:
             snapshot = tele.snapshot()
             tele.disable()
-        assert result.n_done == 2
+        assert result.n_done == 4
         counters = snapshot["counters"]
         # The edit hit every chunk (the rename touches the whole array),
         # so the chain re-transformed rather than reused — but it went
-        # through the store, and the new artifacts match the classic
-        # route exactly.
+        # through the store.
         assert counters.get("tracestore.chunks_retransformed", 0) > 0
         assert counters.get("tracestore.snapshot_saves", 0) > 0
-        monkeypatch.setenv(NO_TRACESTORE_ENV, "1")
-        run_campaign(spec, tmp_path / "classic", batch=False)
-        a = artifact_bytes(tmp_path / "camp")
-        b = artifact_bytes(tmp_path / "classic")
-        # The incremental dir also holds first-sweep artifacts; every
-        # classic artifact must appear byte-identically.
-        for name, blob in b.items():
-            assert a[name] == blob
 
-    def test_tracestore_false_does_not_leak_into_later_campaigns(
-        self, tmp_path, rule_file, clean_env
-    ):
-        spec = file_spec(rule_file)
-        environ = dict(os.environ)
-        run_campaign(spec, tmp_path / "classic", batch=False, tracestore=False)
-        assert not (tmp_path / "classic" / "tracestore").exists()
-        # The opt-out belonged to that campaign alone: the next one in
-        # this process takes the default route and writes the store.
-        run_campaign(spec, tmp_path / "default", batch=False)
-        tracestore = tmp_path / "default" / "tracestore"
-        assert any(tracestore.rglob("*.chunk.tdst"))
-        assert dict(os.environ) == environ
+        trace = trace_program(paper_kernel("1a", length=64))
+        oracle = simulation_fields(
+            transform_trace(trace, edited).trace,
+            [cache.to_config() for cache in TWO_CACHES],
+            "base",
+            use_fast=False,
+        )
+        want = {fields["config"]: fields for fields in oracle}
+        swept = [o.result for o in result.outcomes if "file:" in o.job_id]
+        assert len(swept) == 2
+        for payload in swept:
+            assert payload["route"] == "tracestore"
+            assert payload["cache_hits"]["simulation"] is False
+            got = {key: payload[key] for key in oracle[0]}
+            assert got == want[payload["config"]]
+        assert resolve_rule_text(f"file:{rule_file}", 64) == edited
 
-    def test_execute_job_payload_shape(self, tmp_path, rule_file, clean_env):
+    def test_execute_job_payload_shape(self, tmp_path, rule_file):
         job = Job(
             kernel="1a",
             length=64,
@@ -206,7 +198,7 @@ class TestCampaignParity:
 
 class TestCli:
     def test_commit_log_resim_flow(self, tmp_path, rule_file, capsys,
-                                   monkeypatch, clean_env):
+                                   monkeypatch):
         monkeypatch.chdir(tmp_path)
         assert main(["trace", "1a", "--length", "64", "-o", "t.out"]) == 0
         assert main(

@@ -150,7 +150,7 @@ def test_golden_pipelines_incremental_equals_cold(
     trace = trace_program(paper_kernel(kernel, length=length))
     rule_text = resolve_rule_text(rule, length)
     reference = transform_trace(trace, rule_text).trace
-    want = simulation_fields(reference, CONFIG, attribution, use_fast=False)
+    (want,) = simulation_fields(reference, [CONFIG], attribution, use_fast=False)
 
     store = TraceStore(tmp_path / "ts")
     # Cold (no snapshots), warm (writes snapshots), hot (restores them):
@@ -216,8 +216,8 @@ def test_random_rule_edits_incremental_equals_cold(
     )
     reference = transform_trace(trace, v2).trace
     assert list(store.checkout(applied2.commit)) == list(reference)
-    assert result2.fields() == simulation_fields(
-        reference, CONFIG, "base", use_fast=False
+    assert [result2.fields()] == simulation_fields(
+        reference, [CONFIG], "base", use_fast=False
     )
 
 
@@ -235,8 +235,8 @@ def test_single_rule_edit_reuses_untouched_chunks(tmp_path):
     assert applied2.chunks_transformed < applied2.chunks_total
     assert result2.chunks_skipped > 0
     reference = transform_trace(trace, v2).trace
-    assert result2.fields() == simulation_fields(
-        reference, CONFIG, "base", use_fast=False
+    assert [result2.fields()] == simulation_fields(
+        reference, [CONFIG], "base", use_fast=False
     )
 
 
@@ -263,8 +263,8 @@ def test_snapshot_mismatch_falls_back_to_cold(tmp_path):
     other = simulate_chain(store, applied.commit, CONFIG_2W)
     assert other.chunks_skipped == 0
     reference = transform_trace(trace, rule).trace
-    assert other.fields() == simulation_fields(
-        reference, CONFIG_2W, "base", use_fast=False
+    assert [other.fields()] == simulation_fields(
+        reference, [CONFIG_2W], "base", use_fast=False
     )
 
 
@@ -278,8 +278,8 @@ def test_pre_change_snapshots_resume_cold(tmp_path):
     sim = FastSimulator(CONFIG)
     sim.feed(np.arange(0, 4096, 8, dtype=np.uint64))
     stale = v1_direct_mapped_state(sim)
-    want = simulation_fields(
-        transform_trace(trace, rule).trace, CONFIG, "base", use_fast=False
+    (want,) = simulation_fields(
+        transform_trace(trace, rule).trace, [CONFIG], "base", use_fast=False
     )
     # A store written before the layout change keys its snapshots by
     # the v1 schema tag, which the v2 lookup never asks for ...
