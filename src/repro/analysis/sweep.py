@@ -1,25 +1,23 @@
-"""Parallel parameter sweeps over cache configurations.
+"""Parameter sweeps over cache configurations: one trace, many configs.
 
-Layout studies are embarrassingly parallel across cache configurations:
-the trace is fixed, each (geometry, policy) point simulates
-independently.  This module fans a sweep out over worker processes with
-:mod:`multiprocessing` — the single-node equivalent of the MPI
-scatter/gather pattern — and gathers compact, picklable result rows.
-
-Workers receive the records once (inherited or pickled) and loop over
-their slice of the config list; results come back as plain dicts so the
-parent never unpickles caches or numpy state it does not need.
+The configs the vectorized kernel covers
+(:func:`repro.simbatch.plan.supports_fast_path`) share one
+:func:`~repro.simbatch.runner.simulate_batch` pass; the rest (FIFO,
+round-robin, PLRU, fully associative, ...) run through the reference
+simulator one after another.  Both routes give the same rows.
 """
 
 from __future__ import annotations
 
-import multiprocessing as mp
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Sequence, Tuple
 
 from repro.cache.config import CacheConfig
 from repro.cache.simulator import simulate
+from repro.simbatch.plan import supports_fast_path
+from repro.simbatch.runner import kernel_fields, simulate_batch
 from repro.trace.record import TraceRecord
+from repro.trace.stream import Trace
 
 
 @dataclass(frozen=True)
@@ -43,55 +41,50 @@ class SweepPoint:
         return 0
 
 
-def _simulate_point(
-    args: Tuple[Sequence[TraceRecord], CacheConfig, str],
-) -> SweepPoint:
-    records, config, attribution = args
-    stats = simulate(records, config, attribution=attribution).stats
+def _kernel_point(config: CacheConfig, fields: Dict[str, Any]) -> SweepPoint:
+    """A row from :func:`~repro.simbatch.runner.kernel_fields`, with the
+    unrounded miss ratio a reference row carries."""
+    accesses, misses = fields["accesses"], fields["misses"]
     return SweepPoint(
-        config=config,
-        accesses=stats.accesses,
-        hits=stats.hits,
-        misses=stats.misses,
-        miss_ratio=stats.miss_ratio,
-        evictions=stats.evictions,
-        compulsory_misses=stats.compulsory_misses,
-        by_variable_misses=tuple(
-            sorted(
-                (name, counts.misses)
-                for name, counts in stats.by_variable.items()
-            )
-        ),
+        config, accesses, fields["hits"], misses,
+        misses / accesses if accesses else 0.0,
+        fields["evictions"], fields["compulsory_misses"],
+        tuple(fields["by_variable_misses"].items()),
+    )
+
+
+def _reference_point(
+    trace: Trace, config: CacheConfig, attribution: str
+) -> SweepPoint:
+    stats = simulate(trace, config, attribution=attribution).stats
+    return SweepPoint(
+        config, stats.accesses, stats.hits, stats.misses, stats.miss_ratio,
+        stats.evictions, stats.compulsory_misses,
+        tuple(sorted((n, c.misses) for n, c in stats.by_variable.items())),
     )
 
 
 def sweep_configs(
-    records: Sequence[TraceRecord],
+    records: Iterable[TraceRecord],
     configs: Sequence[CacheConfig],
     *,
     attribution: str = "base",
-    workers: Optional[int] = None,
 ) -> List[SweepPoint]:
-    """Simulate ``records`` against every config, in parallel.
-
-    ``workers=0`` (or 1) runs serially — useful for debugging and exact
-    determinism checks; the parallel path produces identical results
-    because each point is independent and the simulators are
-    deterministic.
-    """
-    records = list(records)
-    jobs = [(records, cfg, attribution) for cfg in configs]
-    if workers in (0, 1) or len(configs) <= 1:
-        return [_simulate_point(job) for job in jobs]
-    n = workers or min(len(configs), mp.cpu_count())
-    # 'fork' start inherits the records without pickling per job where
-    # available; fall back to the default context elsewhere.
-    try:
-        ctx = mp.get_context("fork")
-    except ValueError:  # pragma: no cover - non-POSIX
-        ctx = mp.get_context()
-    with ctx.Pool(processes=n) as pool:
-        return pool.map(_simulate_point, jobs)
+    """Simulate ``records`` against every config; rows in config order."""
+    trace = records if isinstance(records, Trace) else Trace(records)
+    covered = [i for i, c in enumerate(configs) if supports_fast_path(c)]
+    points: Dict[int, SweepPoint] = {}
+    if covered:
+        batch = simulate_batch(
+            trace, [configs[i] for i in covered], attribution=attribution
+        )
+        for i, counts in zip(covered, batch.results):
+            fields = kernel_fields(configs[i], counts, batch.names)
+            points[i] = _kernel_point(configs[i], fields)
+    return [
+        points[i] if i in points else _reference_point(trace, config, attribution)
+        for i, config in enumerate(configs)
+    ]
 
 
 def sweep_table(points: Iterable[SweepPoint]) -> str:

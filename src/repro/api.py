@@ -25,12 +25,7 @@ layer instead of hand-chained calls::
 from __future__ import annotations
 
 from repro.cache.config import CacheConfig
-from repro.cache.fastsim import (
-    FastSimulator,
-    StreamResult,
-    fast_trace_counts,
-    simulate_stream,
-)
+from repro.cache.fastsim import fast_trace_counts
 from repro.cache.simulator import CacheSimulator, SimulationResult, simulate
 from repro.campaign import (
     ArtifactStore,
@@ -96,7 +91,7 @@ from repro.trace.columnar import (
 )
 from repro.trace.format import read_trace, write_trace
 from repro.trace.stats import compute_stats
-from repro.trace.stream import Trace, TraceChunk, iter_chunks, iter_records
+from repro.trace.stream import Trace, iter_records
 from repro.tracer.interp import Interpreter, trace_program
 from repro.tracer.program import Program
 from repro.transform.engine import TransformEngine, transform_trace
@@ -181,14 +176,9 @@ __all__ = [
     "CacheSimulator",
     "SimulationResult",
     "simulate",
-    "StreamResult",
-    "simulate_stream",
-    "TraceChunk",
-    "iter_chunks",
     "iter_records",
     "FastCounts",
     "FastTraceCounts",
-    "FastSimulator",
     "fast_trace_counts",
     "supports_fast_path",
     "CacheHierarchy",

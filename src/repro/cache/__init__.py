@@ -17,12 +17,14 @@ provides that simulator:
   ("observe conflicts between program structures");
 - :mod:`repro.cache.simulator` — drives a trace through a cache;
 - :mod:`repro.cache.hierarchy` — multi-level (L1/L2) simulation;
-- :mod:`repro.cache.fastsim` — the vectorized (numpy) fast path for
-  direct-mapped and set-associative LRU caches: one config run through
+- :mod:`repro.cache.fastsim` — :func:`~repro.cache.fastsim.fast_trace_counts`,
+  the vectorized (numpy) fast path for direct-mapped and
+  set-associative LRU caches: one config's address arrays run through
   the stack-position kernel of :mod:`repro.simbatch.kernel` as a batch
   of one, cross-validated against the reference simulator.  It is not
   re-exported here: :mod:`repro.simbatch` imports this package, so
-  import it from its module (or from :mod:`repro.api`).
+  import it from its module (or from :mod:`repro.api`).  Trace files
+  and record streams go through :func:`repro.simbatch.simulate_batch`.
 """
 
 from repro._lazy import lazy_exports

@@ -10,9 +10,9 @@ the access is counted once, under ``writes`` in
 :class:`~repro.cache.stats.CacheStats`, since it leaves the line dirty.
 ``X`` records are skipped, as the paper disables instruction tracing.
 
-The bounded-memory variant,
-:func:`repro.cache.fastsim.simulate_stream`, lives with the vectorized
-fast path it feeds.
+Covered configs (see :func:`repro.simbatch.plan.supports_fast_path`)
+also run, in bounded memory, through the batched kernel's
+:func:`repro.simbatch.simulate_batch`, which streams any trace file.
 """
 
 from __future__ import annotations

@@ -152,10 +152,22 @@ class GridEntry:
             CacheSpec.from_dict(c)
             for c in _tables(data.get("caches", []), "grid.caches")
         )
+        length = data.get("length", 16)
+        try:
+            length = int(length)
+        except (TypeError, ValueError):
+            raise CampaignError(
+                f"'length' must be an integer, got {length!r}"
+            ) from None
+        rules = data.get("rules", ("baseline",))
+        if not isinstance(rules, (list, tuple)):
+            raise CampaignError(
+                f"'rules' must be an array of rule names, got {rules!r}"
+            )
         return cls(
             kernel=str(data["kernel"]),
-            length=int(data.get("length", 16)),
-            rules=tuple(str(r) for r in data.get("rules", ("baseline",))),
+            length=length,
+            rules=tuple(str(r) for r in rules),
             caches=caches,
         )
 
@@ -249,6 +261,11 @@ class CampaignSpec:
         attribution = campaign.get("attribution", ["base"])
         if isinstance(attribution, str):
             attribution = [attribution]
+        elif not isinstance(attribution, (list, tuple)):
+            raise CampaignError(
+                "'attribution' must be a mode name or an array of them, "
+                f"got {attribution!r}"
+            )
         caches = tuple(
             CacheSpec.from_dict(c) for c in _tables(data.get("caches", []), "caches")
         ) or (CacheSpec(),)

@@ -6,8 +6,8 @@ Subcommands mirror the paper's analysis cycle (its Figure 2):
   (stands in for running the application under Valgrind+Gleipnir);
 - ``tdst stats``     — quick trace statistics;
 - ``tdst simulate``  — DineroIV-style cache simulation of a trace file
-  (alias ``sim``; ``--fast`` streams it through the vectorized fast path
-  in bounded memory, ``--check`` cross-validates a sampled window);
+  (alias ``sim``; ``--fast`` streams it through the batched kernel in
+  bounded memory, ``--check`` cross-validates a sampled window);
 - ``tdst transform`` — apply a rule file, write ``transformed_trace.out``;
 - ``tdst diff``      — structural diff of two traces (Figures 5/8/9);
 - ``tdst figure``    — per-set figure data (+ optional gnuplot output);
@@ -174,8 +174,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate_fast(args: argparse.Namespace) -> int:
-    """``tdst simulate --fast``: vectorized, chunked, bounded memory."""
-    from repro.cache.fastsim import simulate_stream
+    """``tdst simulate --fast``: one config through the batched kernel,
+    streamed in chunks (bounded memory)."""
+    from repro.simbatch import simulate_batch
     from repro.simbatch.plan import supports_fast_path
 
     config = _cache_config(args)
@@ -190,9 +191,23 @@ def _cmd_simulate_fast(args: argparse.Namespace) -> int:
             "rerun without --fast"
         )
         return 2
-    result = simulate_stream(args.trace, config, chunk_records=args.chunk)
+    result = simulate_batch(args.trace, [config], chunk_records=args.chunk)
+    (totals,) = result.results
+    counts = totals.counts
     print(f"{args.trace} (fast path, {result.chunks} chunks)")
-    print(result.summary())
+    print(config.describe())
+    print(f"demand accesses : {totals.demand_accesses}")
+    print(
+        f"demand misses   : {totals.demand_misses} "
+        f"(miss rate {totals.demand_miss_ratio:.4f})"
+    )
+    print(f"block hits      : {counts.hits}")
+    print(
+        f"block misses    : {counts.misses} "
+        f"(compulsory {counts.compulsory_misses})"
+    )
+    print(f"evictions       : {totals.evictions}")
+    print(f"chunks          : {result.chunks}")
     if args.check:
         return _check_fast_window(args, config)
     return 0
@@ -259,9 +274,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     configs = associativity_sweep(
         args.size, args.block, max_ways=args.max_ways, policy=args.policy
     )
-    points = sweep_configs(
-        trace, configs, attribution=args.attribution, workers=args.workers
-    )
+    points = sweep_configs(trace, configs, attribution=args.attribution)
     print(sweep_table(points))
     return 0
 
@@ -367,7 +380,7 @@ def _cmd_simbatch(args: argparse.Namespace) -> int:
 
     from repro.cache.config import CacheConfig
     from repro.errors import CacheConfigError
-    from repro.simbatch import plan_batch, simulate_batch
+    from repro.simbatch import kernel_fields, plan_batch, simulate_batch
 
     configs = [
         CacheConfig(
@@ -393,20 +406,9 @@ def _cmd_simbatch(args: argparse.Namespace) -> int:
     if args.json:
         rows = []
         for config, counts in zip(result.configs, result.results):
-            row = {
-                "config": config.describe(),
-                "accesses": counts.demand_accesses,
-                "hits": counts.demand_hits,
-                "misses": counts.demand_misses,
-                "miss_ratio": round(counts.demand_miss_ratio, 6),
-                "evictions": counts.evictions,
-                "compulsory_misses": counts.counts.compulsory_misses,
-            }
-            if args.by_variable:
-                row["by_variable_misses"] = {
-                    name: counts.per_variable.get(vid, (0, 0))[1]
-                    for vid, name in enumerate(result.names)
-                }
+            row = kernel_fields(config, counts, result.names)
+            if not args.by_variable:
+                del row["by_variable_misses"]
             rows.append(row)
         print(json.dumps({"accesses": result.accesses, "results": rows}, indent=2))
         return 0
@@ -953,14 +955,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_diff)
 
     p = sub.add_parser(
-        "sweep", help="parallel associativity sweep over one trace"
+        "sweep",
+        help="associativity sweep over one trace (LRU and direct-mapped "
+        "configs share one kernel pass)",
     )
     p.add_argument("trace")
     _add_cache_args(p)
     p.add_argument("--max-ways", type=int, default=16)
-    p.add_argument(
-        "--workers", type=int, default=0, help="0 = serial, N = processes"
-    )
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("heatmap", help="time x set traffic heatmap")

@@ -14,8 +14,9 @@ factors the shared work out:
   kernel and its one carried-state type: a single chunked pass over the
   address stream computing hit/miss/eviction and per-variable counts
   for every configuration simultaneously, bit-identical to the
-  reference simulator per config (a single config is a batch of one —
-  :mod:`repro.cache.fastsim` is that batch's face);
+  reference simulator per config (a single config is a batch of one;
+  :func:`repro.cache.fastsim.fast_trace_counts` is its one-shot face
+  over address arrays);
 - :mod:`repro.simbatch.runner` feeds the kernel from any trace source —
   a memory-mapped :class:`~repro.trace.columnar.ColumnarTrace` is the
   zero-copy fast path — and builds a campaign payload from its counts.

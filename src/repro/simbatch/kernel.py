@@ -2,11 +2,11 @@
 
 Every vectorized simulation in the package runs through
 :func:`_stack_positions` — a single config
-(:class:`repro.cache.fastsim.FastSimulator`,
-:func:`repro.cache.fastsim.fast_trace_counts`), a config grid, a
-trace-store chain.  The kernel records each access's LRU **stack
-position** (reuse distance over its set's block stream), and stack
-inclusion then answers every member of a geometry group at once::
+(:func:`repro.cache.fastsim.fast_trace_counts`, ``tdst simulate
+--fast``), a config grid or sweep, a trace-store chain.  The kernel
+records each access's LRU **stack position** (reuse distance over its
+set's block stream), and stack inclusion then answers every member of
+a geometry group at once::
 
     hit in a w-way cache  <=>  position < w        (w == 1: direct-mapped)
 

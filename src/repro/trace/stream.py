@@ -19,14 +19,13 @@ not keep them.
 
 For traces too large to materialize, :func:`iter_records` streams records
 from any trace file (text, gzipped text, or ``TDST`` binary, auto-detected
-by magic bytes) and :func:`iter_chunks` batches them into fixed-size
-:class:`TraceChunk` array bundles — the bounded-memory input format of
-:func:`repro.cache.fastsim.simulate_stream`.
+by magic bytes); :func:`repro.simbatch.simulate_batch` feeds such a
+stream to the cache kernel in bounded-size chunks, and
+:func:`iter_record_chunks` batches it into the trace store's chunk blobs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
@@ -265,28 +264,6 @@ def columns_of(records: Iterable[TraceRecord]) -> TraceColumns:
 DEFAULT_CHUNK_RECORDS = 65536
 
 
-@dataclass(frozen=True)
-class TraceChunk:
-    """One fixed-size batch of a streamed trace, projected to arrays.
-
-    Chunks carry only what the vectorized simulators consume (addresses,
-    sizes, write mask) — never the :class:`TraceRecord` objects — so a
-    multi-gigabyte trace streams through simulation with peak record
-    residency bounded by the chunk size.
-    """
-
-    #: chunk ordinal, starting at 0
-    index: int
-    #: record offset of this chunk's first record within the stream
-    start: int
-    addrs: np.ndarray  #: uint64 access addresses
-    sizes: np.ndarray  #: uint32 access sizes
-    writes: np.ndarray  #: bool mask of accesses that write memory
-
-    def __len__(self) -> int:
-        return len(self.addrs)
-
-
 def _binary_version(path: Union[str, Path]) -> Optional[int]:
     """The ``TDST`` container version of a file, or ``None`` for text."""
     with open(path, "rb") as handle:
@@ -327,62 +304,15 @@ def iter_records(
     return iter(source)
 
 
-def iter_chunks(
-    source: Union[str, Path, Iterable[TraceRecord]],
-    chunk_records: int = DEFAULT_CHUNK_RECORDS,
-    *,
-    data_only: bool = True,
-) -> Iterator[TraceChunk]:
-    """Batch a record stream into :class:`TraceChunk` array bundles.
-
-    ``data_only`` drops ``X`` (miscellaneous) records, matching what the
-    simulators consume.  At most ``chunk_records`` records are buffered
-    at any moment.
-    """
-    if chunk_records <= 0:
-        raise ValueError(f"chunk_records must be positive, got {chunk_records}")
-    addrs: List[int] = []
-    sizes: List[int] = []
-    writes: List[bool] = []
-    index = 0
-    start = 0
-    for record in iter_records(source):
-        if data_only and record.op is AccessType.MISC:
-            continue
-        addrs.append(record.addr)
-        sizes.append(record.size)
-        writes.append(record.op.writes)
-        if len(addrs) >= chunk_records:
-            yield TraceChunk(
-                index=index,
-                start=start,
-                addrs=np.array(addrs, dtype=np.uint64),
-                sizes=np.array(sizes, dtype=np.uint32),
-                writes=np.array(writes, dtype=bool),
-            )
-            start += len(addrs)
-            index += 1
-            addrs, sizes, writes = [], [], []
-    if addrs:
-        yield TraceChunk(
-            index=index,
-            start=start,
-            addrs=np.array(addrs, dtype=np.uint64),
-            sizes=np.array(sizes, dtype=np.uint32),
-            writes=np.array(writes, dtype=bool),
-        )
-
-
 def iter_record_chunks(
     source: Union[str, Path, Iterable[TraceRecord]],
     chunk_records: int = DEFAULT_CHUNK_RECORDS,
 ) -> Iterator[List[TraceRecord]]:
     """Batch a record stream into lists of ``chunk_records`` records.
 
-    Unlike :func:`iter_chunks` this keeps the full records (every field,
-    including ``X`` lines) — the input format of the tracestore's
-    content-addressed chunk blobs, whose boundaries must be stable
-    functions of record position alone so identical prefixes hash
+    Every record is kept, ``X`` lines included — the input format of the
+    tracestore's content-addressed chunk blobs, whose boundaries must be
+    stable functions of record position alone so identical prefixes hash
     identically regardless of container format.
     """
     if chunk_records <= 0:

@@ -10,7 +10,8 @@ chunk identically.  The proof is built from the same static machinery
   base* (allocations are cursor-ordered!) marks that later rule's
   variables changed even though its text is identical;
 - per-rule source spans (recovered from ``source_line``) detect textual
-  edits;
+  edits; blank lines and whole-line comments, which the parsers skip,
+  are left out of the comparison;
 - :func:`~repro.lint.setconflict.set_footprints` turns the changed
   allocations into concrete cache-set regions, surfaced for reporting
   and telemetry.
@@ -42,13 +43,31 @@ from repro.transform.rule_parser import parse_rules
 from repro.transform.rules import Rule, RuleSet
 
 
+def _significant(line: str) -> bool:
+    """Whether a rule-file line can change what the parsers read.
+
+    Blank lines and whole-line ``#``/``//`` comments cannot, except a
+    ``#define`` (a named constant) and a comment holding a bracket or a
+    ``*``: the stride-alias, index-formula and ``objects`` pre-passes
+    scan the section text before the declaration lexer drops comments,
+    and a ``*/`` can end a block comment opened on an earlier line.
+    Such a line is kept and compared.
+    """
+    text = line.strip()
+    if not text.startswith(("#", "//")):
+        return bool(text)
+    return "define" in text or any(c in text for c in "[]*")
+
+
 def _rule_spans(text: str, rules: RuleSet) -> Dict[str, str]:
     """``in_name -> source span`` of each rule, recovered by line number.
 
     Rules parse in file order and each carries the line its section
     started on, so a rule's span runs from its own first line to the
-    next rule's first line.  Same span text ⇒ same parsed rule ⇒ same
-    per-record translation function.
+    next rule's first line.  A span keeps only its
+    :func:`_significant` lines, so adding or editing a comment or a
+    blank line changes no span.  Same span text ⇒ same parsed rule ⇒
+    same per-record translation function.
     """
     lines = text.splitlines()
     starts = sorted(
@@ -61,7 +80,9 @@ def _rule_spans(text: str, rules: RuleSet) -> Dict[str, str]:
     span_of_line: Dict[int, str] = {}
     for i, start in enumerate(starts):
         end = starts[i + 1] - 1 if i + 1 < len(starts) else len(lines)
-        span_of_line[start] = "\n".join(lines[start - 1 : end])
+        span_of_line[start] = "\n".join(
+            line for line in lines[start - 1 : end] if _significant(line)
+        )
     spans: Dict[str, str] = {}
     for rule in rules:
         if rule.source_line is not None:

@@ -2,19 +2,19 @@
 
 Cache simulation is sequential state, so a transformed-trace edit can
 only skip re-simulation over an *unchanged prefix* of chunk blobs.  The
-store therefore keeps **residency snapshots**: the fast simulator's
-complete carried state (per-set LRU stacks, one way wide when
-direct-mapped, compulsory-miss block set, accumulators, per-variable
-totals), content-addressed by
+store therefore keeps **residency snapshots**: the kernel's complete
+carried state (a one-config
+:class:`~repro.simbatch.kernel.MultiConfigSimulator`'s per-set LRU
+stacks, one way wide when direct-mapped, compulsory-miss block set,
+accumulators and per-variable totals), content-addressed by
 ``(cache config, attribution, chunk-blob-id prefix)``.  Simulating a
 commit walks its blob ids, restores the deepest stored snapshot whose
 prefix matches, and feeds only the remaining chunks — saving a snapshot
 at each boundary so the *next* edit resumes even deeper.
 
-Bit-identical by construction: ``FastSimulator``'s chunked totals equal
-a whole-trace pass (the carried-residency invariant PR 2 established
-and tests pin down), and a restored snapshot is that carried state,
-byte for byte.
+Bit-identical by construction: the kernel's chunked totals equal a
+whole-trace pass (the carried-residency invariant the kernel tests pin
+down), and a restored snapshot is that carried state, byte for byte.
 """
 
 from __future__ import annotations
@@ -25,11 +25,10 @@ from typing import Any, Dict, List, Optional, Tuple, Union
 import numpy as np
 
 from repro.cache.config import CacheConfig
-from repro.cache.fastsim import FastSimulator
 from repro.campaign.artifacts import content_key
 from repro.errors import CacheConfigError
 from repro.obsv.telemetry import get_telemetry
-from repro.simbatch.kernel import FastTraceCounts
+from repro.simbatch.kernel import FastTraceCounts, MultiConfigSimulator
 from repro.simbatch.runner import kernel_fields
 from repro.tracestore.chain import SNAPSHOT_SCHEMA, Commit
 from repro.tracestore.store import TraceStore
@@ -125,18 +124,19 @@ def simulate_chain(
         n = len(blob_ids)
         names: List[str] = []
         start = 0
-        sim: Optional[FastSimulator] = None
+        sim: Optional[MultiConfigSimulator] = None
         if snapshots:
             start, state = _restore_point(store, config, attribution, blob_ids)
             if state is not None:
                 try:
-                    sim = FastSimulator.from_state(config, state)
+                    sim = MultiConfigSimulator([config])
+                    sim.restore(state)
                     names = [str(x) for x in state.get("names", ())]
                     tele.add("tracestore.snapshot_restores", 1)
                 except (CacheConfigError, KeyError):  # corrupt/foreign state
                     sim, names, start = None, [], 0
         if sim is None:
-            sim = FastSimulator(config)
+            sim = MultiConfigSimulator([config])
             start = 0
         saved = 0
         for i in range(start, n):
@@ -171,7 +171,7 @@ def simulate_chain(
             commit_id=commit.id,
             config=config,
             attribution=attribution,
-            counts=sim.trace_counts(),
+            counts=sim.results()[0],
             names=tuple(names),
             chunks_total=n,
             chunks_skipped=start,

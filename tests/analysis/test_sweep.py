@@ -1,4 +1,5 @@
-"""Tests for the parallel configuration sweep."""
+"""Tests for the configuration sweep: one kernel pass for the covered
+configs, the reference simulator for the rest, the same rows either way."""
 
 import pytest
 
@@ -9,6 +10,24 @@ from repro.analysis.sweep import (
     sweep_table,
 )
 from repro.cache.config import CacheConfig
+from repro.cache.simulator import simulate
+
+
+def reference_point(trace, config, attribution="base"):
+    """One row built straight from the reference simulator."""
+    stats = simulate(trace, config, attribution=attribution).stats
+    return SweepPoint(
+        config=config,
+        accesses=stats.accesses,
+        hits=stats.hits,
+        misses=stats.misses,
+        miss_ratio=stats.miss_ratio,
+        evictions=stats.evictions,
+        compulsory_misses=stats.compulsory_misses,
+        by_variable_misses=tuple(
+            sorted((n, c.misses) for n, c in stats.by_variable.items())
+        ),
+    )
 
 
 class TestAssociativitySweepHelper:
@@ -31,16 +50,60 @@ class TestSweep:
 
     def test_serial_sweep(self, trace):
         configs = associativity_sweep(2048, 32, max_ways=4)
-        points = sweep_configs(trace, configs, workers=0)
+        points = sweep_configs(trace, configs)
         assert len(points) == 3
         assert all(isinstance(p, SweepPoint) for p in points)
         assert all(p.accesses == points[0].accesses for p in points)
 
-    def test_parallel_matches_serial(self, trace):
-        configs = associativity_sweep(2048, 32, max_ways=8)
-        serial = sweep_configs(trace, configs, workers=0)
-        parallel = sweep_configs(trace, configs, workers=2)
-        assert serial == parallel
+    @pytest.mark.parametrize("sweep", ["lru", "fifo", "direct-mapped"])
+    @pytest.mark.parametrize("attribution", ["base", "member"])
+    def test_matches_per_config_simulate(self, trace, sweep, attribution):
+        """Every row, the unrounded miss ratio included, equals a
+        reference simulation of its config alone."""
+        if sweep == "direct-mapped":
+            configs = [
+                CacheConfig(size=size, block_size=32, associativity=1)
+                for size in (512, 1024, 2048, 4096)
+            ]
+        else:
+            configs = associativity_sweep(2048, 32, max_ways=16, policy=sweep)
+        points = sweep_configs(trace, configs, attribution=attribution)
+        assert points == [
+            reference_point(trace, config, attribution) for config in configs
+        ]
+
+    def test_mixed_routes_keep_config_order(self, trace):
+        configs = [
+            CacheConfig(size=2048, block_size=32, associativity=4,
+                        policy="fifo"),
+            CacheConfig(size=2048, block_size=32, associativity=4),
+            CacheConfig.ppc440(),
+            CacheConfig(size=1024, block_size=64, associativity=1),
+        ]
+        points = sweep_configs(list(trace), configs)
+        assert [p.config for p in points] == configs
+        assert points == [reference_point(trace, c) for c in configs]
+
+    def test_lru_sweep_is_one_kernel_pass(self, trace, monkeypatch):
+        import repro.analysis.sweep as sweep_mod
+        from repro.simbatch import runner
+
+        built = []
+
+        class Counting(runner.MultiConfigSimulator):
+            def __init__(self, configs):
+                built.append(list(configs))
+                super().__init__(configs)
+
+        def no_reference(*_args, **_kwargs):
+            raise AssertionError("an LRU sweep needs no reference simulation")
+
+        monkeypatch.setattr(runner, "MultiConfigSimulator", Counting)
+        monkeypatch.setattr(sweep_mod, "simulate", no_reference)
+        configs = associativity_sweep(2048, 32, max_ways=16)
+        points = sweep_configs(trace, configs)
+        assert built == [configs]
+        assert len(points) == len(configs)
 
     def test_monotone_misses_for_fully_assoc_growth(self, trace):
         """Growing a fully associative LRU cache never increases misses
@@ -49,19 +112,19 @@ class TestSweep:
             CacheConfig(size=s, block_size=32, associativity=0)
             for s in (512, 1024, 2048, 4096)
         ]
-        points = sweep_configs(trace, configs, workers=0)
+        points = sweep_configs(trace, configs)
         misses = [p.misses for p in points]
         assert misses == sorted(misses, reverse=True)
 
     def test_variable_misses_lookup(self, trace):
         configs = associativity_sweep(2048, 32, max_ways=1)
-        (point,) = sweep_configs(trace, configs, workers=0)
+        (point,) = sweep_configs(trace, configs)
         assert point.variable_misses("lSoA") > 0
         assert point.variable_misses("ghost") == 0
 
     def test_table_rendering(self, trace):
         configs = associativity_sweep(2048, 32, max_ways=2)
-        table = sweep_table(sweep_configs(trace, configs, workers=0))
+        table = sweep_table(sweep_configs(trace, configs))
         assert "ratio" in table
         assert table.count("\n") == 2
 
@@ -75,41 +138,19 @@ class TestSweepFailurePaths:
         return trace_program(paper_kernel("1a", length=32))
 
     def test_empty_config_list(self, trace):
-        assert sweep_configs(trace, [], workers=0) == []
-        assert sweep_configs(trace, [], workers=4) == []
+        assert sweep_configs(trace, []) == []
 
     def test_serial_worker_exception_propagates(self, trace):
         configs = associativity_sweep(2048, 32, max_ways=1)
         with pytest.raises(ValueError, match="attribution"):
-            sweep_configs(trace, configs, attribution="bogus", workers=0)
+            sweep_configs(trace, configs, attribution="bogus")
 
-    def test_parallel_worker_exception_propagates(self, trace):
-        configs = associativity_sweep(2048, 32, max_ways=4)
-        assert len(configs) > 1  # force the pool path
+    @pytest.mark.parametrize("policy", ["lru", "fifo"])
+    def test_bad_attribution_propagates_from_either_route(self, trace, policy):
+        # 2 and 4 ways: the kernel's for LRU, the reference's for FIFO.
+        configs = associativity_sweep(2048, 32, max_ways=4, policy=policy)[1:]
         with pytest.raises(ValueError, match="attribution"):
-            sweep_configs(trace, configs, attribution="bogus", workers=2)
-
-    def test_workers_one_never_spawns_processes(self, trace, monkeypatch):
-        import repro.analysis.sweep as sweep_mod
-
-        def boom(*_args, **_kwargs):
-            raise AssertionError("multiprocessing must not be used")
-
-        monkeypatch.setattr(sweep_mod.mp, "get_context", boom)
-        configs = associativity_sweep(2048, 32, max_ways=4)
-        points = sweep_configs(trace, configs, workers=1)
-        assert len(points) == len(configs)
-
-    def test_single_config_stays_serial(self, trace, monkeypatch):
-        import repro.analysis.sweep as sweep_mod
-
-        def boom(*_args, **_kwargs):
-            raise AssertionError("multiprocessing must not be used")
-
-        monkeypatch.setattr(sweep_mod.mp, "get_context", boom)
-        configs = associativity_sweep(2048, 32, max_ways=1)
-        points = sweep_configs(trace, configs, workers=8)
-        assert len(points) == 1
+            sweep_configs(trace, configs, attribution="bogus")
 
 
 class TestGzipTraces:

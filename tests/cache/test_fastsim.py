@@ -2,7 +2,8 @@
 
 Every shape of the one stack-position kernel (direct-mapped closed form,
 set-associative LRU stacks) and every entry point (global counts,
-per-variable attribution, chunked ``FastSimulator``) must agree
+per-variable attribution, a chunked one-config
+``MultiConfigSimulator``) must agree
 *exactly* — hit/miss/per-set/demand/eviction equality — with
 :class:`repro.cache.simulator.CacheSimulator` on random streams,
 straddling accesses and the paper's kernel traces.
@@ -15,8 +16,9 @@ from hypothesis import strategies as st
 
 from repro.errors import CacheConfigError
 from repro.cache.config import AllocatePolicy, CacheConfig
-from repro.cache.fastsim import FastSimulator, fast_trace_counts
+from repro.cache.fastsim import fast_trace_counts
 from repro.cache.simulator import simulate
+from repro.simbatch.kernel import MultiConfigSimulator
 from repro.simbatch.plan import supports_fast_path
 from repro.trace.record import AccessType, TraceRecord
 from tests.reference import assert_matches_reference, reference_counts
@@ -287,6 +289,9 @@ class TestPerVariable:
 
 
 class TestFastSimulator:
+    """The chunked single-config fast simulator: a one-config
+    :class:`MultiConfigSimulator` fed chunk by chunk."""
+
     @pytest.mark.parametrize("assoc", [1, 2, 4])
     @pytest.mark.parametrize("chunk", [1, 7, 64, 10_000])
     def test_chunked_equals_batch(self, assoc, chunk):
@@ -295,10 +300,10 @@ class TestFastSimulator:
         sizes = rng.integers(1, 65, size=500).astype(np.uint32)
         cfg = CacheConfig(size=1024, block_size=32, associativity=assoc)
         batch = fast_trace_counts(addrs, cfg, sizes)
-        sim = FastSimulator(cfg)
+        sim = MultiConfigSimulator([cfg])
         for lo in range(0, len(addrs), chunk):
             sim.feed(addrs[lo : lo + chunk], sizes[lo : lo + chunk])
-        chunked = sim.trace_counts()
+        (chunked,) = sim.results()
         assert chunked.counts.hits == batch.counts.hits
         assert chunked.counts.misses == batch.counts.misses
         assert chunked.counts.compulsory_misses == batch.counts.compulsory_misses
@@ -314,39 +319,44 @@ class TestFastSimulator:
 
     def test_residency_carries_across_chunks(self):
         cfg = small_cfg(2)
-        sim = FastSimulator(cfg)
+        sim = MultiConfigSimulator([cfg])
         sim.feed(np.array([0], dtype=np.uint64))
-        second = sim.feed(np.array([0], dtype=np.uint64))
+        (second,) = sim.feed(np.array([0], dtype=np.uint64))
         assert second.hits == 1  # resident from the previous chunk
 
     def test_compulsory_not_double_counted(self):
-        sim = FastSimulator(small_cfg())
+        sim = MultiConfigSimulator([small_cfg()])
         sim.feed(np.array([0, 512], dtype=np.uint64))  # 512 evicts 0
         sim.feed(np.array([0], dtype=np.uint64))  # conflict, not compulsory
-        assert sim.counts().compulsory_misses == 2
-        assert sim.counts().misses == 3
+        (totals,) = sim.results()
+        assert totals.counts.compulsory_misses == 2
+        assert totals.counts.misses == 3
 
     def test_chunks_fed(self):
-        sim = FastSimulator(small_cfg())
+        sim = MultiConfigSimulator([small_cfg()])
         sim.feed(np.array([0], dtype=np.uint64))
         sim.feed(np.array([], dtype=np.uint64))
         assert sim.chunks_fed == 2
 
     def test_rejects_uncovered_config(self, ppc440_cache):
         with pytest.raises(CacheConfigError):
-            FastSimulator(ppc440_cache)
+            MultiConfigSimulator([ppc440_cache])
 
 
 def feed_with_round_trip(cfg, addrs, sizes, var_ids, cuts, resume_at):
-    """Feed ``FastSimulator`` the chunks between ``cuts``, rebuilding it
-    from its own ``state()`` just before chunk ``resume_at``."""
+    """Feed a one-config ``MultiConfigSimulator`` the chunks between
+    ``cuts``, rebuilding it from its own ``state()`` just before chunk
+    ``resume_at``."""
     bounds = [0, *cuts, len(addrs)]
-    sim = FastSimulator(cfg)
+    sim = MultiConfigSimulator([cfg])
     for i, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
         if i == resume_at:
-            sim = FastSimulator.from_state(cfg, sim.state())
+            state = sim.state()
+            sim = MultiConfigSimulator([cfg])
+            sim.restore(state)
         sim.feed(addrs[lo:hi], sizes[lo:hi], var_ids[lo:hi])
-    return sim.trace_counts()
+    (totals,) = sim.results()
+    return totals
 
 
 class TestChunkedAgainstReference:

@@ -185,73 +185,73 @@ class TestSimulateStream:
 
     def test_totals_equal_whole_trace_pass(self, tmp_path):
         from repro.cache.fastsim import fast_trace_counts
-        from repro.cache.fastsim import simulate_stream
+        from repro.simbatch import simulate_batch
 
         path, records = self._write_trace(tmp_path)
         cfg = CacheConfig(size=1024, block_size=32, associativity=4)
-        result = simulate_stream(path, cfg, chunk_records=64)
+        result = simulate_batch(path, [cfg], chunk_records=64)
+        (totals,) = result.results
         addrs = Trace(records).addresses()
         sizes = Trace(records).sizes()
         batch = fast_trace_counts(addrs, cfg, sizes)
-        assert result.records == len(records)
-        assert result.counts.hits == batch.counts.hits
-        assert result.counts.misses == batch.counts.misses
-        assert result.totals.demand_misses == batch.demand_misses
-        assert result.totals.evictions == batch.evictions
+        assert result.accesses == len(records)
+        assert totals.counts.hits == batch.counts.hits
+        assert totals.counts.misses == batch.counts.misses
+        assert totals.demand_misses == batch.demand_misses
+        assert totals.evictions == batch.evictions
 
-    def test_bounded_residency_observed_via_chunks(self, tmp_path):
+    def test_bounded_residency_observed_via_chunks(self, tmp_path, monkeypatch):
         """A file bigger than one chunk streams through in bounded batches."""
-        from repro.cache.fastsim import simulate_stream
+        from repro.simbatch import runner, simulate_batch
 
+        fed = []
+
+        class Recording(runner.MultiConfigSimulator):
+            def feed(self, addrs, sizes=None, var_ids=None):
+                fed.append(len(addrs))
+                return super().feed(addrs, sizes, var_ids)
+
+        monkeypatch.setattr(runner, "MultiConfigSimulator", Recording)
         path, records = self._write_trace(tmp_path, n=500)
-        seen = []
-        result = simulate_stream(
-            path,
-            small_cfg(),
-            chunk_records=100,
-            on_chunk=lambda chunk, counts: seen.append(
-                (chunk.index, chunk.start, len(chunk), counts.accesses)
-            ),
-        )
+        result = simulate_batch(path, [small_cfg()], chunk_records=100)
         assert result.chunks == 5
-        assert [i for i, _, _, _ in seen] == [0, 1, 2, 3, 4]
-        assert all(n <= 100 for _, _, n, _ in seen)  # bounded residency
-        assert [s for _, s, _, _ in seen] == [0, 100, 200, 300, 400]
-        assert sum(n for _, _, n, _ in seen) == result.records
+        assert fed == [100] * 5  # bounded residency
+        assert sum(fed) == result.accesses == len(records)
 
     def test_accepts_record_iterable(self):
-        from repro.cache.fastsim import simulate_stream
+        from repro.simbatch import simulate_batch
 
         records = [_rec(AccessType.LOAD, a * 4) for a in range(64)]
-        result = simulate_stream(iter(records), small_cfg(), chunk_records=16)
-        assert result.records == 64
+        result = simulate_batch(iter(records), [small_cfg()], chunk_records=16)
+        assert result.accesses == 64
         assert result.chunks == 4
 
     def test_matches_reference_simulator(self, tmp_path):
-        from repro.cache.fastsim import simulate_stream
+        from repro.simbatch import simulate_batch
 
         path, records = self._write_trace(tmp_path, n=300)
         cfg = CacheConfig(size=1024, block_size=32, associativity=2)
-        stream = simulate_stream(path, cfg, chunk_records=47)
+        (stream,) = simulate_batch(path, [cfg], chunk_records=47).results
         stats = simulate(records, cfg).stats
-        assert stream.totals.demand_hits == stats.hits
-        assert stream.totals.demand_misses == stats.misses
+        assert stream.demand_hits == stats.hits
+        assert stream.demand_misses == stats.misses
         assert stream.counts.hits == stats.block_hits
         assert stream.counts.misses == stats.block_misses
         assert stream.counts.compulsory_misses == stats.compulsory_misses
 
     def test_rejects_uncovered_config(self, tmp_path):
-        from repro.cache.fastsim import simulate_stream
         from repro.errors import CacheConfigError
+        from repro.simbatch import simulate_batch
 
         path, _ = self._write_trace(tmp_path, n=10)
         with pytest.raises(CacheConfigError):
-            simulate_stream(path, CacheConfig.ppc440())
+            simulate_batch(path, [CacheConfig.ppc440()])
 
-    def test_summary_text(self, tmp_path):
-        from repro.cache.fastsim import simulate_stream
+    def test_summary_text(self, tmp_path, capsys):
+        from repro.cli import main
 
         path, _ = self._write_trace(tmp_path, n=50)
-        text = simulate_stream(path, small_cfg()).summary()
+        assert main(["sim", str(path), "--fast", "--size", "256"]) == 0
+        text = capsys.readouterr().out
         assert "demand accesses" in text
         assert "chunks" in text

@@ -48,7 +48,8 @@ def test_unknown_kernel_is_tdst020():
     assert [d.code for d in report.errors] == ["TDST020"]
 
 
-#: Specs whose tables have the wrong shape.
+#: Specs whose tables, or values inside a well-shaped table, have the
+#: wrong shape; each name starts with the key the error must name.
 WRONG_SHAPES = {
     "campaign-scalar": "campaign = 3\n",
     "caches-scalar": "caches = 3\n",
@@ -56,12 +57,16 @@ WRONG_SHAPES = {
     "grid-of-scalars": "grid = [3]\n",
     "caches-of-scalars": 'caches = [3]\n[[grid]]\nkernel = "1a"\n',
     "grid.caches-scalar": '[[grid]]\nkernel = "1a"\ncaches = 3\n',
+    "length-string": '[[grid]]\nkernel = "1a"\nlength = "x"\n',
+    "rules-scalar": '[[grid]]\nkernel = "1a"\nrules = 3\n',
+    "attribution-scalar": '[campaign]\nattribution = 3\n[[grid]]\nkernel = "1a"\n',
 }
 
 
 @pytest.mark.parametrize("name", sorted(WRONG_SHAPES))
 def test_wrong_table_shape_is_tdst020(name):
-    """Lint never raises: a table of the wrong shape is one TDST020."""
+    """Lint never raises: a table or value of the wrong shape is one
+    TDST020."""
     report = lint_spec_text(WRONG_SHAPES[name])
     assert report.codes() == ["TDST020"]
     assert f"'{name.split('-')[0]}' must be" in report.errors[0].message

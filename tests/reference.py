@@ -1,7 +1,7 @@
 """Reference implementations kept as oracles for the fast paths.
 
 **The reference simulator, for the vectorized cache fast path.**  Every
-fast-path entry point (``fast_trace_counts``, ``FastSimulator``,
+fast-path entry point (``fast_trace_counts``, ``simulate_batch``,
 ``MultiConfigSimulator``) runs the one stack-position kernel, so checking
 them against each other proves nothing about the kernel.
 :func:`reference_counts` runs the per-record reference

@@ -239,6 +239,65 @@ class TestCli:
         for row in doc["results"]:
             assert row["misses"] + row["hits"] == row["accesses"]
 
+    @pytest.mark.parametrize("container", ["text", "columnar"])
+    @pytest.mark.parametrize("attribution", ["base", "member"])
+    def test_simbatch_json_rows_equal_simulation_fields(
+        self, tmp_path, capsys, container, attribution
+    ):
+        """``--json`` rows are the campaign's payload fields: the same
+        values the reference simulator gives for each config."""
+        from repro.cache.config import CacheConfig
+        from repro.campaign.jobs import simulation_fields
+        from repro.cli import main
+        from repro.trace.columnar import save_columnar
+        from repro.tracer.interp import trace_program
+        from repro.workloads.paper_kernels import paper_kernel
+
+        trace = trace_program(paper_kernel("1a", length=32))
+        path = tmp_path / "t.trace"
+        if container == "columnar":
+            save_columnar(trace, path)
+        else:
+            trace.save(path)
+        argv = ["simbatch", str(path), "--sets", "4", "16",
+                "--assocs", "1", "2", "--blocks", "32", "--json"]
+        assert main(argv + ["--by-variable", "--attribution", attribution]) == 0
+        rows = json.loads(capsys.readouterr().out)["results"]
+        configs = [
+            CacheConfig(size=32 * n_sets * ways, block_size=32,
+                        associativity=ways, policy="lru")
+            for n_sets in (4, 16)
+            for ways in (1, 2)
+        ]
+        assert rows == simulation_fields(
+            trace, configs, attribution, use_fast=False
+        )
+        assert main(argv) == 0
+        plain = json.loads(capsys.readouterr().out)["results"]
+        assert plain == [
+            {k: v for k, v in row.items() if k != "by_variable_misses"}
+            for row in rows
+        ]
+
+    def test_simbatch_json_skips_labels_of_misc_records(self, tmp_path, capsys):
+        from repro.cli import main
+        from repro.ctypes_model.path import VariablePath
+        from repro.trace.columnar import save_columnar
+        from repro.trace.record import AccessType, TraceRecord
+        from repro.trace.stream import Trace
+
+        def rec(op, name):
+            return TraceRecord(op, 0x1000, 4, "main", scope="GS",
+                               var=VariablePath.parse(name))
+
+        trace = Trace([rec(AccessType.LOAD, "lA"), rec(AccessType.MISC, "lX")])
+        path = save_columnar(trace, tmp_path / "t.tdst")
+        argv = ["simbatch", str(path), "--sets", "4", "--assocs", "1",
+                "--blocks", "32", "--json", "--by-variable"]
+        assert main(argv) == 0
+        (row,) = json.loads(capsys.readouterr().out)["results"]
+        assert row["by_variable_misses"] == {"lA": 1}
+
     def test_campaign_no_batch_flag(self, tmp_path, capsys):
         """``--no-fast`` is the one route switch left on ``tdst campaign``."""
         from repro.cli import main

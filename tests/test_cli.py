@@ -170,6 +170,33 @@ class TestSweep:
         assert "ratio" in out
         assert out.count("2048 bytes") == 3  # 1,2,4-way rows
 
+    @pytest.mark.parametrize(
+        "policy, misses",
+        [("lru", [36, 28, 26, 26]), ("fifo", [36, 31, 27, 27])],
+    )
+    def test_sweep_rows(self, tmp_path, capsys, policy, misses):
+        """Miss columns of a 512-byte sweep: LRU rows come from one
+        kernel pass, FIFO rows above one way from the reference
+        simulator."""
+        path = tmp_path / "t.out"
+        assert main(["trace", "1a", "--length", "64", "-o", str(path)]) == 0
+        capsys.readouterr()
+        argv = ["sweep", str(path), "--size", "512", "--max-ways", "8",
+                "--policy", policy]
+        assert main(argv) == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert [int(row.split()[-2]) for row in rows] == misses
+        assert all(row.split()[-3] == "516" for row in rows)
+
+    def test_sweep_has_no_workers_option(self, traced_kernel, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["sweep", "--help"])
+        assert exit_info.value.code == 0
+        assert "--workers" not in capsys.readouterr().out
+        with pytest.raises(SystemExit) as exit_info:
+            main(["sweep", str(traced_kernel), "--workers", "2"])
+        assert exit_info.value.code == 2
+
 
 class TestHeatmap:
     def test_heatmap_renders(self, traced_kernel, capsys):
@@ -333,7 +360,41 @@ class TestTransformAndDiff:
         assert "lSoA.mX" in dat.read_text()
 
 
+#: ``tdst sim --fast --size 256 --assoc 2`` on ``tdst trace 1a --length
+#: 64``, whatever the container; only the chunk count varies.
+FAST_1A_64_LINES = [
+    "L1: 256 bytes, 32 bytes/block, 2-way, 4 sets, lru, write-back, "
+    "write-allocate",
+    "demand accesses : 516",
+    "demand misses   : 35 (miss rate 0.0678)",
+    "block hits      : 481",
+    "block misses    : 35 (compulsory 25)",
+    "evictions       : 27",
+]
+
+
 class TestFastSimulate:
+    @pytest.mark.parametrize("container", ["text", "binary", "columnar"])
+    @pytest.mark.parametrize("chunk, chunks", [(None, 1), (100, 6)])
+    def test_fast_output_on_every_container(
+        self, tmp_path, capsys, container, chunk, chunks
+    ):
+        path = tmp_path / "t.out"
+        assert main(["trace", "1a", "--length", "64", "-o", str(path)]) == 0
+        if container != "text":
+            text, path = path, tmp_path / f"t.{container}"
+            assert main(["convert", str(text), str(path), "--to", container]) == 0
+        capsys.readouterr()
+        argv = ["sim", str(path), "--fast", "--size", "256", "--assoc", "2"]
+        if chunk is not None:
+            argv += ["--chunk", str(chunk)]
+        assert main(argv) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            f"{path} (fast path, {chunks} chunks)",
+            *FAST_1A_64_LINES,
+            f"chunks          : {chunks}",
+        ]
+
     def test_fast_flag_streams_trace(self, traced_kernel, capsys):
         assert main(["sim", str(traced_kernel), "--fast", "--chunk", "50"]) == 0
         out = capsys.readouterr().out

@@ -141,62 +141,72 @@ class TestIterRecords:
 
 
 class TestIterChunks:
+    """Chunked streaming: :func:`iter_record_chunks` (the trace store's
+    blobs, every record kept) and the batched kernel's record feeder
+    (demand accesses only)."""
+
     def test_chunking_covers_stream_in_order(self, tmp_path):
-        from repro.trace.stream import iter_chunks
+        from repro.trace.stream import iter_record_chunks
 
         records = [_rec(AccessType.LOAD, a * 8, size=4) for a in range(25)]
-        chunks = list(iter_chunks(records, 10))
-        assert [c.index for c in chunks] == [0, 1, 2]
-        assert [c.start for c in chunks] == [0, 10, 20]
+        chunks = list(iter_record_chunks(records, 10))
         assert [len(c) for c in chunks] == [10, 10, 5]
-        addrs = np.concatenate([c.addrs for c in chunks])
-        assert addrs.tolist() == [a * 8 for a in range(25)]
-        assert addrs.dtype == np.uint64
+        assert [r for c in chunks for r in c] == records
 
     def test_data_only_drops_misc(self):
-        from repro.trace.stream import iter_chunks
+        from repro.cache.config import CacheConfig
+        from repro.simbatch import simulate_batch
+        from repro.trace.stream import iter_record_chunks
 
         records = [
             _rec(AccessType.LOAD, 0),
             _rec(AccessType.MISC, 4),
             _rec(AccessType.STORE, 8),
         ]
-        (chunk,) = iter_chunks(records, 10)
-        assert len(chunk) == 2
-        assert chunk.writes.tolist() == [False, True]
-        (raw,) = iter_chunks(records, 10, data_only=False)
+        config = CacheConfig.paper_direct_mapped()
+        result = simulate_batch(records, [config], chunk_records=10)
+        assert (result.accesses, result.chunks) == (2, 1)
+        (raw,) = iter_record_chunks(records, 10)
         assert len(raw) == 3
 
     def test_modify_marked_as_write(self):
-        from repro.trace.stream import iter_chunks
+        """A Modify is one demand access, as in the reference simulator."""
+        from repro.cache.config import CacheConfig
+        from repro.simbatch import simulate_batch
 
-        (chunk,) = iter_chunks([_rec(AccessType.MODIFY, 0)], 4)
-        assert chunk.writes.tolist() == [True]
+        config = CacheConfig.paper_direct_mapped()
+        result = simulate_batch([_rec(AccessType.MODIFY, 0)], [config])
+        (counts,) = result.results
+        assert result.accesses == counts.demand_accesses == 1
 
     def test_exact_multiple_has_no_empty_tail(self):
-        from repro.trace.stream import iter_chunks
+        from repro.trace.stream import iter_record_chunks
 
         records = [_rec(AccessType.LOAD, a) for a in range(20)]
-        assert [len(c) for c in iter_chunks(records, 10)] == [10, 10]
+        assert [len(c) for c in iter_record_chunks(records, 10)] == [10, 10]
 
     def test_empty_stream_yields_nothing(self):
-        from repro.trace.stream import iter_chunks
+        from repro.trace.stream import iter_record_chunks
 
-        assert list(iter_chunks([], 10)) == []
+        assert list(iter_record_chunks([], 10)) == []
 
     def test_rejects_nonpositive_chunk_size(self):
-        from repro.trace.stream import iter_chunks
+        from repro.cache.config import CacheConfig
+        from repro.simbatch import simulate_batch
+        from repro.trace.stream import iter_record_chunks
 
         with pytest.raises(ValueError):
-            list(iter_chunks([], 0))
+            list(iter_record_chunks([], 0))
+        with pytest.raises(ValueError):
+            simulate_batch(
+                [], [CacheConfig.paper_direct_mapped()], chunk_records=0
+            )
 
     def test_chunks_from_file_match_loaded_trace(self, small_trace, tmp_path):
-        from repro.trace.stream import iter_chunks
+        from repro.trace.stream import iter_record_chunks
 
         path = tmp_path / "t.out"
         small_trace.save(path)
-        chunks = list(iter_chunks(path, 4))
-        data = small_trace.data_accesses()
-        assert sum(len(c) for c in chunks) == len(data)
-        addrs = np.concatenate([c.addrs for c in chunks])
-        assert addrs.tolist() == data.addresses().tolist()
+        chunks = list(iter_record_chunks(path, 4))
+        assert [len(c) for c in chunks] == [4, 2]
+        assert Trace(r for c in chunks for r in c) == small_trace

@@ -87,6 +87,77 @@ class TestExactDeltas:
         assert "lB2" in fps or "lBoS" in fps
 
 
+class TestCommentEdits:
+    """Blank lines and whole-line comments, which the parsers skip,
+    change no rule."""
+
+    @pytest.mark.parametrize(
+        "suffix", ["# tuning note\n", "\n", "// note\n\n  # indented\n"]
+    )
+    def test_appended_comment_or_blank_line_changes_nothing(self, suffix):
+        d = rule_delta(TWO_RULES, TWO_RULES + suffix)
+        assert not d.conservative
+        assert d.changed == frozenset()
+        assert d.modified == ()
+
+    def test_comment_between_rules_changes_nothing(self):
+        edited = (
+            soa_rule("lA", "lAoS") + "\n# lB follows\n" + soa_rule("lB", "lBoS")
+        )
+        d = rule_delta(TWO_RULES, edited)
+        assert d.changed == frozenset()
+
+    def test_member_type_change_beside_a_comment_is_modified(self):
+        edited = (
+            soa_rule("lA", "lAoS")
+            + soa_rule("lB", "lBoS").replace("int mX", "long mX")
+            + "# tuning note\n"
+        )
+        d = rule_delta(TWO_RULES, edited)
+        assert not d.conservative
+        assert d.modified == ("lB",)
+        assert d.affects(["lB"]) and not d.affects(["lA"])
+
+    @pytest.mark.parametrize("comment", ["// see mX[0]\n", "# end */\n"])
+    def test_comment_a_pre_pass_could_read_is_compared(self, comment):
+        d = rule_delta(TWO_RULES, TWO_RULES + comment)
+        assert not d.conservative
+        assert d.modified == ("lB",)
+
+    def test_define_line_is_not_a_comment(self):
+        rule = (
+            "in:\nint lA[1024]:lH;\nout:\n#define W {w}\n"
+            "int lH[16384((lI/W)*(16*W)+(lI%W))];\n"
+        )
+        d = rule_delta(rule.format(w=8), rule.format(w=16))
+        assert not d.conservative
+        assert d.modified == ("lA",)
+
+    def test_apply_rules_reuses_every_chunk(self, tmp_path):
+        from repro.ctypes_model.path import VariablePath
+        from repro.trace.record import AccessType, TraceRecord
+        from repro.trace.stream import Trace
+        from repro.tracestore import TraceStore, apply_rules
+
+        records = [
+            TraceRecord(
+                op=AccessType.LOAD, addr=0x1000 + 4 * i, size=4, func="main",
+                scope="GS", var=VariablePath.parse(f"{name}.mX[0]"),
+            )
+            for name in ("lA", "lB")
+            for i in range(16)
+        ]
+        store = TraceStore(tmp_path / "ts")
+        base = store.commit_trace(Trace(records), chunk_records=8)
+        first = apply_rules(store, base, TWO_RULES)
+        again = apply_rules(
+            store, base, TWO_RULES + "\n# tuning note\n", prev=first.commit
+        )
+        assert again.delta.changed == frozenset()
+        assert again.chunks_transformed == 0
+        assert again.chunks_reused == again.chunks_total == 4
+
+
 class TestConservativeDegradation:
     def test_unparseable_text(self):
         d = rule_delta(TWO_RULES, "in:\nthis is not a rule file")

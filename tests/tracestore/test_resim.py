@@ -12,11 +12,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cache.config import CacheConfig
-from repro.cache.fastsim import FastSimulator
 from repro.campaign.artifacts import content_key
 from repro.campaign.jobs import resolve_rule_text, simulation_fields
 from repro.ctypes_model.path import VariablePath
 from repro.errors import CacheConfigError
+from repro.simbatch.kernel import MultiConfigSimulator
 from repro.trace.record import AccessType, TraceRecord
 from repro.trace.stream import Trace, iter_record_chunks
 from repro.tracer.interp import trace_program
@@ -35,7 +35,7 @@ def v1_direct_mapped_state(sim):
     """``sim``'s state in the ``tdst-snap-v1`` layout, as written before
     every config stored ``(n_sets, ways)`` stacks: direct-mapped kept one
     ``carry`` block per set, scalar totals and per-variable columns."""
-    totals = sim.trace_counts()
+    (totals,) = sim.results()
     state = sim.state()
     per_var = sorted(totals.per_variable.items())
     return {
@@ -61,7 +61,18 @@ def v1_direct_mapped_state(sim):
     }
 
 
+def restored(config, state):
+    """A one-config simulator loaded from ``state``."""
+    sim = MultiConfigSimulator([config])
+    sim.restore(state)
+    return sim
+
+
 class TestFastSimState:
+    """Snapshots round-trip through a one-config
+    :class:`MultiConfigSimulator`, the simulator ``simulate_chain``
+    carries."""
+
     def _arrays(self, n, seed):
         rng = np.random.default_rng(seed)
         addrs = rng.integers(0, 1 << 16, size=n).astype(np.uint64)
@@ -72,15 +83,15 @@ class TestFastSimState:
     @pytest.mark.parametrize("config", [CONFIG, CONFIG_2W])
     def test_state_round_trip_mid_stream(self, config):
         addrs, sizes, vids = self._arrays(4000, seed=1)
-        whole = FastSimulator(config)
+        whole = MultiConfigSimulator([config])
         whole.feed(addrs, sizes, vids)
 
-        first = FastSimulator(config)
+        first = MultiConfigSimulator([config])
         first.feed(addrs[:1500], sizes[:1500], vids[:1500])
-        resumed = FastSimulator.from_state(config, first.state())
+        resumed = restored(config, first.state())
         resumed.feed(addrs[1500:], sizes[1500:], vids[1500:])
 
-        a, b = whole.trace_counts(), resumed.trace_counts()
+        (a,), (b,) = whole.results(), resumed.results()
         assert a.demand_hits == b.demand_hits
         assert a.demand_misses == b.demand_misses
         assert a.evictions == b.evictions
@@ -88,13 +99,13 @@ class TestFastSimState:
         assert a.per_variable == b.per_variable
 
     def test_state_rejects_other_config(self):
-        sim = FastSimulator(CONFIG)
+        sim = MultiConfigSimulator([CONFIG])
         with pytest.raises(CacheConfigError):
-            FastSimulator.from_state(CONFIG_2W, sim.state())
+            restored(CONFIG_2W, sim.state())
 
     def test_state_stores_stacks_for_direct_mapped(self):
         addrs, sizes, vids = self._arrays(100, seed=3)
-        sim = FastSimulator(CONFIG)
+        sim = MultiConfigSimulator([CONFIG])
         sim.feed(addrs, sizes, vids)
         state = sim.state()
         assert "carry" not in state
@@ -102,14 +113,14 @@ class TestFastSimState:
 
     def test_state_refuses_pre_change_direct_mapped_layout(self):
         addrs, sizes, vids = self._arrays(500, seed=4)
-        sim = FastSimulator(CONFIG)
+        sim = MultiConfigSimulator([CONFIG])
         sim.feed(addrs, sizes, vids)
         with pytest.raises(CacheConfigError, match="stacks"):
-            FastSimulator.from_state(CONFIG, v1_direct_mapped_state(sim))
+            restored(CONFIG, v1_direct_mapped_state(sim))
 
     def test_state_is_plain_arrays(self):
         addrs, sizes, vids = self._arrays(100, seed=2)
-        sim = FastSimulator(CONFIG)
+        sim = MultiConfigSimulator([CONFIG])
         sim.feed(addrs, sizes, vids)
         state = sim.state()
         assert all(isinstance(v, np.ndarray) for v in state.values())
@@ -275,7 +286,7 @@ def test_pre_change_snapshots_resume_cold(tmp_path):
     base = store.commit_trace(trace, chunk_records=32)
     commit = apply_rules(store, base, rule).commit
     blob_ids = commit.blob_ids
-    sim = FastSimulator(CONFIG)
+    sim = MultiConfigSimulator([CONFIG])
     sim.feed(np.arange(0, 4096, 8, dtype=np.uint64))
     stale = v1_direct_mapped_state(sim)
     (want,) = simulation_fields(
