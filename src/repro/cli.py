@@ -880,6 +880,17 @@ def _cmd_figure(args: argparse.Namespace) -> int:
     return 0
 
 
+def _positive_int(text: str) -> int:
+    """argparse type of a count that must be at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     from repro.workloads.names import PAPER_KERNEL_NAMES
 
@@ -916,7 +927,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--chunk",
-        type=int,
+        type=_positive_int,
         default=65536,
         help="records per streaming chunk with --fast",
     )
@@ -1029,7 +1040,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="block sizes to sweep",
     )
     p.add_argument(
-        "--chunk", type=int, default=65536,
+        "--chunk", type=_positive_int, default=65536,
         help="records per streamed chunk",
     )
     p.add_argument(
@@ -1137,7 +1148,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--chunk",
-        type=int,
+        type=_positive_int,
         default=65536,
         help="records per chunk blob when committing a snapshot",
     )

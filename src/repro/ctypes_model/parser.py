@@ -45,15 +45,37 @@ from repro.ctypes_model.types import (
     primitive_names,
 )
 
+#: The comments the lexer skips: ``//`` and ``#`` to the end of the
+#: line, ``/* ... */`` across lines.
+_COMMENT = r"//[^\n]*|\#[^\n]*|/\*.*?\*/"
 _TOKEN_RE = re.compile(
-    r"""
+    rf"""
     (?P<ws>\s+)
-  | (?P<comment>//[^\n]*|\#[^\n]*|/\*.*?\*/)
+  | (?P<comment>{_COMMENT})
   | (?P<ident>[A-Za-z0-9_$]+)
-  | (?P<punct>[{}\[\];,*:+])
+  | (?P<punct>[{{}}\[\];,*:+])
     """,
     re.VERBOSE | re.DOTALL,
 )
+_COMMENT_RE = re.compile(_COMMENT, re.DOTALL)
+_DEFINE_RE = re.compile(r"#\s*define\b")
+
+
+def blank_comments(text: str) -> str:
+    """``text`` with every comment the lexer skips blanked out.
+
+    Newlines inside a comment stay, so line numbers hold, and a
+    ``#define`` (a rule file's named constant) is kept.  Passes that
+    scan declaration text before the lexer does run on this.
+    """
+
+    def blank(m: re.Match) -> str:
+        comment = m.group()
+        if _DEFINE_RE.match(comment):
+            return comment
+        return "\n" * comment.count("\n")
+
+    return _COMMENT_RE.sub(blank, text)
 
 # Multi-word primitive spellings, longest first so "unsigned long long"
 # wins over "unsigned long" over "unsigned".

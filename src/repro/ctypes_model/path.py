@@ -76,6 +76,48 @@ class Deref:
 
 PathElement = Union[Field, Index, Deref]
 
+#: Marks an index slot in the elements of a path template (the
+#: ``[]`` of ``lSoA.mX[]``); real indices are never negative.
+SLOT = Index(-1)
+
+_TEMPLATE_STEP_RE = re.compile(rf"\[\]|\.({_IDENT})|->({_IDENT})")
+_BASE_RE = re.compile(_IDENT)
+
+
+def parse_template(template: str) -> Tuple[str, Tuple[PathElement, ...]]:
+    """The base name and elements of a well-formed path template, with
+    :data:`SLOT` for each ``[]``."""
+    base = _BASE_RE.match(template).group()
+    elements: list[PathElement] = []
+    for m in _TEMPLATE_STEP_RE.finditer(template, len(base)):
+        if m.group(1) is not None:
+            elements.append(Field(m.group(1)))
+        elif m.group(2) is not None:
+            elements.append(Deref(m.group(2)))
+        else:
+            elements.append(SLOT)
+    return base, tuple(elements)
+
+
+def template_text(base: str, elements: Iterable[PathElement]) -> str:
+    """The template of a base name and elements: indices and
+    :data:`SLOT` both render as ``[]``."""
+    return base + "".join("[]" if isinstance(e, Index) else str(e) for e in elements)
+
+
+def fill_slots(
+    elements: Iterable[PathElement], row: Iterable[int]
+) -> Tuple[PathElement, ...]:
+    """Template elements with their slots set to ``row``, in order."""
+    values = iter(row)
+    return tuple(Index(next(values)) if e == SLOT else e for e in elements)
+
+
+def slot_values(elements: Iterable[PathElement]) -> Tuple[int, ...]:
+    """The index values of concrete path elements, in order (the row
+    that :func:`fill_slots` puts back into their template)."""
+    return tuple(e.value for e in elements if isinstance(e, Index))
+
 
 @dataclass(frozen=True)
 class VariablePath:

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from typing import Iterator, Sequence, Tuple
 
 from repro.errors import LayoutError, PathError
-from repro.ctypes_model.path import Field, Index, PathElement
+from repro.ctypes_model.path import SLOT, Field, Index, PathElement
 
 #: Size (and alignment) of every data pointer on the modelled machine.
 POINTER_SIZE = 8
@@ -73,6 +73,30 @@ class CType:
             step_offset, current = current._step(elem)
             offset += step_offset
         return offset, current
+
+    def resolve_slots(
+        self, elements: Sequence[PathElement]
+    ) -> Tuple[int, Tuple[Tuple[int, int], ...], "CType"]:
+        """:meth:`resolve` of a path template (:data:`SLOT` for each
+        ``[]``): ``(offset, slots, leaf_type)`` with one ``(stride,
+        length)`` per slot.  Filling the slots with ``i_k`` gives the
+        path at ``offset + sum(i_k * stride_k)``, which resolves when
+        every ``0 <= i_k < length_k``.  Raises :class:`PathError` when
+        no filling resolves.
+        """
+        offset = 0
+        slots: list[Tuple[int, int]] = []
+        current: CType = self
+        for elem in elements:
+            if elem == SLOT:
+                if not isinstance(current, ArrayType):
+                    raise PathError(f"cannot index {current.c_name()}")
+                slots.append((current.stride, current.length))
+                current = current.element
+                continue
+            step_offset, current = current._step(elem)
+            offset += step_offset
+        return offset, tuple(slots), current
 
     def _step(self, elem: PathElement) -> Tuple[int, "CType"]:
         """Apply a single path element; overridden by aggregates."""

@@ -84,7 +84,7 @@ def _feed_columns(
     attribution: Optional[str],
 ) -> Tuple[int, List[str]]:
     """Stream an in-memory trace's columns through the kernel in slices,
-    labelling each distinct variable path once."""
+    labelling each path template once."""
     data = np.flatnonzero(cols.kind != MISC_KIND)
     names: List[str] = []
     ids: Optional[np.ndarray] = None

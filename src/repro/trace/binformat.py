@@ -42,7 +42,6 @@ from typing import Iterable, Iterator, List, Sequence, Tuple, Union
 import numpy as np
 
 from repro.errors import TraceFormatError
-from repro.ctypes_model.path import VariablePath
 from repro.trace.columns import (
     ABSENT,
     OPS,
@@ -50,7 +49,9 @@ from repro.trace.columns import (
     TraceColumns,
     intern_order,
     narrowed,
+    timed_trace,
 )
+from repro.trace.paths import PathTable
 from repro.trace.record import TraceRecord
 from repro.trace.stream import Trace, columns_of
 
@@ -78,13 +79,20 @@ _NO_FUNC = 0xFFFF
 
 def pack_records(cols: TraceColumns) -> Tuple[bytes, List[str], List[str]]:
     """The v1 record array of ``cols`` plus its function and variable
-    tables, interned in first-appearance order.
+    tables, interned in first-appearance order (path texts are rendered
+    for the used entries only).  One ``trace.encode`` telemetry span.
 
     Raises :class:`TraceFormatError` for a frame or thread >= 255, a
     function id >= 0xFFFF or a size > 65535.
     """
+    return timed_trace(
+        "trace.encode", "v1", lambda: _pack(cols), lambda _: (len(cols), cols.paths)
+    )
+
+
+def _pack(cols: TraceColumns) -> Tuple[bytes, List[str], List[str]]:
     func_ids, funcs = intern_order(cols.func_id, cols.functions)
-    var_ids, variables = intern_order(cols.var_id, cols.variables)
+    var_ids, variables = cols.paths.intern(cols.var_id)
     body = np.empty(len(cols), dtype=_RECORD_DTYPE)
     body["op"] = cols.kind
     body["scope"] = cols.scope
@@ -266,8 +274,7 @@ def _columns(
     window: bytes,
     start: int,
     funcs: Sequence[str],
-    variables: Sequence[str],
-    paths: Tuple[VariablePath, ...],
+    paths: PathTable,
     path: Path,
 ) -> TraceColumns:
     """Whole v1 records, the first at record ``start``, as in-memory
@@ -283,14 +290,13 @@ def _columns(
         func_id=widened(body["func_id"], _NO_FUNC, np.int32),
         var_id=widened(body["var_id"], _NO_VAR, np.int32),
         functions=tuple(funcs),
-        variables=tuple(variables),
         paths=paths,
     )
     for field, column, limit in (
         ("op code", cols.kind, len(OPS)),
         ("scope code", cols.scope, len(SCOPES)),
         ("function id", cols.func_id, len(funcs)),
-        ("variable id", cols.var_id, len(variables)),
+        ("variable id", cols.var_id, len(paths)),
     ):
         bad = column >= limit
         if bad.any():
@@ -308,7 +314,8 @@ def _decode(path: Union[str, Path], *, whole: bool = False) -> Iterator[TraceCol
 
     The file is memory-mapped and the zlib-compressed record body is
     decompressed *incrementally*; each window of whole records is read
-    with one ``np.frombuffer``, and every variable path is parsed once.
+    with one ``np.frombuffer``, and the variable table is split into
+    templates and index rows once (:meth:`PathTable.from_texts`).
     Truncated or corrupt files raise :class:`TraceFormatError` naming
     the byte offset where the file stopped making sense.
     """
@@ -332,7 +339,7 @@ def _decode(path: Union[str, Path], *, whole: bool = False) -> Iterator[TraceCol
         )
         funcs = func_blob.decode("utf-8").split("\n") if func_blob else []
         variables = var_blob.decode("utf-8").split("\n") if var_blob else []
-        paths = tuple(VariablePath.parse(text) for text in variables)
+        paths = PathTable.from_texts(variables)
         windows: Iterable[bytes] = _record_windows(
             mm, body_off, body_len, count, path
         )
@@ -340,7 +347,7 @@ def _decode(path: Union[str, Path], *, whole: bool = False) -> Iterator[TraceCol
             windows = [b"".join(windows)]
         start = 0
         for window in windows:
-            cols = _columns(window, start, funcs, variables, paths, path)
+            cols = _columns(window, start, funcs, paths, path)
             start += len(cols)
             yield cols
     finally:
@@ -361,6 +368,12 @@ def iter_binary(path: Union[str, Path]) -> Iterator[TraceRecord]:
 def load_binary(path: Union[str, Path]) -> Trace:
     """Read a compact binary trace into a columns-backed :class:`Trace`:
     the whole body is decompressed and read with one ``np.frombuffer``,
-    and records are built only if a consumer asks for them."""
-    (cols,) = _decode(path, whole=True)
+    and records are built only if a consumer asks for them.  One
+    ``trace.decode`` telemetry span."""
+    (cols,) = timed_trace(
+        "trace.decode",
+        "v1",
+        lambda: list(_decode(path, whole=True)),
+        lambda r: (len(r[0]), r[0].paths),
+    )
     return Trace.from_columns(cols)

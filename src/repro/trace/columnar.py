@@ -56,7 +56,6 @@ from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
 import numpy as np
 
 from repro.errors import TraceFormatError
-from repro.ctypes_model.path import VariablePath
 from repro.trace.binformat import _NO_FIELD, _NO_FUNC, widened
 from repro.trace.columns import (
     ABSENT,
@@ -65,7 +64,9 @@ from repro.trace.columns import (
     attribution_ids,
     intern_order,
     narrowed,
+    timed_trace,
 )
+from repro.trace.paths import PathTable
 from repro.trace.record import TraceRecord
 from repro.trace.stream import DEFAULT_CHUNK_RECORDS, Trace, columns_of
 
@@ -111,23 +112,12 @@ def save_columnar(
     are assigned in first-appearance order.  A frame, thread, function
     id or size the format cannot hold raises
     :class:`~repro.errors.TraceFormatError` before anything is written.
+    Encoding the columns is one ``trace.encode`` telemetry span.
     """
     cols = columns_of(records)
-    func_ids, funcs = intern_order(cols.func_id, cols.functions)
-    var_ids, variables = intern_order(cols.var_id, cols.variables)
-    columns = (
-        cols.addr.astype(_COLUMNS[0][1]),
-        narrowed(cols.size, "size", "v2", _COLUMNS[1][1]),
-        cols.kind.astype(_COLUMNS[2][1]),
-        cols.scope.astype(_COLUMNS[3][1]),
-        narrowed(cols.frame, "frame", "v2", _COLUMNS[4][1], absent=_NO_FIELD),
-        narrowed(cols.thread, "thread", "v2", _COLUMNS[5][1], absent=_NO_FIELD),
-        narrowed(func_ids, "function id", "v2", _COLUMNS[6][1], absent=_NO_FUNC),
-        var_ids.astype(_COLUMNS[7][1]),
+    columns, func_blob, var_blob = timed_trace(
+        "trace.encode", "v2", lambda: _encode(cols), lambda _: (len(cols), cols.paths)
     )
-    func_blob = zlib.compress("\n".join(funcs).encode("utf-8"))
-    var_blob = zlib.compress("\n".join(variables).encode("utf-8"))
-
     target = Path(path)
     from repro.obsv.atomic import atomic_write
 
@@ -150,6 +140,26 @@ def save_columnar(
         handle.write(footer)
         handle.write(_TRAILER.pack(len(footer), _TRAILER_MAGIC))
     return target
+
+
+def _encode(cols: TraceColumns) -> Tuple[Tuple[np.ndarray, ...], bytes, bytes]:
+    """The on-disk columns of ``cols`` and its two compressed string
+    tables, interned in first-appearance order."""
+    func_ids, funcs = intern_order(cols.func_id, cols.functions)
+    var_ids, variables = cols.paths.intern(cols.var_id)
+    columns = (
+        cols.addr.astype(_COLUMNS[0][1]),
+        narrowed(cols.size, "size", "v2", _COLUMNS[1][1]),
+        cols.kind.astype(_COLUMNS[2][1]),
+        cols.scope.astype(_COLUMNS[3][1]),
+        narrowed(cols.frame, "frame", "v2", _COLUMNS[4][1], absent=_NO_FIELD),
+        narrowed(cols.thread, "thread", "v2", _COLUMNS[5][1], absent=_NO_FIELD),
+        narrowed(func_ids, "function id", "v2", _COLUMNS[6][1], absent=_NO_FUNC),
+        var_ids.astype(_COLUMNS[7][1]),
+    )
+    func_blob = zlib.compress("\n".join(funcs).encode("utf-8"))
+    var_blob = zlib.compress("\n".join(variables).encode("utf-8"))
+    return columns, func_blob, var_blob
 
 
 def is_columnar(path: Union[str, Path]) -> bool:
@@ -273,7 +283,7 @@ class ColumnarTrace:
             )
         self._funcs: Optional[List[str]] = None
         self._vars: Optional[List[str]] = None
-        self._parsed: Optional[Tuple[VariablePath, ...]] = None
+        self._table: Optional[PathTable] = None
 
     def _strings(self, which: str) -> List[str]:
         mm = self._mm
@@ -337,6 +347,19 @@ class ColumnarTrace:
             self._vars = self._strings("variables")
         return self._vars
 
+    @property
+    def paths(self) -> PathTable:
+        """The variable-path table split into templates and index rows,
+        once per open trace (a ``trace.decode`` telemetry span)."""
+        if self._table is None:
+            self._table = timed_trace(
+                "trace.decode",
+                "v2",
+                lambda: PathTable.from_texts(self.variables),
+                lambda table: (self._count, table),
+            )
+        return self._table
+
     def data_indices(self) -> np.ndarray:
         """Indices of demand accesses (``X`` records dropped)."""
         return np.nonzero(self.kinds != MISC_KIND)[0]
@@ -346,15 +369,14 @@ class ColumnarTrace:
     ) -> Tuple[List[str], np.ndarray]:
         """Per-record attribution labels as ``(names, int64 ids)``.
 
-        Labels every table entry once, in table order, with
-        :func:`repro.trace.columns.attribution_ids` (parsing each path
-        text there, one at a time) and maps the ``var_id`` column
-        through the result, so the cost is O(distinct vars + n), not
-        O(n) path parses.  The writers intern paths in first-appearance
+        Labels every table entry, in table order, with
+        :func:`repro.trace.columns.attribution_ids` (one label per path
+        template, then a gather) and maps the ``var_id`` column through
+        the result.  The writers intern paths in first-appearance
         order, so ids follow the *record stream* (the same order the
         per-record pipeline produces); ``-1`` marks unattributed records.
         """
-        table = self.variables
+        table = self.paths
         names, entry_ids = attribution_ids(
             np.arange(len(table)), table, attribution
         )
@@ -363,16 +385,23 @@ class ColumnarTrace:
 
     # -- decoded views -------------------------------------------------------
 
-    def _paths(self) -> Tuple[VariablePath, ...]:
-        if self._parsed is None:
-            self._parsed = tuple(VariablePath.parse(t) for t in self.variables)
-        return self._parsed
-
     def columns(
         self, start: int = 0, stop: Optional[int] = None
     ) -> TraceColumns:
         """Records ``[start, stop)`` as in-memory columns (copied out of
-        the map, absent markers widened to ``-1``)."""
+        the map, absent markers widened to ``-1``): one ``trace.decode``
+        telemetry span, after the path table's own."""
+        paths = self.paths
+        return timed_trace(
+            "trace.decode",
+            "v2",
+            lambda: self._columns(start, stop, paths),
+            lambda cols: (len(cols), paths),
+        )
+
+    def _columns(
+        self, start: int, stop: Optional[int], paths: PathTable
+    ) -> TraceColumns:
         part = slice(start, self._count if stop is None else stop)
         cols = {name: column[part] for name, column in self._cols.items()}
         return TraceColumns(
@@ -385,8 +414,7 @@ class ColumnarTrace:
             func_id=widened(cols["func_id"], _NO_FUNC, np.int32),
             var_id=cols["var_id"].copy(),
             functions=tuple(self.functions),
-            variables=tuple(self.variables),
-            paths=self._paths(),
+            paths=paths,
         )
 
     def iter_records(self) -> Iterator[TraceRecord]:

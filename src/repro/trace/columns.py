@@ -2,7 +2,8 @@
 
 A :class:`TraceColumns` is one trace laid out struct-of-arrays, with the
 same columns the v2 file stores (:mod:`repro.trace.columnar`) plus the
-interned function-name table and a :class:`VariablePath` table:
+interned function-name table and a :class:`~repro.trace.paths.PathTable`
+(each path template once, an index row per entry):
 
 ===========  ======  ================================================
 ``kind``     uint8   op code, index into :data:`OPS`
@@ -12,7 +13,7 @@ interned function-name table and a :class:`VariablePath` table:
 ``frame``    int64   frame distance, ``-1`` = absent
 ``thread``   int64   thread id, ``-1`` = absent
 ``func_id``  int32   index into ``functions``, ``-1`` = absent
-``var_id``   int32   index into ``paths``/``variables``, ``-1`` = absent
+``var_id``   int32   index into ``paths``, ``-1`` = absent
 ===========  ======  ================================================
 
 In memory, ``-1`` marks an absent field, so every real frame, thread and
@@ -22,28 +23,30 @@ two bytes and reserve their top value as the "absent" marker;
 overflow the field, naming the field, the value and the record index.
 
 The tracer builds columns directly (one symbolisation per distinct
-symbol and offset), both binary readers decode into them, the transform
-engine rewrites them, the writers encode them without a per-record
-loop, and :meth:`TraceColumns.records` is the one place that turns
-columns back into :class:`TraceRecord` objects — for a whole
-:class:`~repro.trace.stream.Trace` or window by window for
-:meth:`repro.trace.columnar.ColumnarTrace.iter_records` and
+symbol and offset, one template per symbol and leaf), both binary
+readers decode into them, the transform engine rewrites them, the
+writers encode them without a per-record loop (rendering path texts
+only for the entries the records use), and :meth:`TraceColumns.records`
+is the one place that turns columns back into :class:`TraceRecord`
+objects — for a whole :class:`~repro.trace.stream.Trace` or window by
+window for :meth:`repro.trace.columnar.ColumnarTrace.iter_records` and
 :func:`repro.trace.binformat.iter_binary`.  Every record it builds is
 counted in the ``trace.records_built`` telemetry counter.
 :func:`attribution_ids` labels a ``var_id`` column for per-variable
-simulation counts, one :func:`path_label` per distinct path.
+simulation counts, one label per template and one gather.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, TypeVar
 
 import numpy as np
 
 from repro.ctypes_model.path import VariablePath
 from repro.errors import TraceFormatError
 from repro.obsv.telemetry import get_telemetry
+from repro.trace.paths import PathTable, first_use, groups, label_of
 from repro.trace.record import AccessType, TraceRecord
 
 #: Op codes of the ``kind`` column: a record's op is ``OPS[kind]``.
@@ -58,6 +61,7 @@ ABSENT = -1
 
 _OP_OF = tuple(AccessType(code) for code in OPS)
 _SCOPE_OF = (None, *SCOPES[1:])
+_T = TypeVar("_T")
 
 
 def _optional(column: np.ndarray) -> List[Optional[int]]:
@@ -76,12 +80,12 @@ def _negative(field: str, value: int, index: int) -> TraceFormatError:
 
 @dataclass(frozen=True, eq=False)
 class TraceColumns:
-    """One trace as columns plus its function and variable tables.
+    """One trace as columns plus its function and path tables.
 
-    ``variables`` holds the spelling of each entry of ``paths``.  Tables
-    built by the tracer and by :meth:`from_records` list each text once,
-    in the order the records first use it; the writers re-intern any
-    other table (a slice, a file window) with :func:`intern_order`.
+    Tables built by the tracer and by :meth:`from_records` list each
+    path once, in the order the records first use it; the writers
+    re-intern any other table (a slice, a file window, the engine's
+    output) with :meth:`PathTable.intern`.
     """
 
     kind: np.ndarray
@@ -93,11 +97,15 @@ class TraceColumns:
     func_id: np.ndarray
     var_id: np.ndarray
     functions: Tuple[str, ...]
-    variables: Tuple[str, ...]
-    paths: Tuple[VariablePath, ...]
+    paths: PathTable
 
     def __len__(self) -> int:
         return len(self.addr)
+
+    @property
+    def variables(self) -> Tuple[str, ...]:
+        """The text of each entry of ``paths`` (rendered on demand)."""
+        return self.paths.texts()
 
     def window(self, start: int, stop: int) -> "TraceColumns":
         """Records ``[start, stop)`` as views sharing this trace's tables."""
@@ -112,7 +120,6 @@ class TraceColumns:
             func_id=self.func_id[part],
             var_id=self.var_id[part],
             functions=self.functions,
-            variables=self.variables,
             paths=self.paths,
         )
 
@@ -133,7 +140,6 @@ class TraceColumns:
         var_ids: List[int] = []
         func_table: Dict[str, int] = {}
         var_table: Dict[str, int] = {}
-        paths: List[VariablePath] = []
         for i, r in enumerate(records):
             kinds.append(OPS.index(r.op))
             addrs.append(r.addr)
@@ -156,12 +162,7 @@ class TraceColumns:
             if r.var is None:
                 var_ids.append(ABSENT)
             else:
-                text = str(r.var)
-                vid = var_table.get(text)
-                if vid is None:
-                    vid = var_table[text] = len(paths)
-                    paths.append(r.var)
-                var_ids.append(vid)
+                var_ids.append(var_table.setdefault(str(r.var), len(var_table)))
         return cls(
             kind=np.array(kinds, dtype=np.uint8),
             addr=np.array(addrs, dtype=np.uint64),
@@ -172,14 +173,15 @@ class TraceColumns:
             func_id=np.array(func_ids, dtype=np.int32),
             var_id=np.array(var_ids, dtype=np.int32),
             functions=tuple(func_table),
-            variables=tuple(var_table),
-            paths=tuple(paths),
+            paths=PathTable.from_texts(list(var_table)),
         )
 
     def records(self) -> List[TraceRecord]:
         """Build the :class:`TraceRecord` list (the one materialiser)."""
         functions = [*self.functions, ""]  # ABSENT (-1) picks the ""
-        paths: List[Optional[VariablePath]] = [*self.paths, None]
+        # Paths are built for the entries these records use (the last
+        # slot, None, serves var_id -1).
+        paths = [*self.paths.objects(first_use(self.var_id)), None]
         built = list(
             map(
                 TraceRecord,
@@ -199,23 +201,6 @@ class TraceColumns:
     def write_mask(self) -> np.ndarray:
         """Boolean array marking accesses that write memory."""
         return (self.kind == OPS.index("S")) | (self.kind == OPS.index("M"))
-
-
-def first_use(ids: np.ndarray) -> np.ndarray:
-    """The distinct ids ``>= 0`` of a column, in first-appearance order.
-
-    A column whose ids first appear as 0, 1, 2, ... (the tracer's,
-    :meth:`TraceColumns.from_records`'s) passes an O(n) check; any other
-    column costs one sort.
-    """
-    used = ids[ids >= 0]
-    if not len(used):
-        return np.empty(0, dtype=np.int64)
-    top = np.maximum.accumulate(used)
-    if used[0] == 0 and not (np.diff(top) > 1).any():
-        return np.arange(int(top[-1]) + 1)
-    unique, first = np.unique(used, return_index=True)
-    return unique[np.argsort(first)]
 
 
 def intern_order(
@@ -261,29 +246,67 @@ def path_label(path: VariablePath, mode: str) -> str:
 
 
 def attribution_ids(
-    var_id: np.ndarray,
-    paths: Sequence[Union[VariablePath, str]],
-    mode: str,
+    var_id: np.ndarray, paths: PathTable, mode: str
 ) -> Tuple[List[str], np.ndarray]:
     """Per-record attribution labels of a ``var_id`` column as
     ``(names, int64 ids)``.
 
-    Each table entry the column uses is labelled once
-    (:func:`path_label`); an entry given as its text is parsed then, and
-    not kept.  Names are numbered in the order the records first use
-    them; a label only unused table entries carry is left out, and
-    ``-1`` marks records without a variable.
+    Each template the column uses is labelled once (as
+    :func:`path_label` labels each of its paths) and the ids are one
+    gather.  Names are numbered in the order the records first use them;
+    a label only unused table entries carry is left out, and ``-1``
+    marks records without a variable.  One ``trace.attribution``
+    telemetry span.
     """
-    lut = np.full(len(paths) + 1, ABSENT, dtype=np.int64)
+    tele = get_telemetry()
+    if not tele.enabled:
+        return _attribution_ids(var_id, paths, mode)
+    with tele.span(
+        "trace.attribution",
+        cat="trace",
+        mode=mode,
+        records=len(var_id),
+        templates=len(paths.templates),
+    ):
+        return _attribution_ids(var_id, paths, mode)
+
+
+def _attribution_ids(
+    var_id: np.ndarray, paths: PathTable, mode: str
+) -> Tuple[List[str], np.ndarray]:
+    used = first_use(var_id)
     label_ids: Dict[str, int] = {}
-    for entry in first_use(var_id).tolist():
-        path = paths[entry]
-        if isinstance(path, str):
-            path = VariablePath.parse(path)
-        label = path_label(path, mode)
-        lut[entry] = label_ids.setdefault(label, len(label_ids))
+    tids = paths.template_id[used]
+    per_template = np.full(len(paths.templates), ABSENT, dtype=np.int64)
+    for t, _ in groups(tids):
+        label = label_of(paths.templates[t], mode)
+        per_template[t] = label_ids.setdefault(label, len(label_ids))
     # var_id -1 indexes the ABSENT slot at the end of lut.
+    lut = np.full(len(paths) + 1, ABSENT, dtype=np.int64)
+    lut[used] = per_template[tids]
     return list(label_ids), lut[var_id]
+
+
+def timed_trace(
+    name: str,
+    container: str,
+    body: Callable[[], _T],
+    describe: Callable[[_T], Tuple[int, PathTable]],
+) -> _T:
+    """``body()``, timed as one ``name`` telemetry span when telemetry
+    is on.  The span carries the container and the records, paths and
+    templates ``describe`` reads off the result; with telemetry off
+    this is one registry lookup and the call."""
+    tele = get_telemetry()
+    if not tele.enabled:
+        return body()
+    with tele.span(name, cat="trace", container=container) as span:
+        result = body()
+        records, paths = describe(result)
+        span.args.update(
+            records=records, paths=len(paths), templates=len(paths.templates)
+        )
+    return result
 
 
 def narrowed(

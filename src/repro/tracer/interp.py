@@ -12,9 +12,14 @@ depth), and the slot of the live symbol the symbol table's bisect finds
 (-1 when the access is unsymbolised).  After the run, one pass derives
 everything Gleipnir reads from debug information: the scope
 (``LV``/``LS``/``GV``/``GS``/``HV``/``HS``), thread id and frame distance
-once per symbol, and the nested variable path once per distinct
-(symbol, offset).  Function names and paths are interned in
-first-appearance order, exactly as the v1 and v2 writers intern them,
+once per symbol, and the variable paths as a
+:class:`~repro.trace.paths.PathTable`: each symbol type is walked once
+over the distinct offsets of its symbols, a (symbol name, leaf) pair is
+one template (``lSoA.mX[]``) and integer division by the array strides
+gives each offset's index row, so no path text or
+:class:`~repro.ctypes_model.path.VariablePath` is built.  Function
+names and paths are numbered in first-appearance order, exactly as the
+v1 and v2 writers intern them,
 and the run returns a columns-backed :class:`~repro.trace.stream.Trace`
 (see :mod:`repro.trace.columns`): its records are built only if a
 consumer asks for them, and both binary writers read the columns.
@@ -37,11 +42,12 @@ from repro.ctypes_model.types import (
     ULONG,
     UnionType,
 )
-from repro.ctypes_model.path import PathElement, VariablePath
+from repro.ctypes_model.path import template_text
 from repro.memory.address_space import AddressSpace
-from repro.memory.symbols import Segment
+from repro.memory.symbols import Segment, Symbol
 from repro.obsv.telemetry import get_telemetry
 from repro.trace.columns import ABSENT, OPS, SCOPE_ID, TraceColumns, intern_order
+from repro.trace.paths import PathTable, groups, locate
 from repro.trace.stream import Trace
 from repro.tracer.expr import (
     AddrOf,
@@ -237,8 +243,9 @@ class Interpreter:
     def _build_trace(self) -> Trace:
         """The post-run pass: symbolise the emission buffer into columns.
 
-        Scope, thread and frame distance are derived once per symbol, the
-        variable path once per distinct (symbol, offset).
+        Scope, thread and frame distance are derived once per symbol; the
+        variable paths come from one walk of each symbol type over its
+        distinct offsets (:func:`_path_table`).
         """
         raw = np.array(self._buffer, dtype=np.int64).reshape(-1, _FIELDS)
         self._buffer = []
@@ -281,11 +288,11 @@ class Interpreter:
             np.where(heap[slot], 0, ABSENT),
         )
 
-        # One path per distinct (slot, offset), numbered in the order the
-        # records first use its text.
+        # One template per (symbol name, leaf), one index row per
+        # distinct (slot, offset); entries numbered in the order the
+        # records first use their text.
         var_id = np.full(n, ABSENT, dtype=np.int32)
-        variables: Dict[str, int] = {}
-        paths: List[VariablePath] = []
+        table = PathTable.empty()
         hit = slot >= 0
         if hit.any():
             offset = addr[hit] - base_of[slot[hit]]
@@ -293,23 +300,8 @@ class Interpreter:
             keys, first, inverse = np.unique(
                 slot[hit] * span + offset, return_index=True, return_inverse=True
             )
-            ids = np.empty(len(keys), dtype=np.int32)
-            suffixes: Dict[Tuple[int, int], Tuple[Tuple[PathElement, ...], str]] = {}
-            for k in np.argsort(first).tolist():
-                s, off = divmod(int(keys[k]), span)
-                symbol = symbols[s]
-                leaf = suffixes.get((id(symbol.ctype), off))
-                if leaf is None:
-                    elements = symbol.ctype.path_at(off)
-                    leaf = (elements, "".join(map(str, elements)))
-                    suffixes[(id(symbol.ctype), off)] = leaf
-                text = symbol.name + leaf[1]
-                vid = variables.get(text)
-                if vid is None:
-                    vid = variables[text] = len(paths)
-                    paths.append(VariablePath(symbol.name, leaf[0]))
-                ids[k] = vid
-            var_id[hit] = ids[inverse]
+            table, key_entry = _path_table(symbols, keys // span, keys % span, first)
+            var_id[hit] = key_entry[inverse]
 
         return Trace.from_columns(
             TraceColumns(
@@ -322,8 +314,7 @@ class Interpreter:
                 func_id=func_id,
                 var_id=var_id,
                 functions=tuple(functions),
-                variables=tuple(variables),
-                paths=tuple(paths),
+                paths=table,
             )
         )
 
@@ -748,6 +739,72 @@ class Interpreter:
             self.space.pop_frame()
             self._ctx = caller_ctx
         return result
+
+
+def _path_table(
+    symbols: List[Symbol],
+    key_slot: np.ndarray,
+    key_off: np.ndarray,
+    first: np.ndarray,
+) -> Tuple[PathTable, np.ndarray]:
+    """The path table of distinct (slot, offset) keys, and each key's
+    entry.
+
+    A symbol's type is walked once over the offsets of every symbol of
+    that type (:func:`~repro.trace.paths.locate`: integer division by
+    the array strides gives the indices), a template is one (symbol
+    name, leaf) pair, and keys spelling the same text share an entry.
+    Entries are numbered by the first record (``first``) of any of
+    their keys.
+    """
+    names: Dict[str, int] = {}
+    types: Dict[int, int] = {}
+    ctypes: List[CType] = []
+    name_of = np.zeros(len(symbols), dtype=np.int64)
+    type_of = np.zeros(len(symbols), dtype=np.int64)
+    for s in np.flatnonzero(np.bincount(key_slot)).tolist():
+        symbol = symbols[s]
+        name_of[s] = names.setdefault(symbol.name, len(names))
+        t = types.setdefault(id(symbol.ctype), len(types))
+        if t == len(ctypes):
+            ctypes.append(symbol.ctype)
+        type_of[s] = t
+    name_list = list(names)
+    key_name = name_of[key_slot]
+    key_tid = np.zeros(len(key_slot), dtype=np.int64)
+    templates: Dict[str, int] = {}
+    leaves = []
+    for t, pos in groups(type_of[key_slot]):
+        for elements, where, rows in locate(ctypes[t], key_off[pos]):
+            at = pos[where]
+            suffix = template_text("", elements)
+            used, inv = np.unique(key_name[at], return_inverse=True)
+            tids = [
+                templates.setdefault(name_list[u] + suffix, len(templates))
+                for u in used.tolist()
+            ]
+            key_tid[at] = np.array(tids, dtype=np.int64)[inv]
+            leaves.append((at, rows))
+    width = max(rows.shape[1] for _, rows in leaves)
+    key_index = np.zeros((len(key_slot), width), dtype=np.int64)
+    for at, rows in leaves:
+        key_index[at, : rows.shape[1]] = rows
+    order = np.argsort(first, kind="stable")
+    _, entry_first, inv = np.unique(
+        np.column_stack([key_tid, key_index])[order],
+        axis=0,
+        return_index=True,
+        return_inverse=True,
+    )
+    rank = np.empty(len(entry_first), dtype=np.int64)
+    rank[np.argsort(entry_first)] = np.arange(len(entry_first))
+    key_entry = np.empty(len(key_slot), dtype=np.int32)
+    key_entry[order] = rank[inv.reshape(-1)]
+    entry_key = order[np.sort(entry_first)]
+    table = PathTable(
+        tuple(templates), key_tid[entry_key].astype(np.int32), key_index[entry_key]
+    )
+    return table, key_entry
 
 
 def trace_program(

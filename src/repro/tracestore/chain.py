@@ -28,6 +28,7 @@ import numpy as np
 
 from repro.campaign.artifacts import content_key
 from repro.trace.binformat import pack_records
+from repro.trace.paths import label_of
 from repro.trace.record import TraceRecord
 from repro.trace.stream import columns_of
 
@@ -85,8 +86,9 @@ def chunk_variables(records: Iterable[TraceRecord]) -> Tuple[str, ...]:
     provably transformed identically by both rule files.
     """
     cols = columns_of(records)
-    used = np.flatnonzero(np.bincount(cols.var_id[cols.var_id >= 0])).tolist()
-    return tuple(sorted({cols.paths[vid].base for vid in used}))
+    used = np.flatnonzero(np.bincount(cols.var_id[cols.var_id >= 0]))
+    templates = np.flatnonzero(np.bincount(cols.paths.template_id[used])).tolist()
+    return tuple(sorted({label_of(cols.paths.templates[t], "base") for t in templates}))
 
 
 @dataclass(frozen=True)

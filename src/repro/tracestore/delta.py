@@ -46,17 +46,16 @@ from repro.transform.rules import Rule, RuleSet
 def _significant(line: str) -> bool:
     """Whether a rule-file line can change what the parsers read.
 
-    Blank lines and whole-line ``#``/``//`` comments cannot, except a
-    ``#define`` (a named constant) and a comment holding a bracket or a
-    ``*``: the stride-alias, index-formula and ``objects`` pre-passes
-    scan the section text before the declaration lexer drops comments,
-    and a ``*/`` can end a block comment opened on an earlier line.
-    Such a line is kept and compared.
+    Blank lines and whole-line ``#``/``//`` comments cannot (the rule
+    parser blanks comments before any pass reads a section), except a
+    ``#define`` (a named constant) and a comment holding a ``*``: a
+    ``*/`` can end a block comment opened on an earlier line.  Such a
+    line is kept and compared.
     """
     text = line.strip()
     if not text.startswith(("#", "//")):
         return bool(text)
-    return "define" in text or any(c in text for c in "[]*")
+    return "define" in text or "*" in text
 
 
 def _rule_spans(text: str, rules: RuleSet) -> Dict[str, str]:

@@ -31,7 +31,7 @@ import re
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import RuleError
-from repro.ctypes_model.parser import parse_declarations
+from repro.ctypes_model.parser import blank_comments, parse_declarations
 from repro.ctypes_model.path import Index, PathElement
 from repro.ctypes_model.types import CType, StructType
 from repro.transform.rules import MappedAccess, OutAllocation, Rule, Translation
@@ -137,7 +137,9 @@ class PoolRule(Rule):
 
 
 def parse_pool_rules(text: str) -> List[PoolRule]:
-    """Parse the body of a ``pool:`` rule section."""
+    """Parse the body of a ``pool:`` rule section (comments blanked
+    first, so a commented-out ``objects`` line is not read)."""
+    text = blank_comments(text)
     matches = list(_OBJECTS_RE.finditer(text))
     if not matches:
         raise RuleError("pool section needs an 'objects <glob> : <pool>[N];' line")

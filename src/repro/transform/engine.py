@@ -17,18 +17,25 @@ Implements the five-step process of the paper's Section IV:
    ``result.original`` / ``result.trace``.
 
 Steps 2 and 3 depend only on a record's variable path, so the engine
-works them out once per distinct path — a *plan*: the outcome, the
-target address or displacement, the accesses to insert and the in-type
-offset and element size the validity check needs — and then rewrites the
-trace's columns (:class:`~repro.trace.columns.TraceColumns`) with numpy.
-Injected accesses are laid out with one ``np.repeat``; an ``existing``
-inject re-reads the last record of its variable through a running
-last-index gather.  Plans are built in the order paths first appear in
-the record stream (a pool rule assigns slots on first touch), and the
-plans, the report, the learned in-structure bases and the last record
-of every variable an ``existing`` inject reads carry over between calls
-on one engine, so a trace transformed in pieces equals the trace
-transformed whole.
+works them out per entry of the trace's path table
+(:class:`~repro.trace.paths.PathTable`) — a *plan* column per quantity:
+the outcome, the target address or displacement, the output path, the
+accesses to insert and the in-type offset and element size the validity
+check needs — and then rewrites the trace's columns
+(:class:`~repro.trace.columns.TraceColumns`) with numpy.  The plans are
+made once per (rule, path template): the template's base name picks the
+rule, and :meth:`Rule.translate_rows
+<repro.transform.rules.Rule.translate_rows>` maps all of the template's
+index rows at once.  The output table is the input table plus the
+output templates and index rows the rules produce; no path text is
+rendered.  Injected accesses are laid out with one ``np.repeat``; an
+``existing`` inject re-reads the last record of its variable through a
+running last-index gather.  Templates are planned in the order their
+paths first appear in the record stream (a pool rule assigns slots on
+first touch), and the report, the learned in-structure bases and the
+last record of every variable an ``existing`` inject reads carry over
+between calls on one engine, so a trace transformed in pieces equals
+the trace transformed whole.
 """
 
 from __future__ import annotations
@@ -36,17 +43,25 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterable, List, NamedTuple, Sequence, Set, Tuple, Union
+from typing import Dict, Iterable, List, NamedTuple, Optional, Set, Tuple, Union
 
 import numpy as np
 
 from repro.errors import TransformError
-from repro.ctypes_model.path import VariablePath
+from repro.ctypes_model.path import PathElement, parse_template, template_text
 from repro.obsv.telemetry import get_telemetry
-from repro.trace.columns import OPS, SCOPE_ID, SCOPES, TraceColumns, first_use
+from repro.trace.columns import OPS, SCOPE_ID, SCOPES, TraceColumns
+from repro.trace.paths import PathTable, first_use, groups
 from repro.trace.record import TraceRecord
 from repro.trace.stream import Trace
-from repro.transform.rules import InsertedAccess, Rule, RuleSet, Translation
+from repro.transform.rules import (
+    Rule,
+    RowTarget,
+    RowTranslation,
+    RuleSet,
+    rows_in_bounds,
+    slot_offsets,
+)
 
 #: Default base of the transformation arena: well above the program stack
 #: so synthesised objects never collide with traced addresses.
@@ -120,42 +135,56 @@ _RESCOPE = np.array(
 )
 
 
-class _Plan(NamedTuple):
-    """What the engine does with every record of one variable path."""
-
-    outcome: int
+#: Plan columns (one row per path-table entry, plus a last row for
+#: records without a variable) and their defaults.
+_PLAN_COLUMNS: Dict[str, Tuple[type, int]] = {
+    "outcome": (np.int64, _NO_VAR),
     #: base-name id of the path (-1: records without a variable)
-    base: int = -1
+    "base": (np.int64, -1),
     #: index of the matched rule (-1: no rule)
-    rule: int = -1
+    "rule": (np.int64, -1),
     #: mapped: the target address; displaced: the delta modulo 2**64
-    addr: int = 0
+    "addr": (np.uint64, 0),
     #: displaced: the lowest and highest address the shift keeps in range
-    lo: int = 0
-    hi: int = _ADDR_MAX
+    "lo": (np.uint64, 0),
+    "hi": (np.uint64, _ADDR_MAX),
     #: new-path id of the target (or renamed) path; -1 keeps the record's
-    path: int = -1
+    "path": (np.int64, -1),
     #: 0/1: recompute the scope with a V/S suffix; -1 keeps the record's
-    scope: int = -1
+    "scope": (np.int64, -1),
     #: in-type offset and element size for the validity check (-1: none)
-    check_off: int = -1
-    check_size: int = 0
+    "check_off": (np.int64, -1),
+    "check_size": (np.int64, 0),
     #: the accesses to insert before the target: a run of rows in the
-    #: engine's insert table
-    ins_start: int = 0
-    ins_n: int = 0
+    #: insert table
+    "ins_start": (np.int64, 0),
+    "ins_n": (np.int64, 0),
+}
+#: Insert-table columns: ``base`` is the base-name id an ``existing``
+#: inject re-reads (-1: a mapped access).
+_INSERT_COLUMNS: Dict[str, type] = {
+    "op": np.int64,
+    "base": np.int64,
+    "addr": np.uint64,
+    "size": np.int64,
+    "scope": np.int64,
+    "path": np.int64,
+}
 
 
-class _Insert(NamedTuple):
-    """One access a plan inserts before its target."""
+class _Template(NamedTuple):
+    """What every path of one template shares: its base, and the rule
+    that covers it (with the in-type resolution the check needs)."""
 
-    op: int
-    #: base-name id an ``existing`` inject re-reads (-1: a mapped access)
-    base: int = -1
-    addr: int = 0
-    size: int = 0
-    scope: int = 0
-    path: int = -1
+    base: str
+    elements: Tuple[PathElement, ...]
+    base_id: int
+    #: _OUT, _PASS or (a rule covers the base) _UNCOVERED
+    outcome: int
+    rule: Optional[Rule] = None
+    rule_id: int = -1
+    #: ``CType.resolve_slots`` of the template in the rule's in type
+    check: Optional[Tuple[int, Tuple[Tuple[int, int], ...], int]] = None
 
 
 class _Seen(NamedTuple):
@@ -166,24 +195,39 @@ class _Seen(NamedTuple):
     scope: int
     frame: int
     thread: int
-    path: int
+    #: its path's template and index row
+    template: str
+    row: Tuple[int, ...]
 
 
-def _arrays(
-    rows: Sequence[Tuple[int, ...]], dtypes: Dict[str, type]
-) -> Dict[str, np.ndarray]:
-    """A table of named-tuple rows as one numpy array per field."""
-    columns = zip(*rows) if rows else ((),) * len(dtypes)
-    return {
-        name: np.array(column, dtype=dtypes[name])
-        for name, column in zip(dtypes, columns)
-    }
+class _NewPaths:
+    """The paths one piece's rules produce, as template runs; a run of
+    an index-free template adds one entry, shared by every row."""
 
+    def __init__(self) -> None:
+        self.parts: List[Tuple[str, np.ndarray]] = []
+        self.count = 0
+        self._shared: Dict[str, int] = {}
 
-_PLAN_DTYPES: Dict[str, type] = {name: np.int64 for name in _Plan._fields}
-_PLAN_DTYPES.update(addr=np.uint64, lo=np.uint64, hi=np.uint64)
-_INSERT_DTYPES: Dict[str, type] = {name: np.int64 for name in _Insert._fields}
-_INSERT_DTYPES.update(addr=np.uint64)
+    def add(self, template: str, index: np.ndarray) -> np.ndarray:
+        """Ids of ``index``'s rows as paths of ``template``."""
+        if not len(index):
+            return np.empty(0, dtype=np.int64)
+        if not index.shape[1]:
+            entry = self._shared.get(template)
+            if entry is None:
+                entry = self._shared[template] = self._append(template, index[:1])
+            return np.full(len(index), entry, dtype=np.int64)
+        return np.arange(len(index)) + self._append(template, index)
+
+    def _append(self, template: str, index: np.ndarray) -> int:
+        start = self.count
+        self.parts.append((template, index))
+        self.count += len(index)
+        return start
+
+    def table(self) -> PathTable:
+        return PathTable.from_parts(self.parts)
 
 
 class TransformEngine:
@@ -233,21 +277,10 @@ class TransformEngine:
                 cursor += alloc.size
         #: learned base address of each in variable (validity checking)
         self._in_bases: Dict[str, int] = {}
-        #: one plan per distinct path text (plan 0: no variable)
-        self._plans: List[_Plan] = [_Plan(_NO_VAR)]
-        self._plan_of: Dict[str, int] = {}
-        self._inserts: List[_Insert] = []
-        #: insert tuple (by identity) -> its first insert-table row
-        self._insert_runs: Dict[int, Tuple[Tuple[InsertedAccess, ...], int]] = {}
-        #: the two tables as numpy columns, extended as rows are added
-        self._plan_columns = _arrays([], _PLAN_DTYPES)
-        self._insert_columns = _arrays([], _INSERT_DTYPES)
-        #: base-name ids, and the paths the engine creates (every output
-        #: table lists them after the input trace's own paths)
+        #: what every path of a template shares, by template text
+        self._templates: Dict[str, _Template] = {}
+        #: base-name ids
         self._base_ids: Dict[str, int] = {}
-        self._new_paths: List[VariablePath] = []
-        self._new_texts: List[str] = []
-        self._new_ids: Dict[str, int] = {}
         #: base ids ``existing`` injects re-read, and the last record of
         #: each seen so far
         self._watched: Set[int] = {
@@ -263,23 +296,18 @@ class TransformEngine:
     def _base_id(self, name: str) -> int:
         return self._base_ids.setdefault(name, len(self._base_ids))
 
-    def _path_id(self, path: VariablePath) -> int:
-        """Id of a path the engine creates (one per distinct text)."""
-        text = str(path)
-        pid = self._new_ids.setdefault(text, len(self._new_paths))
-        if pid == len(self._new_paths):
-            self._new_paths.append(path)
-            self._new_texts.append(text)
-        return pid
-
-    def _plan(self, path: VariablePath) -> int:
-        """Steps 2-3 for one path: match it and translate it once."""
-        base = path.base
+    def _template(self, template: str) -> _Template:
+        """Step 2 for a template: which rule (if any) its base selects."""
+        plan = self._templates.get(template)
+        if plan is not None:
+            return plan
+        base, elements = parse_template(template)
         base_id = self._base_id(base)
+        rule = None
         if base in self._out_names:
             # Same nesting as an out rule: "the simulator will simply
             # ignore it" — mapping is not bi-directional.
-            plan = _Plan(_OUT, base_id)
+            plan = _Template(base, elements, base_id, _OUT)
         else:
             rule = self._by_in.get(base)
             if rule is None:
@@ -288,113 +316,138 @@ class TransformEngine:
                         rule = candidate
                         break
             if rule is None:
-                plan = _Plan(_PASS, base_id)
-            else:
-                if rule.is_pattern:
-                    translation = rule.translate_named(base, path.elements)
+                plan = _Template(base, elements, base_id, _PASS)
+        if rule is not None:
+            check = None
+            in_type = getattr(rule, "in_type", None)
+            if in_type is not None:  # rule kinds without one (displace) skip the check
+                try:
+                    offset, slots, leaf = in_type.resolve_slots(elements)
+                except Exception:
+                    pass
                 else:
-                    translation = rule.translate(path.elements)
-                if translation is None:
-                    plan = _Plan(_UNCOVERED, base_id)
-                else:
-                    plan = self._moved(base_id, rule, path, translation)
-        self._plans.append(plan)
-        return len(self._plans) - 1
+                    check = (offset, slots, leaf.size)
+            plan = _Template(
+                base, elements, base_id, _UNCOVERED, rule, self._rule_ids[id(rule)], check
+            )
+        self._templates[template] = plan
+        return plan
+
+    def _plan_entries(
+        self, cols: TraceColumns, new: _NewPaths
+    ) -> Tuple[Dict[str, np.ndarray], Dict[str, np.ndarray]]:
+        """Steps 2-3 for every entry of the piece's path table the
+        records use: the plan columns (one row per entry, the last row
+        for records without a variable) and the piece's insert table.
+        Templates are planned in the order their paths first appear."""
+        table = cols.paths
+        plans = {
+            name: np.full(len(table) + 1, default, dtype=dtype)
+            for name, (dtype, default) in _PLAN_COLUMNS.items()
+        }
+        inserts: List[Dict[str, np.ndarray]] = []
+        n_inserts = 0
+        used = first_use(cols.var_id)
+        for t, pos in groups(table.template_id[used]):
+            entries = used[pos]
+            plan = self._template(table.templates[t])
+            plans["outcome"][entries] = plan.outcome
+            plans["base"][entries] = plan.base_id
+            if plan.rule is None:
+                continue
+            index = table.rows(t, entries)
+            for rows in plan.rule.translate_rows(plan.base, plan.elements, index):
+                n_inserts += self._moved(
+                    plans, inserts, n_inserts, plan, entries[rows.rows], index[rows.rows], rows, new
+                )
+        if inserts:
+            insert_table = {
+                name: np.concatenate([part[name] for part in inserts])
+                for name in _INSERT_COLUMNS
+            }
+        else:
+            insert_table = {
+                name: np.empty(0, dtype=dtype) for name, dtype in _INSERT_COLUMNS.items()
+            }
+        return plans, insert_table
 
     def _moved(
-        self, base_id: int, rule: Rule, path: VariablePath, translation: Translation
-    ) -> _Plan:
-        """The plan of a path a rule translates."""
-        check_off, check_size = -1, 0
-        in_type = getattr(rule, "in_type", None)
-        if in_type is not None:  # rule kinds without one (displace) skip the check
-            try:
-                offset, leaf = in_type.resolve(path.elements)
-            except Exception:
-                pass
-            else:
-                check_off, check_size = offset, leaf.size
-        ins_start = ins_n = 0
-        inserts = translation.inserts
-        if inserts:
-            # A rule that hands out one shared tuple (a stride rule's
-            # injects) gets one run of rows; the entry keeps the tuple
-            # alive, so its id cannot be reused by another tuple.
-            kept, ins_start = self._insert_runs.get(id(inserts), ((), -1))
-            if kept is not inserts:
-                ins_start = len(self._inserts)
-                self._insert_runs[id(inserts)] = (inserts, ins_start)
-                self._inserts.extend(map(self._insert, inserts))
-            ins_n = len(inserts)
-        rule_id = self._rule_ids[id(rule)]
-        delta = translation.address_delta
+        self,
+        plans: Dict[str, np.ndarray],
+        inserts: List[Dict[str, np.ndarray]],
+        n_inserts: int,
+        plan: _Template,
+        entries: np.ndarray,
+        index: np.ndarray,
+        rows: RowTranslation,
+        new: _NewPaths,
+    ) -> int:
+        """Fill the plan rows of the entries a rule translates; returns
+        the number of insert rows added."""
+        plans["rule"][entries] = plan.rule_id
+        if plan.check is not None:
+            offset, slots, size = plan.check
+            inside = rows_in_bounds(index, slots)
+            plans["check_off"][entries[inside]] = offset + slot_offsets(index[inside], slots)
+            plans["check_size"][entries[inside]] = size
+        k = len(rows.inserts)
+        if k:
+            plans["ins_start"][entries] = n_inserts + np.arange(len(entries)) * k
+            plans["ins_n"][entries] = k
+            inserts.append(self._insert_rows(rows, len(entries), new))
+        delta = rows.address_delta
         if delta is not None:
             # Displacement mode: shift in place, optionally rename.
             lo, hi = max(0, -delta), min(_ADDR_MAX, _ADDR_MAX - delta)
             if lo > hi:  # the shift moves every address out of range
                 lo, hi = _ADDR_MAX, 0
-            renamed = (
-                -1
-                if translation.rename is None
-                else self._path_id(path.with_base(translation.rename))
-            )
-            return _Plan(
-                _DISPLACED,
-                base_id,
-                rule_id,
-                addr=delta % 2**64,
-                lo=lo,
-                hi=hi,
-                path=renamed,
-                check_off=check_off,
-                check_size=check_size,
-                ins_start=ins_start,
-                ins_n=ins_n,
-            )
-        mapped = translation.target
-        return _Plan(
-            _MAPPED,
-            base_id,
-            rule_id,
-            addr=self.allocations[mapped.alloc] + mapped.offset,
-            path=self._path_id(VariablePath(mapped.alloc, mapped.elements)),
-            scope=1 if mapped.elements else 0,
-            check_off=check_off,
-            check_size=check_size,
-            ins_start=ins_start,
-            ins_n=ins_n,
-        )
+            plans["outcome"][entries] = _DISPLACED
+            plans["addr"][entries] = delta % 2**64
+            plans["lo"][entries] = lo
+            plans["hi"][entries] = hi
+            if rows.rename is not None:
+                plans["path"][entries] = new.add(
+                    template_text(rows.rename, plan.elements), index
+                )
+            return k * len(entries)
+        target = rows.target
+        assert target is not None
+        plans["outcome"][entries] = _MAPPED
+        plans["addr"][entries] = self._addresses(target)
+        plans["path"][entries] = new.add(target.template, target.index)
+        plans["scope"][entries] = int(target.template != target.alloc)
+        return k * len(entries)
 
-    def _insert(self, insert: InsertedAccess) -> _Insert:
-        op = OPS.index(insert.op)
-        if insert.existing_var is not None:
-            base = self._base_id(insert.existing_var)
-            self._watched.add(base)
-            return _Insert(op, base)
-        mapped = insert.mapped
-        assert mapped is not None
-        scope = self._alloc_scope.get(mapped.alloc, "LV")[0]
-        scope += "S" if mapped.elements else "V"
-        return _Insert(
-            op,
-            addr=self.allocations[mapped.alloc] + mapped.offset,
-            size=insert.size,
-            scope=SCOPE_ID.get(scope, 0),
-            path=self._path_id(VariablePath(mapped.alloc, mapped.elements)),
-        )
+    def _addresses(self, target: RowTarget) -> np.ndarray:
+        return (self.allocations[target.alloc] + target.offset).astype(np.uint64)
 
-    def _plan_tables(self) -> Tuple[Dict[str, np.ndarray], Dict[str, np.ndarray]]:
-        """The plan and insert tables as numpy columns, extended by the
-        rows added since the last call."""
-        for rows, dtypes, table in (
-            (self._plans, _PLAN_DTYPES, self._plan_columns),
-            (self._inserts, _INSERT_DTYPES, self._insert_columns),
-        ):
-            done = len(next(iter(table.values())))
-            if len(rows) > done:
-                for name, column in _arrays(rows[done:], dtypes).items():
-                    table[name] = np.concatenate([table[name], column])
-        return self._plan_columns, self._insert_columns
+    def _insert_rows(
+        self, rows: RowTranslation, m: int, new: _NewPaths
+    ) -> Dict[str, np.ndarray]:
+        """The insert-table rows of ``m`` translated entries: each
+        entry's inserts, entry by entry."""
+        k = len(rows.inserts)
+        table = {
+            name: np.zeros((m, k), dtype=dtype) for name, dtype in _INSERT_COLUMNS.items()
+        }
+        table["base"][:] = -1
+        table["path"][:] = -1
+        for j, insert in enumerate(rows.inserts):
+            table["op"][:, j] = OPS.index(insert.op)
+            if insert.existing_var is not None:
+                base = self._base_id(insert.existing_var)
+                self._watched.add(base)
+                table["base"][:, j] = base
+                continue
+            target = insert.target
+            assert target is not None
+            scope = self._alloc_scope.get(target.alloc, "LV")[0]
+            scope += "S" if target.template != target.alloc else "V"
+            table["addr"][:, j] = self._addresses(target)
+            table["size"][:, j] = insert.size
+            table["scope"][:, j] = SCOPE_ID.get(scope, 0)
+            table["path"][:, j] = new.add(target.template, target.index)
+        return {name: column.reshape(-1) for name, column in table.items()}
 
     @staticmethod
     def _target_addresses(
@@ -437,9 +490,14 @@ class TransformEngine:
     def _apply(self, cols: TraceColumns) -> TraceColumns:
         """Rewrite one piece of the stream.  The report, the learned
         bases and the last records seen change only if the piece
-        transforms without error (the plans built for it are kept)."""
-        plan = self._plan_records(cols)
-        plans, inserts = self._plan_tables()
+        transforms without error (pool slots handed out for it are
+        kept)."""
+        new = _NewPaths()
+        plans, inserts = self._plan_entries(cols, new)
+        # Each record's row in the plan columns; the last row serves
+        # records without a variable.
+        n_entries = len(cols.paths)
+        plan = np.where(cols.var_id < 0, n_entries, cols.var_id).astype(np.int64)
         errors: List[Tuple[int, int, str]] = []
         size_bad, base_bad, learned = self._validity(cols, plan, plans, errors)
         self._check_displacements(cols, plan, plans, errors)
@@ -461,7 +519,6 @@ class TransformEngine:
 
         # The output: every input column repeated over its record's slots,
         # then the targets and inserts overwritten.
-        n_entries = len(cols.paths)
         out = {
             name: np.repeat(getattr(cols, name), width)
             for name in ("kind", "addr", "size", "scope", "frame", "thread", "func_id", "var_id")
@@ -497,29 +554,16 @@ class TransformEngine:
                 seen = self._last_seen[b]
                 for name in ("addr", "size", "scope", "frame", "thread"):
                     out[name][s] = getattr(seen, name)
-                out["var_id"][s] = n_entries + seen.path
+                row = np.array([seen.row], dtype=np.int64).reshape(1, -1)
+                out["var_id"][s] = n_entries + new.add(seen.template, row)[0]
 
         result = TraceColumns(
             **out,
             functions=cols.functions,
-            variables=(*cols.variables, *self._new_texts),
-            paths=(*cols.paths, *self._new_paths),
+            paths=cols.paths.concat(new.table()),
         )
         self._commit(cols, plan, plans, size_bad, base_bad, learned, last)
         return result
-
-    def _plan_records(self, cols: TraceColumns) -> np.ndarray:
-        """Each record's plan id, building a plan for every path the
-        piece uses that has none yet, in the order paths first appear."""
-        # The last slot serves var_id -1 (plan 0: no variable).
-        entry_plan = np.zeros(len(cols.paths) + 1, dtype=np.int64)
-        for entry in first_use(cols.var_id).tolist():
-            text = cols.variables[entry]
-            pid = self._plan_of.get(text)
-            if pid is None:
-                pid = self._plan_of[text] = self._plan(cols.paths[entry])
-            entry_plan[entry] = pid
-        return entry_plan[cols.var_id]
 
     def _validity(
         self,
@@ -653,7 +697,7 @@ class TransformEngine:
         """Book a transformed piece: counters, learned bases, and the last
         record of every watched variable it touched."""
         report = self.report
-        counts = np.bincount(plan, minlength=len(self._plans))
+        counts = np.bincount(plan, minlength=len(cols.paths) + 1)
         used = np.flatnonzero(counts)
         c, o = counts[used], plans["outcome"][used]
         report.total += len(cols)
@@ -668,15 +712,19 @@ class TransformEngine:
         report.size_mismatches += int(size_bad.sum())
         report.base_inconsistencies += int(base_bad.sum())
         self._in_bases.update(learned)
+        table = cols.paths
         for b, positions in last.items():
             i = int(positions[-1])
+            entry = int(cols.var_id[i])
+            t = int(table.template_id[entry])
             self._last_seen[b] = _Seen(
                 int(cols.addr[i]),
                 int(cols.size[i]),
                 int(cols.scope[i]),
                 int(cols.frame[i]),
                 int(cols.thread[i]),
-                self._path_id(cols.paths[cols.var_id[i]]),
+                table.templates[t],
+                tuple(table.index[entry, : table.arity(t)].tolist()),
             )
 
 

@@ -76,6 +76,7 @@ class IndexFormula:
                 f"formula {self.text!r} has multiple free variables: {sorted(set(free))}"
             )
         self.index_name: str = free[0] if free else "i"
+        self._images: Dict[int, Tuple[int, ...]] = {}
 
     def __call__(self, index: int) -> int:
         """Map an original element index to the transformed index."""
@@ -105,8 +106,13 @@ class IndexFormula:
         raise FormulaError(f"unknown operator {node.op!r}")  # pragma: no cover
 
     def image(self, n: int) -> Tuple[int, ...]:
-        """The formula applied to ``0..n-1`` (for range validation)."""
-        return tuple(self(i) for i in range(n))
+        """The formula applied to ``0..n-1`` (for range validation, and
+        the table a stride rule gathers its rows from); computed once
+        per ``n``."""
+        image = self._images.get(n)
+        if image is None:
+            image = self._images[n] = tuple(self(i) for i in range(n))
+        return image
 
     def max_index(self, n: int) -> int:
         """Largest transformed index over original indices ``0..n-1``."""

@@ -42,7 +42,11 @@ from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
 
 from repro.errors import DeclarationSyntaxError, RuleError, RuleFileError
-from repro.ctypes_model.parser import DeclarationSet, parse_declarations
+from repro.ctypes_model.parser import (
+    DeclarationSet,
+    blank_comments,
+    parse_declarations,
+)
 from repro.ctypes_model.types import ArrayType, CType, PointerType, StructType
 from repro.trace.record import AccessType
 from repro.transform.formula import FormulaError, IndexFormula
@@ -128,7 +132,11 @@ def _split_sections(source: str) -> List[_Section]:
     for i, m in enumerate(matches):
         end = matches[i + 1].start() if i + 1 < len(matches) else len(source)
         line = source.count("\n", 0, m.start()) + 1
-        sections.append(_Section(m.group(1), source[m.end() : end], line))
+        # Comments are blanked here, so the pre-passes (defines, stride
+        # aliases, formulas, pointer members, pool objects) never read
+        # commented-out text.
+        text = blank_comments(source[m.end() : end])
+        sections.append(_Section(m.group(1), text, line))
     return sections
 
 

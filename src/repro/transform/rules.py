@@ -10,15 +10,33 @@ index loads); the engine turns those into concrete trace records.
 The element-name matching limitation of the paper ("structure's element
 names must match because we rely on the element's name to map") is
 honoured: every mapping is keyed on field names (plus array indices).
+
+:meth:`Rule.translate` is the per-path definition (lint, the soundness
+oracle and the record-at-a-time reference engine use it).  The engine
+calls :meth:`Rule.translate_rows` once per path *template*
+(``lSoA.mX[]``) with the integer index rows of every path of that
+template; layout, outline, split and stride rules map the rows with
+numpy (affine maps of the index columns, or a gather over the stride
+formula's image), and the default (tile, displace and pool rules) loops
+over :meth:`Rule.translate`.  numpy is imported only inside those methods, so
+parsing and linting rule files stays numpy-free.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import RuleError
-from repro.ctypes_model.path import Field, Index, PathElement
+from repro.ctypes_model.path import (
+    SLOT,
+    Field,
+    Index,
+    PathElement,
+    fill_slots,
+    slot_values,
+    template_text,
+)
 from repro.ctypes_model.types import (
     ArrayType,
     CType,
@@ -28,6 +46,9 @@ from repro.ctypes_model.types import (
 )
 from repro.trace.record import AccessType
 from repro.transform.formula import IndexFormula
+
+if TYPE_CHECKING:
+    import numpy as np
 
 #: Leaf key: the name-and-index identity of a scalar component.
 LeafKey = Tuple[Tuple[str, ...], Tuple[int, ...]]
@@ -117,6 +138,106 @@ class InjectSpec:
     existing: bool = False
 
 
+@dataclass(frozen=True)
+class RowTarget:
+    """Where some paths of one template land: one out template, and one
+    index row and one offset inside ``alloc`` per path."""
+
+    alloc: str
+    #: the out path template; its ``[]`` slots take the rows of ``index``
+    template: str
+    index: "np.ndarray"
+    offset: "np.ndarray"
+
+
+@dataclass(frozen=True)
+class RowInsert:
+    """One access inserted before each path of a :class:`RowTranslation`
+    (an :class:`InsertedAccess` with per-path targets)."""
+
+    op: AccessType
+    size: int = 4
+    target: Optional[RowTarget] = None
+    existing_var: Optional[str] = None
+
+
+@dataclass(frozen=True)
+class RowTranslation:
+    """The translation of some paths of one template (a
+    :class:`Translation` per path, held as columns).
+
+    ``rows`` are the paths' positions among the template's index rows;
+    every one of them maps into ``target`` (or shifts by
+    ``address_delta``) and gets the same ``inserts``.
+    """
+
+    rows: "np.ndarray"
+    target: Optional[RowTarget] = None
+    inserts: Tuple[RowInsert, ...] = ()
+    address_delta: Optional[int] = None
+    rename: Optional[str] = None
+
+
+def rows_in_bounds(index: "np.ndarray", slots: Sequence[Tuple[int, int]]) -> "np.ndarray":
+    """Rows of ``index`` whose every value fits its slot's length."""
+    import numpy as np
+
+    lengths = np.array([length for _, length in slots], dtype=np.int64)
+    return np.flatnonzero(((index >= 0) & (index < lengths)).all(axis=1))
+
+
+def slot_offsets(index: "np.ndarray", slots: Sequence[Tuple[int, int]]) -> "np.ndarray":
+    """``sum(i_k * stride_k)`` per row of ``index``."""
+    import numpy as np
+
+    strides = np.array([stride for stride, _ in slots], dtype=np.int64)
+    return index @ strides if len(strides) else np.zeros(len(index), np.int64)
+
+
+def _mapped_rows(accesses: Sequence[MappedAccess]) -> RowTarget:
+    """A run of mapped accesses sharing an out template, as columns."""
+    import numpy as np
+
+    first = accesses[0]
+    index = np.array([slot_values(a.elements) for a in accesses], dtype=np.int64)
+    return RowTarget(
+        first.alloc,
+        template_text(first.alloc, first.elements),
+        index.reshape(len(accesses), -1),
+        np.array([a.offset for a in accesses], dtype=np.int64),
+    )
+
+
+def _shape(mapped: Optional[MappedAccess]) -> Optional[Tuple[str, str]]:
+    return None if mapped is None else (mapped.alloc, template_text(mapped.alloc, mapped.elements))
+
+
+def _rows_of(translations: List[Tuple[int, Translation]]) -> RowTranslation:
+    """Per-path translations with one shape, as a :class:`RowTranslation`."""
+    import numpy as np
+
+    first = translations[0][1]
+    return RowTranslation(
+        np.array([r for r, _ in translations], dtype=np.int64),
+        None
+        if first.target is None
+        else _mapped_rows([t.target for _, t in translations]),
+        tuple(
+            RowInsert(
+                insert.op,
+                insert.size,
+                None
+                if insert.mapped is None
+                else _mapped_rows([t.inserts[j].mapped for _, t in translations]),
+                insert.existing_var,
+            )
+            for j, insert in enumerate(first.inserts)
+        ),
+        first.address_delta,
+        first.rename,
+    )
+
+
 class Rule:
     """Base interface; concrete rules implement the mapping."""
 
@@ -152,6 +273,39 @@ class Rule:
         it as ignored, per the paper's "simply ignore it" behaviour).
         """
         raise NotImplementedError
+
+    def translate_rows(
+        self, base: str, elements: Sequence[PathElement], index: "np.ndarray"
+    ) -> List[RowTranslation]:
+        """Translate every path of one template at once.
+
+        ``elements`` are the template's (:data:`SLOT` for each ``[]``)
+        relative to ``base``, and each row of ``index`` fills the slots
+        of one path.  Rows no translation lists are not covered.  This
+        default calls :meth:`translate` (``translate_named`` for pattern
+        rules) per row and groups the rows whose translations share an
+        out template and insert shapes.
+        """
+        by_shape: Dict[Any, List[Tuple[int, Translation]]] = {}
+        for r, row in enumerate(index.tolist()):
+            path = fill_slots(elements, row)
+            if self.is_pattern:
+                translation = self.translate_named(base, path)  # type: ignore[attr-defined]
+            else:
+                translation = self.translate(path)
+            if translation is None:
+                continue
+            shape = (
+                translation.address_delta,
+                translation.rename,
+                _shape(translation.target),
+                tuple(
+                    (i.op, i.size, i.existing_var, _shape(i.mapped))
+                    for i in translation.inserts
+                ),
+            )
+            by_shape.setdefault(shape, []).append((r, translation))
+        return [_rows_of(group) for group in by_shape.values()]
 
 
 #: LayoutRule enumerates every scalar element of both structures to build
@@ -247,6 +401,37 @@ class LayoutRule(Rule):
             MappedAccess(self._out_name, t_elements, t_offset, size)
         )
 
+    def translate_rows(
+        self, base: str, elements: Sequence[PathElement], index: "np.ndarray"
+    ) -> List[RowTranslation]:
+        """An affine map of the index columns.
+
+        A leaf's field names fix its path through a type, and the
+        one-to-one check makes the in and out leaves with those names
+        the same box of indices, in the same order.  So every path of
+        the template keeps its index row and lands at the out leaf's
+        offset plus the index row times the out strides.
+        """
+        names = tuple(e.name for e in elements if isinstance(e, Field))
+        entry = self._map.get((names, (0,) * index.shape[1]))
+        if entry is None:
+            return []
+        t_elements = tuple(SLOT if isinstance(e, Index) else e for e in entry[0])
+        offset, slots, _ = self.out_type.resolve_slots(t_elements)
+        rows = rows_in_bounds(index, slots)
+        kept = index[rows]
+        return [
+            RowTranslation(
+                rows,
+                RowTarget(
+                    self._out_name,
+                    template_text(self._out_name, t_elements),
+                    kept,
+                    offset + slot_offsets(kept, slots),
+                ),
+            )
+        ]
+
 
 def _split_index(
     elements: Sequence[PathElement], length: int
@@ -292,6 +477,61 @@ class _PointerLoads:
                 InsertedAccess(AccessType.LOAD, mapped=pointer_access, size=8),
             )
         return load
+
+    def _rows_into(
+        self,
+        elem: StructType,
+        alloc: str,
+        elements: Sequence[PathElement],
+        index: "np.ndarray",
+        *,
+        cold: bool,
+    ) -> List[RowTranslation]:
+        """Rows of a template ``[i].<elements>`` (``.<elements>`` for a
+        lone struct) mapped into ``alloc[i].<elements>``; a cold access
+        also gets the pointer load of its element."""
+        import numpy as np
+
+        prefix = (SLOT,) if self.length > 1 else ()
+        try:
+            offset, slots, leaf = elem.resolve_slots(elements)
+        except Exception:
+            return []
+        if not leaf.is_scalar:
+            return []
+        rows = rows_in_bounds(index[:, len(prefix) :], slots)
+        kept = index[rows]
+        lead = kept[:, 0] if prefix else np.zeros(len(kept), dtype=np.int64)
+        target = RowTarget(
+            alloc,
+            template_text(alloc, (*prefix, *elements)),
+            kept,
+            lead * elem.size + offset + slot_offsets(kept[:, len(prefix) :], slots),
+        )
+        inserts: Tuple[RowInsert, ...] = ()
+        if cold:
+            pointer = RowTarget(
+                self._out_name,
+                template_text(self._out_name, (*prefix, Field(self.pointer_member))),
+                kept[:, : len(prefix)],
+                lead * self.out_elem.size + self._ptr_offset,
+            )
+            inserts = (RowInsert(AccessType.LOAD, 8, pointer),)
+        return [RowTranslation(rows, target, inserts)]
+
+    def _split_template(
+        self, elements: Sequence[PathElement]
+    ) -> Optional[Tuple[str, Tuple[PathElement, ...]]]:
+        """The head member name and the elements after the leading
+        ``[]`` of an array rule's template (``None``: not covered)."""
+        rest = tuple(elements)
+        if self.length > 1:
+            if not rest or rest[0] != SLOT:
+                return None
+            rest = rest[1:]
+        if not rest or not isinstance(rest[0], Field):
+            return None
+        return rest[0].name, rest
 
 
 class OutlineRule(_PointerLoads, Rule):
@@ -450,6 +690,22 @@ class OutlineRule(_PointerLoads, Rule):
             )
         )
 
+    def translate_rows(
+        self, base: str, elements: Sequence[PathElement], index: "np.ndarray"
+    ) -> List[RowTranslation]:
+        """Affine maps of the element index and the member's indices."""
+        split = self._split_template(elements)
+        if split is None:
+            return []
+        head, rest = split
+        if head == self.pointer_member:
+            return self._rows_into(
+                self.storage_elem, self.storage_name, rest[1:], index, cold=True
+            )
+        if head not in self._hot:
+            return []
+        return self._rows_into(self.out_elem, self._out_name, rest, index, cold=False)
+
 
 class HotColdSplitRule(_PointerLoads, Rule):
     """T2 variant: outline *direct* cold fields behind a pointer.
@@ -572,6 +828,22 @@ class HotColdSplitRule(_PointerLoads, Rule):
             )
         return None
 
+    def translate_rows(
+        self, base: str, elements: Sequence[PathElement], index: "np.ndarray"
+    ) -> List[RowTranslation]:
+        """Affine maps of the element index and the member's indices."""
+        split = self._split_template(elements)
+        if split is None:
+            return []
+        head, rest = split
+        if head in self._cold:
+            return self._rows_into(
+                self.storage_elem, self.storage_name, rest, index, cold=True
+            )
+        if head in self._hot:
+            return self._rows_into(self.out_elem, self._out_name, rest, index, cold=False)
+        return []
+
 
 class StrideRule(Rule):
     """T3: remap a 1-D array through an index formula (set pinning).
@@ -673,6 +945,47 @@ class StrideRule(Rule):
             ),
             inserts=self._inserts,
         )
+
+    def translate_rows(
+        self, base: str, elements: Sequence[PathElement], index: "np.ndarray"
+    ) -> List[RowTranslation]:
+        """A gather of the in indices over the formula's image."""
+        import numpy as np
+
+        if tuple(elements) != (SLOT,):
+            return []
+        rows = rows_in_bounds(index, [(0, self.in_type.length)])
+        image = np.asarray(self.formula.image(self.in_type.length), dtype=np.int64)
+        new = image[index[rows, 0]]
+        none = np.zeros((len(rows), 0), dtype=np.int64)
+        inserts = tuple(
+            RowInsert(
+                insert.op,
+                insert.size,
+                None
+                if insert.mapped is None
+                else RowTarget(
+                    insert.mapped.alloc,
+                    insert.mapped.alloc,
+                    none,
+                    np.full(len(rows), insert.mapped.offset, dtype=np.int64),
+                ),
+                insert.existing_var,
+            )
+            for insert in self._inserts
+        )
+        return [
+            RowTranslation(
+                rows,
+                RowTarget(
+                    self._out_name,
+                    f"{self._out_name}[]",
+                    new[:, None],
+                    new * self.elem.size,
+                ),
+                inserts,
+            )
+        ]
 
 
 @dataclass

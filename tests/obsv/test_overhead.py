@@ -1,7 +1,7 @@
 """Overhead guard: disabled telemetry must not tax the hot paths.
 
 The instrumented entry points (``fast_trace_counts``, the transform
-engine) delegate to their private uninstrumented bodies when the
+engine, the trace decoders, encoders and attribution labelling) delegate to their private uninstrumented bodies when the
 registry is disabled, so the only admissible cost is one registry lookup
 and one attribute test per call.  These tests pin that contract by
 counting the wrapper's work instead of timing it: a spy registry counts
@@ -17,9 +17,12 @@ import numpy as np
 import pytest
 
 import repro.cache.fastsim as fastsim
+import repro.trace.columns as columns_module
 import repro.transform.engine as engine_module
 from repro.cache.config import CacheConfig
 from repro.obsv.telemetry import Telemetry, get_telemetry
+from repro.trace.binformat import load_binary, save_binary
+from repro.trace.columnar import load_columnar, save_columnar
 from repro.transform.engine import TransformEngine
 from repro.transform.paper_rules import paper_rule
 from repro.tracer.interp import trace_program
@@ -139,3 +142,43 @@ def test_spy_sees_the_enabled_wrapper(monkeypatch, fast_inputs, paper_trace, whi
     assert registry.spans == 1
     assert registry.adds >= 1
     assert len(bodies) == 1
+
+
+#: The trace layer's spans: ``trace.decode``, ``trace.encode`` and
+#: ``trace.attribution``, each entered through one registry lookup, and
+#: how many one call opens (a v2 decode times its path-table split and
+#: its column copy apart).
+TRACE_CALLS = {
+    "v1-decode": (1, lambda d, t: load_binary(d / "t.v1")),
+    "v2-decode": (2, lambda d, t: load_columnar(d / "t.v2")),
+    "v1-encode": (1, lambda d, t: save_binary(t, d / "o.v1")),
+    "v2-encode": (1, lambda d, t: save_columnar(t, d / "o.v2")),
+    "attribution": (
+        1,
+        lambda d, t: columns_module.attribution_ids(
+            t.columns().var_id, t.columns().paths, "member"
+        ),
+    ),
+}
+
+
+@pytest.fixture(scope="module")
+def trace_files(tmp_path_factory, paper_trace):
+    directory = tmp_path_factory.mktemp("files")
+    save_binary(paper_trace, directory / "t.v1")
+    save_columnar(paper_trace, directory / "t.v2")
+    return directory
+
+
+@pytest.mark.parametrize("enabled", [False, True], ids=["disabled", "enabled"])
+@pytest.mark.parametrize("call", sorted(TRACE_CALLS))
+def test_trace_span_overhead(monkeypatch, trace_files, paper_trace, call, enabled):
+    """Disabled: one lookup per span and no span; enabled (the spy is
+    not vacuous): each span opens through its one lookup."""
+    registry = _spy(monkeypatch, columns_module, enabled=enabled)
+    spans, body = TRACE_CALLS[call]
+    for _ in range(CALLS):
+        body(trace_files, paper_trace)
+    assert registry.lookups == CALLS * spans
+    assert registry.spans == (CALLS * spans if enabled else 0)
+    assert registry.adds == 0

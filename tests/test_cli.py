@@ -439,5 +439,17 @@ class TestFastSimulate:
         )
         assert "error" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("command", ["sim", "simbatch"])
+    @pytest.mark.parametrize("chunk", ["0", "-5"])
+    def test_chunk_must_be_positive(self, traced_kernel, capsys, command, chunk):
+        argv = [command, str(traced_kernel), "--chunk", chunk]
+        if command == "sim":
+            argv.append("--fast")
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert f"error: argument --chunk: must be a positive integer, got {chunk}" in err
+
     def test_sim_alias(self, traced_kernel):
         assert main(["sim", str(traced_kernel)]) == 0

@@ -118,11 +118,19 @@ class TestCommentEdits:
         assert d.modified == ("lB",)
         assert d.affects(["lB"]) and not d.affects(["lA"])
 
-    @pytest.mark.parametrize("comment", ["// see mX[0]\n", "# end */\n"])
+    @pytest.mark.parametrize("comment", ["# end */\n"])
     def test_comment_a_pre_pass_could_read_is_compared(self, comment):
         d = rule_delta(TWO_RULES, TWO_RULES + comment)
         assert not d.conservative
         assert d.modified == ("lB",)
+
+    def test_bracket_comment_changes_nothing(self):
+        # The rule parser blanks comments before its pre-passes, so a
+        # commented-out alias or formula cannot change a rule.
+        d = rule_delta(TWO_RULES, TWO_RULES + "// see mX[0]\n")
+        assert not d.conservative
+        assert d.changed == frozenset()
+        assert d.modified == ()
 
     def test_define_line_is_not_a_comment(self):
         rule = (
@@ -153,6 +161,29 @@ class TestCommentEdits:
         again = apply_rules(
             store, base, TWO_RULES + "\n# tuning note\n", prev=first.commit
         )
+        assert again.delta.changed == frozenset()
+        assert again.chunks_transformed == 0
+        assert again.chunks_reused == again.chunks_total == 4
+
+    def test_bracket_comment_reuses_every_chunk(self, tmp_path):
+        from repro.ctypes_model.path import VariablePath
+        from repro.trace.record import AccessType, TraceRecord
+        from repro.trace.stream import Trace
+        from repro.tracestore import TraceStore, apply_rules
+
+        records = [
+            TraceRecord(
+                op=AccessType.LOAD, addr=0x1000 + 4 * i, size=4, func="main",
+                scope="GS", var=VariablePath.parse(f"{name}.mX[{i}]"),
+            )
+            for name in ("lA", "lB")
+            for i in range(16)
+        ]
+        store = TraceStore(tmp_path / "ts")
+        base = store.commit_trace(Trace(records), chunk_records=8)
+        first = apply_rules(store, base, TWO_RULES)
+        edited = TWO_RULES.replace("out:", "// int lOld[16]:lStride;\nout:", 1)
+        again = apply_rules(store, base, edited, prev=first.commit)
         assert again.delta.changed == frozenset()
         assert again.chunks_transformed == 0
         assert again.chunks_reused == again.chunks_total == 4

@@ -290,3 +290,58 @@ class TestCorpus:
     def test_bad_corpus_rejected(self, path):
         with pytest.raises(ReproError):
             parse_rules_file(path)
+
+
+POOL = """pool:
+struct Node { int value; Node *next; };
+objects node* : nodePool[8];
+"""
+
+
+def _summary(rules):
+    """What a parsed rule set does: each rule's kind, name, allocations,
+    injects, formula and pointer member."""
+    return [
+        (
+            type(rule).__name__,
+            rule.name,
+            rule.in_name,
+            rule.out_allocations(),
+            getattr(rule, "inject", ()),
+            getattr(getattr(rule, "formula", None), "text", None),
+            getattr(rule, "pointer_member", None),
+        )
+        for rule in rules
+    ]
+
+
+def _with_line(text, before, line):
+    """``text`` with ``line`` inserted before the first ``before``."""
+    at = text.index(before)
+    return text[:at] + line + text[at:]
+
+
+class TestCommentedPrePassLines:
+    """The pre-passes that scan a section before the declaration lexer
+    (stride alias, index formula, pointer member, pool objects) skip
+    comments, as the lexer does."""
+
+    @pytest.mark.parametrize(
+        "text, before, comment",
+        [
+            (LISTING11, "out:\n", "// int lOld[16]:lStride;\n"),
+            (LISTING11, "inject:\n", "# int lOld[64((lI*4))];\n"),
+            (LISTING8, "    + mRarelyUsed", "    /* + mOther:lElsewhere;\n    */\n"),
+            (POOL, "objects", "// objects leaf* : leafPool[4];\n"),
+        ],
+        ids=["alias", "formula", "pointer-member", "objects"],
+    )
+    def test_commented_line_changes_nothing(self, text, before, comment):
+        commented = _with_line(text, before, comment)
+        assert _summary(parse_rules(commented)) == _summary(parse_rules(text))
+
+    def test_define_is_kept_and_a_commented_define_is_not(self):
+        text = LISTING11.replace("8)*(16*8)+(lI%8)", "W)*(16*W)+(lI%W)")
+        commented = _with_line(text, "int lSetHashingArray", "#define W 8\n// #define W 2\n")
+        (rule,) = parse_rules(commented)
+        assert rule.formula(9) == (9 // 8) * 128 + 9 % 8
