@@ -53,7 +53,6 @@ from repro.simbatch import (
     BatchPlan,
     BatchResult,
     MultiConfigSimulator,
-    batch_eligible,
     batch_trace_counts,
     plan_batch,
     simulate_batch,
@@ -293,7 +292,6 @@ __all__ = [
     "BatchPlan",
     "BatchResult",
     "MultiConfigSimulator",
-    "batch_eligible",
     "batch_trace_counts",
     "plan_batch",
     "simulate_batch",

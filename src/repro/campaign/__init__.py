@@ -10,7 +10,8 @@ to full studies through this subpackage:
   numpy: the parent plans a run and answers stored points with it
   alone);
 - :mod:`repro.campaign.jobs` — the idempotent task bodies workers
-  execute;
+  execute, keeping traces and transforms as commits in the campaign
+  directory's trace commit store (:mod:`repro.tracestore`);
 - :mod:`repro.campaign.artifacts` — content-addressed
   :class:`ArtifactStore` (SHA-256 of kernel + rule text + config) that
   makes re-runs and ``--resume`` incremental;

@@ -1,24 +1,25 @@
-"""Content-addressed artifact store for campaign stages.
+"""Content-addressed artifact store for campaign results.
 
-Every expensive pipeline stage (trace generation, transformation,
-simulation) writes its output under a SHA-256 key derived from the
-stage's *complete* input description — program identity, rule text,
-cache-config tuple.  Re-running a campaign therefore costs only the
-points whose inputs changed; ``--resume`` and iterative spec editing are
-incremental for free.
+Every grid point's simulation payload is written under a SHA-256 key
+derived from the point's *complete* input description — program
+identity, rule text, cache-config tuple.  Re-running a campaign
+therefore costs only the points whose inputs changed; ``--resume`` and
+iterative spec editing are incremental for free.
 
 Layout on disk (two-level fan-out keeps directories small at scale)::
 
-    <root>/ab/abcdef....trace.tdst    # binary trace artifact
     <root>/ab/abcdef....json          # simulation-result artifact
+
+Traces are not kept here: a campaign directory keeps them as commits in
+its trace commit store beside this one
+(``<dir>/tracestore``, :class:`repro.tracestore.store.TraceStore`).
 
 Writes are atomic (temp file + ``os.replace``) so parallel workers
 racing to produce the same artifact cannot leave a torn file; the loser
 of the race simply overwrites with identical bytes.
 
-The JSON half needs nothing but the standard library: the campaign
-scheduler answers stored grid points through it without loading numpy
-or the trace codec, which the trace methods import on first use.
+The store needs nothing but the standard library: the campaign
+scheduler answers stored grid points through it without loading numpy.
 """
 
 from __future__ import annotations
@@ -28,15 +29,11 @@ import json
 import re
 import time
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Dict, Iterable, Optional, Union
+from typing import Any, Dict, Iterable, Optional, Union
 
 from repro.obsv.atomic import atomic_write
 
-if TYPE_CHECKING:
-    from repro.trace.stream import Trace
-
-#: Artifact filename suffixes by kind.
-TRACE_SUFFIX = ".trace.tdst"
+#: Artifact filename suffix.
 JSON_SUFFIX = ".json"
 
 #: In-flight/stale temporary entries: the legacy hand-rolled writers used
@@ -52,20 +49,6 @@ STALE_TMP_AGE_S = 60.0
 def _is_tmp_entry(name: str) -> bool:
     """True for temporary-write leftovers of either naming scheme."""
     return _TMP_PATTERN.search(name) is not None
-
-
-def save_binary(trace: Trace, path: Union[str, Path]) -> Path:
-    """Write a trace artifact (:func:`repro.trace.binformat.save_binary`)."""
-    from repro.trace.binformat import save_binary as save
-
-    return save(trace, path)
-
-
-def load_binary(path: Union[str, Path]) -> Trace:
-    """Read a trace artifact (:func:`repro.trace.binformat.load_binary`)."""
-    from repro.trace.binformat import load_binary as load
-
-    return load(path)
 
 
 def content_key(*parts: Union[str, int, bytes]) -> str:
@@ -86,7 +69,7 @@ def content_key(*parts: Union[str, int, bytes]) -> str:
 
 
 class ArtifactStore:
-    """Disk-backed, content-addressed cache of stage outputs.
+    """Disk-backed, content-addressed cache of grid-point payloads.
 
     Opening a store sweeps stale temp files (:meth:`sweep_stale_tmp`), a
     walk of the whole store.  ``sweep=False`` skips it: a campaign's job
@@ -105,49 +88,9 @@ class ArtifactStore:
         """Where an artifact with this key/kind lives (may not exist)."""
         return self.root / key[:2] / f"{key}{suffix}"
 
-    def has_trace(self, key: str) -> bool:
-        """True when a trace artifact exists for ``key``."""
-        return self.path_for(key, TRACE_SUFFIX).exists()
-
     def has_json(self, key: str) -> bool:
         """True when a JSON artifact exists for ``key``."""
         return self.path_for(key, JSON_SUFFIX).exists()
-
-    # -- traces --------------------------------------------------------------
-
-    def put_trace(self, key: str, trace: Trace) -> Path:
-        """Store a trace artifact (binary format, atomic replace).
-
-        ``save_binary`` already writes through the shared
-        :func:`~repro.obsv.atomic.atomic_write` helper (temp file, fsync,
-        rename), so the artifact appears under its final name complete
-        or not at all.
-        """
-        target = self.path_for(key, TRACE_SUFFIX)
-        save_binary(trace, target)
-        return target
-
-    def get_trace(self, key: str) -> Optional[Trace]:
-        """Load a trace artifact, or ``None`` on a cache miss."""
-        target = self.path_for(key, TRACE_SUFFIX)
-        if not target.exists():
-            return None
-        return load_binary(target)
-
-    def trace_records(self, key: str) -> Optional[int]:
-        """A stored trace's record count, read from its header without
-        decoding it, or ``None`` on a cache miss.
-
-        The header checks :func:`~repro.trace.binformat.iter_binary`
-        makes before decompressing still run, so a truncated artifact
-        raises :class:`~repro.errors.TraceFormatError`.
-        """
-        from repro.trace.binformat import read_record_count
-
-        target = self.path_for(key, TRACE_SUFFIX)
-        if not target.exists():
-            return None
-        return read_record_count(target)
 
     # -- JSON results --------------------------------------------------------
 

@@ -2,7 +2,7 @@
 
 This is the half of the campaign machinery the parent process needs to
 plan a run: expand a :class:`CampaignSpec` into picklable tasks, name
-each stage's artifact by content key, and pick each grid point's route
+each stage's output by content key, and pick each grid point's route
 (:func:`plan_route`, the one place a route is chosen).  It imports no
 numpy, tracer, engine or simulator, so a campaign whose points are all
 stored is answered from the artifact store without loading the
@@ -10,15 +10,20 @@ pipeline; :mod:`repro.campaign.jobs` holds the stage bodies workers run.
 
 Task kinds:
 
-- :class:`TraceTask` — generate (or reuse) the trace of one
-  ``(kernel, length)`` pair.  Trace generation is the expensive shared
-  stage: every rule x cache x attribution point of the same program
-  reuses one trace artifact, so the scheduler runs these first and
-  exactly once per distinct program.
+- :class:`TraceTask` — commit (or reuse) the trace of one
+  ``(kernel, length)`` pair in the campaign's trace commit store.
+  Tracing is the expensive shared stage: every rule x cache x
+  attribution point of the same program reuses one trace commit, so
+  the scheduler runs these first and exactly once per distinct program.
 - :class:`GridTask` — one or more grid points (:class:`Job`) sharing a
-  trace identity and a route: take the shared trace, optionally
-  transform it under the rule, simulate every member's cache geometry,
-  and store one result JSON per member.
+  trace identity and a route: take the shared trace commit, optionally
+  apply the rule to it, simulate every member's cache geometry, and
+  store one result JSON per member.
+
+The content keys name inputs, not files: :func:`trace_key` names a
+program's trace (its commit sits under the ref ``trace/<trace_key>``)
+and :func:`transform_key` a rule applied to it; both only feed
+:func:`simulation_key`, the key of a stored payload.
 """
 
 from __future__ import annotations
@@ -37,14 +42,14 @@ from repro.transform.paper_rules import (
 )
 
 #: Stage-schema versions folded into every content key: bump one to
-#: invalidate that stage's cached artifacts after a semantic change.
+#: invalidate that stage's cached outputs after a semantic change.
 TRACE_STAGE = "trace-v1"
 TRANSFORM_STAGE = "transform-v1"
 SIMULATE_STAGE = "simulate-v1"
 
 @dataclass(frozen=True)
 class TraceTask:
-    """Shared-stage task: materialise one program's trace artifact."""
+    """Shared-stage task: commit one program's trace."""
 
     kernel: str
     length: int
@@ -114,7 +119,7 @@ def expand_jobs(spec: CampaignSpec) -> Tuple[List[TraceTask], List[Job]]:
 
 
 def trace_key(kernel: str, length: int) -> str:
-    """Content key of one program's trace artifact."""
+    """Content key of one program's trace."""
     return content_key(TRACE_STAGE, kernel.lower(), length)
 
 
@@ -146,14 +151,15 @@ def resolve_rule_text(rule: str, length: int) -> Optional[str]:
 
 
 def transform_key(base_trace_key: str, rule_text: str) -> str:
-    """Content key of a transformed-trace artifact."""
+    """Content key of a program's trace transformed under a rule text."""
     return content_key(TRANSFORM_STAGE, base_trace_key, rule_text)
 
 
-def simulation_key(input_trace_key: str, job: Job) -> str:
-    """Content key of one simulation-result artifact."""
+def simulation_key(input_key: str, job: Job) -> str:
+    """Content key of one simulation-result artifact; ``input_key`` is
+    the simulated trace's (:func:`point_input_key`)."""
     return content_key(
-        SIMULATE_STAGE, input_trace_key, job.cache.label(), job.attribution
+        SIMULATE_STAGE, input_key, job.cache.label(), job.attribution
     )
 
 
@@ -193,9 +199,9 @@ def returned_payload(
 def plan_route(job: Job, fast: bool) -> Tuple[str, Optional[str]]:
     """``(route, reason)`` of one grid point, from its inputs alone.
 
-    - ``tracestore``: a ``file:`` rule on a kernel-covered geometry,
-      without ``verify`` — the edit loop's unit, transformed and
-      simulated incrementally through the trace commit store;
+    - ``tracestore``: a ``file:`` rule on a kernel-covered geometry —
+      the edit loop's unit, simulated by resumable chain passes over
+      the transform commit;
     - ``fast``: any other kernel-covered geometry;
     - ``reference``: everything else, with ``reason`` saying why the
       kernel was declined (the coverage matrix of
@@ -217,7 +223,7 @@ def plan_route(job: Job, fast: bool) -> Tuple[str, Optional[str]]:
         return "reference", str(exc)
     if reason is not None:
         return "reference", reason
-    if job.rule.startswith("file:") and not job.verify:
+    if job.rule.startswith("file:"):
         return "tracestore", None
     return "fast", None
 

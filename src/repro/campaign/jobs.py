@@ -2,43 +2,52 @@
 
 :mod:`repro.campaign.grid` expands a :class:`CampaignSpec` into
 picklable tasks, plans each grid point's route and names every stage's
-artifact by content key; this module holds the stage bodies — trace,
+output by content key; this module holds the stage bodies — trace,
 transform, simulate — that the scheduler runs inline or on its process
 pool.  It is the campaign's pipeline half: it loads numpy, the tracer,
-the transform engine and both simulators, so the scheduler imports it
-only once some grid point is missing from the artifact store.
+the transform engine, the trace commit store and both simulators, so
+the scheduler imports it only once some grid point is missing from the
+artifact store.
 
-One body, :func:`execute_grid_task`, runs every grid point: it
-materialises the members' shared trace once, then either applies the
-rule file to the trace commit store (route ``tracestore``) or
-transforms once and simulates every member through
-:func:`simulation_fields` (routes ``fast`` and ``reference``).
+Every body is handed the campaign directory, which holds the
+campaign's two stores: ``<dir>/tracestore``, the
+:class:`~repro.tracestore.store.TraceStore` that keeps every trace and
+transformed trace as a commit of columnar chunk blobs, and
+``<dir>/artifacts``, the :class:`~repro.campaign.artifacts.ArtifactStore`
+that keeps one JSON payload per grid point.
 
-All stage outputs are content-addressed through the
-:class:`~repro.campaign.artifacts.ArtifactStore` (SHA-256 of kernel
-identity + rule text + config tuple), so every body is idempotent and
-safe to retry; workers only ever exchange plain dicts with the parent
-process.  Besides ``cache_hits``, each grid point's returned payload
-names its ``route`` (``store``, ``fast``, ``tracestore`` or
-``reference``, with a ``route_reason`` for the last); neither is part of
-the stored artifact.
+- The trace stage commits a program's trace under the ref
+  ``trace/<trace_key>``; a hit reads the record count off the commit.
+- A rule point (named or ``file:``) applies its rule text to that
+  commit with :func:`~repro.tracestore.transform.apply_rules`, against
+  the commit its ``xform/`` ref names: re-running a rule returns that
+  commit unchanged, and an edited ``file:`` rule transforms only the
+  chunks the edit touched.
+- Route ``tracestore`` simulates each member with
+  :func:`~repro.tracestore.resim.simulate_chain`, which resumes from
+  the deepest residency snapshot an earlier sweep left; routes ``fast``
+  and ``reference`` run :func:`simulation_fields` over the commit's
+  trace read back as columns.
+
+Payloads are content-addressed (SHA-256 of kernel identity + rule text
++ config tuple), so every body is idempotent and safe to retry; workers
+only ever exchange plain dicts with the parent process.  Besides
+``cache_hits``, each grid point's returned payload names its ``route``
+(``store``, ``fast``, ``tracestore`` or ``reference``, with a
+``route_reason`` for the last); neither is part of the stored artifact.
 """
 
 from __future__ import annotations
 
 import time
 from pathlib import Path
-from typing import Any, Dict, List, Sequence, Tuple, Union
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
-# Modules the stage bodies import on first use (the artifact store's
-# trace codec, the batched kernel's columnar reader, the rule parser's
-# section parsers), loaded with this module so that pool workers
-# inherit them from the parent.
-import repro.trace.binformat  # noqa: F401
-import repro.trace.columnar  # noqa: F401
+# The rule parser's section parsers, imported on first use: loaded with
+# this module so that pool workers inherit them from the parent.
 import repro.transform.displace  # noqa: F401
 import repro.transform.dynamic  # noqa: F401
-from repro.campaign.artifacts import ArtifactStore
+from repro.campaign.artifacts import ArtifactStore, content_key
 # The planning half, re-exported: this module's API predates the split.
 from repro.campaign.grid import (
     SIMULATE_STAGE,
@@ -63,8 +72,10 @@ from repro.simbatch.plan import supports_fast_path
 from repro.simbatch.runner import kernel_fields, simulate_batch
 from repro.trace.stream import Trace
 from repro.tracer.interp import trace_program
-from repro.transform.engine import TransformEngine
-from repro.transform.rule_parser import parse_rules
+from repro.tracestore.chain import Commit
+from repro.tracestore.resim import simulate_chain
+from repro.tracestore.store import TraceStore
+from repro.tracestore.transform import ApplyResult, apply_rules
 from repro.workloads.paper_kernels import paper_kernel
 
 
@@ -128,23 +139,64 @@ def _reference_fields(
     }
 
 
-# -- worker entry points ------------------------------------------------------
+# -- trace and transform stages -----------------------------------------------
 
 
-def _verify_transform(original, transformed, rule_text: str, allocations) -> None:
-    """Opt-in post-job check: replay the transform through the soundness
-    oracle; an unsound output raises so the scheduler's retry/degrade
+def _trace_store(directory: Union[str, Path]) -> TraceStore:
+    """The trace commit store of one campaign directory."""
+    return TraceStore(Path(directory) / "tracestore")
+
+
+def _head(traces: TraceStore, ref: str) -> Optional[Commit]:
+    """The commit ``ref`` names; ``None`` when the ref or its commit is
+    missing."""
+    cid = traces.get_ref(ref)
+    if cid is None or not traces.has_commit(cid):
+        return None
+    return traces.read_commit(cid)
+
+
+def _trace_commit(traces: TraceStore, kernel: str, length: int) -> Tuple[Commit, bool]:
+    """One program's trace commit, traced and committed on a miss;
+    returns ``(commit, cache_hit)``.  The commit sits under the ref
+    ``trace/<trace_key>``."""
+    tkey = trace_key(kernel, length)
+    ref = f"trace/{tkey}"
+    cached = _head(traces, ref)
+    if cached is not None:
+        return cached, True
+    trace = trace_program(paper_kernel(kernel, length=length))
+    commit = traces.commit_trace(trace, message=f"trace {tkey[:12]}")
+    traces.set_ref(ref, commit.id)
+    return commit, False
+
+
+def _transform_ref(tkey: str, rule: str) -> str:
+    """The ref naming one (trace, rule reference) lineage.  A ``file:``
+    path keeps its ref while its text changes between sweeps."""
+    return f"xform/{tkey}/{content_key('tdst-ref-v1', rule)[:16]}"
+
+
+def _verify_transform(
+    traces: TraceStore, base: Commit, applied: ApplyResult, rule_text: str
+) -> None:
+    """Opt-in check: replay a transform commit through the soundness
+    oracle; an unsound one raises so the scheduler's retry/degrade
     policy records the point as failed instead of charting bad numbers.
 
-    Fully cached *simulation* payloads skip this entirely (the check runs
-    where the transform artifact is produced or first reused) — rerun
-    with a fresh campaign directory to re-verify old artifacts.
+    A fresh transform's allocation map is cross-checked too; for a
+    commit reused from the store the oracle reconstructs it from the
+    rules on its own.  Fully cached *simulation* payloads skip this
+    entirely — rerun with a fresh campaign directory to re-verify them.
     """
     from repro.errors import TransformError
     from repro.verify.soundness import check_transform
 
     report = check_transform(
-        original, transformed, parse_rules(rule_text), allocations=allocations
+        traces.checkout(base),
+        traces.checkout(applied.commit),
+        rule_text,
+        allocations=applied.allocations,
     )
     if not report.ok:
         head = "; ".join(str(v) for v in report.violations[:3])
@@ -154,45 +206,49 @@ def _verify_transform(original, transformed, rule_text: str, allocations) -> Non
         )
 
 
-def _generate_trace(store: ArtifactStore, kernel: str, length: int) -> Trace:
-    """Trace one program and store it as the trace artifact."""
-    trace = trace_program(paper_kernel(kernel, length=length))
-    store.put_trace(trace_key(kernel, length), trace)
-    return trace
+def _transform_commit(
+    traces: TraceStore, base: Commit, job: Job, rule_text: str
+) -> Tuple[Commit, bool]:
+    """Apply one point's rule text to its trace commit; returns
+    ``(commit, cache_hit)``.
+
+    With ``verify`` the commit is checked before its ref moves, so an
+    unsound transform never becomes the lineage's head.
+    """
+    xref = _transform_ref(trace_key(job.kernel, job.length), job.rule)
+    prev = _head(traces, xref)
+    applied = apply_rules(
+        traces, base, rule_text, prev=prev, message=f"apply {job.rule}"
+    )
+    if job.verify:
+        _verify_transform(traces, base, applied, rule_text)
+    hit = prev is not None and applied.commit.id == prev.id
+    if not hit:
+        traces.set_ref(xref, applied.commit.id)
+    return applied.commit, hit
 
 
-def _materialise_trace(
-    store: ArtifactStore, kernel: str, length: int
-) -> Tuple[Trace, bool]:
-    """Fetch or generate one program's trace; returns (trace, cache_hit)."""
-    cached = store.get_trace(trace_key(kernel, length))
-    if cached is not None:
-        return cached, True
-    return _generate_trace(store, kernel, length), False
+# -- worker entry points ------------------------------------------------------
 
 
 def execute_trace_task(
-    task: TraceTask, store_root: Union[str, Path]
+    task: TraceTask, directory: Union[str, Path]
 ) -> Dict[str, Any]:
     """Worker body for the shared trace stage.
 
-    On an artifact hit only the record count is needed, so it comes from
-    the stored trace's header; the trace is decoded by the jobs that
-    read its records.
+    On a hit only the record count is needed, and the commit object
+    holds it: no chunk is read.
     """
-    store = ArtifactStore(store_root, sweep=False)
+    traces = _trace_store(directory)
     started = time.monotonic()
     tele = get_telemetry()
     with tele.span("campaign.trace-task", cat="campaign", job=task.job_id):
-        records = store.trace_records(trace_key(task.kernel, task.length))
-        hit = records is not None
-        if records is None:
-            records = len(_generate_trace(store, task.kernel, task.length))
+        commit, hit = _trace_commit(traces, task.kernel, task.length)
     _count_artifact_hits(tele, {"trace": hit})
     return {
         "kind": "trace",
         "trace_key": trace_key(task.kernel, task.length),
-        "records": records,
+        "records": commit.records,
         "cache_hits": {"trace": hit},
         "compute_seconds": round(time.monotonic() - started, 6),
     }
@@ -205,49 +261,23 @@ def _count_artifact_hits(tele, hits: Dict[str, bool]) -> None:
     tele.add("campaign.artifact_misses", len(hits) - served)
 
 
-def _transform_stage(
-    store: ArtifactStore,
-    trace: Trace,
-    rule_text: str,
-    input_key: str,
-    verify: bool,
-) -> Tuple[Trace, bool]:
-    """Fetch or compute one transformed trace; returns (trace, cache_hit).
-
-    With ``verify`` the output is replayed through the soundness oracle
-    before it is stored, so an unsound transform is never cached.
-    """
-    cached = store.get_trace(input_key)
-    if cached is not None:
-        if verify:
-            # Cached transform: the engine's allocation map is gone, but
-            # the oracle reconstructs it from the rules on its own.
-            _verify_transform(trace, cached, rule_text, None)
-        return cached, True
-    result = TransformEngine(parse_rules(rule_text)).transform(trace)
-    if verify:
-        _verify_transform(trace, result.trace, rule_text, result.allocations)
-    store.put_trace(input_key, result.trace)
-    return result.trace, False
-
-
 def execute_grid_task(
-    task: GridTask, store_root: Union[str, Path]
+    task: GridTask, directory: Union[str, Path]
 ) -> Dict[str, Any]:
     """Worker body for one grid task: every member point, one pass.
 
     Per-member store lookups run first — a stored member costs one JSON
-    read — then the shared trace materialises once and the task's route
-    answers every remaining member: ``tracestore`` applies the rule file
-    to the commit store once and simulates each member's chain; ``fast``
-    and ``reference`` transform once and simulate every member through
-    :func:`simulation_fields`.  Each payload is stored under the member's
-    own simulation key.  Raises on unrecoverable input problems (bad
-    rule file, invalid config) — the scheduler turns that into
+    read — then the shared trace commit is taken (and transformed under
+    the rule) once, and the task's route answers every remaining
+    member: ``tracestore`` simulates each member's chain, ``fast`` and
+    ``reference`` simulate every member through
+    :func:`simulation_fields`.  Each payload is stored under the
+    member's own simulation key.  Raises on unrecoverable input problems
+    (bad rule file, invalid config) — the scheduler turns that into
     retry-then-degrade for every member.
     """
     tele = get_telemetry()
-    store = ArtifactStore(store_root, sweep=False)
+    store = ArtifactStore(Path(directory) / "artifacts", sweep=False)
     started = time.monotonic()
     head = task.members[0]
     payloads: Dict[str, Dict[str, Any]] = {}
@@ -267,60 +297,49 @@ def execute_grid_task(
                     )
         hits = {"simulation": not pending}
         if pending:
+            traces = _trace_store(directory)
             with tele.span("campaign.stage.trace", cat="campaign"):
-                trace, hits["trace"] = _materialise_trace(
-                    store, head.kernel, head.length
+                commit, hits["trace"] = _trace_commit(
+                    traces, head.kernel, head.length
                 )
-            incremental = task.route == "tracestore"
-            verified = head.verify and rule_text is not None
-            if rule_text is not None and not incremental:
+            if rule_text is not None:
                 with tele.span("campaign.stage.transform", cat="campaign"):
-                    trace, hits["transform"] = _transform_stage(
-                        store, trace, rule_text, input_key, head.verify
+                    commit, hits["transform"] = _transform_commit(
+                        traces, commit, head, rule_text
                     )
             configs = [job.cache.to_config() for job in pending]
             route = {"route": task.route}
             if task.route_reason is not None:
                 route["route_reason"] = task.route_reason
-            stage = "tracestore" if incremental else "simulate"
+            chain = task.route == "tracestore"
+            stage = "tracestore" if chain else "simulate"
             with tele.span(f"campaign.stage.{stage}", cat="campaign"):
-                if incremental:
-                    # Transform + simulate through the trace commit
-                    # store, reusing the chunks and snapshots earlier
-                    # sweeps left behind; the payloads are
-                    # field-identical to the other routes'.
-                    from repro.tracestore.campaign import (
-                        incremental_job_fields,
-                        tracestore_root_for,
-                    )
-
-                    fields, records = incremental_job_fields(
-                        tracestore_root_for(store_root),
-                        trace,
-                        trace_key(head.kernel, head.length),
-                        head.rule,
-                        rule_text,
-                        configs,
-                        head.attribution,
-                    )
+                if chain:
+                    # One resumable chain pass per config, reusing the
+                    # snapshots earlier sweeps of this rule file left.
+                    fields = [
+                        simulate_chain(
+                            traces, commit, config, attribution=head.attribution
+                        ).fields()
+                        for config in configs
+                    ]
                 else:
                     fields = simulation_fields(
-                        trace,
+                        traces.checkout(commit),
                         configs,
                         head.attribution,
                         use_fast=task.route == "fast",
                     )
-                    records = len(trace)
                 for job, sim_fields in zip(pending, fields):
                     skey = simulation_key(input_key, job)
                     payload: Dict[str, Any] = {
                         "kind": "simulation",
                         "simulation_key": skey,
-                        "records": records,
+                        "records": commit.records,
                         "transformed_records": (
-                            None if rule_text is None else records
+                            None if rule_text is None else commit.records
                         ),
-                        "verified": verified,
+                        "verified": head.verify and rule_text is not None,
                     }
                     payload.update(sim_fields)
                     store.put_json(skey, payload)
@@ -339,17 +358,18 @@ def execute_grid_task(
     }
 
 
-def execute_job(job: Job, store_root: Union[str, Path]) -> Dict[str, Any]:
+def execute_job(job: Job, directory: Union[str, Path]) -> Dict[str, Any]:
     """Run one grid point as a task of its own; returns its payload."""
     (task,) = plan_tasks([job], fast=True)
-    return execute_grid_task(task, store_root)["members"][job.job_id]
+    return execute_grid_task(task, directory)["members"][job.job_id]
 
 
 def execute_task(
-    task: Union[TraceTask, GridTask], store_root: Union[str, Path]
+    task: Union[TraceTask, GridTask], directory: Union[str, Path]
 ) -> Dict[str, Any]:
     """Dispatch either task kind: the one entry the scheduler runs,
-    inline or on its process pool."""
+    inline or on its process pool.  ``directory`` is the campaign
+    directory, holding ``artifacts/`` and ``tracestore/``."""
     if isinstance(task, TraceTask):
-        return execute_trace_task(task, store_root)
-    return execute_grid_task(task, store_root)
+        return execute_trace_task(task, directory)
+    return execute_grid_task(task, directory)

@@ -9,8 +9,8 @@ Execution model:
   import (:mod:`repro.campaign.jobs`, numpy, the tracer).
 - **Phase 1** runs the deduplicated :class:`TraceTask` list — one task
   per distinct ``(kernel, length)`` a missing point needs — so the
-  expensive shared stage is computed exactly once no matter how many
-  grid points reuse it.
+  expensive shared stage (trace, commit to the trace commit store) is
+  computed exactly once no matter how many grid points reuse it.
 - **Phase 2** routes every missing grid point
   (:func:`~repro.campaign.grid.plan_tasks`), folds the points that share
   a trace and a kernel route into one :class:`GridTask`, and fans the
@@ -164,9 +164,10 @@ class CampaignResult:
 
 
 def execute_task(
-    task: Union[TraceTask, GridTask], store_root: str
+    task: Union[TraceTask, GridTask], directory: str
 ) -> Dict[str, Any]:
-    """Run one task: :func:`repro.campaign.jobs.execute_task`.
+    """Run one task against a campaign directory:
+    :func:`repro.campaign.jobs.execute_task`.
 
     Every executor calls the pipeline through this name.  The scheduler
     imports :mod:`repro.campaign.jobs` before it starts any work, so
@@ -174,7 +175,7 @@ def execute_task(
     """
     from repro.campaign.jobs import execute_task as execute
 
-    return execute(task, store_root)
+    return execute(task, directory)
 
 
 def _result_rows(
@@ -216,7 +217,7 @@ class _WorkerSlot:
         self.started_at: float = 0.0
 
 
-def _worker_main(worker_id: int, task_queue, result_queue, store_root: str) -> None:
+def _worker_main(worker_id: int, task_queue, result_queue, directory: str) -> None:
     """Worker process body: execute tasks until the ``None`` sentinel.
 
     When the (fork-inherited) telemetry registry is enabled, each task
@@ -237,7 +238,7 @@ def _worker_main(worker_id: int, task_queue, result_queue, store_root: str) -> N
         if telemetry.enabled:
             telemetry.reset()
         try:
-            result = execute_task(task, store_root)
+            result = execute_task(task, directory)
             if telemetry.enabled and isinstance(result, dict):
                 telemetry.sample_rss()
                 result = dict(result)
@@ -280,8 +281,10 @@ class Scheduler:
     spec:
         The campaign to run.
     directory:
-        Campaign working directory; holds ``artifacts/`` (the
-        content-addressed store) and ``manifest.jsonl``.
+        Campaign working directory; holds ``artifacts/`` (one JSON
+        payload per grid point), ``tracestore/`` (the trace commit
+        store: every trace and transform) and ``manifest.jsonl``.  Task
+        bodies are handed this directory.
     workers:
         Worker processes; ``<= 1`` runs inline unless a ``timeout`` is
         set, which always runs on the process pool (at least one
@@ -543,7 +546,7 @@ class Scheduler:
     ) -> List[JobOutcome]:
         """Inline executor: same policy, no processes, no timeouts."""
         outcomes = []
-        store_root = str(self.store.root)
+        directory = str(self.directory)
         for task in tasks:
             attempt = 0
             total_elapsed = 0.0
@@ -554,7 +557,7 @@ class Scheduler:
                 )
                 started = time.monotonic()
                 try:
-                    payload = execute_task(task, store_root)
+                    payload = execute_task(task, directory)
                 except Exception as exc:
                     elapsed = time.monotonic() - started
                     total_elapsed += elapsed
@@ -618,7 +621,7 @@ class Scheduler:
     ) -> List[JobOutcome]:
         """Process-pool executor with per-task deadlines and replacement."""
         ctx = _mp_context()
-        store_root = str(self.store.root)
+        directory = str(self.directory)
         result_queue = ctx.Queue()
         n_workers = max(1, min(self.workers, len(tasks)))
 
@@ -626,7 +629,7 @@ class Scheduler:
             task_queue = ctx.Queue()
             process = ctx.Process(
                 target=_worker_main,
-                args=(worker_id, task_queue, result_queue, store_root),
+                args=(worker_id, task_queue, result_queue, directory),
                 daemon=True,
             )
             process.start()

@@ -31,7 +31,6 @@ __all__, __getattr__, __dir__ = lazy_exports(
         "repro.simbatch.plan": (
             "BatchPlan",
             "GeometryGroup",
-            "batch_eligible",
             "plan_batch",
         ),
         "repro.simbatch.runner": (

@@ -478,7 +478,13 @@ class MultiConfigSimulator:
             expanded[block_size] = (blocks, access_index, owners)
             seen = self._seen[block_size]
             before = len(seen)
-            seen.update(np.unique(blocks).tolist())
+            # Distinct blocks by sort: a bare np.unique imports numpy.ma
+            # on first use (~15 ms) and its hash table is slower here.
+            ordered = np.sort(blocks)
+            first = np.empty(len(ordered), dtype=bool)
+            first[:1] = True
+            np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+            seen.update(ordered[first].tolist())
             compulsory[block_size] = len(seen) - before
         # Shared stage 2: ONE fused stack pass for every geometry group
         # (disjoint virtual set ranges), then one histogram build per

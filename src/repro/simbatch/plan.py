@@ -55,17 +55,6 @@ def fast_path_declined(config: CacheConfig) -> Optional[str]:
     return None
 
 
-def batch_eligible(config: CacheConfig) -> bool:
-    """Whether ``config`` can join a batched pass.
-
-    Exactly the fast-path coverage matrix (:func:`supports_fast_path`):
-    write-allocate, direct-mapped or true-LRU, not fully associative.
-    Round-robin and PLRU configs break stack inclusion and must run
-    through the reference simulator.
-    """
-    return supports_fast_path(config)
-
-
 @dataclass(frozen=True)
 class GroupMember:
     """One configuration inside a geometry group."""
@@ -139,7 +128,7 @@ def plan_batch(configs: Sequence[CacheConfig]) -> BatchPlan:
     ineligible = []
     for index, config in enumerate(configs):
         member = GroupMember(index=index, config=config)
-        if not batch_eligible(config):
+        if not supports_fast_path(config):
             ineligible.append(member)
             continue
         key = (config.block_size, config.n_sets)

@@ -26,8 +26,6 @@ thread are one byte each and function ids two, with the top value
 above 65535, raises :class:`~repro.errors.TraceFormatError` naming the
 field, the value and the record index instead of being saved as
 something else.
-:func:`read_record_count` reads the record count from the header after
-the same checks :func:`iter_binary` makes before it decompresses.
 """
 
 from __future__ import annotations
@@ -200,20 +198,6 @@ def _parse_header(head: bytes, size: int, path: Path) -> Tuple[int, int, int, in
             )
         offset += length
     return func_len, var_len, body_len, count
-
-
-def read_record_count(path: Union[str, Path]) -> int:
-    """The record count a v1 trace's header declares, without decoding.
-
-    Runs the checks :func:`iter_binary` makes before it decompresses
-    (magic, version, blob lengths that fit inside the file), so a
-    truncated or foreign file raises :class:`TraceFormatError` here too.
-    """
-    path = Path(path)
-    with open(path, "rb") as handle:
-        size = os.fstat(handle.fileno()).st_size
-        head = handle.read(_BODY_PREFIX)
-    return _parse_header(head, size, path)[3]
 
 
 def _record_windows(

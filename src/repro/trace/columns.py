@@ -124,6 +124,43 @@ class TraceColumns:
         )
 
     @classmethod
+    def concat(cls, parts: Sequence["TraceColumns"]) -> "TraceColumns":
+        """``parts`` one after another, as one column set.
+
+        Each part's ``func_id`` and ``var_id`` shift by the sizes of the
+        tables before it (``ABSENT`` stays ``ABSENT``); the function
+        tables are joined and the path tables merged with
+        :meth:`PathTable.concat`.  No record is built.
+        """
+        def shifted(ids: np.ndarray, by: int) -> np.ndarray:
+            return np.where(ids == ABSENT, ids, ids + by)
+
+        head = parts[0]
+        func_ids, var_ids = [head.func_id], [head.var_id]
+        functions, paths = list(head.functions), head.paths
+        for part in parts[1:]:
+            func_ids.append(shifted(part.func_id, len(functions)))
+            var_ids.append(shifted(part.var_id, len(paths)))
+            functions.extend(part.functions)
+            paths = paths.concat(part.paths)
+
+        def joined(name: str) -> np.ndarray:
+            return np.concatenate([getattr(part, name) for part in parts])
+
+        return cls(
+            kind=joined("kind"),
+            addr=joined("addr"),
+            size=joined("size"),
+            scope=joined("scope"),
+            frame=joined("frame"),
+            thread=joined("thread"),
+            func_id=np.concatenate(func_ids),
+            var_id=np.concatenate(var_ids),
+            functions=tuple(functions),
+            paths=paths,
+        )
+
+    @classmethod
     def from_records(cls, records: Iterable[TraceRecord]) -> "TraceColumns":
         """Columns of a record sequence, interned like the writers intern.
 

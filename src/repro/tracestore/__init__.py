@@ -5,6 +5,12 @@ commits: chunk blobs dedupe by SHA-256, rule application is a commit,
 and the fast simulator resumes from per-chunk residency snapshots — so
 editing a rule file costs only the chunks the edit provably touched
 (:mod:`repro.tracestore.delta` carries the static proof).
+
+This is the campaign's one trace container: every campaign directory
+keeps its traces and transforms as commits in ``<dir>/tracestore``
+(refs ``trace/<trace key>`` and ``xform/<trace key>/<rule id>``; see
+:mod:`repro.campaign.jobs`).  The v1 ``binformat`` container is an
+exchange format only (``tdst trace --binary``, ``tdst convert``).
 """
 
 from repro._lazy import lazy_exports
@@ -35,6 +41,5 @@ __all__, __getattr__, __dir__ = lazy_exports(
         "repro.tracestore.resim": ("ChainSimResult", "simulate_chain", "snapshot_id"),
         "repro.tracestore.store": ("TraceStore",),
         "repro.tracestore.transform": ("ApplyResult", "apply_rules"),
-        "repro.tracestore.campaign": ("incremental_job_fields", "tracestore_root_for"),
     },
 )

@@ -31,7 +31,7 @@ from repro.errors import TraceFormatError
 from repro.obsv.atomic import atomic_write
 from repro.obsv.telemetry import get_telemetry
 from repro.trace.columnar import ColumnarTrace, save_columnar
-from repro.trace.columns import MISC_KIND
+from repro.trace.columns import MISC_KIND, TraceColumns
 from repro.trace.record import TraceRecord
 from repro.trace.stream import (
     DEFAULT_CHUNK_RECORDS,
@@ -148,7 +148,10 @@ class TraceStore:
         path = self.commit_path(cid)
         if not path.exists():
             raise TraceFormatError(f"{self.root}: no commit {cid}")
-        return Commit.from_json(json.loads(path.read_text(encoding="utf-8")))
+        try:
+            return Commit.from_json(json.loads(path.read_text(encoding="utf-8")))
+        except (ValueError, KeyError, TypeError) as exc:
+            raise TraceFormatError(f"{path}: corrupt commit object: {exc}") from exc
 
     def commit_trace(
         self,
@@ -185,13 +188,18 @@ class TraceStore:
             return self.write_commit(commit)
 
     def checkout(self, commit: Union[str, Commit]) -> Trace:
-        """Materialise a commit's full record sequence."""
+        """A commit's whole trace, columns-backed: every chunk is read
+        through :meth:`read_chunk` and their columns are concatenated
+        (:meth:`TraceColumns.concat`), so no record is built."""
         if isinstance(commit, str):
             commit = self.resolve(commit)
-        trace = Trace()
-        for chunk in commit.chunks:
-            trace.extend(self.read_chunk(chunk.blob))
-        return trace
+        if not commit.chunks:
+            return Trace()
+        return Trace.from_columns(
+            TraceColumns.concat(
+                [self.read_chunk(chunk.blob).columns() for chunk in commit.chunks]
+            )
+        )
 
     def log(self, head: Union[str, Commit]) -> Iterator[Commit]:
         """Walk a commit's parent chain, newest first."""

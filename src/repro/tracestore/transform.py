@@ -34,7 +34,7 @@ Correctness argument, spelled out because it is the whole point:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Dict, Optional
 
 from repro.obsv.telemetry import get_telemetry
 from repro.tracestore.chain import (
@@ -61,6 +61,9 @@ class ApplyResult:
     chunks_reused: int
     #: chunks pushed through the engine
     chunks_transformed: int
+    #: the engine's out-object bases (``None`` when ``prev`` came back
+    #: unchanged and no engine ran)
+    allocations: Optional[Dict[str, int]]
 
     @property
     def reuse_ratio(self) -> float:
@@ -107,6 +110,7 @@ def apply_rules(
                     chunks_total=len(base.chunks),
                     chunks_reused=len(base.chunks),
                     chunks_transformed=0,
+                    allocations=None,
                 )
             delta = rule_delta(prev.rule_text, rule_text)
 
@@ -148,4 +152,5 @@ def apply_rules(
             chunks_total=len(base.chunks),
             chunks_reused=reused,
             chunks_transformed=transformed,
+            allocations=dict(engine.allocations),
         )

@@ -1,8 +1,6 @@
 """Tests for the content-addressed artifact store."""
 
 from repro.campaign.artifacts import ArtifactStore, content_key
-from repro.tracer.interp import trace_program
-from repro.workloads.paper_kernels import paper_kernel
 
 
 class TestContentKey:
@@ -17,16 +15,6 @@ class TestContentKey:
 
 
 class TestArtifactStore:
-    def test_trace_round_trip(self, tmp_path):
-        store = ArtifactStore(tmp_path / "store")
-        trace = trace_program(paper_kernel("1a", length=16))
-        key = content_key("test-trace")
-        assert store.get_trace(key) is None
-        assert not store.has_trace(key)
-        store.put_trace(key, trace)
-        assert store.has_trace(key)
-        assert store.get_trace(key) == trace
-
     def test_json_round_trip(self, tmp_path):
         store = ArtifactStore(tmp_path / "store")
         key = content_key("test-json")
@@ -58,7 +46,7 @@ class TestArtifactStore:
     def test_no_tmp_files_left_behind(self, tmp_path):
         store = ArtifactStore(tmp_path / "store")
         store.put_json(content_key("x"), {"a": 1})
-        trace = trace_program(paper_kernel("1a", length=8))
-        store.put_trace(content_key("y"), trace)
+        store.put_json(content_key("x"), {"a": 2})
         leftovers = [p for p in store.root.rglob("*.tmp*")]
         assert leftovers == []
+        assert store.get_json(content_key("x")) == {"a": 2}

@@ -438,3 +438,95 @@ class TestImports:
             "1a-L64/baseline/2048B-32b-1w-lru/base",
             "1a-L64/t1/2048B-32b-1w-lru/base",
         ]
+
+
+def _json_artifacts(directory):
+    return {
+        p.name: p.read_bytes()
+        for p in sorted((directory / "artifacts").rglob("*.json"))
+    }
+
+
+class TestOneTraceStore:
+    """Campaign traces and transforms are trace-store commits; the v1
+    ``binformat`` container is an exchange format only."""
+
+    def test_cold_paper_campaign_never_touches_v1(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        import sys
+
+        import repro.campaign.jobs  # noqa: F401 - bind every import first
+        from repro.trace import binformat
+
+        for name in ("save_binary", "load_binary"):
+            original = getattr(binformat, name)
+
+            def refuse(*args, _name=name, **kwargs):
+                raise AssertionError(f"campaign called binformat.{_name}")
+
+            for module in list(sys.modules.values()):
+                if vars(module).get(name) is original:
+                    monkeypatch.setattr(module, name, refuse)
+        directory = tmp_path / "out"
+        argv = ["campaign", "paper", "--dir", str(directory), "--length", "64"]
+        assert main([*argv, "--jobs", "2"]) == 0
+        assert "done: 6  failed: 0" in capsys.readouterr().out
+        assert not list(directory.rglob("*.trace.tdst"))
+        assert sorted(p.name for p in directory.iterdir()) == [
+            "artifacts", "manifest.jsonl", "tracestore"
+        ]
+
+    def test_v1_campaign_directory_resumes_cold(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        """``tests/data/campaign_v1`` was written by ``tdst campaign
+        spec.toml`` while traces were v1 artifacts beside the payloads.
+        Rerun with a second cache, its stored points are served as they
+        are, and the points it lacks are traced afresh without opening
+        any ``.trace.tdst`` file."""
+        import builtins
+        import io
+        import json
+        import shutil
+
+        fixture = Path(__file__).parents[1] / "data" / "campaign_v1"
+        old = tmp_path / "old"
+        shutil.copytree(fixture, old)
+        v1 = {p: p.read_bytes() for p in old.rglob("*.trace.tdst")}
+        assert len(v1) == 2
+        spec = tmp_path / "wider.toml"
+        spec.write_text(
+            (fixture / "spec.toml").read_text()
+            + "\n[[caches]]\nsize = 2048\nblock = 32\nassoc = 1\n"
+        )
+        opened = []
+        real_open = io.open
+
+        def spying(file, *args, **kwargs):
+            if str(file).endswith(".trace.tdst"):
+                opened.append(str(file))
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "open", spying)
+        monkeypatch.setattr(io, "open", spying)
+        assert main(["campaign", str(spec), "--dir", str(old)]) == 0
+        monkeypatch.undo()
+        assert opened == []
+        rows = [json.loads(line) for line in (old / "manifest.jsonl").open()]
+        routes = {
+            row["job_id"]: row["result"]["route"]
+            for row in rows
+            if row["event"] == "job-done" and row["result"]["kind"] == "simulation"
+        }
+        assert routes == {
+            "1a-L16/baseline/1024B-32b-1w-lru/base": "store",
+            "1a-L16/t1/1024B-32b-1w-lru/base": "store",
+            "1a-L16/baseline/2048B-32b-1w-lru/base": "fast",
+            "1a-L16/t1/2048B-32b-1w-lru/base": "fast",
+        }
+        assert {p: p.read_bytes() for p in old.rglob("*.trace.tdst")} == v1
+        fresh = tmp_path / "fresh"
+        assert main(["campaign", str(spec), "--dir", str(fresh)]) == 0
+        assert "done: 4  failed: 0" in capsys.readouterr().out
+        assert _json_artifacts(old) == _json_artifacts(fresh)

@@ -92,25 +92,31 @@ class TestExecution:
         self, tmp_path, monkeypatch
     ):
         """On a primed store the trace stage reports the record count
-        from the artifact header: it never decodes the trace."""
+        from the commit object: it reads no chunk blob."""
+        from repro.tracestore.store import TraceStore
+
         task = TraceTask(kernel="1a", length=32)
         cold = execute_trace_task(task, tmp_path)
 
-        def no_decode(path):
-            raise AssertionError(f"trace stage decoded {path}")
+        def no_decode(store, bid):
+            raise AssertionError(f"trace stage opened blob {bid}")
 
-        monkeypatch.setattr("repro.campaign.artifacts.load_binary", no_decode)
+        monkeypatch.setattr(TraceStore, "open_blob", no_decode)
         warm = execute_trace_task(task, tmp_path)
         assert warm["cache_hits"] == {"trace": True}
         assert warm["records"] == cold["records"]
 
     def test_trace_task_hit_on_truncated_artifact_fails(self, tmp_path):
+        """A torn commit object behind the trace ref is an error naming
+        it, not a silent re-trace or a JSON traceback."""
+        from repro.tracestore.store import TraceStore
+
         task = TraceTask(kernel="1a", length=32)
         execute_trace_task(task, tmp_path)
-        store = ArtifactStore(tmp_path)
-        artifact = store.path_for(trace_key("1a", 32), ".trace.tdst")
-        artifact.write_bytes(artifact.read_bytes()[:-1])
-        with pytest.raises(TraceFormatError, match="truncated"):
+        store = TraceStore(tmp_path / "tracestore")
+        commit = store.commit_path(store.get_ref(f"trace/{trace_key('1a', 32)}"))
+        commit.write_bytes(commit.read_bytes()[:-1])
+        with pytest.raises(TraceFormatError, match="corrupt commit"):
             execute_trace_task(task, tmp_path)
 
     def test_baseline_job_end_to_end(self, tmp_path):
@@ -154,6 +160,45 @@ class TestExecution:
         assert trace_key("1a", 32) != trace_key("1b", 32)
         base = trace_key("1a", 32)
         assert transform_key(base, "rule A") != transform_key(base, "rule B")
+
+
+class TestOneStorePerDirectory:
+    def test_sibling_roots_share_nothing(self, tmp_path):
+        """A task body keeps both stores inside the directory it is
+        handed: two sibling roots running a baseline, a ``t1`` and a
+        ``file:`` point write nothing outside themselves, and each holds
+        its own trace and transform refs."""
+        from repro.tracestore.store import TraceStore
+        from repro.transform.paper_rules import RULE_T1_SOA_TO_AOS
+
+        rules = tmp_path / "rules" / "t1.rules"
+        rules.parent.mkdir()
+        rules.write_text(
+            RULE_T1_SOA_TO_AOS.format(length=32).replace("lAoS", "lRenamed")
+        )
+        runs = tmp_path / "runs"
+        roots = [runs / "a", runs / "b"]
+        jobs = [
+            Job(kernel="1a", length=32, rule=rule, cache=CacheSpec(size=2048))
+            for rule in ("baseline", "t1", f"file:{rules}")
+        ]
+        for root in roots:
+            routes = [execute_job(job, root)["route"] for job in jobs]
+            assert routes == ["fast", "fast", "tracestore"]
+        outside = [
+            p for p in tmp_path.rglob("*") if p.is_file() and runs not in p.parents
+        ]
+        assert outside == [rules]
+        assert sorted(p.name for p in runs.iterdir()) == ["a", "b"]
+        for root in roots:
+            assert sorted(p.name for p in root.iterdir()) == [
+                "artifacts", "tracestore"
+            ]
+            assert len(ArtifactStore(root / "artifacts")) == 3
+            refs = TraceStore(root / "tracestore").refs()
+            assert sorted(name.split("/")[0] for name in refs) == [
+                "trace", "xform", "xform"
+            ]
 
 
 class TestSimulationFields:

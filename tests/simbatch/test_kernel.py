@@ -208,3 +208,39 @@ class TestPaperTraces:
             for cfg, got in zip(configs, result.results):
                 want = reference_counts(cfg, addrs, sizes)
                 assert_matches_reference(got, want)
+
+
+class TestImports:
+    def test_simulate_batch_never_imports_numpy_ma(self):
+        """The kernel's distinct-block count is a sort, not a bare
+        ``np.unique``, which imports ``numpy.ma`` (~15 ms) on first use."""
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import repro
+
+        code = (
+            "import sys\n"
+            "from repro.cache.config import CacheConfig\n"
+            "from repro.simbatch.runner import simulate_batch\n"
+            "from repro.tracer.interp import trace_program\n"
+            "from repro.workloads.paper_kernels import paper_kernel\n"
+            "trace = trace_program(paper_kernel('1a', length=64))\n"
+            "configs = [CacheConfig(size=1024, block_size=32, associativity=a)"
+            " for a in (1, 4)]\n"
+            "result = simulate_batch(trace, configs, attribution='member')\n"
+            "assert result.results[0].demand_accesses > 0\n"
+            "print('numpy.ma' in sys.modules)\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(repro.__file__).parents[1])}
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=300,
+        )
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "False"

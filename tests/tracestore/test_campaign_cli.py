@@ -66,9 +66,14 @@ class TestEligibility:
             job = self._job(rule_file, rule=rule)
             assert plan_route(job, True) == ("fast", None)
 
-    def test_verify_jobs_keep_classic_route(self, rule_file):
+    def test_verify_jobs_take_the_store(self, tmp_path, rule_file):
+        """``verify`` checks the transform commit on every route, so a
+        ``file:`` point keeps the store route and is verified."""
         job = self._job(rule_file, verify=True)
-        assert plan_route(job, True) == ("fast", None)
+        assert plan_route(job, True) == ("tracestore", None)
+        payload = execute_job(job, tmp_path / "camp")
+        assert payload["route"] == "tracestore"
+        assert payload["verified"] is True
 
     def test_env_escape_hatches(self, rule_file, monkeypatch):
         """A route comes from the point and the ``fast`` argument alone;
@@ -188,7 +193,7 @@ class TestCampaignParity:
             rule=f"file:{rule_file}",
             cache=CacheSpec(size=1024, block=32, assoc=1),
         )
-        payload = execute_job(job, tmp_path / "artifacts")
+        payload = execute_job(job, tmp_path)
         assert payload["kind"] == "simulation"
         assert payload["route"] == "tracestore"
         assert payload["records"] == payload["transformed_records"]

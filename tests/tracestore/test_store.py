@@ -55,6 +55,36 @@ class TestCommits:
         commit = store.commit_trace(trace_64, chunk_records=100)
         assert list(store.checkout(commit)) == list(trace_64)
 
+    def test_checkout_builds_no_records(self, store, trace_64):
+        """A 3-chunk commit checks out as one columns-backed trace equal
+        to the committed one (absent functions and variables included),
+        and no record is built to get it."""
+        from repro.obsv.telemetry import get_telemetry
+        from repro.tracestore.chain import blob_id
+
+        records = list(trace_64)
+        middle = len(records) // 2
+        records[middle] = records[middle].evolve(func="", var=None)
+        committed = Trace(records)
+        commit = store.commit_trace(committed, chunk_records=-(-len(records) // 3))
+        assert len(commit.chunks) == 3
+        tele = get_telemetry()
+        tele.reset()
+        tele.enable()
+        try:
+            out = store.checkout(commit)
+            columns = out.columns()
+            built = tele.counters().get("trace.records_built", 0)
+        finally:
+            tele.disable()
+            tele.reset()
+        assert built == 0
+        assert len(columns.functions) == 3 and len(columns.paths) > len(
+            committed.columns().paths
+        )
+        assert out == committed
+        assert blob_id(out) == blob_id(committed)
+
     def test_chunking_boundary_independent_of_container(self, store, trace_64):
         # Committing the same records from a Trace or a plain list is
         # identical: chunk boundaries are positional.

@@ -1,22 +1,14 @@
 """Campaign integration: the opt-in post-job soundness check.
 
-``--verify`` must check the transform artifact where it is produced (or
-first reused from cache) and turn an unsound artifact into a
-:class:`~repro.errors.TransformError` so the scheduler's retry/degrade
+``--verify`` must check the transform commit where it is produced (or
+first reused from the trace commit store) and turn an unsound one into
+a :class:`~repro.errors.TransformError` so the scheduler's retry/degrade
 policy owns the failure.
 """
 
 import pytest
 
-from repro.campaign.artifacts import ArtifactStore
-from repro.campaign.jobs import (
-    Job,
-    execute_job,
-    expand_jobs,
-    resolve_rule_text,
-    trace_key,
-    transform_key,
-)
+from repro.campaign.jobs import Job, execute_job, expand_jobs
 from repro.campaign.spec import CacheSpec, CampaignSpec, GridEntry
 from repro.errors import TransformError
 from repro.trace.stream import Trace
@@ -84,24 +76,39 @@ class TestExecuteJob:
     def test_cached_transform_is_reverified(self, tmp_path):
         execute_job(job_for("t1", verify=False), tmp_path)
         # Different cache geometry: simulation key differs, but the
-        # transform artifact is reused from the store — verification
-        # must run on the reused artifact too.
+        # transform commit is reused from the store — verification
+        # must run on the reused commit too.
         payload = execute_job(job_for("t1", size=4096), tmp_path)
         assert payload["cache_hits"]["transform"] is True
         assert payload["verified"] is True
 
     def test_tampered_cached_transform_fails_the_job(self, tmp_path):
+        """A transform commit tampered with behind its ``xform/`` ref
+        fails the next point that reuses it."""
+        from repro.tracestore.chain import KIND_TRANSFORM, build_commit
+        from repro.tracestore.store import TraceStore
+
         execute_job(job_for("t1", verify=False), tmp_path)
-        store = ArtifactStore(tmp_path)
-        key = transform_key(
-            trace_key("1a", 16), resolve_rule_text("t1", 16)
-        )
-        records = list(store.get_trace(key))
+        store = TraceStore(tmp_path / "tracestore")
+        (xref,) = [name for name in store.refs() if name.startswith("xform/")]
+        commit = store.resolve(xref)
+        records = list(store.checkout(commit))
         for i, record in enumerate(records):
             if record.var is not None and record.var.base == "lAoS":
                 records[i] = record.evolve(addr=record.addr + 1)
                 break
-        store.put_trace(key, Trace(records))
+        chunks, start = [], 0
+        for meta in commit.chunks:
+            part = records[start : start + meta.records]
+            chunks.append(store.put_chunk(Trace(part)))
+            start += meta.records
+        tampered = store.write_commit(
+            build_commit(
+                KIND_TRANSFORM, commit.parent, chunks, rule_text=commit.rule_text
+            )
+        )
+        assert tampered.id != commit.id
+        store.set_ref(xref, tampered.id)
         with pytest.raises(TransformError, match="soundness"):
             execute_job(job_for("t1", size=4096), tmp_path)
 
