@@ -1,10 +1,11 @@
 """Parameter sweeps over cache configurations: one trace, many configs.
 
-The configs the vectorized kernel covers
-(:func:`repro.simbatch.plan.supports_fast_path`) share one
-:func:`~repro.simbatch.runner.simulate_batch` pass; the rest (FIFO,
-round-robin, PLRU, fully associative, ...) run through the reference
-simulator one after another.  Both routes give the same rows.
+The configs the batched kernel covers
+(:func:`repro.simbatch.plan.supports_fast_path`: direct-mapped, LRU,
+FIFO and round-robin) share one
+:func:`~repro.simbatch.runner.simulate_batch` pass; the rest (PLRU,
+random, fully associative LRU, no-write-allocate, ...) run through the
+reference simulator one after another.  Both routes give the same rows.
 """
 
 from __future__ import annotations

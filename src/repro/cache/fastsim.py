@@ -4,8 +4,8 @@ Large traces make per-record Python loops the bottleneck ("no optimization
 without measuring" — and we measured: the fast path runs 1-2 orders of
 magnitude faster than the reference simulator on a 200k-access stream;
 see ``benchmarks/bench_fastsim_speedup.py`` for the live numbers on your
-machine).  There is one vectorized kernel, the stack-position pass of
-:mod:`repro.simbatch.kernel`, and one carried-state type,
+machine).  There is one batched kernel, :mod:`repro.simbatch.kernel`
+(its stack-position pass and its FIFO pass), and one carried-state type,
 :class:`~repro.simbatch.kernel.MultiConfigSimulator`.  This module keeps
 its one-shot single-config face, :func:`fast_trace_counts`, for callers
 that already hold address arrays; trace files, traces and record streams
@@ -13,10 +13,12 @@ go through :func:`repro.simbatch.simulate_batch` (one config or many).
 
 Coverage (:func:`repro.simbatch.plan.supports_fast_path`): direct-mapped
 caches, which the kernel answers in closed form (an access hits iff the
-previous access to its set had the same block), and set-associative
+previous access to its set had the same block); set-associative
 true-LRU caches, where an access hits iff its block is among the ``ways``
-most-recently-used distinct blocks of its set.  Both assume
-write-allocate.
+most-recently-used distinct blocks of its set; and FIFO and round-robin
+caches at any set count (the PowerPC 440's L1D included), where an
+access hits iff its block is among the last ``ways`` blocks its set
+filled.  All assume write-allocate.
 
 The fast path is cross-validated against the reference simulator in
 ``tests/cache/test_fastsim.py`` on random and kernel traces, with exact

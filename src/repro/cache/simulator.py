@@ -10,9 +10,13 @@ the access is counted once, under ``writes`` in
 :class:`~repro.cache.stats.CacheStats`, since it leaves the line dirty.
 ``X`` records are skipped, as the paper disables instruction tracing.
 
-Covered configs (see :func:`repro.simbatch.plan.supports_fast_path`)
-also run, in bounded memory, through the batched kernel's
+Covered configs (direct-mapped, set-associative LRU, FIFO and
+round-robin with write-allocate; see
+:func:`repro.simbatch.plan.supports_fast_path`) also run, in bounded
+memory and without building records, through the batched kernel's
 :func:`repro.simbatch.simulate_batch`, which streams any trace file.
+This simulator stays the oracle they are checked against, and the only
+simulator for PLRU, random and no-write-allocate caches.
 """
 
 from __future__ import annotations

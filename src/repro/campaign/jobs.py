@@ -27,14 +27,18 @@ that keeps one JSON payload per grid point.
   :func:`~repro.tracestore.resim.simulate_chain`, which resumes from
   the deepest residency snapshot an earlier sweep left; routes ``fast``
   and ``reference`` run :func:`simulation_fields` over the commit's
-  trace read back as columns.
+  trace as columns: the engine's own output for a rule point it just
+  transformed (:meth:`~repro.tracestore.transform.ApplyResult.trace`),
+  the commit read back otherwise.
 
 Payloads are content-addressed (SHA-256 of kernel identity + rule text
 + config tuple), so every body is idempotent and safe to retry; workers
 only ever exchange plain dicts with the parent process.  Besides
 ``cache_hits``, each grid point's returned payload names its ``route``
 (``store``, ``fast``, ``tracestore`` or ``reference``, with a
-``route_reason`` for the last); neither is part of the stored artifact.
+``route_reason`` for the last) and, on ``fast`` and ``tracestore``,
+the ``kernel`` pass that answered it (``stack`` or ``fifo``); none of
+these is part of the stored artifact.
 """
 
 from __future__ import annotations
@@ -68,7 +72,7 @@ from repro.campaign.grid import (
 from repro.cache.config import CacheConfig
 from repro.cache.simulator import simulate
 from repro.obsv.telemetry import get_telemetry
-from repro.simbatch.plan import supports_fast_path
+from repro.simbatch.plan import runs_fifo, supports_fast_path
 from repro.simbatch.runner import kernel_fields, simulate_batch
 from repro.trace.stream import Trace
 from repro.tracer.interp import trace_program
@@ -91,12 +95,13 @@ def simulation_fields(
 ) -> List[Dict[str, Any]]:
     """The simulation-statistics fields of one payload per config.
 
-    Configs the vectorized kernel covers (direct-mapped or
-    set-associative LRU, write-allocate — see
+    Configs the batched kernel covers (direct-mapped, set-associative
+    LRU, FIFO or round-robin, write-allocate — see
     :func:`repro.simbatch.plan.supports_fast_path`) share one batched
-    kernel pass; every other config (round-robin, PLRU, ...) gets one
-    reference simulation.  Both routes produce identical values — the
-    kernel is cross-validated exactly in ``tests/cache/test_fastsim.py``
+    kernel pass; every other config (PLRU, random, no-write-allocate,
+    ...) gets one reference simulation.  Both routes produce identical
+    values — the kernel is cross-validated exactly in
+    ``tests/cache/test_fastsim.py``, ``tests/simbatch/test_fifo_pass.py``
     and ``tests/campaign/test_jobs.py`` — so artifact keys do not encode
     the route.  ``use_fast=False`` forces the reference simulator.
     """
@@ -208,9 +213,9 @@ def _verify_transform(
 
 def _transform_commit(
     traces: TraceStore, base: Commit, job: Job, rule_text: str
-) -> Tuple[Commit, bool]:
+) -> Tuple[ApplyResult, bool]:
     """Apply one point's rule text to its trace commit; returns
-    ``(commit, cache_hit)``.
+    ``(applied, cache_hit)``.
 
     With ``verify`` the commit is checked before its ref moves, so an
     unsound transform never becomes the lineage's head.
@@ -225,7 +230,7 @@ def _transform_commit(
     hit = prev is not None and applied.commit.id == prev.id
     if not hit:
         traces.set_ref(xref, applied.commit.id)
-    return applied.commit, hit
+    return applied, hit
 
 
 # -- worker entry points ------------------------------------------------------
@@ -271,7 +276,8 @@ def execute_grid_task(
     the rule) once, and the task's route answers every remaining
     member: ``tracestore`` simulates each member's chain, ``fast`` and
     ``reference`` simulate every member through
-    :func:`simulation_fields`.  Each payload is stored under the
+    :func:`simulation_fields`, over the transform's output columns when
+    the rule was just applied.  Each payload is stored under the
     member's own simulation key.  Raises on unrecoverable input problems
     (bad rule file, invalid config) — the scheduler turns that into
     retry-then-degrade for every member.
@@ -302,11 +308,13 @@ def execute_grid_task(
                 commit, hits["trace"] = _trace_commit(
                     traces, head.kernel, head.length
                 )
+            applied: Optional[ApplyResult] = None
             if rule_text is not None:
                 with tele.span("campaign.stage.transform", cat="campaign"):
-                    commit, hits["transform"] = _transform_commit(
+                    applied, hits["transform"] = _transform_commit(
                         traces, commit, head, rule_text
                     )
+                commit = applied.commit
             configs = [job.cache.to_config() for job in pending]
             route = {"route": task.route}
             if task.route_reason is not None:
@@ -325,12 +333,14 @@ def execute_grid_task(
                     ]
                 else:
                     fields = simulation_fields(
-                        traces.checkout(commit),
+                        traces.checkout(commit)
+                        if applied is None
+                        else applied.trace(traces),
                         configs,
                         head.attribution,
                         use_fast=task.route == "fast",
                     )
-                for job, sim_fields in zip(pending, fields):
+                for job, config, sim_fields in zip(pending, configs, fields):
                     skey = simulation_key(input_key, job)
                     payload: Dict[str, Any] = {
                         "kind": "simulation",
@@ -343,8 +353,13 @@ def execute_grid_task(
                     }
                     payload.update(sim_fields)
                     store.put_json(skey, payload)
+                    provenance = dict(route)
+                    if task.route != "reference":
+                        provenance["kernel"] = (
+                            "fifo" if runs_fifo(config) else "stack"
+                        )
                     payloads[job.job_id] = returned_payload(
-                        payload, dict(hits), route, started
+                        payload, dict(hits), provenance, started
                     )
     _count_artifact_hits(tele, hits)
     elapsed = round(time.monotonic() - started, 6)

@@ -177,18 +177,19 @@ def _cmd_simulate_fast(args: argparse.Namespace) -> int:
     """``tdst simulate --fast``: one config through the batched kernel,
     streamed in chunks (bounded memory)."""
     from repro.simbatch import simulate_batch
-    from repro.simbatch.plan import supports_fast_path
+    from repro.simbatch.plan import fast_path_declined
 
     config = _cache_config(args)
     if getattr(args, "physical", None):
         print("error: --fast streams the trace file; --physical needs a "
               "materialized trace (drop one of the two)")
         return 2
-    if not supports_fast_path(config):
+    declined = fast_path_declined(config)
+    if declined is not None:
         print(
-            "error: no fast path covers this config (direct-mapped or "
-            "set-associative LRU with write-allocate only); "
-            "rerun without --fast"
+            f"error: no fast path covers this config ({declined}; the "
+            "kernel takes direct-mapped, set-associative LRU, FIFO and "
+            "round-robin caches with write-allocate); rerun without --fast"
         )
         return 2
     result = simulate_batch(args.trace, [config], chunk_records=args.chunk)
@@ -737,15 +738,17 @@ def _cmd_resim(args: argparse.Namespace) -> int:
     feeds only the remaining chunks, and stores new snapshots for the
     next run — the numbers are bit-identical to a cold full pass.
     """
-    from repro.simbatch.plan import supports_fast_path
+    from repro.simbatch.plan import fast_path_declined
     from repro.errors import TraceFormatError
     from repro.tracestore import TraceStore, simulate_chain
 
     config = _cache_config(args)
-    if not supports_fast_path(config):
+    declined = fast_path_declined(config)
+    if declined is not None:
         print(
             "error: resumable simulation needs a fast-path config "
-            "(direct-mapped or set-associative LRU, write-allocate)"
+            "(direct-mapped, set-associative LRU, FIFO or round-robin, "
+            f"write-allocate): {declined}"
         )
         return 2
     store = TraceStore(args.store)

@@ -45,8 +45,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
-from repro.cache.config import CacheConfig
-from repro.simbatch.plan import supports_fast_path
+from repro.cache.config import AllocatePolicy, CacheConfig
 from repro.ctypes_model.path import VariablePath
 from repro.lint.symbolic import plan_allocations
 from repro.obsv import get_telemetry
@@ -408,6 +407,17 @@ def evaluate_rules(
     return report
 
 
+def recency_bounds_hold(config: CacheConfig) -> bool:
+    """Whether LRU recency arguments bound ``config``'s hits: every miss
+    fills (write-allocate), and the cache is direct-mapped (nothing to
+    choose) or true LRU.  FIFO and round-robin fail it — a reuse within
+    the set's capacity can still miss: 2-way FIFO, ``A B A C A``, the
+    last ``A`` misses where LRU hits."""
+    if config.allocate_policy is not AllocatePolicy.WRITE_ALLOCATE:
+        return False
+    return config.ways == 1 or config.policy.lower() == "lru"
+
+
 def _evaluate(
     digest: TraceDigest,
     rules: Union[RuleSet, str],
@@ -421,7 +431,7 @@ def _evaluate(
     ways = config.ways
     #: recency arguments hold for LRU (and trivially for direct-mapped);
     #: for other policies only the policy-independent bounds apply
-    lru = supports_fast_path(config)
+    lru = recency_bounds_hold(config)
 
     set_blocks: Dict[int, Set[int]] = {}
     set_events: Dict[int, int] = {}

@@ -9,7 +9,8 @@ factors the shared work out:
   (:func:`~repro.simbatch.plan.supports_fast_path`) and groups
   configurations by *geometry* (``block_size``, ``n_sets``) — members of
   a group share block expansion, set indexing, and one LRU
-  stack-distance pass;
+  stack-distance pass, or, for FIFO and round-robin members, one FIFO
+  pass per ``(block_size, n_sets, ways)``;
 - :mod:`repro.simbatch.kernel` holds the package's one fast-path
   kernel and its one carried-state type: a single chunked pass over the
   address stream computing hit/miss/eviction and per-variable counts

@@ -1,24 +1,36 @@
-"""The cache fast path: one stack-position kernel, one carried state.
+"""The cache fast path: two passes, one carried state.
 
-Every vectorized simulation in the package runs through
-:func:`_stack_positions` — a single config
+Every batched simulation in the package runs through one
+:class:`MultiConfigSimulator` — a single config
 (:func:`repro.cache.fastsim.fast_trace_counts`, ``tdst simulate
---fast``), a config grid or sweep, a trace-store chain.  The kernel
-records each access's LRU **stack position** (reuse distance over its
-set's block stream), and stack inclusion then answers every member of
-a geometry group at once::
+--fast``), a config grid or sweep, a trace-store chain — and each of
+its members takes one of two passes over the expanded block column:
 
-    hit in a w-way cache  <=>  position < w        (w == 1: direct-mapped)
+- LRU and direct-mapped members: :func:`_stack_positions` records each
+  access's LRU **stack position** (reuse distance over its set's block
+  stream), and stack inclusion then answers every member of a geometry
+  group at once::
 
-Everything downstream of the position array — per-set tallies, demand
-accounting, per-variable attribution, evictions — is per-config
-bincount bookkeeping.
+      hit in a w-way cache  <=>  position < w    (w == 1: direct-mapped)
+
+- FIFO and round-robin members above one way: :class:`_FifoSets` walks
+  the block column once per ``(block_size, n_sets, ways)``, with a way
+  row, a fill pointer and a resident-block set per geometry, and yields
+  positions 0 (hit) or 1 (miss) — a one-deep stack position.  From a
+  cold cache that is never invalidated round-robin *is* FIFO (fills
+  take the free ways in order, then the pointer cycles oldest-first),
+  and a FIFO hit leaves the set untouched, so each access costs one
+  set lookup after a run-collapse of immediate repeats.
+
+Everything downstream of the position arrays — per-set tallies, demand
+accounting, per-variable attribution, evictions — is the same per-config
+bincount bookkeeping for both.
 
 :class:`MultiConfigSimulator` is the only carried state: one fused stack
-matrix, the distinct blocks seen per block size, and per-config running
-totals, all carried between :meth:`~MultiConfigSimulator.feed` calls so
-chunked totals equal a whole-trace pass.  A single config is a batch of
-one.
+matrix, one residency matrix per FIFO geometry, the distinct blocks
+seen per block size, and per-config running totals, all carried between
+:meth:`~MultiConfigSimulator.feed` calls so chunked totals equal a
+whole-trace pass.  A single config is a batch of one.
 
 Accesses that straddle a block boundary are expanded to one entry per
 block first, mirroring the reference simulator.  The kernel assumes
@@ -36,7 +48,8 @@ import numpy as np
 from repro.errors import CacheConfigError
 from repro.cache.config import CacheConfig
 from repro.cache.stats import PerSetCounts
-from repro.simbatch.plan import BatchPlan, plan_batch
+from repro.obsv.telemetry import get_telemetry
+from repro.simbatch.plan import BatchPlan, GeometryGroup, plan_batch, runs_fifo
 
 
 @dataclass(frozen=True)
@@ -252,6 +265,82 @@ def _stack_positions(
     return positions
 
 
+class _FifoSets:
+    """Carried residency of one FIFO geometry: ``n_sets`` sets of ``ways``.
+
+    Each set is a way row plus a fill pointer at its oldest way (the
+    next one a miss fills: free ways in way order first, then oldest
+    first), and one Python set holds every resident block — a block
+    maps to one set, so membership is the hit test.  Shared by every
+    FIFO and round-robin member of the geometry.
+    """
+
+    __slots__ = ("n_sets", "ways", "_rows", "_next", "_resident")
+
+    def __init__(self, n_sets: int, ways: int) -> None:
+        self.n_sets = n_sets
+        self.ways = ways
+        #: block held by way ``w`` of set ``s`` at ``s * ways + w``; -1 empty
+        self._rows = [-1] * (n_sets * ways)
+        #: per set, the way the next miss fills
+        self._next = [0] * n_sets
+        self._resident: set = set()
+
+    def positions(self, blocks: np.ndarray) -> np.ndarray:
+        """Position 0 (hit) or 1 (miss) of every block, in trace order,
+        advancing the sets through them."""
+        n = len(blocks)
+        positions = np.zeros(n, dtype=np.int16)
+        if n == 0:
+            return positions
+        # An immediate repeat of a block hits and changes nothing: only
+        # the first access of each run enters the loop.
+        fresh = np.empty(n, dtype=bool)
+        fresh[0] = True
+        np.not_equal(blocks[1:], blocks[:-1], out=fresh[1:])
+        kept = np.flatnonzero(fresh)
+        mask = self.n_sets - 1
+        ways = self.ways
+        rows = self._rows
+        fill = self._next
+        resident = self._resident
+        misses = []
+        for i, block in enumerate(blocks[kept].tolist()):
+            if block in resident:
+                continue
+            s = block & mask
+            way = fill[s]
+            slot = s * ways + way
+            victim = rows[slot]
+            if victim != -1:
+                resident.remove(victim)
+            rows[slot] = block
+            resident.add(block)
+            fill[s] = way + 1 if way + 1 < ways else 0
+            misses.append(i)
+        positions[kept[misses]] = 1
+        return positions
+
+    def residency(self) -> np.ndarray:
+        """``(n_sets, ways)`` blocks in fill order, newest first, ``-1``
+        for empty ways (the stack-row layout)."""
+        rows = np.array(self._rows, dtype=np.int64).reshape(self.n_sets, self.ways)
+        newest = np.array(self._next, dtype=np.int64)[:, None] - 1
+        order = (newest - np.arange(self.ways, dtype=np.int64)) % self.ways
+        return np.take_along_axis(rows, order, axis=1)
+
+    def load(self, residency: np.ndarray) -> None:
+        """Rebuild the sets from :meth:`residency` rows (the way
+        numbering may differ; every future hit and miss is the same)."""
+        residency = np.asarray(residency, dtype=np.int64)
+        filled = np.count_nonzero(residency != -1, axis=1)
+        order = (filled[:, None] - 1 - np.arange(self.ways)) % self.ways
+        rows = np.take_along_axis(residency, order, axis=1)
+        self._rows = rows.ravel().tolist()
+        self._next = (filled % self.ways).tolist()
+        self._resident = set(residency[residency != -1].tolist())
+
+
 class _GroupHistograms:
     """One chunk's position histograms for a geometry group.
 
@@ -315,10 +404,13 @@ class _MemberTotals:
     are shared by every member, so neither is carried here.
     """
 
-    __slots__ = ("config", "per_set", "demand_hits", "per_variable")
+    __slots__ = ("config", "hit_below", "per_set", "demand_hits", "per_variable")
 
-    def __init__(self, config: CacheConfig) -> None:
+    def __init__(self, config: CacheConfig, hit_below: int) -> None:
         self.config = config
+        #: positions below this are hits: ``ways`` on the stack pass, 1
+        #: on the FIFO pass
+        self.hit_below = hit_below
         self.per_set = PerSetCounts.zeros(config.n_sets)
         self.demand_hits = 0
         self.per_variable: Dict[int, List[int]] = {}
@@ -331,13 +423,13 @@ class _MemberTotals:
         built; each member only reads tiny ``(n_sets, depth+1)`` and
         ``(depth+1,)`` tables here.
         """
-        w = self.config.ways
+        w = self.hit_below
         hits = hist.set_cum[:, w - 1]
         chunk = PerSetCounts(hits=hits, misses=hist.set_total - hits)
         self.per_set.hits += chunk.hits
         self.per_set.misses += chunk.misses
         # A demand access hits iff *every* block it touches hits, i.e.
-        # iff the max stack position across its blocks is < ways.
+        # iff the max position across its blocks is below the threshold.
         self.demand_hits += int(hist.access_cum[w - 1])
         if hist.owner_cum is not None:
             owner_hits = hist.owner_cum[:, w - 1]
@@ -372,7 +464,8 @@ class _MemberTotals:
         )
 
 
-#: Arrays every :meth:`MultiConfigSimulator.state` snapshot holds.
+#: Arrays every :meth:`MultiConfigSimulator.state` snapshot holds (plus
+#: ``fifo`` when some member takes the FIFO pass).
 _STATE_KEYS = (
     "config",
     "stacks",
@@ -390,17 +483,18 @@ class MultiConfigSimulator:
     """Stateful fast path: N configs (N >= 1), one chunked stream.
 
     Every config must satisfy
-    :func:`repro.simbatch.plan.supports_fast_path`.  All geometry groups
-    share a *single* stack pass per chunk: each group's sets are mapped
-    into a disjoint range of one virtual set space, the per-group block
-    streams are concatenated, and one kernel call (at the global
-    ``max(ways)`` depth — stack inclusion makes extra depth harmless)
-    answers every group at once.  Residency (one row of the fused stack
-    matrix per virtual set), the distinct blocks seen per block size,
-    and each member's running totals are carried between :meth:`feed`
-    calls, so chunked totals equal a whole-trace pass.  Peak memory is
-    O(chunk + sets*ways + distinct blocks); the trace itself never needs
-    to be materialized.
+    :func:`repro.simbatch.plan.supports_fast_path`.  All stack-pass
+    geometry groups share a *single* stack pass per chunk: each group's
+    sets are mapped into a disjoint range of one virtual set space, the
+    per-group block streams are concatenated, and one kernel call (at
+    the global ``max(ways)`` depth — stack inclusion makes extra depth
+    harmless) answers every group at once.  Each FIFO geometry runs its
+    own :class:`_FifoSets` pass.  Residency (one row of the fused stack
+    matrix per virtual set, one FIFO row per FIFO set), the distinct
+    blocks seen per block size, and each member's running totals are
+    carried between :meth:`feed` calls, so chunked totals equal a
+    whole-trace pass.  Peak memory is O(chunk + sets*ways + distinct
+    blocks); the trace itself never needs to be materialized.
     """
 
     def __init__(self, configs: Sequence[CacheConfig]) -> None:
@@ -416,12 +510,17 @@ class MultiConfigSimulator:
             raise CacheConfigError(
                 f"no fast path covers {labels}{more} (it needs "
                 "write-allocate and, above one way, true LRU in a "
-                "set-associative cache); use the reference simulator"
+                "set-associative cache or FIFO/round-robin replacement); "
+                "use the reference simulator"
             )
         self.configs = configs
-        self._totals = [_MemberTotals(c) for c in configs]
+        self._totals = [
+            _MemberTotals(c, 1 if runs_fifo(c) else c.ways) for c in configs
+        ]
+        #: one residency per FIFO geometry, parallel to ``plan.fifo``
+        self._fifo = [_FifoSets(g.n_sets, g.depth) for g in self.plan.fifo]
         #: one stack depth for the fused pass: the deepest member anywhere
-        self._depth = max(g.depth for g in self.plan.groups)
+        self._depth = max((g.depth for g in self.plan.groups), default=1)
         #: each group's sets occupy [base, base + n_sets) of the virtual
         #: set space, so one stack matrix carries every group's residency
         self._bases: List[int] = []
@@ -486,9 +585,40 @@ class MultiConfigSimulator:
             np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
             seen.update(ordered[first].tolist())
             compulsory[block_size] = len(seen) - before
-        # Shared stage 2: ONE fused stack pass for every geometry group
-        # (disjoint virtual set ranges), then one histogram build per
-        # group and O(depth) bookkeeping per member.
+        # Shared stage 2: ONE fused stack pass for every stack-pass
+        # geometry group and one FIFO pass per FIFO geometry, then one
+        # histogram build per group and O(depth) bookkeeping per member.
+        answered = self._stack_pass(expanded) if self.plan.groups else []
+        if self._fifo:
+            n_blocks = sum(len(expanded[g.block_size][0]) for g in self.plan.fifo)
+            with get_telemetry().span(
+                "simbatch.fifo", cat="simbatch",
+                configs=self.plan.n_fifo, blocks=n_blocks,
+            ):
+                for group, fifo in zip(self.plan.fifo, self._fifo):
+                    blocks = expanded[group.block_size][0]
+                    answered.append((
+                        group, blocks & np.int64(group.n_sets - 1),
+                        fifo.positions(blocks), 1,
+                    ))
+        chunk: Dict[int, FastCounts] = {}
+        for group, sets, pos, depth in answered:
+            _, access_index, owners = expanded[group.block_size]
+            hist = _GroupHistograms(
+                sets, pos, access_index, n_accesses, owners,
+                group.n_sets, depth,
+            )
+            for member in group.members:
+                chunk[member.index] = self._totals[member.index].absorb(
+                    hist, compulsory[group.block_size]
+                )
+        return [chunk[i] for i in range(len(self.configs))]
+
+    def _stack_pass(
+        self, expanded: Dict[int, Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]]
+    ) -> List[Tuple[GeometryGroup, np.ndarray, np.ndarray, int]]:
+        """``(group, sets, positions, depth)`` of every stack-pass group,
+        from one fused kernel call over disjoint virtual set ranges."""
         group_sets: List[np.ndarray] = []
         fused_blocks: List[np.ndarray] = []
         fused_vsets: List[np.ndarray] = []
@@ -504,21 +634,13 @@ class MultiConfigSimulator:
             self._depth,
             self._stacks,
         )
-        chunk: Dict[int, FastCounts] = {}
-        offset = 0
-        for group, sets in zip(self.plan.groups, group_sets):
-            blocks, access_index, owners = expanded[group.block_size]
-            pos = positions[offset : offset + len(blocks)]
-            offset += len(blocks)
-            hist = _GroupHistograms(
-                sets, pos, access_index, n_accesses, owners,
-                group.n_sets, self._depth,
+        cuts = np.cumsum([len(blocks) for blocks in fused_blocks])[:-1]
+        return [
+            (group, sets, pos, self._depth)
+            for group, sets, pos in zip(
+                self.plan.groups, group_sets, np.split(positions, cuts)
             )
-            for member in group.members:
-                chunk[member.index] = self._totals[member.index].absorb(
-                    hist, compulsory[group.block_size]
-                )
-        return [chunk[i] for i in range(len(self.configs))]
+        ]
 
     def results(self) -> List[FastTraceCounts]:
         """Per-config totals over everything fed, in input order."""
@@ -536,11 +658,13 @@ class MultiConfigSimulator:
     def state(self) -> Dict[str, np.ndarray]:
         """The complete carried state as flat, ``npz``-ready numpy arrays.
 
-        Residency, the distinct blocks seen per block size, every
-        member's per-set and demand totals, per-variable totals (rows
-        of ``(member, var_id, hits, misses)``) and the accesses/chunks
-        fed.  Restoring it with :meth:`restore` and feeding the
-        remaining chunks yields totals bit-identical to an
+        Residency (``stacks``, and ``fifo`` — every FIFO geometry's
+        :meth:`_FifoSets.residency` rows, flattened in plan order — when
+        some member takes the FIFO pass), the distinct blocks seen per
+        block size, every member's per-set and demand totals,
+        per-variable totals (rows of ``(member, var_id, hits, misses)``)
+        and the accesses/chunks fed.  Restoring it with :meth:`restore`
+        and feeding the remaining chunks yields totals bit-identical to an
         uninterrupted run: residency determines every future hit/miss
         decision and the accumulators are plain sums.
         """
@@ -553,7 +677,7 @@ class MultiConfigSimulator:
             for member, totals in enumerate(self._totals)
             for vid, (h, m) in sorted(totals.per_variable.items())
         ]
-        return {
+        state = {
             "config": self._describe(),
             "stacks": self._stacks.copy(),
             "seen_blocks": np.concatenate(seen),
@@ -570,6 +694,11 @@ class MultiConfigSimulator:
             "variables": np.array(variables, dtype=np.int64).reshape(-1, 4),
             "fed": np.array([self._accesses, self._chunks], dtype=np.int64),
         }
+        if self._fifo:
+            state["fifo"] = np.concatenate(
+                [sets.residency().ravel() for sets in self._fifo]
+            )
+        return state
 
     def restore(self, state: Dict[str, np.ndarray]) -> None:
         """Load a :meth:`state` snapshot taken under the same configs.
@@ -578,7 +707,8 @@ class MultiConfigSimulator:
         other configs or of another layout (a missing array, or stacks
         not shaped like this simulator's).
         """
-        missing = [key for key in _STATE_KEYS if key not in state]
+        keys = _STATE_KEYS + (("fifo",) if self._fifo else ())
+        missing = [key for key in keys if key not in state]
         if missing:
             raise CacheConfigError(
                 f"snapshot lacks {', '.join(missing)}: not a "
@@ -597,6 +727,16 @@ class MultiConfigSimulator:
                 f"snapshot stacks of shape {stacks.shape} do not match "
                 f"config geometry {self._stacks.shape}"
             )
+        if self._fifo:
+            fifo = np.asarray(state["fifo"], dtype=np.int64)
+            sizes = [sets.n_sets * sets.ways for sets in self._fifo]
+            if fifo.shape != (sum(sizes),):
+                raise CacheConfigError(
+                    f"snapshot FIFO rows of shape {fifo.shape} do not "
+                    f"match config geometry ({sum(sizes)},)"
+                )
+            for sets, rows in zip(self._fifo, np.split(fifo, np.cumsum(sizes)[:-1])):
+                sets.load(rows.reshape(sets.n_sets, sets.ways))
         self._stacks[:] = stacks
         seen = np.split(
             np.asarray(state["seen_blocks"], dtype=np.int64),

@@ -1,6 +1,6 @@
 """Batch planning: group cache configurations by shared geometry.
 
-The batching algebra rests on two facts:
+The batching algebra rests on three facts:
 
 1. **Set indexing depends only on geometry.**  The set of a block is
    ``block & (n_sets - 1)`` and the block of an address is
@@ -15,9 +15,19 @@ The batching algebra rests on two facts:
    iff its block sits at stack position ``< w``, and direct-mapped is
    the ``w == 1`` special case.
 
+3. **Round-robin from a cold cache is FIFO.**  Misses fill the free
+   ways in way order, and once a set is full the round-robin pointer
+   (starting at way 0) evicts the oldest fill; nothing invalidates a
+   line, so that holds for the whole run.  FIFO hits leave the set
+   untouched, so one per-set pass with a way row and a fill pointer
+   answers every FIFO or round-robin config of one ``(block_size,
+   n_sets, ways)`` — with no inclusion property, each associativity
+   is a pass of its own.
+
 So a grid of N configs collapses to one block expansion per distinct
-``block_size`` and one stack pass per distinct ``(block_size, n_sets)``
-— the per-config work left over is bincount bookkeeping.
+``block_size``, one stack pass per distinct ``(block_size, n_sets)``
+and one FIFO pass per distinct FIFO ``(block_size, n_sets, ways)`` —
+the per-config work left over is bincount bookkeeping.
 """
 
 from __future__ import annotations
@@ -28,15 +38,24 @@ from typing import Optional, Sequence, Tuple
 from repro.cache.config import AllocatePolicy, CacheConfig
 
 
-def supports_fast_path(config: CacheConfig) -> bool:
-    """Whether the stack-position kernel reproduces ``config`` exactly.
+#: replacement policies the FIFO pass answers (round-robin is FIFO from
+#: a cold cache that is never invalidated)
+FIFO_POLICIES = frozenset({"fifo", "round-robin", "rr"})
 
-    Coverage matrix: direct-mapped (any replacement policy — it is never
-    consulted at associativity 1) and set-associative true-LRU caches,
-    both requiring write-allocate so the hit/miss stream is independent
-    of the write mask.  Fully associative configs are excluded: with one
-    set the time-step kernel degenerates to a per-access Python loop and
-    the reference simulator is the better tool.
+
+def supports_fast_path(config: CacheConfig) -> bool:
+    """Whether the batched kernel reproduces ``config`` exactly.
+
+    Coverage matrix, every row requiring write-allocate so the hit/miss
+    stream is independent of the write mask: direct-mapped caches (any
+    replacement policy — it is never consulted at associativity 1),
+    set-associative true-LRU caches (the stack pass), and FIFO and
+    round-robin caches at any set count, fully associative included
+    (the FIFO pass, whose cost per access does not depend on the set
+    count).  Fully associative LRU is excluded: with one set the
+    stack pass degenerates to a per-access Python loop and the
+    reference simulator is the better tool.  PLRU and random stay on
+    the reference simulator.
     """
     return fast_path_declined(config) is None
 
@@ -48,11 +67,23 @@ def fast_path_declined(config: CacheConfig) -> Optional[str]:
         return f"{config.allocate_policy.value} caches are not covered"
     if config.ways == 1:
         return None
+    policy = config.policy.lower()
+    if policy in FIFO_POLICIES:
+        return None
+    if policy != "lru":
+        return (
+            f"{config.policy} replacement is not covered "
+            "(LRU, FIFO and round-robin only)"
+        )
     if config.associativity == 0:
-        return "fully associative caches are not covered"
-    if config.policy.lower() != "lru":
-        return f"{config.policy} replacement is not covered (LRU only)"
+        return "fully associative LRU caches are not covered"
     return None
+
+
+def runs_fifo(config: CacheConfig) -> bool:
+    """Whether a covered ``config`` takes the FIFO pass (above one way,
+    FIFO or round-robin) rather than the stack pass."""
+    return config.ways > 1 and config.policy.lower() in FIFO_POLICIES
 
 
 @dataclass(frozen=True)
@@ -70,7 +101,9 @@ class GroupMember:
 
 @dataclass(frozen=True)
 class GeometryGroup:
-    """Configs sharing ``(block_size, n_sets)`` — one stack pass total."""
+    """Configs sharing ``(block_size, n_sets)`` — one stack pass total —
+    or, in :attr:`BatchPlan.fifo`, FIFO configs sharing ``(block_size,
+    n_sets, ways)`` — one FIFO pass total."""
 
     block_size: int
     n_sets: int
@@ -89,28 +122,36 @@ class GeometryGroup:
 class BatchPlan:
     """How a config list decomposes into shared-work groups."""
 
+    #: stack-pass groups (LRU and direct-mapped members)
     groups: Tuple[GeometryGroup, ...]
     #: ``(index, config)`` pairs no batched kernel covers
     ineligible: Tuple[GroupMember, ...]
+    #: FIFO-pass groups (FIFO and round-robin members above one way)
+    fifo: Tuple[GeometryGroup, ...]
 
     @property
     def n_configs(self) -> int:
-        return sum(len(g) for g in self.groups) + len(self.ineligible)
+        return self.n_batched + len(self.ineligible)
+
+    @property
+    def n_fifo(self) -> int:
+        return sum(len(g) for g in self.fifo)
 
     @property
     def n_batched(self) -> int:
-        return sum(len(g) for g in self.groups)
+        return sum(len(g) for g in self.groups) + self.n_fifo
 
     @property
     def block_sizes(self) -> Tuple[int, ...]:
         """Distinct block sizes = number of block expansions needed."""
-        return tuple(sorted({g.block_size for g in self.groups}))
+        return tuple(sorted({g.block_size for g in self.groups + self.fifo}))
 
     def describe(self) -> str:
         """One-line shape summary for logs and telemetry."""
         return (
-            f"{self.n_batched} configs in {len(self.groups)} geometry "
-            f"group(s) over {len(self.block_sizes)} block size(s)"
+            f"{self.n_batched} configs in {len(self.groups) + len(self.fifo)} "
+            f"geometry group(s) over {len(self.block_sizes)} block size(s)"
+            + (f", {self.n_fifo} FIFO" if self.fifo else "")
             + (f", {len(self.ineligible)} ineligible" if self.ineligible else "")
         )
 
@@ -125,16 +166,24 @@ def plan_batch(configs: Sequence[CacheConfig]) -> BatchPlan:
     refuse.
     """
     by_geometry: dict = {}
+    by_fifo: dict = {}
     ineligible = []
     for index, config in enumerate(configs):
         member = GroupMember(index=index, config=config)
         if not supports_fast_path(config):
             ineligible.append(member)
-            continue
-        key = (config.block_size, config.n_sets)
-        by_geometry.setdefault(key, []).append(member)
+        elif runs_fifo(config):
+            key = (config.block_size, config.n_sets, config.ways)
+            by_fifo.setdefault(key, []).append(member)
+        else:
+            key = (config.block_size, config.n_sets)
+            by_geometry.setdefault(key, []).append(member)
     groups = tuple(
         GeometryGroup(block_size=bs, n_sets=ns, members=tuple(members))
         for (bs, ns), members in sorted(by_geometry.items())
     )
-    return BatchPlan(groups=groups, ineligible=tuple(ineligible))
+    fifo = tuple(
+        GeometryGroup(block_size=bs, n_sets=ns, members=tuple(members))
+        for (bs, ns, _), members in sorted(by_fifo.items())
+    )
+    return BatchPlan(groups=groups, ineligible=tuple(ineligible), fifo=fifo)

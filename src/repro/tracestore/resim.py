@@ -5,7 +5,8 @@ only skip re-simulation over an *unchanged prefix* of chunk blobs.  The
 store therefore keeps **residency snapshots**: the kernel's complete
 carried state (a one-config
 :class:`~repro.simbatch.kernel.MultiConfigSimulator`'s per-set LRU
-stacks, one way wide when direct-mapped, compulsory-miss block set,
+stacks, one way wide when direct-mapped, or its per-set FIFO rows in
+fill order for a FIFO or round-robin cache, compulsory-miss block set,
 accumulators and per-variable totals), content-addressed by
 ``(cache config, attribution, chunk-blob-id prefix)``.  Simulating a
 commit walks its blob ids, restores the deepest stored snapshot whose

@@ -15,7 +15,8 @@ columns-backed trace, the engine rewrites its columns (one plan per
 distinct variable path, carried from chunk to chunk, so pool slots,
 learned bases and ``existing`` injects continue across chunk cuts) and
 :meth:`TraceStore.put_chunk` stores the output columns.  No record
-object is built.
+object is built, and after a full transform :meth:`ApplyResult.trace`
+hands the output columns on without decoding the blobs just written.
 
 Correctness argument, spelled out because it is the whole point:
 
@@ -34,7 +35,7 @@ Correctness argument, spelled out because it is the whole point:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
 from repro.obsv.telemetry import get_telemetry
 from repro.tracestore.chain import (
@@ -44,6 +45,8 @@ from repro.tracestore.chain import (
     rules_id,
 )
 from repro.tracestore.delta import RuleDelta, rule_delta
+from repro.trace.columns import TraceColumns
+from repro.trace.stream import Trace
 from repro.tracestore.store import TraceStore
 from repro.transform.engine import TransformEngine
 from repro.transform.rule_parser import parse_rules
@@ -64,12 +67,26 @@ class ApplyResult:
     #: the engine's out-object bases (``None`` when ``prev`` came back
     #: unchanged and no engine ran)
     allocations: Optional[Dict[str, int]]
+    #: every chunk's output columns as the engine produced them, when it
+    #: transformed the whole base; ``None`` for an edit against ``prev``
+    #: (its callers re-simulate chunk by chunk from the store, and
+    #: keeping the transformed chunks would only raise their peak memory)
+    #: and when ``prev`` came back unchanged
+    outputs: Optional[Tuple[TraceColumns, ...]]
 
     @property
     def reuse_ratio(self) -> float:
         if not self.chunks_total:
             return 0.0
         return self.chunks_reused / self.chunks_total
+
+    def trace(self, store: TraceStore) -> Trace:
+        """The commit's whole trace, columns-backed: the engine's output
+        after a full transform, else the commit read back
+        (:meth:`TraceStore.checkout`)."""
+        if not self.outputs:
+            return store.checkout(self.commit)
+        return Trace.from_columns(TraceColumns.concat(self.outputs))
 
 
 def apply_rules(
@@ -111,11 +128,13 @@ def apply_rules(
                     chunks_reused=len(base.chunks),
                     chunks_transformed=0,
                     allocations=None,
+                    outputs=None,
                 )
             delta = rule_delta(prev.rule_text, rule_text)
 
         engine = TransformEngine(rules)
         chunks = []
+        outputs = None if reusable else []
         reused = 0
         transformed = 0
         for i, base_chunk in enumerate(base.chunks):
@@ -129,6 +148,8 @@ def apply_rules(
                 continue
             out = engine.transform(store.read_chunk(base_chunk.blob)).trace
             chunks.append(store.put_chunk(out))
+            if outputs is not None:
+                outputs.append(out.columns())
             transformed += 1
         tele.add("tracestore.chunks_reused", reused)
         tele.add("tracestore.chunks_retransformed", transformed)
@@ -153,4 +174,5 @@ def apply_rules(
             chunks_reused=reused,
             chunks_transformed=transformed,
             allocations=dict(engine.allocations),
+            outputs=None if outputs is None else tuple(outputs),
         )

@@ -58,7 +58,7 @@ def check_kernel_agreement(
     """Run both simulation kernels over ``records`` and compare counts.
 
     ``limit`` bounds the number of data records checked (``None`` checks
-    everything).  Configs with no fast-path coverage (non-LRU policies,
+    everything).  Configs with no fast-path coverage (PLRU, random,
     no-write-allocate...) produce a *skipped* report — there is only one
     kernel to trust there, so there is nothing to cross-check.
     """

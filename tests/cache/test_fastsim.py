@@ -1,7 +1,7 @@
 """Cross-validation of the vectorized fast path against the reference.
 
-Every shape of the one stack-position kernel (direct-mapped closed form,
-set-associative LRU stacks) and every entry point (global counts,
+Every shape of the batched kernel (direct-mapped closed form,
+set-associative LRU stacks, the FIFO pass) and every entry point (global counts,
 per-variable attribution, a chunked one-config
 ``MultiConfigSimulator``) must agree
 *exactly* — hit/miss/per-set/demand/eviction equality — with
@@ -19,7 +19,7 @@ from repro.cache.config import AllocatePolicy, CacheConfig
 from repro.cache.fastsim import fast_trace_counts
 from repro.cache.simulator import simulate
 from repro.simbatch.kernel import MultiConfigSimulator
-from repro.simbatch.plan import supports_fast_path
+from repro.simbatch.plan import fast_path_declined, supports_fast_path
 from repro.trace.record import AccessType, TraceRecord
 from tests.reference import assert_matches_reference, reference_counts
 
@@ -58,14 +58,33 @@ class TestSupportsFastPath:
             assert supports_fast_path(cfg)
 
     def test_associative_lru_only(self):
+        # Of the recency policies only true LRU takes the stack pass;
+        # PLRU and random stay on the reference simulator.
         assert supports_fast_path(small_cfg(4))
-        cfg = CacheConfig(size=512, block_size=32, associativity=4,
-                          policy="round-robin")
-        assert not supports_fast_path(cfg)
+        for policy in ("plru", "random"):
+            cfg = CacheConfig(size=512, block_size=32, associativity=4,
+                              policy=policy)
+            assert not supports_fast_path(cfg)
 
-    def test_ppc440_not_covered(self, ppc440_cache):
-        # 64-way round-robin: needs the reference simulator.
-        assert not supports_fast_path(ppc440_cache)
+    @pytest.mark.parametrize("policy", ["fifo", "round-robin", "rr", "FIFO"])
+    @pytest.mark.parametrize("assoc", [2, 4, 0])
+    def test_fifo_and_round_robin_covered(self, policy, assoc):
+        # The FIFO pass's cost does not depend on the set count, so
+        # fully associative (assoc 0) is covered too.
+        cfg = CacheConfig(size=512, block_size=32, associativity=assoc,
+                          policy=policy)
+        assert supports_fast_path(cfg)
+
+    def test_ppc440_covered(self, ppc440_cache):
+        # 64-way round-robin: the FIFO pass.
+        assert supports_fast_path(ppc440_cache)
+
+    def test_plru_not_covered(self):
+        # 64-way PLRU, the PPC440's geometry: needs the reference simulator.
+        cfg = CacheConfig(size=32 * 1024, block_size=32, associativity=64,
+                          policy="plru")
+        assert not supports_fast_path(cfg)
+        assert "plru" in fast_path_declined(cfg)
 
     def test_fully_associative_not_covered(self):
         cfg = CacheConfig(size=512, block_size=32, associativity=0)
@@ -184,7 +203,7 @@ class TestLRU:
 
     def test_rejects_non_lru_policy(self):
         cfg = CacheConfig(size=512, block_size=32, associativity=2,
-                          policy="fifo")
+                          policy="plru")
         with pytest.raises(CacheConfigError):
             fast_trace_counts(np.array([0], dtype=np.uint64), cfg)
 
@@ -338,9 +357,11 @@ class TestFastSimulator:
         sim.feed(np.array([], dtype=np.uint64))
         assert sim.chunks_fed == 2
 
-    def test_rejects_uncovered_config(self, ppc440_cache):
-        with pytest.raises(CacheConfigError):
-            MultiConfigSimulator([ppc440_cache])
+    def test_rejects_uncovered_config(self):
+        random_64 = CacheConfig(size=32 * 1024, block_size=32,
+                                associativity=64, policy="random")
+        with pytest.raises(CacheConfigError, match="random"):
+            MultiConfigSimulator([random_64])
 
 
 def feed_with_round_trip(cfg, addrs, sizes, var_ids, cuts, resume_at):

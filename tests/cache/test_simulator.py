@@ -244,8 +244,10 @@ class TestSimulateStream:
         from repro.simbatch import simulate_batch
 
         path, _ = self._write_trace(tmp_path, n=10)
+        plru = CacheConfig(size=32 * 1024, block_size=32, associativity=64,
+                           policy="plru")
         with pytest.raises(CacheConfigError):
-            simulate_batch(path, [CacheConfig.ppc440()])
+            simulate_batch(path, [plru])
 
     def test_summary_text(self, tmp_path, capsys):
         from repro.cli import main

@@ -10,6 +10,7 @@ from repro.campaign.jobs import (
     execute_trace_task,
     expand_jobs,
     resolve_rule_text,
+    simulation_fields,
     trace_key,
     transform_key,
 )
@@ -105,6 +106,39 @@ class TestExecution:
         warm = execute_trace_task(task, tmp_path)
         assert warm["cache_hits"] == {"trace": True}
         assert warm["records"] == cold["records"]
+
+    @pytest.mark.parametrize("cache", [CacheSpec(size=2048),
+                                       CacheSpec(ppc440=True)])
+    def test_cold_rule_point_simulates_the_engine_output(
+        self, tmp_path, monkeypatch, cache
+    ):
+        """A cold rule point on route ``fast`` decodes its base chunk
+        once (to transform it) and never decodes the chunk it just
+        wrote: it simulates the engine's output columns."""
+        from repro.tracestore.store import TraceStore
+
+        execute_trace_task(TraceTask(kernel="3a", length=64), tmp_path)
+        opened = []
+        open_blob = TraceStore.open_blob
+        monkeypatch.setattr(
+            TraceStore, "open_blob",
+            lambda store, bid: opened.append(bid) or open_blob(store, bid),
+        )
+        job = Job(kernel="3a", length=64, rule="t3", cache=cache)
+        payload = execute_job(job, tmp_path)
+        assert payload["route"] == "fast"
+        store = TraceStore(tmp_path / "tracestore")
+        base = store.resolve(f"trace/{trace_key('3a', 64)}")
+        (xref,) = [ref for ref in store.refs() if ref.startswith("xform/")]
+        transformed = store.resolve(xref)
+        assert sorted(opened) == sorted(base.blob_ids)
+        assert not set(opened) & set(transformed.blob_ids)
+        monkeypatch.setattr(TraceStore, "open_blob", open_blob)
+        (want,) = simulation_fields(
+            store.checkout(transformed), [cache.to_config()], "base",
+            use_fast=False,
+        )
+        assert {k: payload[k] for k in want} == want
 
     def test_trace_task_hit_on_truncated_artifact_fails(self, tmp_path):
         """A torn commit object behind the trace ref is an error naming
@@ -268,7 +302,9 @@ class TestSimulationFields:
         from repro.campaign.jobs import simulation_fields
         from repro.cache.config import CacheConfig
 
-        cfg = CacheConfig.ppc440()  # round-robin: no fast path
+        # 64-way PLRU, the PPC440's geometry: no fast path
+        cfg = CacheConfig(size=32 * 1024, block_size=32, associativity=64,
+                          policy="plru")
         lru = CacheConfig(size=2048, block_size=32, associativity=2)
         trace = kernel_traces["1a"]
         auto = simulation_fields(trace, [cfg, lru], "base")

@@ -266,22 +266,37 @@ class TestRouteProvenance:
     artifact does not."""
 
     def test_paper_grid_routes(self, tmp_path):
+        """Every paper point, the PPC440's round-robin ones included,
+        takes the kernel; a PLRU point added to the grid is declined
+        with its reason."""
+        import dataclasses
+
         from repro.campaign.spec import paper_figures_spec
 
         directory = tmp_path / "c"
-        spec = paper_figures_spec(length=32)
+        paper = paper_figures_spec(length=32)
+        plru = CacheSpec(size=32 * 1024, block=32, assoc=64, policy="plru")
+        spec = dataclasses.replace(
+            paper,
+            grid=paper.grid
+            + (GridEntry(kernel="3a", length=32, rules=("baseline",),
+                         caches=(plru,)),),
+        )
         run_campaign(spec, directory)
         cold = stored_json(directory)
         rows = done_rows(directory)
-        assert len(rows) == 6
+        assert len(rows) == 7
         for job_id, row in rows.items():
             result = row["result"]
-            if "/ppc440/" in job_id:
+            if f"/{plru.label()}/" in job_id:
                 assert result["route"] == "reference"
-                assert "round-robin" in result["route_reason"]
+                assert "plru" in result["route_reason"]
+                assert "kernel" not in result
             else:
                 assert result["route"] == "fast"
                 assert "route_reason" not in result
+                kernel = "fifo" if "/ppc440/" in job_id else "stack"
+                assert result["kernel"] == kernel
 
         run_campaign(spec, directory)
         assert {r["result"]["route"] for r in done_rows(directory).values()} == {
@@ -290,6 +305,7 @@ class TestRouteProvenance:
         assert stored_json(directory) == cold
         for blob in cold.values():
             assert b"route" not in blob and b"cache_hits" not in blob
+            assert b'"kernel"' not in blob
 
     def test_no_fast_and_batch_routes(self, tmp_path):
         spec = mini_spec(

@@ -1,9 +1,10 @@
 """Shared helpers for the static cost-model test suite.
 
 The single ground truth the interval tests compare against: block-level
-miss counts from the fast vectorized path when the geometry supports it,
-and from the reference simulator otherwise (fully associative, FIFO,
-round-robin).  Both skip ``X`` records, exactly as the digest does.
+miss counts from the batched kernel when it covers the geometry (its
+FIFO pass answers FIFO and round-robin), and from the reference
+simulator otherwise (fully associative LRU, PLRU, random).  Both skip
+``X`` records, exactly as the digest does.
 """
 
 from __future__ import annotations

@@ -7,11 +7,15 @@ from the *original* trace's digest.  These are the deterministic golden
 triples; the randomized sweep lives in ``test_cost_soundness.py``.
 """
 
+import dataclasses
+
 import pytest
 
 from repro.cache.config import CacheConfig
+from repro.ctypes_model.path import VariablePath
 from repro.lint.cost import evaluate_rules
 from repro.trace.digest import compute_digest
+from repro.trace.record import AccessType, TraceRecord
 from repro.tracer.interp import trace_program
 from repro.transform.engine import transform_trace
 from repro.transform.paper_rules import paper_rule
@@ -31,6 +35,7 @@ GEOMETRIES = [
     CacheConfig(size=2048, block_size=64, associativity=4, policy="lru"),
     CacheConfig(size=512, block_size=32, associativity=2, policy="fifo"),
     CacheConfig.ppc440(),
+    CacheConfig(size=512, block_size=32, associativity=0, policy="lru"),
 ]
 
 
@@ -56,6 +61,74 @@ def test_true_misses_inside_interval(kernel, rule_name, config):
     )
     if report.exact:
         assert true == report.interval.lo
+
+
+def _report_body(report):
+    return (report.interval, report.overflow_sets, report.per_variable,
+            report.reasons)
+
+
+@pytest.mark.parametrize("kernel", ["1a", "2a", "3a"])
+@pytest.mark.parametrize("rule_name", ["identity", "t1", "t3"])
+@pytest.mark.parametrize(
+    "config", [c for c in GEOMETRIES if c.ways > 1 and c.policy != "lru"],
+    ids=lambda c: c.describe(),
+)
+def test_fifo_reports_use_only_policy_independent_tiers(
+    kernel, rule_name, config
+):
+    """FIFO and round-robin reports equal a PLRU cache's of the same
+    geometry: neither earns the LRU guaranteed-hit tier."""
+    digest = compute_digest(trace_program(paper_kernel(kernel, length=LENGTH)))
+    rules = _rules(rule_name)
+    plru = dataclasses.replace(config, policy="plru")
+    assert _report_body(evaluate_rules(digest, rules, config)) == _report_body(
+        evaluate_rules(digest, rules, plru)
+    )
+
+
+class TestRecencyTier:
+    """Only direct-mapped and true-LRU caches get recency bounds."""
+
+    STREAM = [(0, "lA"), (32, "lB"), (0, "lA"), (64, "lC"), (0, "lA")]
+
+    def test_fifo_counter_example(self):
+        """``A B A C A`` in one 2-way set: FIFO fills A then B, C evicts
+        A (the oldest fill), and the last A misses where LRU hits it.
+        The recency tier would call it a guaranteed hit."""
+        records = [
+            TraceRecord(AccessType.LOAD, addr, 4, "f",
+                        var=VariablePath.parse(name))
+            for addr, name in self.STREAM
+        ]
+        digest = compute_digest(records)
+        fifo = CacheConfig(size=64, block_size=32, associativity=2,
+                           policy="fifo")
+        lru = CacheConfig(size=64, block_size=32, associativity=2)
+        assert true_block_misses(records, fifo) == 4
+        assert true_block_misses(records, lru) == 3
+        fifo_report = evaluate_rules(digest, RuleSet(), fifo)
+        lru_report = evaluate_rules(digest, RuleSet(), lru)
+        assert fifo_report.interval.contains(4)
+        assert (fifo_report.interval.lo, fifo_report.interval.hi) == (3, 5)
+        assert (lru_report.interval.lo, lru_report.interval.hi) == (3, 3)
+
+    def test_predicate(self):
+        from repro.cache.config import AllocatePolicy
+        from repro.lint.cost.model import recency_bounds_hold
+
+        def cfg(**kw):
+            return CacheConfig(size=512, block_size=32, **kw)
+
+        assert recency_bounds_hold(cfg(associativity=1, policy="fifo"))
+        assert recency_bounds_hold(cfg(associativity=4))
+        for policy in ("fifo", "round-robin", "rr", "plru", "random"):
+            assert not recency_bounds_hold(cfg(associativity=4, policy=policy))
+        assert not recency_bounds_hold(CacheConfig.ppc440())
+        assert not recency_bounds_hold(
+            cfg(associativity=4,
+                allocate_policy=AllocatePolicy.NO_WRITE_ALLOCATE)
+        )
 
 
 class TestIntervalShape:

@@ -261,8 +261,9 @@ rules = ["baseline", "t1"]
 
 
 class TestCampaignRecordsBuilt:
-    """A campaign job decodes, transforms, saves and simulates columns;
-    only the reference simulator (PPC440 round-robin) builds records."""
+    """A campaign job decodes, transforms, saves and simulates columns:
+    every paper point, the PPC440's round-robin ones included, runs on
+    the kernel, so no record is built."""
 
     def _profile(self, tmp_path, *args):
         profile = tmp_path / "p.jsonl"
@@ -281,19 +282,11 @@ class TestCampaignRecordsBuilt:
         assert counters["transform.records_in"] > 0
         assert counters.get("trace.records_built", 0) == 0
 
-    def test_paper_campaign_builds_only_the_ppc440_inputs(self, tmp_path, capsys):
-        from repro.tracer.interp import trace_program
-        from repro.transform.engine import TransformEngine
-        from repro.transform.paper_rules import paper_rule
-        from repro.workloads.paper_kernels import paper_kernel
-
+    def test_paper_campaign_builds_no_records(self, tmp_path, capsys):
         counters = self._profile(tmp_path, "paper", "--length", "64")
         assert counters["campaign.points_done"] == 6
-        trace = trace_program(paper_kernel("3a", length=64))
-        transformed = TransformEngine(paper_rule("t3", length=64)).transform(trace)
-        assert counters["trace.records_built"] == len(trace) + len(
-            transformed.trace
-        )
+        assert counters["transform.records_in"] > 0
+        assert counters.get("trace.records_built", 0) == 0
 
 
 class TestCampaignCommandSpans:

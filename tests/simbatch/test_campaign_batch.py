@@ -38,7 +38,9 @@ def payload_key(payload):
     return {
         k: v
         for k, v in payload.items()
-        if k not in ("cache_hits", "compute_seconds", "route", "route_reason")
+        if k not in (
+            "cache_hits", "compute_seconds", "route", "route_reason", "kernel"
+        )
     }
 
 
@@ -66,21 +68,46 @@ class TestGrouping:
             caches=(
                 CacheSpec(size=1024, block=32, assoc=2),
                 CacheSpec(size=2048, block=32, assoc=2),
-                CacheSpec(size=2048, block=32, assoc=2, policy="fifo"),
+                CacheSpec(size=2048, block=32, assoc=2, policy="plru"),
             ),
             attribution=("base",),
         )
         _, jobs = expand_jobs(spec)
         tasks = plan_tasks(jobs, fast=True)
-        fifo = [t for t in tasks if t.members[0].cache.policy == "fifo"]
-        assert [len(t.members) for t in fifo] == [1, 1]
-        assert {t.route for t in fifo} == {"reference"}
-        assert all("fifo" in t.route_reason for t in fifo)
+        plru = [t for t in tasks if t.members[0].cache.policy == "plru"]
+        assert [len(t.members) for t in plru] == [1, 1]
+        assert {t.route for t in plru} == {"reference"}
+        assert all("plru" in t.route_reason for t in plru)
         assert all(
-            all(m.cache.policy != "fifo" for m in t.members)
+            all(m.cache.policy != "plru" for m in t.members)
             for t in tasks
             if t.route == "fast"
         )
+
+    def test_fifo_members_join_the_kernel_task(self, tmp_path):
+        """FIFO and round-robin caches fold into the fast task with the
+        LRU caches, and each done payload names its kernel pass."""
+        spec = grid_spec(
+            caches=(
+                CacheSpec(size=1024, block=32, assoc=2),
+                CacheSpec(size=2048, block=32, assoc=2, policy="fifo"),
+                CacheSpec(size=2048, block=32, assoc=4, policy="round-robin"),
+            ),
+            attribution=("base",),
+        )
+        _, jobs = expand_jobs(spec)
+        tasks = plan_tasks(jobs, fast=True)
+        assert [len(t.members) for t in tasks] == [3, 3]
+        assert {t.route for t in tasks} == {"fast"}
+        (task,) = [t for t in tasks if "baseline" in t.job_id]
+        members = execute_grid_task(task, tmp_path / "s")["members"]
+        kernels = {
+            job.cache.policy: members[job.job_id]["kernel"]
+            for job in task.members
+        }
+        assert kernels == {"lru": "stack", "fifo": "fifo", "round-robin": "fifo"}
+        for blob in artifact_bytes(tmp_path / "s").values():
+            assert b"kernel" not in blob and b"route" not in blob
 
     def test_reference_only_jobs_stay_single(self):
         """With the kernel off every point is a reference task of its own."""

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import CacheConfigError
-from repro.cache.config import CacheConfig
+from repro.cache.config import AllocatePolicy, CacheConfig
 from repro.cache.simulator import simulate
 from repro.simbatch import (
     MultiConfigSimulator,
@@ -68,9 +68,9 @@ class TestPlan:
 
     def test_ineligible_separated(self):
         lru = CacheConfig(size=1024, block_size=32, associativity=2)
-        fifo = CacheConfig(size=1024, block_size=32, associativity=2,
-                           policy="fifo")
-        plan = plan_batch([lru, fifo])
+        plru = CacheConfig(size=1024, block_size=32, associativity=2,
+                           policy="plru")
+        plan = plan_batch([lru, plru])
         assert plan.n_batched == 1
         assert [m.index for m in plan.ineligible] == [1]
 
@@ -116,10 +116,12 @@ class TestAgainstFastPath:
         assert_matches_reference(a, reference_counts(cfg, addrs))
 
     def test_ineligible_config_raises(self):
-        fifo = CacheConfig(size=1024, block_size=32, associativity=2,
-                           policy="fifo")
-        with pytest.raises(CacheConfigError, match="fifo|eligible|fast"):
-            MultiConfigSimulator([fifo])
+        no_allocate = CacheConfig(
+            size=1024, block_size=32, associativity=2, policy="fifo",
+            allocate_policy=AllocatePolicy.NO_WRITE_ALLOCATE,
+        )
+        with pytest.raises(CacheConfigError, match="no fast path"):
+            MultiConfigSimulator([no_allocate])
 
     def test_empty_feed(self):
         configs = grid_configs()

@@ -429,8 +429,11 @@ class TestFastSimulate:
         assert "requires --fast" in capsys.readouterr().out
 
     def test_fast_rejects_uncovered_config(self, traced_kernel, capsys):
-        assert main(["sim", str(traced_kernel), "--fast", "--ppc440"]) == 2
-        assert "no fast path" in capsys.readouterr().out
+        argv = ["sim", str(traced_kernel), "--fast", "--assoc", "4",
+                "--policy", "plru"]
+        assert main(argv) == 2
+        out = capsys.readouterr().out
+        assert "no fast path" in out and "plru" in out
 
     def test_fast_rejects_physical(self, traced_kernel, capsys):
         assert (

@@ -237,6 +237,35 @@ class TestCli:
         # Same numbers both times.
         assert cold.split("miss ratio")[1] == hot.split("miss ratio")[1]
 
+    @pytest.mark.parametrize("policy", ["round-robin", "fifo"])
+    def test_resim_fifo_policies(self, tmp_path, capsys, monkeypatch, policy):
+        """A round-robin or FIFO cache re-simulates through the kernel's
+        FIFO pass: snapshots on the first run, all restored on the
+        second, and the reference simulator's numbers both times."""
+        from repro.cache.config import CacheConfig
+        from repro.campaign.jobs import simulation_fields
+        from repro.trace.stream import Trace
+
+        monkeypatch.chdir(tmp_path)
+        assert main(["trace", "3a", "--length", "64", "-o", "t.out"]) == 0
+        assert main(["commit", "t.out", "--store", "ts", "--ref", "trace/main",
+                     "--chunk", "100"]) == 0
+        capsys.readouterr()
+        args = ["resim", "trace/main", "--store", "ts", "--size", "1024",
+                "--block", "32", "--assoc", "4", "--policy", policy]
+        assert main(args) == 0
+        cold = capsys.readouterr().out
+        assert main(args) == 0
+        hot = capsys.readouterr().out
+        assert " 0 restored" in cold and "0 simulated" in hot
+        assert cold.splitlines()[1:] == hot.splitlines()[1:]
+        config = CacheConfig(size=1024, block_size=32, associativity=4,
+                             policy=policy)
+        (want,) = simulation_fields(Trace.load("t.out"), [config], "base",
+                                    use_fast=False)
+        assert f"misses:            {want['misses']}" in hot
+        assert f"evictions:         {want['evictions']}" in hot
+
     def test_log_without_ref_summarises(self, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)
         assert main(["log", "--store", "ts"]) == 0

@@ -251,6 +251,23 @@ def test_single_rule_edit_reuses_untouched_chunks(tmp_path):
     )
 
 
+def test_apply_result_trace_equals_checkout(tmp_path):
+    """A full transform hands its output columns on; an edit against
+    ``prev`` keeps none and reads the commit back.  Either way the
+    trace is the commit's."""
+    trace = _synthetic_trace(n=24, reps=6)
+    v1 = _soa_rule("lA", "lAoS", 24) + _soa_rule("lB", "lBoS", 24)
+    v2 = _soa_rule("lA", "lAoS", 24) + _soa_rule("lB", "lB2", 24)
+    store = TraceStore(tmp_path / "ts")
+    base = store.commit_trace(trace, chunk_records=32)
+    full = apply_rules(store, base, v1)
+    assert len(full.outputs) == full.chunks_total > 1
+    assert list(full.trace(store)) == list(store.checkout(full.commit))
+    edit = apply_rules(store, base, v2, prev=full.commit)
+    assert edit.chunks_reused > 0 and edit.outputs is None
+    assert list(edit.trace(store)) == list(store.checkout(edit.commit))
+
+
 def test_identical_rule_text_returns_previous_commit(tmp_path):
     trace = _synthetic_trace()
     rule = _soa_rule("lA", "lAoS", 24)
@@ -312,3 +329,78 @@ def test_pre_change_snapshots_resume_cold(tmp_path):
     refused = simulate_chain(store, commit, CONFIG)
     assert refused.chunks_skipped == 0
     assert refused.fields() == want
+
+
+PPC440 = CacheConfig.ppc440()
+FIFO_2W = CacheConfig(size=512, block_size=32, associativity=2, policy="fifo")
+
+
+@pytest.mark.parametrize("attribution", ["base", "member"])
+def test_fifo_chain_resumes_from_snapshots(tmp_path, attribution):
+    """The PPC440's round-robin chain: cold, warm and hot passes all
+    store the reference payload, and the hot pass restores the last
+    snapshot instead of simulating."""
+    length = 64
+    trace = trace_program(paper_kernel("3a", length=length))
+    rule_text = resolve_rule_text("t3", length)
+    reference = transform_trace(trace, rule_text).trace
+    (want,) = simulation_fields(reference, [PPC440], attribution, use_fast=False)
+    store = TraceStore(tmp_path / "ts")
+    _, cold = chain_fields(
+        store, trace, rule_text, PPC440, attribution, snapshots=False
+    )
+    _, warm = chain_fields(store, trace, rule_text, PPC440, attribution)
+    _, hot = chain_fields(store, trace, rule_text, PPC440, attribution)
+    assert cold.fields() == warm.fields() == hot.fields() == want
+    assert warm.chunks_total > 1 and warm.snapshots_saved == warm.chunks_total
+    assert hot.chunks_skipped == hot.chunks_total
+
+
+def test_fifo_chain_resumes_mid_chain_after_an_edit(tmp_path):
+    trace = _synthetic_trace(n=24, reps=6)
+    v1 = _soa_rule("lA", "lAoS", 24) + _soa_rule("lB", "lBoS", 24)
+    v2 = _soa_rule("lA", "lAoS", 24) + _soa_rule("lB", "lB2", 24)
+    store = TraceStore(tmp_path / "ts")
+    applied1, _ = chain_fields(store, trace, v1, FIFO_2W, chunk_records=32)
+    _, result = chain_fields(
+        store, trace, v2, FIFO_2W, chunk_records=32, prev=applied1.commit
+    )
+    assert 0 < result.chunks_skipped < result.chunks_total
+    reference = transform_trace(trace, v2).trace
+    assert [result.fields()] == simulation_fields(
+        reference, [FIFO_2W], "base", use_fast=False
+    )
+
+
+@pytest.mark.parametrize(
+    "expected,argv",
+    [
+        ("lru_2way_member.txt",
+         ["--size", "256", "--assoc", "2", "--attribution", "member"]),
+        ("direct_base.txt", ["--size", "128", "--assoc", "1"]),
+    ],
+)
+def test_lru_snapshots_of_an_older_store_restore_every_chunk(
+    tmp_path, capsys, expected, argv
+):
+    """``tests/data/resim_lru_store`` holds a 4-chunk trace commit and
+    the LRU snapshots ``tdst resim`` wrote for it before the FIFO pass
+    existed, with what that run printed: a resim restores the last
+    snapshot and prints the same numbers."""
+    import shutil
+    from pathlib import Path
+
+    from repro.cli import main
+
+    fixture = Path(__file__).parents[1] / "data" / "resim_lru_store"
+    shutil.copytree(fixture / "store", tmp_path / "store")
+    args = ["resim", "trace/main", "--store", str(tmp_path / "store"),
+            "--block", "32", *argv]
+    assert main(args) == 0
+    head, *numbers = capsys.readouterr().out.splitlines()
+    assert "4 restored from snapshot, 0 simulated, 0 snapshot(s) saved" in head
+    want = (fixture / expected).read_text(encoding="utf-8").splitlines()
+    assert "0 restored from snapshot, 4 simulated" in want[0]
+    assert numbers == want[1:]
+    assert main([*args, "--cold"]) == 0
+    assert capsys.readouterr().out.splitlines()[1:] == want[1:]
