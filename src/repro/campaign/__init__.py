@@ -5,22 +5,25 @@ to full studies through this subpackage:
 
 - :mod:`repro.campaign.spec` — declarative :class:`CampaignSpec` (TOML
   or dict): a grid of kernels x rules x cache geometries x attribution;
-- :mod:`repro.campaign.grid` — grid expansion with shared-stage
-  deduplication, the route planner, task kinds and content keys (no
-  numpy: the parent plans a run and answers stored points with it
-  alone);
-- :mod:`repro.campaign.jobs` — the idempotent task bodies workers
-  execute, keeping traces and transforms as commits in the campaign
-  directory's trace commit store (:mod:`repro.tracestore`);
+- :mod:`repro.campaign.grid` — grid expansion, the route planner, the
+  one task kind (:class:`GridTask`: points sharing a trace and a
+  route) and content keys (no numpy: the parent plans a run and
+  answers stored points with it alone);
+- :mod:`repro.campaign.jobs` — the idempotent task body workers
+  execute: a task that misses its program's trace traces it, and every
+  trace and transform is a commit in the campaign directory's trace
+  commit store (:mod:`repro.tracestore`);
 - :mod:`repro.campaign.artifacts` — content-addressed
   :class:`ArtifactStore` (SHA-256 of kernel + rule text + config) that
   makes re-runs and ``--resume`` incremental;
 - :mod:`repro.campaign.manifest` — append-only JSONL
   :class:`RunManifest` of every job start/retry/failure/completion;
 - :mod:`repro.campaign.scheduler` — the :class:`Scheduler`, the one
-  campaign executor: inline or on a process pool, with per-job
-  timeouts, bounded retry with exponential backoff, and graceful
-  degradation (a failed point never aborts the grid).
+  campaign executor: one dispatch loop over worker slots (the parent
+  itself inline, or a process pool), each program's first task ahead
+  of its others, with per-job timeouts, bounded retry with exponential
+  backoff, and graceful degradation (a failed point never aborts the
+  grid).
 
 Quick start::
 
@@ -40,7 +43,6 @@ __all__, __getattr__, __dir__ = lazy_exports(
         "repro.campaign.grid": (
             "GridTask",
             "Job",
-            "TraceTask",
             "expand_jobs",
             "plan_route",
             "plan_tasks",
@@ -52,8 +54,6 @@ __all__, __getattr__, __dir__ = lazy_exports(
         "repro.campaign.jobs": (
             "execute_grid_task",
             "execute_job",
-            "execute_task",
-            "execute_trace_task",
         ),
         "repro.campaign.manifest": ("RunManifest",),
         "repro.campaign.scheduler": (

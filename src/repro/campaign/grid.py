@@ -1,24 +1,22 @@
-"""Campaign grid: task kinds, grid expansion, route planning, content keys.
+"""Campaign grid: grid points, tasks, route planning, content keys.
 
 This is the half of the campaign machinery the parent process needs to
-plan a run: expand a :class:`CampaignSpec` into picklable tasks, name
-each stage's output by content key, and pick each grid point's route
-(:func:`plan_route`, the one place a route is chosen).  It imports no
-numpy, tracer, engine or simulator, so a campaign whose points are all
-stored is answered from the artifact store without loading the
-pipeline; :mod:`repro.campaign.jobs` holds the stage bodies workers run.
+plan a run: expand a :class:`CampaignSpec` into picklable grid points
+and tasks, name each stage's output by content key, and pick each grid
+point's route (:func:`plan_route`, the one place a route is chosen).
+It imports no numpy, tracer, engine or simulator, so a campaign whose
+points are all stored is answered from the artifact store without
+loading the pipeline; :mod:`repro.campaign.jobs` holds the task body
+workers run.
 
-Task kinds:
-
-- :class:`TraceTask` — commit (or reuse) the trace of one
-  ``(kernel, length)`` pair in the campaign's trace commit store.
-  Tracing is the expensive shared stage: every rule x cache x
-  attribution point of the same program reuses one trace commit, so
-  the scheduler runs these first and exactly once per distinct program.
-- :class:`GridTask` — one or more grid points (:class:`Job`) sharing a
-  trace identity and a route: take the shared trace commit, optionally
-  apply the rule to it, simulate every member's cache geometry, and
-  store one result JSON per member.
+There is one task kind, :class:`GridTask`: one or more grid points
+(:class:`Job`) sharing a trace identity and a route.  Its body takes
+the program's trace commit (tracing and committing it on a miss),
+optionally applies the rule to it, simulates every member's cache
+geometry, and stores one result JSON per member.  A program's trace is
+shared by all of its rule x cache x attribution points: the scheduler
+sends each program's first task ahead of the others, which then find
+its trace committed.
 
 The content keys name inputs, not files: :func:`trace_key` names a
 program's trace (its commit sits under the ref ``trace/<trace_key>``)
@@ -47,18 +45,6 @@ TRACE_STAGE = "trace-v1"
 TRANSFORM_STAGE = "transform-v1"
 SIMULATE_STAGE = "simulate-v1"
 
-@dataclass(frozen=True)
-class TraceTask:
-    """Shared-stage task: commit one program's trace."""
-
-    kernel: str
-    length: int
-
-    @property
-    def job_id(self) -> str:
-        """Stable id used in the manifest."""
-        return f"trace/{self.kernel}-L{self.length}"
-
 
 @dataclass(frozen=True)
 class Job:
@@ -86,25 +72,20 @@ class Job:
         return self.rule.lower() in BASELINE_NAMES
 
 
-def expand_jobs(spec: CampaignSpec) -> Tuple[List[TraceTask], List[Job]]:
-    """Expand a spec into deduplicated trace tasks plus all grid points.
+def expand_jobs(spec: CampaignSpec) -> List[Job]:
+    """Expand a spec into its grid points.
 
-    Both lists are deduplicated: overlapping grid entries (the same
-    kernel appearing in several entries with intersecting rule sets)
-    collapse to one job per distinct ``job_id``, so every manifest row
-    names distinct work.
+    Overlapping grid entries (the same kernel appearing in several
+    entries with intersecting rule sets) collapse to one job per
+    distinct ``job_id``, so every manifest row names distinct work.
     """
-    traces: Dict[Tuple[str, int], TraceTask] = {}
     jobs: Dict[str, Job] = {}
     for entry in spec.grid:
-        key = (entry.kernel.lower(), entry.length)
-        if key not in traces:
-            traces[key] = TraceTask(kernel=key[0], length=entry.length)
         for rule in entry.rules:
             for cache in spec.caches_for(entry):
                 for attribution in spec.attribution:
                     job = Job(
-                        kernel=key[0],
+                        kernel=entry.kernel.lower(),
                         length=entry.length,
                         rule=rule,
                         cache=cache,
@@ -112,7 +93,7 @@ def expand_jobs(spec: CampaignSpec) -> Tuple[List[TraceTask], List[Job]]:
                         verify=spec.verify,
                     )
                     jobs.setdefault(job.job_id, job)
-    return list(traces.values()), list(jobs.values())
+    return list(jobs.values())
 
 
 # -- stage keys ---------------------------------------------------------------
@@ -243,6 +224,12 @@ class GridTask:
     route: str
     #: why the kernel was declined (``reference`` tasks only)
     route_reason: Optional[str] = None
+
+    @property
+    def program(self) -> Tuple[str, int]:
+        """The ``(kernel, length)`` whose trace every member simulates."""
+        head = self.members[0]
+        return head.kernel, head.length
 
     @property
     def job_id(self) -> str:

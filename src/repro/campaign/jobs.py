@@ -1,23 +1,25 @@
-"""Campaign jobs: the task bodies workers run.
+"""Campaign jobs: the task body workers run.
 
 :mod:`repro.campaign.grid` expands a :class:`CampaignSpec` into
 picklable tasks, plans each grid point's route and names every stage's
-output by content key; this module holds the stage bodies — trace,
-transform, simulate — that the scheduler runs inline or on its process
-pool.  It is the campaign's pipeline half: it loads numpy, the tracer,
-the transform engine, the trace commit store and both simulators, so
-the scheduler imports it only once some grid point is missing from the
-artifact store.
+output by content key; this module holds the body of the one task kind,
+:func:`execute_grid_task` — trace, transform, simulate — that the
+scheduler runs inline or on its process pool.  It is the campaign's
+pipeline half: it loads numpy, the tracer, the transform engine, the
+trace commit store and both simulators, so the scheduler imports it
+only once some grid point is missing from the artifact store.
 
-Every body is handed the campaign directory, which holds the
-campaign's two stores: ``<dir>/tracestore``, the
+The body is handed the campaign directory, which holds the campaign's
+two stores: ``<dir>/tracestore``, the
 :class:`~repro.tracestore.store.TraceStore` that keeps every trace and
 transformed trace as a commit of columnar chunk blobs, and
 ``<dir>/artifacts``, the :class:`~repro.campaign.artifacts.ArtifactStore`
 that keeps one JSON payload per grid point.
 
-- The trace stage commits a program's trace under the ref
-  ``trace/<trace_key>``; a hit reads the record count off the commit.
+- A program's trace is committed under the ref ``trace/<trace_key>``
+  by whichever task first misses it (the scheduler sends each
+  program's first task ahead of its others); a hit reads the record
+  count off the commit.
 - A rule point (named or ``file:``) applies its rule text to that
   commit with :func:`~repro.tracestore.transform.apply_rules`, against
   the commit its ``xform/`` ref names: re-running a rule returns that
@@ -26,13 +28,14 @@ that keeps one JSON payload per grid point.
 - Route ``tracestore`` simulates each member with
   :func:`~repro.tracestore.resim.simulate_chain`, which resumes from
   the deepest residency snapshot an earlier sweep left; routes ``fast``
-  and ``reference`` run :func:`simulation_fields` over the commit's
-  trace as columns: the engine's own output for a rule point it just
+  and ``reference`` run :func:`simulation_fields` over the trace as
+  columns: the engine's own output for a rule point it just
   transformed (:meth:`~repro.tracestore.transform.ApplyResult.trace`),
+  the trace in memory for a baseline point that just traced it, and
   the commit read back otherwise.
 
 Payloads are content-addressed (SHA-256 of kernel identity + rule text
-+ config tuple), so every body is idempotent and safe to retry; workers
++ config tuple), so the body is idempotent and safe to retry; workers
 only ever exchange plain dicts with the parent process.  Besides
 ``cache_hits``, each grid point's returned payload names its ``route``
 (``store``, ``fast``, ``tracestore`` or ``reference``, with a
@@ -59,7 +62,6 @@ from repro.campaign.grid import (
     TRANSFORM_STAGE,
     GridTask,
     Job,
-    TraceTask,
     expand_jobs,
     plan_tasks,
     point_input_key,
@@ -161,19 +163,22 @@ def _head(traces: TraceStore, ref: str) -> Optional[Commit]:
     return traces.read_commit(cid)
 
 
-def _trace_commit(traces: TraceStore, kernel: str, length: int) -> Tuple[Commit, bool]:
+def _trace_commit(
+    traces: TraceStore, kernel: str, length: int
+) -> Tuple[Commit, Optional[Trace]]:
     """One program's trace commit, traced and committed on a miss;
-    returns ``(commit, cache_hit)``.  The commit sits under the ref
-    ``trace/<trace_key>``."""
+    returns ``(commit, trace)``, where ``trace`` is the fresh trace in
+    memory on a miss and ``None`` on a hit.  The commit sits under the
+    ref ``trace/<trace_key>``."""
     tkey = trace_key(kernel, length)
     ref = f"trace/{tkey}"
     cached = _head(traces, ref)
     if cached is not None:
-        return cached, True
+        return cached, None
     trace = trace_program(paper_kernel(kernel, length=length))
     commit = traces.commit_trace(trace, message=f"trace {tkey[:12]}")
     traces.set_ref(ref, commit.id)
-    return commit, False
+    return commit, trace
 
 
 def _transform_ref(tkey: str, rule: str) -> str:
@@ -236,29 +241,6 @@ def _transform_commit(
 # -- worker entry points ------------------------------------------------------
 
 
-def execute_trace_task(
-    task: TraceTask, directory: Union[str, Path]
-) -> Dict[str, Any]:
-    """Worker body for the shared trace stage.
-
-    On a hit only the record count is needed, and the commit object
-    holds it: no chunk is read.
-    """
-    traces = _trace_store(directory)
-    started = time.monotonic()
-    tele = get_telemetry()
-    with tele.span("campaign.trace-task", cat="campaign", job=task.job_id):
-        commit, hit = _trace_commit(traces, task.kernel, task.length)
-    _count_artifact_hits(tele, {"trace": hit})
-    return {
-        "kind": "trace",
-        "trace_key": trace_key(task.kernel, task.length),
-        "records": commit.records,
-        "cache_hits": {"trace": hit},
-        "compute_seconds": round(time.monotonic() - started, 6),
-    }
-
-
 def _count_artifact_hits(tele, hits: Dict[str, bool]) -> None:
     """Book per-stage artifact-cache outcomes into the registry."""
     served = sum(1 for hit in hits.values() if hit)
@@ -272,14 +254,16 @@ def execute_grid_task(
     """Worker body for one grid task: every member point, one pass.
 
     Per-member store lookups run first — a stored member costs one JSON
-    read — then the shared trace commit is taken (and transformed under
-    the rule) once, and the task's route answers every remaining
-    member: ``tracestore`` simulates each member's chain, ``fast`` and
-    ``reference`` simulate every member through
-    :func:`simulation_fields`, over the transform's output columns when
-    the rule was just applied.  Each payload is stored under the
-    member's own simulation key.  Raises on unrecoverable input problems
-    (bad rule file, invalid config) — the scheduler turns that into
+    read — then the program's trace commit is taken (traced and
+    committed on a miss, and transformed under the rule) once, and the
+    task's route answers every remaining member: ``tracestore``
+    simulates each member's chain, ``fast`` and ``reference`` simulate
+    every member through :func:`simulation_fields`, over the
+    transform's output columns when the rule was just applied and over
+    the trace in memory when the program was just traced, so neither is
+    decoded back.  Each payload is stored under the member's own
+    simulation key.  Raises on unrecoverable input problems (bad rule
+    file, invalid config) — the scheduler turns that into
     retry-then-degrade for every member.
     """
     tele = get_telemetry()
@@ -305,9 +289,8 @@ def execute_grid_task(
         if pending:
             traces = _trace_store(directory)
             with tele.span("campaign.stage.trace", cat="campaign"):
-                commit, hits["trace"] = _trace_commit(
-                    traces, head.kernel, head.length
-                )
+                commit, fresh = _trace_commit(traces, head.kernel, head.length)
+            hits["trace"] = fresh is None
             applied: Optional[ApplyResult] = None
             if rule_text is not None:
                 with tele.span("campaign.stage.transform", cat="campaign"):
@@ -332,10 +315,14 @@ def execute_grid_task(
                         for config in configs
                     ]
                 else:
+                    if applied is not None:
+                        trace = applied.trace(traces)
+                    elif fresh is not None:
+                        trace = fresh
+                    else:
+                        trace = traces.checkout(commit)
                     fields = simulation_fields(
-                        traces.checkout(commit)
-                        if applied is None
-                        else applied.trace(traces),
+                        trace,
                         configs,
                         head.attribution,
                         use_fast=task.route == "fast",
@@ -377,14 +364,3 @@ def execute_job(job: Job, directory: Union[str, Path]) -> Dict[str, Any]:
     """Run one grid point as a task of its own; returns its payload."""
     (task,) = plan_tasks([job], fast=True)
     return execute_grid_task(task, directory)["members"][job.job_id]
-
-
-def execute_task(
-    task: Union[TraceTask, GridTask], directory: Union[str, Path]
-) -> Dict[str, Any]:
-    """Dispatch either task kind: the one entry the scheduler runs,
-    inline or on its process pool.  ``directory`` is the campaign
-    directory, holding ``artifacts/`` and ``tracestore/``."""
-    if isinstance(task, TraceTask):
-        return execute_trace_task(task, directory)
-    return execute_grid_task(task, directory)

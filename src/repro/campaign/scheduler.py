@@ -1,4 +1,4 @@
-"""The campaign scheduler: fan jobs out, survive failures, stay observable.
+"""The campaign scheduler: fan tasks out, survive failures, stay observable.
 
 Execution model:
 
@@ -7,28 +7,31 @@ Execution model:
   recorded as done on the spot.  Only the points left over start any
   work, and a campaign with none left starts no worker and no pipeline
   import (:mod:`repro.campaign.jobs`, numpy, the tracer).
-- **Phase 1** runs the deduplicated :class:`TraceTask` list — one task
-  per distinct ``(kernel, length)`` a missing point needs — so the
-  expensive shared stage (trace, commit to the trace commit store) is
-  computed exactly once no matter how many grid points reuse it.
-- **Phase 2** routes every missing grid point
-  (:func:`~repro.campaign.grid.plan_tasks`), folds the points that share
-  a trace and a kernel route into one :class:`GridTask`, and fans the
-  tasks out over a pool of worker *processes* (one dedicated task queue
-  per worker, one shared result queue).  The parent knows which worker
-  owns which task and when it started, which is what makes per-task
-  **timeouts** enforceable: a worker that blows its deadline is
-  terminated and replaced, and the task re-enters the queue under the
-  retry policy.
-- **Bounded retry with exponential backoff**: a failing job is re-queued
-  up to ``retries`` times with ``backoff * 2^(attempt-1)`` seconds of
-  delay; after that it is recorded as *failed* in the manifest and the
-  rest of the grid continues — a broken rule file costs one point, not
-  the campaign.
-- ``workers <= 1`` without a timeout runs everything inline
-  (deterministic, easily debugged, no subprocesses).  A timeout cannot
-  be enforced inline, so a run with one always uses the process pool,
-  with at least one worker.
+- **One task kind.**  The missing points are routed
+  (:func:`~repro.campaign.grid.plan_tasks`) and the points that share a
+  trace and a kernel route fold into one :class:`GridTask`.  A task
+  that misses its program's trace traces and commits it.  Every
+  program's first task goes out ahead of any program's later task, and
+  a program's later tasks are handed out only once its first task's
+  first attempt has ended: they find the trace committed, so each
+  missing program is traced exactly once, with no barrier between
+  programs.  If that attempt failed, they trace on their own.
+- **One dispatch loop** hands ready tasks to worker slots and settles
+  their results.  A slot is a worker *process* with a dedicated task
+  queue (results come back on one shared queue), or, inline, the
+  parent itself: ``workers <= 1`` without a timeout runs each task in
+  the parent as it is dispatched (deterministic, easily debugged, no
+  subprocesses).  The parent knows which slot owns which task and when
+  it started, which is what makes per-task **timeouts** enforceable: a
+  worker that blows its deadline is terminated and replaced, and the
+  task re-enters the queue under the retry policy.  A timeout cannot be
+  enforced inline, so a run with one always uses the process pool, with
+  at least one worker.
+- **Bounded retry with exponential backoff**: a failing task is
+  re-queued up to ``retries`` times with ``backoff * 2^(attempt-1)``
+  seconds of delay; after that its points are recorded as *failed* in
+  the manifest and the rest of the grid continues — a broken rule file
+  costs its own points, not the campaign.
 
 Every state change is appended to the JSONL
 :class:`~repro.campaign.manifest.RunManifest`; ``resume=True`` reads the
@@ -43,13 +46,12 @@ import queue as queue_mod
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.campaign.artifacts import ArtifactStore
 from repro.campaign.grid import (
     GridTask,
     Job,
-    TraceTask,
     expand_jobs,
     plan_tasks,
     point_input_key,
@@ -69,9 +71,6 @@ from repro.campaign.manifest import (
 )
 from repro.campaign.spec import CampaignSpec
 from repro.obsv.telemetry import get_telemetry
-
-if TYPE_CHECKING:
-    from multiprocessing.process import BaseProcess
 
 #: Upper bound on one backoff delay, seconds.
 MAX_BACKOFF = 30.0
@@ -99,7 +98,6 @@ class CampaignResult:
     """Everything one campaign run produced, plus aggregate views."""
 
     spec: CampaignSpec
-    trace_outcomes: List[JobOutcome] = field(default_factory=list)
     outcomes: List[JobOutcome] = field(default_factory=list)
     wall_seconds: float = 0.0
 
@@ -146,9 +144,7 @@ class CampaignResult:
         hit_rate = self.cache_hit_rate()
         served = self.n_done + self.n_skipped
         lines = [
-            f"campaign {self.spec.name!r}: "
-            f"{len(self.outcomes)} points, "
-            f"{len(self.trace_outcomes)} shared trace stages",
+            f"campaign {self.spec.name!r}: {len(self.outcomes)} points",
             f"  done: {self.n_done}  failed: {self.n_failed}  "
             f"skipped: {self.n_skipped}",
             f"  artifact-cache hit rate: {hit_rate:.1%} "
@@ -163,45 +159,45 @@ class CampaignResult:
         return "\n".join(lines)
 
 
-def execute_task(
-    task: Union[TraceTask, GridTask], directory: str
-) -> Dict[str, Any]:
+def execute_task(task: GridTask, directory: str) -> Dict[str, Any]:
     """Run one task against a campaign directory:
-    :func:`repro.campaign.jobs.execute_task`.
+    :func:`repro.campaign.jobs.execute_grid_task`.
 
-    Every executor calls the pipeline through this name.  The scheduler
-    imports :mod:`repro.campaign.jobs` before it starts any work, so
-    forked workers inherit it and this import is a lookup.
+    Every worker slot, inline or pooled, calls the pipeline through this
+    name.  The scheduler imports :mod:`repro.campaign.jobs` before it
+    starts any work, so forked workers inherit it and this import is a
+    lookup.
     """
-    from repro.campaign.jobs import execute_task as execute
+    from repro.campaign.jobs import execute_grid_task
 
-    return execute(task, directory)
+    return execute_grid_task(task, directory)
 
 
-def _result_rows(
-    task: Union[TraceTask, GridTask], payload: Any
-) -> List[Tuple[str, Any]]:
-    """``(job_id, result)`` manifest rows one success produces.
+def _dispatch_order(
+    tasks: Sequence[GridTask],
+) -> Tuple[List[GridTask], Dict[int, List[int]]]:
+    """``(tasks, held)``: the tasks in dispatch order, and per program's
+    first task the positions of the tasks it holds back.
 
-    A :class:`GridTask` fans out into one row per member — keyed by the
-    *member's* job id with the member's own payload — so resume,
-    reports and ``completed_jobs`` never see how points were grouped.
+    Every program's first task (in grid order) comes ahead of any
+    program's later task, and a program's later tasks wait in
+    ``held[first]`` until that first task's first attempt has ended.
     """
-    if isinstance(task, GridTask):
-        members = payload.get("members", {})
-        return [(job.job_id, members.get(job.job_id)) for job in task.members]
-    return [(task.job_id, payload)]
-
-
-def _failure_ids(task: Union[TraceTask, GridTask]) -> List[str]:
-    """Job ids a terminal failure marks failed (every member of a task)."""
-    if isinstance(task, GridTask):
-        return [job.job_id for job in task.members]
-    return [task.job_id]
+    firsts: Dict[Tuple[str, int], GridTask] = {}
+    for task in tasks:
+        firsts.setdefault(task.program, task)
+    ordered = list(firsts.values())
+    position = {program: seq for seq, program in enumerate(firsts)}
+    held: Dict[int, List[int]] = {}
+    for task in tasks:
+        if firsts[task.program] is not task:
+            held.setdefault(position[task.program], []).append(len(ordered))
+            ordered.append(task)
+    return ordered, held
 
 
 class _WorkerSlot:
-    """Parent-side bookkeeping for one worker process.
+    """Parent-side bookkeeping for one worker.
 
     ``busy`` holds the ``(seq, attempt)`` pair currently assigned, so a
     stale result from a terminated-and-replaced worker (whose job was
@@ -210,11 +206,48 @@ class _WorkerSlot:
 
     __slots__ = ("process", "task_queue", "busy", "started_at")
 
-    def __init__(self, process: BaseProcess, task_queue) -> None:
+    def __init__(self, process: Any, task_queue: Any) -> None:
         self.process = process
         self.task_queue = task_queue
         self.busy: Optional[Tuple[int, int]] = None
         self.started_at: float = 0.0
+
+
+class _InlineWorker:
+    """Worker 0 of an inline run: the parent process itself.
+
+    It stands in for both the process and the task queue of its
+    :class:`_WorkerSlot`: a task put on it runs at once, against the
+    parent's own telemetry, and its result lands on the run's result
+    queue exactly as a pool worker's would.  Only ``Exception`` is
+    caught, so an interrupt stops the run.
+    """
+
+    def __init__(self, result_queue: Any, directory: str) -> None:
+        self.result_queue = result_queue
+        self.directory = directory
+
+    def put(self, item: Optional[Tuple[int, int, GridTask]]) -> None:
+        if item is None:
+            return
+        seq, attempt, task = item
+        started = time.monotonic()
+        try:
+            status, payload = "ok", execute_task(task, self.directory)
+        except Exception as exc:
+            status, payload = "error", f"{type(exc).__name__}: {exc}"
+        self.result_queue.put(
+            (seq, attempt, 0, status, payload, time.monotonic() - started)
+        )
+
+    def is_alive(self) -> bool:
+        return True
+
+    def terminate(self) -> None:
+        pass
+
+    def join(self, timeout: float) -> None:
+        pass
 
 
 def _worker_main(worker_id: int, task_queue, result_queue, directory: str) -> None:
@@ -290,7 +323,8 @@ class Scheduler:
         set, which always runs on the process pool (at least one
         worker).
     timeout:
-        Per-job wall-clock budget in seconds (``None`` = unlimited).
+        Per-task wall-clock budget in seconds (``None`` = unlimited); a
+        program's first task spends it on tracing the program too.
     retries:
         Re-attempts after the first failure of a job.
     backoff:
@@ -380,7 +414,7 @@ class Scheduler:
         """The campaign body (phases timed against ``telemetry``)."""
         started = time.monotonic()
         with telemetry.span("campaign.expand", cat="campaign"):
-            trace_tasks, jobs = expand_jobs(self.spec)
+            jobs = expand_jobs(self.spec)
         previous: Dict[str, Dict[str, Any]] = {}
         if self.resume and self.manifest_path.exists():
             previous = RunManifest.completed_jobs(
@@ -392,7 +426,6 @@ class Scheduler:
                 EVENT_CAMPAIGN_START,
                 campaign=self.spec.name,
                 points=len(jobs),
-                trace_stages=len(trace_tasks),
                 workers=self.workers,
                 timeout=self.timeout,
                 retries=self.retries,
@@ -421,22 +454,11 @@ class Scheduler:
                         )
                     elif not self._serve_stored(job, manifest, result, telemetry):
                         run_jobs.append(job)
-            # Phase 1: shared trace stages, deduplicated.  Only needed
-            # for programs some missing point actually uses.
-            needed = {(j.kernel, j.length) for j in run_jobs}
-            phase1 = [
-                t for t in trace_tasks if (t.kernel, t.length) in needed
-            ]
-            with telemetry.span("campaign.trace-stage", cat="campaign"):
-                result.trace_outcomes = self._run_batch(phase1, manifest)
-            # Phase 2: the grid.  A failed trace stage degrades the
-            # points that need it (they will retry the stage themselves
-            # and fail the same way), but never stops the others.  Only
-            # the points the store did not answer are routed and
+            # Only the points the store did not answer are routed and
             # grouped, so a resumed group runs only its pending members.
             with telemetry.span("campaign.grid", cat="campaign"):
-                phase2 = plan_tasks(run_jobs, self.fast)
-                result.outcomes.extend(self._run_batch(phase2, manifest))
+                tasks = plan_tasks(run_jobs, self.fast)
+                result.outcomes.extend(self._run_tasks(tasks, manifest))
             result.wall_seconds = time.monotonic() - started
             telemetry.add("campaign.points_done", result.n_done)
             telemetry.add("campaign.points_failed", result.n_failed)
@@ -515,168 +537,133 @@ class Scheduler:
             telemetry.add("campaign.orphans_recovered")
         return True
 
-    # -- batch executors -----------------------------------------------------
+    # -- the executor ---------------------------------------------------------
 
-    def _run_batch(
-        self,
-        tasks: Sequence[Union[TraceTask, GridTask]],
-        manifest: RunManifest,
+    def _retry_delay(self, attempt: int) -> float:
+        """Backoff before the retry following failed attempt ``attempt``."""
+        return min(self.backoff * (2 ** (attempt - 1)), MAX_BACKOFF)
+
+    def _run_tasks(
+        self, tasks: Sequence[GridTask], manifest: RunManifest
     ) -> List[JobOutcome]:
-        """Drive one task batch to terminal state (serial or parallel)."""
+        """Drive the grid tasks to terminal state: one dispatch loop over
+        worker slots, with per-task deadlines and replacement."""
         if not tasks:
             return []
         # Load the pipeline here, before any fork, so pool workers
         # inherit it instead of importing it once each.
         import repro.campaign.jobs  # noqa: F401
 
+        directory = str(self.directory)
+        tasks, held = _dispatch_order(tasks)
         # Inline execution cannot enforce a timeout, so a run with one
         # goes through the process pool even with a single worker.
-        if self.workers <= 1 and self.timeout is None:
-            return self._run_serial(tasks, manifest)
-        return self._run_parallel(tasks, manifest)
+        inline = self.workers <= 1 and self.timeout is None
+        if inline:
+            result_queue: Any = queue_mod.SimpleQueue()
+            parent = _InlineWorker(result_queue, directory)
 
-    def _retry_delay(self, attempt: int) -> float:
-        """Backoff before the retry following failed attempt ``attempt``."""
-        return min(self.backoff * (2 ** (attempt - 1)), MAX_BACKOFF)
+            def spawn(worker_id: int) -> _WorkerSlot:
+                return _WorkerSlot(parent, parent)
 
-    def _run_serial(
-        self,
-        tasks: Sequence[Union[TraceTask, GridTask]],
-        manifest: RunManifest,
-    ) -> List[JobOutcome]:
-        """Inline executor: same policy, no processes, no timeouts."""
-        outcomes = []
-        directory = str(self.directory)
-        for task in tasks:
-            attempt = 0
-            total_elapsed = 0.0
-            while True:
-                attempt += 1
-                manifest.record(
-                    EVENT_JOB_START, job_id=task.job_id, attempt=attempt, worker=0
+            n_workers = 1
+        else:
+            ctx = _mp_context()
+            result_queue = ctx.Queue()
+
+            def spawn(worker_id: int) -> _WorkerSlot:
+                task_queue = ctx.Queue()
+                process = ctx.Process(
+                    target=_worker_main,
+                    args=(worker_id, task_queue, result_queue, directory),
+                    daemon=True,
                 )
-                started = time.monotonic()
-                try:
-                    payload = execute_task(task, directory)
-                except Exception as exc:
-                    elapsed = time.monotonic() - started
-                    total_elapsed += elapsed
-                    error = f"{type(exc).__name__}: {exc}"
-                    if attempt <= self.retries:
-                        delay = self._retry_delay(attempt)
-                        manifest.record(
-                            EVENT_JOB_RETRY,
-                            job_id=task.job_id,
-                            attempt=attempt,
-                            error=error,
-                            backoff=round(delay, 3),
-                        )
-                        if delay:
-                            time.sleep(delay)
-                        continue
-                    for job_id in _failure_ids(task):
-                        manifest.record(
-                            EVENT_JOB_FAILED,
-                            job_id=job_id,
-                            attempts=attempt,
-                            error=error,
-                        )
-                        outcomes.append(
-                            JobOutcome(
-                                job_id=job_id,
-                                status="failed",
-                                attempts=attempt,
-                                elapsed=total_elapsed,
-                                error=error,
-                            )
-                        )
-                    break
-                elapsed = time.monotonic() - started
-                total_elapsed += elapsed
-                for job_id, row in _result_rows(task, payload):
-                    manifest.record(
-                        EVENT_JOB_DONE,
-                        job_id=job_id,
-                        attempt=attempt,
-                        worker=0,
-                        elapsed=round(elapsed, 6),
-                        result=row,
-                    )
-                    outcomes.append(
-                        JobOutcome(
-                            job_id=job_id,
-                            status="done",
-                            attempts=attempt,
-                            elapsed=total_elapsed,
-                            result=row,
-                        )
-                    )
-                break
-        return outcomes
+                process.start()
+                return _WorkerSlot(process, task_queue)
 
-    def _run_parallel(
-        self,
-        tasks: Sequence[Union[TraceTask, GridTask]],
-        manifest: RunManifest,
-    ) -> List[JobOutcome]:
-        """Process-pool executor with per-task deadlines and replacement."""
-        ctx = _mp_context()
-        directory = str(self.directory)
-        result_queue = ctx.Queue()
-        n_workers = max(1, min(self.workers, len(tasks)))
-
-        def spawn(worker_id: int) -> _WorkerSlot:
-            task_queue = ctx.Queue()
-            process = ctx.Process(
-                target=_worker_main,
-                args=(worker_id, task_queue, result_queue, directory),
-                daemon=True,
-            )
-            process.start()
-            return _WorkerSlot(process, task_queue)
+            n_workers = max(1, min(self.workers, len(tasks)))
 
         slots = [spawn(i) for i in range(n_workers)]
-        # (ready_time, seq) heap of runnable work; attempts[seq] counts
-        # tries already made; elapsed[seq] accumulates across attempts.
-        ready: List[Tuple[float, int]] = [(0.0, i) for i in range(len(tasks))]
+        # (ready_time, seq) heap of runnable work: every task no first
+        # task holds back; attempts[seq] counts tries already made;
+        # elapsed_total[seq] accumulates across attempts.
+        waiting = {seq for later in held.values() for seq in later}
+        ready: List[Tuple[float, int]] = [
+            (0.0, seq) for seq in range(len(tasks)) if seq not in waiting
+        ]
         heapq.heapify(ready)
         attempts = [0] * len(tasks)
         elapsed_total = [0.0] * len(tasks)
-        # One list per settled task: a GridTask settles into one
-        # outcome per member, a TraceTask into exactly one.
+        # One list of member outcomes per settled task.
         outcomes: Dict[int, List[JobOutcome]] = {}
 
-        def settle_failure(seq: int, worker_id: int, error: str, took: float) -> None:
-            """Retry or record terminal failure for one attempt."""
+        def settle(
+            seq: int, worker_id: int, status: str, payload: Any, took: float
+        ) -> None:
+            """Record one ended attempt: done, retry, or terminal failure."""
+            # After a first task's first attempt, its program's other
+            # tasks find the trace committed (or, if it failed, trace it).
+            for later in held.pop(seq, ()):
+                heapq.heappush(ready, (0.0, later))
             elapsed_total[seq] += took
             task = tasks[seq]
-            if attempts[seq] <= self.retries:
-                delay = self._retry_delay(attempts[seq])
+            attempt = attempts[seq]
+            if status == "ok":
+                child_tele = payload.pop("telemetry", None)
+                if child_tele:
+                    get_telemetry().merge(child_tele)
+                # One row per member, keyed by the member's job id with
+                # its own payload, so resume, reports and
+                # ``completed_jobs`` never see how points were grouped.
+                members = payload.get("members", {})
+                settled = []
+                for job in task.members:
+                    row = members.get(job.job_id)
+                    manifest.record(
+                        EVENT_JOB_DONE,
+                        job_id=job.job_id,
+                        attempt=attempt,
+                        worker=worker_id,
+                        elapsed=round(took, 6),
+                        result=row,
+                    )
+                    settled.append(
+                        JobOutcome(
+                            job_id=job.job_id,
+                            status="done",
+                            attempts=attempt,
+                            elapsed=elapsed_total[seq],
+                            result=row,
+                        )
+                    )
+                outcomes[seq] = settled
+            elif attempt <= self.retries:
+                delay = self._retry_delay(attempt)
                 manifest.record(
                     EVENT_JOB_RETRY,
                     job_id=task.job_id,
-                    attempt=attempts[seq],
+                    attempt=attempt,
                     worker=worker_id,
-                    error=error,
+                    error=payload,
                     backoff=round(delay, 3),
                 )
                 heapq.heappush(ready, (time.monotonic() + delay, seq))
             else:
                 settled = []
-                for job_id in _failure_ids(task):
+                for job in task.members:
                     manifest.record(
                         EVENT_JOB_FAILED,
-                        job_id=job_id,
-                        attempts=attempts[seq],
-                        error=error,
+                        job_id=job.job_id,
+                        attempts=attempt,
+                        error=payload,
                     )
                     settled.append(
                         JobOutcome(
-                            job_id=job_id,
+                            job_id=job.job_id,
                             status="failed",
-                            attempts=attempts[seq],
+                            attempts=attempt,
                             elapsed=elapsed_total[seq],
-                            error=error,
+                            error=payload,
                         )
                     )
                 outcomes[seq] = settled
@@ -714,42 +701,12 @@ class Scheduler:
                     owner = next(
                         (s for s in slots if s.busy == (seq, attempt)), None
                     )
-                    if owner is None or seq in outcomes:
-                        # Stale result from a worker whose job was already
-                        # settled (e.g. finished right as it was timed out).
-                        pass
-                    else:
+                    # A result without an owner is stale: its worker's
+                    # task was already settled (e.g. it finished right as
+                    # it was timed out).
+                    if owner is not None and seq not in outcomes:
                         owner.busy = None
-                        if status == "ok":
-                            elapsed_total[seq] += took
-                            if isinstance(payload, dict):
-                                child_tele = payload.pop("telemetry", None)
-                                if child_tele:
-                                    get_telemetry().merge(child_tele)
-                            settled = []
-                            for job_id, row in _result_rows(
-                                tasks[seq], payload
-                            ):
-                                manifest.record(
-                                    EVENT_JOB_DONE,
-                                    job_id=job_id,
-                                    attempt=attempt,
-                                    worker=worker_id,
-                                    elapsed=round(took, 6),
-                                    result=row,
-                                )
-                                settled.append(
-                                    JobOutcome(
-                                        job_id=job_id,
-                                        status="done",
-                                        attempts=attempt,
-                                        elapsed=elapsed_total[seq],
-                                        result=row,
-                                    )
-                                )
-                            outcomes[seq] = settled
-                        else:
-                            settle_failure(seq, worker_id, payload, took)
+                        settle(seq, worker_id, status, payload, took)
                 # Enforce deadlines and replace dead or stuck workers.
                 now = time.monotonic()
                 for i, slot in enumerate(slots):
@@ -772,7 +729,7 @@ class Scheduler:
                     slot.process.terminate()
                     slot.process.join(timeout=2.0)
                     slots[i] = spawn(i)
-                    settle_failure(seq, i, error, took)
+                    settle(seq, i, "error", error, took)
         finally:
             for slot in slots:
                 try:
@@ -785,8 +742,9 @@ class Scheduler:
                 if slot.process.is_alive():  # pragma: no cover
                     slot.process.terminate()
                     slot.process.join(timeout=1.0)
-            result_queue.close()
-            result_queue.cancel_join_thread()
+            if not inline:
+                result_queue.close()
+                result_queue.cancel_join_thread()
         return [o for i in range(len(tasks)) for o in outcomes[i]]
 
 

@@ -1081,7 +1081,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--timeout",
         type=float,
         default=None,
-        help="per-job wall-clock budget in seconds",
+        help="per-task wall-clock budget in seconds; a program's first "
+        "task also traces the program, within its budget",
     )
     p.add_argument(
         "--retries", type=int, default=1, help="re-attempts per failing job"

@@ -49,7 +49,13 @@ from repro.errors import CacheConfigError
 from repro.cache.config import CacheConfig
 from repro.cache.stats import PerSetCounts
 from repro.obsv.telemetry import get_telemetry
-from repro.simbatch.plan import BatchPlan, GeometryGroup, plan_batch, runs_fifo
+from repro.simbatch.plan import (
+    BatchPlan,
+    GeometryGroup,
+    fast_path_declined,
+    plan_batch,
+    runs_fifo,
+)
 
 
 @dataclass(frozen=True)
@@ -504,13 +510,12 @@ class MultiConfigSimulator:
         self.plan: BatchPlan = plan_batch(configs)
         if self.plan.ineligible:
             labels = "; ".join(
-                m.config.describe() for m in self.plan.ineligible[:3]
+                f"{m.config.describe()} ({fast_path_declined(m.config)})"
+                for m in self.plan.ineligible[:3]
             )
             more = "; ..." if len(self.plan.ineligible) > 3 else ""
             raise CacheConfigError(
-                f"no fast path covers {labels}{more} (it needs "
-                "write-allocate and, above one way, true LRU in a "
-                "set-associative cache or FIFO/round-robin replacement); "
+                f"no fast path covers {labels}{more}; "
                 "use the reference simulator"
             )
         self.configs = configs

@@ -47,7 +47,9 @@ def supports_fast_path(config: CacheConfig) -> bool:
     """Whether the batched kernel reproduces ``config`` exactly.
 
     Coverage matrix, every row requiring write-allocate so the hit/miss
-    stream is independent of the write mask: direct-mapped caches (any
+    stream is independent of the write mask and blocks of at least two
+    bytes (the kernels keep one block id free to mark an empty way):
+    direct-mapped caches (any
     replacement policy — it is never consulted at associativity 1),
     set-associative true-LRU caches (the stack pass), and FIFO and
     round-robin caches at any set count, fully associative included
@@ -65,6 +67,11 @@ def fast_path_declined(config: CacheConfig) -> Optional[str]:
     (the coverage matrix of :func:`supports_fast_path`)."""
     if config.allocate_policy is not AllocatePolicy.WRITE_ALLOCATE:
         return f"{config.allocate_policy.value} caches are not covered"
+    if config.block_size == 1:
+        # Block ids are int64, so 1-byte blocks would spend all 2**64
+        # values on addresses and leave none for the empty-way sentinel
+        # (-1) of the stack pass, the FIFO pass and the snapshots.
+        return "1-byte blocks are not covered: no block id is left free"
     if config.ways == 1:
         return None
     policy = config.policy.lower()

@@ -409,7 +409,7 @@ class TestImports:
 
     def test_mixed_run_traces_only_missing_programs(self, spec_file, tmp_path):
         """Store grid A, then run A+B without --resume: the parent serves
-        A's points and only B's program gets a trace task."""
+        A's points, and B's one task traces B's program."""
         import json
 
         out = tmp_path / "out"
@@ -428,16 +428,17 @@ class TestImports:
             for line in (out / "manifest.jsonl").read_text().splitlines()
         ]
         starts = [r["job_id"] for r in rows if r["event"] == "job-start"]
-        assert starts == ["trace/2a-L64", "2a-L64/baseline/2048B-32b-1w-lru/base"]
+        assert starts == ["2a-L64/baseline/2048B-32b-1w-lru/base"]
+        done = {r["job_id"]: r for r in rows if r["event"] == "job-done"}
         served = sorted(
-            r["job_id"]
-            for r in rows
-            if r["event"] == "job-done" and r["worker"] == -1
+            job_id for job_id, row in done.items() if row["worker"] == -1
         )
         assert served == [
             "1a-L64/baseline/2048B-32b-1w-lru/base",
             "1a-L64/t1/2048B-32b-1w-lru/base",
         ]
+        ran = done["2a-L64/baseline/2048B-32b-1w-lru/base"]["result"]
+        assert ran["cache_hits"]["trace"] is False
 
 
 def _json_artifacts(directory):
@@ -481,10 +482,12 @@ class TestOneTraceStore:
         self, tmp_path, monkeypatch, capsys
     ):
         """``tests/data/campaign_v1`` was written by ``tdst campaign
-        spec.toml`` while traces were v1 artifacts beside the payloads.
-        Rerun with a second cache, its stored points are served as they
-        are, and the points it lacks are traced afresh without opening
-        any ``.trace.tdst`` file."""
+        spec.toml`` while traces were v1 artifacts beside the payloads,
+        by a trace stage with manifest rows of its own.  ``--report``
+        reads its table as it always did.  Rerun with a second cache, its
+        stored points are served as they are, and the points it lacks
+        are traced afresh without opening any ``.trace.tdst`` file or
+        writing a ``trace/`` row, with or without ``--resume``."""
         import builtins
         import io
         import json
@@ -495,6 +498,20 @@ class TestOneTraceStore:
         shutil.copytree(fixture, old)
         v1 = {p: p.read_bytes() for p in old.rglob("*.trace.tdst")}
         assert len(v1) == 2
+        fixture_rows = (fixture / "manifest.jsonl").read_text().splitlines()
+        assert any('"trace/1a-L16"' in line for line in fixture_rows)
+        capsys.readouterr()
+        assert main(["campaign", "--dir", str(old), "--report"]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "point                                                     "
+            "status  accesses  misses   ratio  vs base",
+            "1a-L16/baseline/1024B-32b-1w-lru/base                       "
+            "done       132       7  0.0530        -",
+            "1a-L16/t1/1024B-32b-1w-lru/base                             "
+            "done       132       9  0.0682   +28.6%",
+            "totals: 2 done, 0 failed, 0 skipped; "
+            "artifact-cache simulation hits: 0/2",
+        ]
         spec = tmp_path / "wider.toml"
         spec.write_text(
             (fixture / "spec.toml").read_text()
@@ -525,7 +542,24 @@ class TestOneTraceStore:
             "1a-L16/baseline/2048B-32b-1w-lru/base": "fast",
             "1a-L16/t1/2048B-32b-1w-lru/base": "fast",
         }
+        assert not [row for row in rows if row.get("job_id", "").startswith("trace/")]
         assert {p: p.read_bytes() for p in old.rglob("*.trace.tdst")} == v1
+        resumed = tmp_path / "resumed"
+        shutil.copytree(fixture, resumed)
+        assert main(["campaign", str(spec), "--dir", str(resumed), "--resume"]) == 0
+        appended = (resumed / "manifest.jsonl").read_text().splitlines()
+        assert appended[: len(fixture_rows)] == fixture_rows
+        new_rows = [json.loads(line) for line in appended[len(fixture_rows):]]
+        assert sorted(
+            (row["event"], row["job_id"]) for row in new_rows if "job_id" in row
+        ) == [
+            ("job-done", "1a-L16/baseline/2048B-32b-1w-lru/base"),
+            ("job-done", "1a-L16/t1/2048B-32b-1w-lru/base"),
+            ("job-skipped", "1a-L16/baseline/1024B-32b-1w-lru/base"),
+            ("job-skipped", "1a-L16/t1/1024B-32b-1w-lru/base"),
+            ("job-start", "1a-L16/baseline/2048B-32b-1w-lru/base"),
+            ("job-start", "1a-L16/t1/2048B-32b-1w-lru/base"),
+        ]
         fresh = tmp_path / "fresh"
         assert main(["campaign", str(spec), "--dir", str(fresh)]) == 0
         assert "done: 4  failed: 0" in capsys.readouterr().out

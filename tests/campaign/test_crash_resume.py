@@ -107,10 +107,14 @@ class TestStaleTmpFiles:
             ),
         )
         result = run_campaign(spec, tmp_path / "c", workers=1)
-        # 2 trace tasks + 12 points in 8 grid tasks (per rule, the two
-        # direct-mapped points share one).
+        # 12 points in 8 grid tasks (per rule, the two direct-mapped
+        # points share one), two of which trace their program.
         assert result.n_done == 12
-        assert len(result.trace_outcomes) == 2
+        starts = [
+            r for r in RunManifest.read(tmp_path / "c" / "manifest.jsonl")
+            if r["event"] == "job-start"
+        ]
+        assert len(starts) == 8
         assert sweeps == [tmp_path / "c" / "artifacts"]
 
 

@@ -5,9 +5,7 @@ import pytest
 from repro.campaign.artifacts import ArtifactStore
 from repro.campaign.jobs import (
     Job,
-    TraceTask,
     execute_job,
-    execute_trace_task,
     expand_jobs,
     resolve_rule_text,
     simulation_fields,
@@ -33,23 +31,15 @@ def spec():
 
 
 class TestExpansion:
-    def test_trace_tasks_deduplicated(self, spec):
-        traces, _jobs = expand_jobs(spec)
-        # Two grid entries share (1a, 64): one trace task, not two.
-        assert sorted((t.kernel, t.length) for t in traces) == [
-            ("1a", 64),
-            ("3a", 64),
-        ]
-
     def test_job_count_matches_spec(self, spec):
-        _traces, jobs = expand_jobs(spec)
+        jobs = expand_jobs(spec)
         # Raw grid product is 8, but "1a baseline" appears in two grid
         # entries, so expansion collapses those duplicates (2 caches).
         assert spec.n_points() == (2 + 1 + 1) * 2
         assert len(jobs) == spec.n_points() - 2
 
     def test_job_ids_unique(self, spec):
-        _traces, jobs = expand_jobs(spec)
+        jobs = expand_jobs(spec)
         ids = [j.job_id for j in jobs]
         assert len(set(ids)) == len(ids)
 
@@ -79,33 +69,72 @@ class TestRuleResolution:
             resolve_rule_text("t9", 64)
 
 
-class TestExecution:
-    def test_trace_task_generates_then_hits_cache(self, tmp_path):
-        task = TraceTask(kernel="1a", length=32)
-        first = execute_trace_task(task, tmp_path)
-        assert first["cache_hits"] == {"trace": False}
-        assert first["records"] > 0
-        second = execute_trace_task(task, tmp_path)
-        assert second["cache_hits"] == {"trace": True}
-        assert second["records"] == first["records"]
+def open_blob_spy(monkeypatch):
+    """Record every chunk blob the trace store opens from now on."""
+    from repro.tracestore.store import TraceStore
 
-    def test_trace_task_hit_reads_the_count_without_decoding(
-        self, tmp_path, monkeypatch
-    ):
-        """On a primed store the trace stage reports the record count
-        from the commit object: it reads no chunk blob."""
+    opened = []
+    open_blob = TraceStore.open_blob
+    monkeypatch.setattr(
+        TraceStore, "open_blob",
+        lambda store, bid: opened.append(bid) or open_blob(store, bid),
+    )
+    return opened
+
+
+class TestExecution:
+    def test_grid_task_traces_then_hits_cache(self, tmp_path, monkeypatch):
+        """The task that misses a program's trace commits it and
+        simulates the trace it holds in memory, opening no blob; a later
+        task with another cache hits the commit and decodes it once."""
         from repro.tracestore.store import TraceStore
 
-        task = TraceTask(kernel="1a", length=32)
-        cold = execute_trace_task(task, tmp_path)
+        opened = open_blob_spy(monkeypatch)
+        job = Job(kernel="1a", length=32, rule="baseline",
+                  cache=CacheSpec(size=2048))
+        first = execute_job(job, tmp_path)
+        assert first["cache_hits"] == {"simulation": False, "trace": False}
+        assert first["records"] > 0
+        assert opened == []
+        other = Job(kernel="1a", length=32, rule="baseline",
+                    cache=CacheSpec(size=4096))
+        second = execute_job(other, tmp_path)
+        assert second["cache_hits"] == {"simulation": False, "trace": True}
+        assert second["records"] == first["records"]
+        base = TraceStore(tmp_path / "tracestore").resolve(
+            f"trace/{trace_key('1a', 32)}"
+        )
+        assert opened == list(base.blob_ids)
 
-        def no_decode(store, bid):
-            raise AssertionError(f"trace stage opened blob {bid}")
+    def test_grid_task_trace_hit_reads_the_count_without_decoding(
+        self, tmp_path, monkeypatch
+    ):
+        """On a primed trace store a ``file:`` point whose payload was
+        lost takes the record count from the commits, its transform from
+        the lineage's head and its counts from the chain's last
+        snapshot: it reads no chunk blob."""
+        import shutil
 
-        monkeypatch.setattr(TraceStore, "open_blob", no_decode)
-        warm = execute_trace_task(task, tmp_path)
-        assert warm["cache_hits"] == {"trace": True}
+        from repro.transform.paper_rules import RULE_T1_SOA_TO_AOS
+
+        rules = tmp_path / "t1.rules"
+        rules.write_text(RULE_T1_SOA_TO_AOS.format(length=32))
+        job = Job(kernel="1a", length=32, rule=f"file:{rules}",
+                  cache=CacheSpec(size=2048))
+        root = tmp_path / "c"
+        cold = execute_job(job, root)
+        shutil.rmtree(root / "artifacts")
+        opened = open_blob_spy(monkeypatch)
+        warm = execute_job(job, root)
+        assert opened == []
+        assert warm["route"] == "tracestore"
+        assert warm["cache_hits"] == {
+            "simulation": False, "trace": True, "transform": True
+        }
         assert warm["records"] == cold["records"]
+        assert {k: warm[k] for k in ("hits", "misses")} == {
+            k: cold[k] for k in ("hits", "misses")
+        }
 
     @pytest.mark.parametrize("cache", [CacheSpec(size=2048),
                                        CacheSpec(ppc440=True)])
@@ -117,13 +146,11 @@ class TestExecution:
         wrote: it simulates the engine's output columns."""
         from repro.tracestore.store import TraceStore
 
-        execute_trace_task(TraceTask(kernel="3a", length=64), tmp_path)
-        opened = []
-        open_blob = TraceStore.open_blob
-        monkeypatch.setattr(
-            TraceStore, "open_blob",
-            lambda store, bid: opened.append(bid) or open_blob(store, bid),
+        execute_job(
+            Job(kernel="3a", length=64, rule="baseline", cache=cache), tmp_path
         )
+        open_blob = TraceStore.open_blob
+        opened = open_blob_spy(monkeypatch)
         job = Job(kernel="3a", length=64, rule="t3", cache=cache)
         payload = execute_job(job, tmp_path)
         assert payload["route"] == "fast"
@@ -140,18 +167,21 @@ class TestExecution:
         )
         assert {k: payload[k] for k in want} == want
 
-    def test_trace_task_hit_on_truncated_artifact_fails(self, tmp_path):
+    def test_grid_task_on_torn_trace_commit_fails(self, tmp_path):
         """A torn commit object behind the trace ref is an error naming
         it, not a silent re-trace or a JSON traceback."""
         from repro.tracestore.store import TraceStore
 
-        task = TraceTask(kernel="1a", length=32)
-        execute_trace_task(task, tmp_path)
+        def job(size):
+            return Job(kernel="1a", length=32, rule="baseline",
+                       cache=CacheSpec(size=size))
+
+        execute_job(job(2048), tmp_path)
         store = TraceStore(tmp_path / "tracestore")
         commit = store.commit_path(store.get_ref(f"trace/{trace_key('1a', 32)}"))
         commit.write_bytes(commit.read_bytes()[:-1])
         with pytest.raises(TraceFormatError, match="corrupt commit"):
-            execute_trace_task(task, tmp_path)
+            execute_job(job(4096), tmp_path)
 
     def test_baseline_job_end_to_end(self, tmp_path):
         job = Job(kernel="1a", length=32, rule="baseline", cache=CacheSpec(size=2048))
@@ -297,6 +327,43 @@ class TestSimulationFields:
         other = CacheConfig(size=1024, block_size=32, associativity=1)
         batched, _ = simulation_fields(trace, [cfg, other], attribution)
         assert batched == fast
+
+    @pytest.mark.parametrize(
+        "addrs, assoc, policy",
+        [
+            ([2**64 - 1, 2**64 - 9], 2, "lru"),
+            ([2**64 - 1, 0, 2, 2**64 - 1], 2, "fifo"),
+            ([2**64 - 1], 1, "lru"),
+        ],
+        ids=["lru", "fifo", "direct-mapped"],
+    )
+    def test_one_byte_blocks_match_the_reference(self, addrs, assoc, policy):
+        """With 1-byte blocks every int64 block id names an address, so
+        address 2**64-1 is the kernels' empty-way id (-1): the kernel
+        declines such caches, and every stream keeps the reference's
+        payload (no hit)."""
+        from repro.cache.config import CacheConfig
+        from repro.ctypes_model.path import VariablePath
+        from repro.errors import CacheConfigError
+        from repro.simbatch.kernel import MultiConfigSimulator
+        from repro.trace.record import AccessType, TraceRecord
+        from repro.trace.stream import Trace
+
+        trace = Trace(
+            [
+                TraceRecord(AccessType.LOAD, addr, 1, "main", "LS",
+                            var=VariablePath.parse("lA"))
+                for addr in addrs
+            ]
+        )
+        cfg = CacheConfig(size=assoc, block_size=1, associativity=assoc,
+                          policy=policy)
+        fast = simulation_fields(trace, [cfg], "base")
+        slow = simulation_fields(trace, [cfg], "base", use_fast=False)
+        assert fast == slow
+        assert slow[0]["hits"] == 0
+        with pytest.raises(CacheConfigError, match="1-byte blocks"):
+            MultiConfigSimulator([cfg])
 
     def test_uncovered_config_falls_back(self, kernel_traces):
         from repro.campaign.jobs import simulation_fields

@@ -25,8 +25,10 @@ class TestSerialRun:
         result = run_campaign(mini_spec(), tmp_path / "c")
         assert result.n_done == 3
         assert result.n_failed == 0
-        assert len(result.trace_outcomes) == 2  # 1a and 3a, deduplicated
         assert all(o.ok for o in result.outcomes)
+        # 1a and 3a, each traced once: by its program's first task
+        traces = [o.result["cache_hits"]["trace"] for o in result.outcomes]
+        assert sorted(traces) == [False, False, True]
 
     def test_manifest_written(self, tmp_path):
         directory = tmp_path / "c"
@@ -35,9 +37,11 @@ class TestSerialRun:
         events = [r["event"] for r in rows]
         assert events[0] == "campaign-start"
         assert events[-1] == "campaign-end"
-        # 2 trace stages + 3 points, one start and one done each.
-        assert events.count("job-start") == 5
-        assert events.count("job-done") == 5
+        # 3 points in 3 tasks, one start and one done each; the tasks
+        # that miss a program's trace trace it, so no row is a trace's.
+        assert events.count("job-start") == 3
+        assert events.count("job-done") == 3
+        assert not [r for r in rows if r.get("job_id", "").startswith("trace/")]
 
     def test_results_carry_simulation_counters(self, tmp_path):
         result = run_campaign(mini_spec(), tmp_path / "c")
@@ -191,8 +195,25 @@ def done_rows(directory):
     return {
         r["job_id"]: r
         for r in RunManifest.read(directory / "manifest.jsonl")
-        if r["event"] == "job-done" and not r["job_id"].startswith("trace/")
+        if r["event"] == "job-done"
     }
+
+
+def traced(run):
+    """``run()`` under fresh telemetry; returns ``(its result, the number
+    of ``trace.program`` spans)``, worker spans merged in."""
+    from repro.obsv.telemetry import get_telemetry
+
+    tele = get_telemetry()
+    tele.reset()
+    tele.enable()
+    try:
+        result = run()
+        spans = tele.snapshot()["spans"]
+    finally:
+        tele.disable()
+        tele.reset()
+    return result, sum(1 for span in spans if span["name"] == "trace.program")
 
 
 def stored_json(directory):
@@ -210,7 +231,6 @@ class TestPlanning:
         run_campaign(mini_spec(), directory, workers=2)
         again = run_campaign(mini_spec(), directory, workers=2)
         assert again.n_done == 3
-        assert again.trace_outcomes == []
         rows = RunManifest.read(directory / "manifest.jsonl")
         events = [r["event"] for r in rows]
         assert events.count("job-start") == 0
@@ -220,7 +240,7 @@ class TestPlanning:
             assert "recovered" not in row
             assert row["result"]["cache_hits"] == {"simulation": True}
 
-    def test_only_missing_programs_get_trace_tasks(self, tmp_path):
+    def test_only_missing_programs_are_traced(self, tmp_path):
         directory = tmp_path / "c"
         run_campaign(mini_spec(), directory)
         wider = mini_spec(
@@ -230,17 +250,23 @@ class TestPlanning:
                 GridEntry(kernel="2a", length=64, rules=("baseline", "t2")),
             )
         )
-        result = run_campaign(wider, directory)
-        assert [o.job_id for o in result.trace_outcomes] == ["trace/2a-L64"]
-        served = {
-            job_id
-            for job_id, row in done_rows(directory).items()
-            if row["worker"] == -1
-        }
+        result, tracers = traced(lambda: run_campaign(wider, directory))
+        assert tracers == 1
+        rows = done_rows(directory)
+        served = {job_id for job_id, row in rows.items() if row["worker"] == -1}
         assert served == {
             "1a-L64/baseline/2048B-32b-1w-lru/base",
             "1a-L64/t1/2048B-32b-1w-lru/base",
             "3a-L64/baseline/2048B-32b-1w-lru/base",
+        }
+        hits = {
+            job_id: row["result"]["cache_hits"]["trace"]
+            for job_id, row in rows.items()
+            if job_id.startswith("2a-")
+        }
+        assert hits == {
+            "2a-L64/baseline/2048B-32b-1w-lru/base": False,
+            "2a-L64/t2/2048B-32b-1w-lru/base": True,
         }
         assert result.n_done == 5
 
@@ -320,3 +346,231 @@ class TestRouteProvenance:
             assert row["result"]["route"] == "reference"
             assert "--no-fast" in row["result"]["route_reason"]
         assert stored_json(tmp_path / "b") == stored_json(tmp_path / "r")
+
+    def test_one_byte_blocks_take_the_reference(self, tmp_path):
+        """The kernels keep block id -1 for an empty way, which 1-byte
+        blocks would spend on address 2**64-1: the planner declines them."""
+        spec = mini_spec(
+            grid=(GridEntry(kernel="1a", length=32, rules=("baseline",)),),
+            caches=(CacheSpec(size=1024, block=1, assoc=2),),
+        )
+        run_campaign(spec, tmp_path / "c")
+        (row,) = done_rows(tmp_path / "c").values()
+        assert row["result"]["route"] == "reference"
+        assert "1-byte blocks" in row["result"]["route_reason"]
+
+
+def rotated_paper_spec(shift, length=64):
+    """The paper grid, one grid entry per point, rotated by ``shift``
+    points: every point gets to be its program's first task."""
+    import dataclasses
+
+    from repro.campaign.grid import expand_jobs
+    from repro.campaign.spec import paper_figures_spec
+
+    paper = paper_figures_spec(length=length)
+    jobs = expand_jobs(paper)
+    jobs = jobs[shift:] + jobs[:shift]
+    return dataclasses.replace(
+        paper,
+        grid=tuple(
+            GridEntry(kernel=j.kernel, length=j.length, rules=(j.rule,),
+                      caches=(j.cache,))
+            for j in jobs
+        ),
+    )
+
+
+def assert_later_tasks_wait(rows):
+    """Each program's later tasks start only after its first task's
+    first attempt has ended, in manifest order and by ``ts``."""
+    ended = {}
+    for i, row in enumerate(rows):
+        program = row.get("job_id", "").split("/")[0]
+        if row["event"] == "job-start":
+            if program in ended:
+                first_end = ended[program]
+                assert first_end is not None, row["job_id"]
+                assert rows[first_end]["ts"] <= row["ts"]
+            else:
+                ended[program] = None
+        elif (
+            row["event"] in ("job-done", "job-retry", "job-failed")
+            and ended.get(program, 0) is None
+        ):
+            ended[program] = i
+
+
+class TestOneTracePerProgram:
+    """No trace stage: a task that misses its program's trace makes it,
+    and the program's other tasks wait for that task."""
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_every_rotation_traces_each_program_once(self, tmp_path, workers):
+        for shift in range(6):
+            directory = tmp_path / f"r{shift}"
+            spec = rotated_paper_spec(shift)
+            result, tracers = traced(
+                lambda: run_campaign(spec, directory, workers=workers)
+            )
+            assert (shift, result.n_done) == (shift, 6)
+            assert (shift, tracers) == (shift, 3)
+            rows = RunManifest.read(directory / "manifest.jsonl")
+            assert not [
+                r for r in rows if r.get("job_id", "").startswith("trace/")
+            ]
+            assert_later_tasks_wait(rows)
+
+    def test_first_tasks_go_first(self):
+        """Every program's first task is handed out ahead of any
+        program's later task, and holds back its program's others."""
+        from repro.campaign.grid import expand_jobs, plan_tasks
+        from repro.campaign.scheduler import _dispatch_order
+
+        spec = mini_spec(
+            grid=(
+                GridEntry(kernel="1a", length=64, rules=("baseline", "t1")),
+                GridEntry(kernel="1a", length=64, rules=("baseline",)),
+                GridEntry(kernel="3a", length=64, rules=("t3", "baseline")),
+            ),
+        )
+        tasks, held = _dispatch_order(plan_tasks(expand_jobs(spec), fast=True))
+        assert [t.job_id.split("/")[:2] for t in tasks] == [
+            ["1a-L64", "baseline"],
+            ["3a-L64", "t3"],
+            ["1a-L64", "t1"],
+            ["3a-L64", "baseline"],
+        ]
+        assert held == {0: [2], 1: [3]}
+
+    def test_cold_paper_campaign_decodes_each_trace_once(
+        self, tmp_path, monkeypatch
+    ):
+        """A program's baseline points simulate the trace their task just
+        made, in memory: only the rule points' ``apply_rules`` opens a
+        chunk, one per program."""
+        from repro.campaign.spec import paper_figures_spec
+        from repro.tracestore.store import TraceStore
+
+        opened = []
+        open_blob = TraceStore.open_blob
+        monkeypatch.setattr(
+            TraceStore, "open_blob",
+            lambda store, bid: opened.append(bid) or open_blob(store, bid),
+        )
+        result = run_campaign(paper_figures_spec(1024), tmp_path / "c")
+        assert result.n_done == 6
+        assert len(opened) == 3
+
+    def test_failing_first_task_fails_only_its_point(self, tmp_path):
+        """The program's first task names a missing rule file: it fails
+        before tracing, the baseline point then traces the program, once."""
+        missing = tmp_path / "missing.rules"
+        spec = mini_spec(
+            grid=(
+                GridEntry(kernel="1a", length=64,
+                          rules=(f"file:{missing}", "baseline")),
+            ),
+        )
+        directory = tmp_path / "c"
+        result, tracers = traced(
+            lambda: run_campaign(spec, directory, retries=1, backoff=0.0)
+        )
+        (failed,) = result.by_status("failed")
+        assert failed.job_id.startswith("1a-L64/file:")
+        assert "FileNotFoundError" in failed.error
+        (done,) = result.by_status("done")
+        assert done.job_id == "1a-L64/baseline/2048B-32b-1w-lru/base"
+        assert tracers == 1
+        assert_later_tasks_wait(RunManifest.read(directory / "manifest.jsonl"))
+
+    def test_timed_out_first_task_lets_the_others_trace(
+        self, tmp_path, monkeypatch
+    ):
+        """A first task killed at its deadline releases its program's
+        other tasks, which trace the program on their own."""
+        import time
+
+        from repro.campaign import scheduler
+
+        execute = scheduler.execute_task
+
+        def stalled(task, directory):
+            # Forked workers inherit this patch; only the baseline stalls.
+            if task.members[0].is_baseline:
+                time.sleep(60)
+            return execute(task, directory)
+
+        monkeypatch.setattr(scheduler, "execute_task", stalled)
+        spec = mini_spec(
+            grid=(GridEntry(kernel="1a", length=32, rules=("baseline", "t1")),),
+        )
+        result = run_campaign(
+            spec, tmp_path / "c", workers=2, timeout=1.0, retries=0
+        )
+        (failed,) = result.by_status("failed")
+        assert failed.job_id == "1a-L32/baseline/2048B-32b-1w-lru/base"
+        assert "timeout" in failed.error
+        (done,) = result.by_status("done")
+        assert done.job_id == "1a-L32/t1/2048B-32b-1w-lru/base"
+        assert done.result["cache_hits"]["trace"] is False
+
+
+class TestInlineSlot:
+    """``workers <= 1`` without a timeout runs each task in the parent,
+    through the same dispatch loop as the pool."""
+
+    def test_runs_in_the_parent(self, tmp_path, monkeypatch):
+        """No process starts, the parent's telemetry is neither reset
+        nor merged into, every row names worker 0, and a retry waits its
+        backoff."""
+        from repro.campaign import scheduler
+        from repro.obsv.telemetry import get_telemetry
+
+        def no_pool():
+            raise AssertionError("an inline run asked for a process pool")
+
+        monkeypatch.setattr(scheduler, "_mp_context", no_pool)
+        rules = tmp_path / "broken.rules"
+        rules.write_text("in:\nnope {{{\n")
+        spec = mini_spec(
+            grid=(
+                GridEntry(kernel="1a", length=32,
+                          rules=("baseline", f"file:{rules}")),
+            ),
+        )
+        tele = get_telemetry()
+        tele.reset()
+        tele.enable()
+        try:
+            tele.add("test.before_run")
+            result = run_campaign(spec, tmp_path / "c", retries=1, backoff=0.05)
+            counters = tele.snapshot()["counters"]
+        finally:
+            tele.disable()
+            tele.reset()
+        assert (result.n_done, result.n_failed) == (1, 1)
+        assert counters["test.before_run"] == 1
+        # the baseline task's simulation and trace misses, counted once
+        assert counters["campaign.artifact_misses"] == 2
+        rows = RunManifest.read(tmp_path / "c" / "manifest.jsonl")
+        assert {r["worker"] for r in rows if "worker" in r} == {0}
+        (retry,) = [r for r in rows if r["event"] == "job-retry"]
+        assert retry["backoff"] == 0.05
+        (again,) = [
+            r for r in rows
+            if r["event"] == "job-start" and r["attempt"] == 2
+        ]
+        assert again["ts"] - retry["ts"] >= 0.05 - 0.002
+
+    def test_lets_an_interrupt_through(self, tmp_path, monkeypatch):
+        from repro.campaign import scheduler
+
+        def interrupted(task, directory):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(scheduler, "execute_task", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            run_campaign(mini_spec(), tmp_path / "c", retries=3)
+        rows = RunManifest.read(tmp_path / "c" / "manifest.jsonl")
+        assert [r["event"] for r in rows][-1] == "job-start"

@@ -53,7 +53,7 @@ def artifact_bytes(directory):
 
 class TestGrouping:
     def test_same_trace_points_group(self):
-        _, jobs = expand_jobs(grid_spec())
+        jobs = expand_jobs(grid_spec())
         tasks = plan_tasks(jobs, fast=True)
         # one task per (rule, attribution) pair: 2 rules x 2 modes
         assert len(tasks) == 4
@@ -72,7 +72,7 @@ class TestGrouping:
             ),
             attribution=("base",),
         )
-        _, jobs = expand_jobs(spec)
+        jobs = expand_jobs(spec)
         tasks = plan_tasks(jobs, fast=True)
         plru = [t for t in tasks if t.members[0].cache.policy == "plru"]
         assert [len(t.members) for t in plru] == [1, 1]
@@ -95,7 +95,7 @@ class TestGrouping:
             ),
             attribution=("base",),
         )
-        _, jobs = expand_jobs(spec)
+        jobs = expand_jobs(spec)
         tasks = plan_tasks(jobs, fast=True)
         assert [len(t.members) for t in tasks] == [3, 3]
         assert {t.route for t in tasks} == {"fast"}
@@ -111,7 +111,7 @@ class TestGrouping:
 
     def test_reference_only_jobs_stay_single(self):
         """With the kernel off every point is a reference task of its own."""
-        _, jobs = expand_jobs(grid_spec(attribution=("base",)))
+        jobs = expand_jobs(grid_spec(attribution=("base",)))
         tasks = plan_tasks(jobs, fast=False)
         assert [t.members for t in tasks] == [(job,) for job in jobs]
         assert [t.job_id for t in tasks] == [job.job_id for job in jobs]
@@ -121,7 +121,7 @@ class TestGrouping:
 
 class TestExecutionParity:
     def test_batch_payloads_equal_single_route(self, tmp_path):
-        _, jobs = expand_jobs(grid_spec())
+        jobs = expand_jobs(grid_spec())
         single = {
             j.job_id: execute_job(j, tmp_path / "single") for j in jobs
         }
@@ -134,7 +134,7 @@ class TestExecutionParity:
                 assert payload_key(payload) == payload_key(single[member_id])
 
     def test_cached_members_short_circuit(self, tmp_path):
-        _, jobs = expand_jobs(grid_spec(attribution=("base",)))
+        jobs = expand_jobs(grid_spec(attribution=("base",)))
         (task,) = [
             t for t in plan_tasks(jobs, fast=True) if "baseline" in t.job_id
         ]
@@ -184,7 +184,7 @@ class TestScheduledCampaign:
             for r in rows
             if r["event"] == "job-done" and "trace/" not in r["job_id"]
         ]
-        _, jobs = expand_jobs(grid_spec())
+        jobs = expand_jobs(grid_spec())
         assert sorted(done) == sorted(j.job_id for j in jobs)
 
     def test_resume_skips_everything(self, tmp_path):
@@ -202,7 +202,7 @@ class TestScheduledCampaign:
             "[[caches]]\nsize = 2048\nassoc = 2\n"
             '[[grid]]\nkernel = "1a"\nlength = 16\n'
         )
-        _, jobs = expand_jobs(spec)
+        jobs = expand_jobs(spec)
         (task,) = plan_tasks(jobs, fast=True)
         assert task.members == tuple(jobs) and task.route == "fast"
 

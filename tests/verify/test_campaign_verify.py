@@ -31,7 +31,7 @@ class TestSpecPlumbing:
             grid=(GridEntry(kernel="1a", length=16, rules=("t1",)),),
             caches=(CacheSpec(size=2048),),
         )
-        _, jobs = expand_jobs(spec)
+        jobs = expand_jobs(spec)
         assert all(not j.verify for j in jobs)
 
     def test_verify_propagates_to_every_job(self):
@@ -43,7 +43,7 @@ class TestSpecPlumbing:
             caches=(CacheSpec(size=2048),),
             verify=True,
         )
-        _, jobs = expand_jobs(spec)
+        jobs = expand_jobs(spec)
         assert jobs
         assert all(j.verify for j in jobs)
 
