@@ -4,9 +4,9 @@ The campaign runner's value proposition is incremental re-runs: every
 stage output (trace, transformed trace, simulation result) is
 content-addressed, so re-running an unchanged grid should be bounded by
 artifact-store lookups, not by simulation.  This bench times a small
-grid cold (empty store), warm (fully populated store, every point a
-simulation-cache hit) and resumed (manifest skip, no work at all), and
-asserts the warm paths are measurably faster.
+grid cold (empty store) and warm (fully populated store, every point a
+simulation-cache hit answered before any work starts), and asserts the
+warm rerun is measurably faster.
 """
 
 import shutil
@@ -66,16 +66,6 @@ def test_warm_rerun(benchmark, tmp_path, spec):
     assert result.cache_hit_rate() == 1.0  # every point a simulation hit
 
 
-def test_resume_skips_everything(benchmark, tmp_path, spec):
-    directory = tmp_path / "resume"
-    run_campaign(spec, directory)
-
-    result = benchmark(lambda: run_campaign(spec, directory, resume=True))
-    assert result.n_skipped == 6
-    assert result.n_done == 0
-    assert result.cache_hit_rate() == 1.0
-
-
 def test_warm_beats_cold(benchmark, tmp_path, spec, quick):
     """The acceptance claim: a re-run over a populated store is
     measurably faster than the cold run that populated it.  Under
@@ -87,10 +77,10 @@ def test_warm_beats_cold(benchmark, tmp_path, spec, quick):
     cold_seconds = time.perf_counter() - t0
     assert cold.n_done == 6
 
-    benchmark(lambda: run_campaign(spec, directory, resume=True))
+    benchmark(lambda: run_campaign(spec, directory))
     warm_seconds = benchmark.stats["mean"]
     print(
-        f"\ncold {cold_seconds * 1e3:.1f} ms, resumed {warm_seconds * 1e3:.1f} ms, "
+        f"\ncold {cold_seconds * 1e3:.1f} ms, rerun {warm_seconds * 1e3:.1f} ms, "
         f"speedup {cold_seconds / warm_seconds:.1f}x over {cold.n_done} points"
     )
     if not quick:

@@ -93,7 +93,8 @@ def campaign_report(rows: Sequence[Dict[str, Any]]) -> str:
 
     ``rows`` are the per-job terminal events of a run manifest
     (``RunManifest.result_rows``) — or any dicts with the same shape:
-    ``job_id``, ``event`` (``job-done``/``job-failed``/``job-skipped``),
+    ``job_id``, ``event`` (``job-done``/``job-failed``, or the
+    ``job-skipped`` of an older manifest that carried rows forward),
     and for completed jobs a ``result`` payload with the simulation
     counters.  Grid points are compared against the ``baseline`` rule of
     the same (program, cache, attribution) group, reproducing the

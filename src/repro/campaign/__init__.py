@@ -15,9 +15,9 @@ to full studies through this subpackage:
   commit store (:mod:`repro.tracestore`);
 - :mod:`repro.campaign.artifacts` — content-addressed
   :class:`ArtifactStore` (SHA-256 of kernel + rule text + config) that
-  makes re-runs and ``--resume`` incremental;
-- :mod:`repro.campaign.manifest` — append-only JSONL
-  :class:`RunManifest` of every job start/retry/failure/completion;
+  makes re-runs incremental: a rerun runs only the points it lacks;
+- :mod:`repro.campaign.manifest` — the JSONL :class:`RunManifest` of
+  every job start/retry/failure/completion, written afresh by each run;
 - :mod:`repro.campaign.scheduler` — the :class:`Scheduler`, the one
   campaign executor: one dispatch loop over worker slots (the parent
   itself inline, or a process pool), each program's first task ahead

@@ -3,7 +3,7 @@
 Every grid point's simulation payload is written under a SHA-256 key
 derived from the point's *complete* input description — program
 identity, rule text, cache-config tuple.  Re-running a campaign
-therefore costs only the points whose inputs changed; ``--resume`` and
+therefore costs only the points whose inputs changed; reruns and
 iterative spec editing are incremental for free.
 
 Layout on disk (two-level fan-out keeps directories small at scale)::

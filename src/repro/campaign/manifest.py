@@ -1,11 +1,11 @@
 """Run manifests: append-only JSONL observability for campaign runs.
 
-Every scheduler event — job start, completion, retry, terminal failure,
-resume-skip — is appended as one JSON object per line, flushed
-immediately, so a crashed or killed run leaves a readable record up to
-the moment of death.  The manifest doubles as the ``--resume`` source
-(completed job ids are skipped) and the ``--report`` source (the summary
-table renders from ``job-done`` rows without re-running anything).
+Every scheduler event — job start, completion, retry, terminal failure
+— is appended as one JSON object per line, flushed immediately, so a
+crashed or killed run leaves a readable record up to the moment of
+death.  Each run writes its manifest afresh; it is the ``--report``
+source (the summary table renders from ``job-done`` rows without
+re-running anything).
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import json
 import time
 import warnings
 from pathlib import Path
-from typing import Any, Dict, Iterator, List, Optional, Union
+from typing import Any, Dict, List, Union
 
 #: Event names written by the scheduler.
 EVENT_CAMPAIGN_START = "campaign-start"
@@ -23,32 +23,21 @@ EVENT_JOB_START = "job-start"
 EVENT_JOB_DONE = "job-done"
 EVENT_JOB_RETRY = "job-retry"
 EVENT_JOB_FAILED = "job-failed"
+#: Written only by older runs that carried a manifest's rows forward;
+#: still read, so ``--report`` renders their directories as before.
 EVENT_JOB_SKIPPED = "job-skipped"
 #: Merged campaign telemetry (counters/gauges), written when profiling.
 EVENT_TELEMETRY = "telemetry"
 
 
 class RunManifest:
-    """Append-only JSONL event log for one campaign directory."""
+    """JSONL event log of one campaign run; opening it truncates the
+    previous run's log."""
 
-    def __init__(
-        self, path: Union[str, Path], *, append: bool = False
-    ) -> None:
+    def __init__(self, path: Union[str, Path]) -> None:
         self.path = Path(path)
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        mode = "a" if append else "w"
-        # Resuming after a crash can find a torn final line (no trailing
-        # newline).  Appending straight after it would glue the first new
-        # row onto the fragment, losing both; start on a fresh line.
-        needs_newline = False
-        if append and self.path.exists() and self.path.stat().st_size:
-            with open(self.path, "rb") as peek:
-                peek.seek(-1, 2)
-                needs_newline = peek.read(1) != b"\n"
-        self._handle = open(self.path, mode, encoding="utf-8")
-        if needs_newline:
-            self._handle.write("\n")
-            self._handle.flush()
+        self._handle = open(self.path, "w", encoding="utf-8")
 
     # -- writing -------------------------------------------------------------
 
@@ -79,7 +68,7 @@ class RunManifest:
 
         Tolerates a torn final line (a worker hard-killed mid-append
         leaves incomplete JSON at EOF): the partial row is dropped with a
-        warning instead of raising, so ``--resume`` still works after a
+        warning instead of raising, so ``--report`` still works after a
         crash.  A malformed row *before* EOF means real corruption, not a
         crash artifact — it is also dropped, but warned about separately.
         """
@@ -109,17 +98,6 @@ class RunManifest:
                     )
                 continue
         return rows
-
-    @staticmethod
-    def completed_jobs(
-        rows: List[Dict[str, Any]]
-    ) -> Dict[str, Dict[str, Any]]:
-        """``job_id -> last job-done row`` across all rows (for resume)."""
-        done: Dict[str, Dict[str, Any]] = {}
-        for row in rows:
-            if row.get("event") == EVENT_JOB_DONE and "job_id" in row:
-                done[row["job_id"]] = row
-        return done
 
     @staticmethod
     def result_rows(rows: List[Dict[str, Any]]) -> List[Dict[str, Any]]:

@@ -34,9 +34,9 @@ Execution model:
   costs its own points, not the campaign.
 
 Every state change is appended to the JSONL
-:class:`~repro.campaign.manifest.RunManifest`; ``resume=True`` reads the
-previous manifest, carries its completed jobs forward as skipped, and
-appends to it.
+:class:`~repro.campaign.manifest.RunManifest`, which each run writes
+afresh: a rerun's rows come from the artifact store, not from the
+previous manifest.
 """
 
 from __future__ import annotations
@@ -64,7 +64,6 @@ from repro.campaign.manifest import (
     EVENT_JOB_DONE,
     EVENT_JOB_FAILED,
     EVENT_JOB_RETRY,
-    EVENT_JOB_SKIPPED,
     EVENT_JOB_START,
     EVENT_TELEMETRY,
     RunManifest,
@@ -81,7 +80,7 @@ class JobOutcome:
     """Terminal state of one task after scheduling."""
 
     job_id: str
-    status: str  #: ``"done"`` | ``"failed"`` | ``"skipped"``
+    status: str  #: ``"done"`` | ``"failed"``
     attempts: int = 1
     elapsed: float = 0.0
     result: Optional[Dict[str, Any]] = None
@@ -115,40 +114,27 @@ class CampaignResult:
         """Points that exhausted their retries."""
         return len(self.by_status("failed"))
 
-    @property
-    def n_skipped(self) -> int:
-        """Points skipped because a resumed manifest already had them."""
-        return len(self.by_status("skipped"))
-
     def cache_hit_rate(self) -> float:
-        """Fraction of successful points served from the artifact cache.
-
-        A point counts as a hit when its simulation-stage artifact was
-        already stored (or the point was skipped entirely on resume).
-        """
-        served = [o for o in self.outcomes if o.status in ("done", "skipped")]
-        if not served:
+        """Fraction of done points whose simulation artifact was already
+        stored."""
+        done = self.by_status("done")
+        if not done:
             return 0.0
-        hits = 0
-        for outcome in served:
-            if outcome.status == "skipped":
-                hits += 1
-                continue
-            stage_hits = (outcome.result or {}).get("cache_hits", {})
-            if stage_hits.get("simulation"):
-                hits += 1
-        return hits / len(served)
+        hits = sum(
+            1
+            for outcome in done
+            if (outcome.result or {}).get("cache_hits", {}).get("simulation")
+        )
+        return hits / len(done)
 
     def summary(self) -> str:
         """Multi-line aggregate summary of the run."""
         hit_rate = self.cache_hit_rate()
-        served = self.n_done + self.n_skipped
         lines = [
             f"campaign {self.spec.name!r}: {len(self.outcomes)} points",
-            f"  done: {self.n_done}  failed: {self.n_failed}  "
-            f"skipped: {self.n_skipped}",
+            f"  done: {self.n_done}  failed: {self.n_failed}",
             f"  artifact-cache hit rate: {hit_rate:.1%} "
-            f"({round(hit_rate * served)}/{served} points)",
+            f"({round(hit_rate * self.n_done)}/{self.n_done} points)",
             f"  wall time: {self.wall_seconds:.2f}s",
         ]
         for outcome in self.by_status("failed"):
@@ -330,9 +316,6 @@ class Scheduler:
     backoff:
         Base seconds of delay before attempt *n*'s retry
         (``backoff * 2^(n-1)``, capped at :data:`MAX_BACKOFF`).
-    resume:
-        Skip jobs already recorded as done in the existing manifest and
-        append new events to it instead of truncating.
     fast:
         Let kernel-covered geometries use the vectorized kernel (and
         ``file:`` rule points the trace commit store).  ``False`` (``tdst
@@ -351,7 +334,6 @@ class Scheduler:
         timeout: Optional[float] = None,
         retries: int = 1,
         backoff: float = 0.5,
-        resume: bool = False,
         fast: bool = True,
     ) -> None:
         self.spec = spec
@@ -364,7 +346,6 @@ class Scheduler:
         self.timeout = timeout
         self.retries = max(0, retries)
         self.backoff = max(0.0, backoff)
-        self.resume = resume
 
     # -- public API ----------------------------------------------------------
 
@@ -415,13 +396,8 @@ class Scheduler:
         started = time.monotonic()
         with telemetry.span("campaign.expand", cat="campaign"):
             jobs = expand_jobs(self.spec)
-        previous: Dict[str, Dict[str, Any]] = {}
-        if self.resume and self.manifest_path.exists():
-            previous = RunManifest.completed_jobs(
-                RunManifest.read(self.manifest_path)
-            )
         result = CampaignResult(spec=self.spec)
-        with RunManifest(self.manifest_path, append=self.resume) as manifest:
+        with RunManifest(self.manifest_path) as manifest:
             manifest.record(
                 EVENT_CAMPAIGN_START,
                 campaign=self.spec.name,
@@ -429,40 +405,21 @@ class Scheduler:
                 workers=self.workers,
                 timeout=self.timeout,
                 retries=self.retries,
-                resume=self.resume,
             )
-            run_jobs: List[Job] = []
             with telemetry.span("campaign.plan", cat="campaign"):
-                for job in jobs:
-                    row = previous.get(job.job_id)
-                    if row is not None:
-                        # Carry the prior result forward so reports built
-                        # from the latest terminal row per job still have
-                        # the data.
-                        manifest.record(
-                            EVENT_JOB_SKIPPED,
-                            job_id=job.job_id,
-                            result=row.get("result"),
-                        )
-                        result.outcomes.append(
-                            JobOutcome(
-                                job_id=job.job_id,
-                                status="skipped",
-                                attempts=0,
-                                result=row.get("result"),
-                            )
-                        )
-                    elif not self._serve_stored(job, manifest, result, telemetry):
-                        run_jobs.append(job)
+                run_jobs = [
+                    job
+                    for job in jobs
+                    if not self._serve_stored(job, manifest, result, telemetry)
+                ]
             # Only the points the store did not answer are routed and
-            # grouped, so a resumed group runs only its pending members.
+            # grouped, so a widened group runs only its missing members.
             with telemetry.span("campaign.grid", cat="campaign"):
                 tasks = plan_tasks(run_jobs, self.fast)
                 result.outcomes.extend(self._run_tasks(tasks, manifest))
             result.wall_seconds = time.monotonic() - started
             telemetry.add("campaign.points_done", result.n_done)
             telemetry.add("campaign.points_failed", result.n_failed)
-            telemetry.add("campaign.points_skipped", result.n_skipped)
             if telemetry.enabled:
                 snapshot = telemetry.snapshot()
                 manifest.record(
@@ -476,7 +433,6 @@ class Scheduler:
                 campaign=self.spec.name,
                 done=result.n_done,
                 failed=result.n_failed,
-                skipped=result.n_skipped,
                 cache_hit_rate=round(result.cache_hit_rate(), 4),
                 wall_seconds=round(result.wall_seconds, 3),
             )
@@ -493,12 +449,11 @@ class Scheduler:
 
         Looks the point's simulation artifact up by content key; when it
         is stored, records the point as done (worker ``-1``, route
-        ``store``) and returns True, and the point starts no work.  On
-        ``--resume`` a stored point without a terminal row is an orphan
-        (a previous run died between the artifact write and the manifest
-        append): it is recorded as ``recovered`` with attempt 0.  False
-        means the point must run; so does a rule reference that cannot
-        be resolved, whose failure the normal run path records.
+        ``store``, attempt 1) and returns True, and the point starts no
+        work.  An artifact whose manifest row a crashed run never wrote
+        is answered the same way.  False means the point must run; so
+        does a rule reference that cannot be resolved, whose failure the
+        normal run path records.
         """
         started = time.monotonic()
         try:
@@ -512,29 +467,23 @@ class Scheduler:
             stored, {"simulation": True}, {"route": "store"}, started
         )
         elapsed = payload["compute_seconds"]
-        attempt = 0 if self.resume else 1
-        extra = {"recovered": True} if self.resume else {}
         manifest.record(
             EVENT_JOB_DONE,
             job_id=job.job_id,
-            attempt=attempt,
+            attempt=1,
             worker=-1,
             elapsed=elapsed,
             result=payload,
-            **extra,
         )
         result.outcomes.append(
             JobOutcome(
                 job_id=job.job_id,
                 status="done",
-                attempts=attempt,
                 elapsed=elapsed,
                 result=payload,
             )
         )
         telemetry.add("campaign.artifact_hits")
-        if self.resume:
-            telemetry.add("campaign.orphans_recovered")
         return True
 
     # -- the executor ---------------------------------------------------------
@@ -613,8 +562,8 @@ class Scheduler:
                 if child_tele:
                     get_telemetry().merge(child_tele)
                 # One row per member, keyed by the member's job id with
-                # its own payload, so resume, reports and
-                # ``completed_jobs`` never see how points were grouped.
+                # its own payload, so reports never see how points were
+                # grouped.
                 members = payload.get("members", {})
                 settled = []
                 for job in task.members:
@@ -756,7 +705,6 @@ def run_campaign(
     timeout: Optional[float] = None,
     retries: int = 1,
     backoff: float = 0.5,
-    resume: bool = False,
     fast: bool = True,
 ) -> CampaignResult:
     """One-call campaign execution (see :class:`Scheduler` for knobs)."""
@@ -767,6 +715,5 @@ def run_campaign(
         timeout=timeout,
         retries=retries,
         backoff=backoff,
-        resume=resume,
         fast=fast,
     ).run()

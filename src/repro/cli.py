@@ -70,6 +70,11 @@ def _add_cache_args(parser: argparse.ArgumentParser) -> None:
         default="base",
         help="per-variable stat granularity",
     )
+
+
+def _add_physical_args(parser: argparse.ArgumentParser) -> None:
+    """The options :func:`_apply_physical` reads, for the commands that
+    apply it."""
     parser.add_argument(
         "--physical",
         choices=("identity", "sequential", "random", "coloring"),
@@ -149,7 +154,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 
 
 def _apply_physical(trace: Trace, args: argparse.Namespace) -> Trace:
-    if not getattr(args, "physical", None):
+    if not args.physical:
         return trace
     from repro.memory.paging import PageTable
     from repro.trace.physical import to_physical
@@ -180,7 +185,7 @@ def _cmd_simulate_fast(args: argparse.Namespace) -> int:
     from repro.simbatch.plan import fast_path_declined
 
     config = _cache_config(args)
-    if getattr(args, "physical", None):
+    if args.physical:
         print("error: --fast streams the trace file; --physical needs a "
               "materialized trace (drop one of the two)")
         return 2
@@ -271,9 +276,13 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         sweep_table,
     )
 
+    config = _cache_config(args)
     trace = _apply_physical(_load_trace(args.trace), args)
     configs = associativity_sweep(
-        args.size, args.block, max_ways=args.max_ways, policy=args.policy
+        config.size,
+        config.block_size,
+        max_ways=args.max_ways,
+        policy=config.policy,
     )
     points = sweep_configs(trace, configs, attribution=args.attribution)
     print(sweep_table(points))
@@ -329,14 +338,11 @@ def _cmd_advise(args: argparse.Namespace) -> int:
     order = suggest_field_order(trace, args.variable, layout)
     print(f"field-order suggestion: {order.order}")
 
-    # Cost-ranked candidate pool: static intervals prune the simulations,
-    # `--no-cost-prune` simulates every candidate (same top-1, slower).
+    # Cost-ranked candidate pool: static intervals prune the simulations.
     config = _cache_config(args)
     records = list(trace)
     candidates = generate_candidates(records, args.variable, layout)
-    ranking = rank_candidates(
-        records, candidates, config, prune=not args.no_cost_prune
-    )
+    ranking = rank_candidates(records, candidates, config)
     print(f"\nranked candidates ({config.describe()}):")
     for line in ranking.lines():
         print(f"  {line}")
@@ -380,7 +386,6 @@ def _cmd_simbatch(args: argparse.Namespace) -> int:
     import json
 
     from repro.cache.config import CacheConfig
-    from repro.errors import CacheConfigError
     from repro.simbatch import kernel_fields, plan_batch, simulate_batch
 
     configs = [
@@ -394,16 +399,12 @@ def _cmd_simbatch(args: argparse.Namespace) -> int:
         for n_sets in args.sets
         for assoc in args.assocs
     ]
-    try:
-        result = simulate_batch(
-            args.trace,
-            configs,
-            chunk_records=args.chunk,
-            attribution=args.attribution if args.by_variable else None,
-        )
-    except CacheConfigError as exc:
-        print(f"error: {exc}")
-        return 2
+    result = simulate_batch(
+        args.trace,
+        configs,
+        chunk_records=args.chunk,
+        attribution=args.attribution if args.by_variable else None,
+    )
     if args.json:
         rows = []
         for config, counts in zip(result.configs, result.results):
@@ -610,7 +611,6 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
             timeout=args.timeout,
             retries=args.retries,
             backoff=args.backoff,
-            resume=args.resume,
             fast=not args.no_fast,
         )
     try:
@@ -624,7 +624,7 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         _print_campaign_report(manifest_path)
     # Graceful degradation: failed points are recorded, not fatal — the
     # exit code only signals a campaign that produced nothing at all.
-    return 0 if (result.n_done + result.n_skipped) else 1
+    return 0 if result.n_done else 1
 
 
 def _cmd_commit(args: argparse.Namespace) -> int:
@@ -870,7 +870,7 @@ def _cmd_figure(args: argparse.Namespace) -> int:
     from repro.analysis.per_set import figure_series
     from repro.cache.simulator import simulate
 
-    trace = _load_trace(args.trace)
+    trace = _apply_physical(_load_trace(args.trace), args)
     result = simulate(trace, _cache_config(args), attribution=args.attribution)
     figure = figure_series(result, title=str(args.trace))
     print(render_figure(figure))
@@ -921,6 +921,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", aliases=["sim"], help="cache-simulate a trace")
     p.add_argument("trace")
     _add_cache_args(p)
+    _add_physical_args(p)
     p.add_argument("--plot", action="store_true", help="include ASCII per-set plot")
     p.add_argument(
         "--fast",
@@ -953,6 +954,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("trace")
     _add_cache_args(p)
+    _add_physical_args(p)
     p.set_defaults(func=_cmd_threec)
 
     p = sub.add_parser("transform", help="apply a rule file to a trace")
@@ -970,17 +972,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "sweep",
-        help="associativity sweep over one trace (LRU and direct-mapped "
-        "configs share one kernel pass)",
+        help="associativity sweep over one trace: 1 way up to --max-ways "
+        "at the cache options' size, block and policy (--ppc440: 32 KiB, "
+        "32 B, round-robin)",
     )
     p.add_argument("trace")
     _add_cache_args(p)
+    _add_physical_args(p)
     p.add_argument("--max-ways", type=int, default=16)
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("heatmap", help="time x set traffic heatmap")
     p.add_argument("trace")
     _add_cache_args(p)
+    _add_physical_args(p)
     p.add_argument("--window", type=int, default=1000, help="accesses per row")
     p.add_argument("--columns", type=int, default=96)
     p.add_argument(
@@ -998,12 +1003,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("variable", help="structure variable to analyse")
     p.add_argument("--cold-threshold", type=float, default=0.2)
     p.add_argument("--rules-out", help="write the best suggestion's rule file")
-    p.add_argument(
-        "--no-cost-prune",
-        action="store_true",
-        help="simulate every candidate instead of letting the static "
-        "cost model skip provably-worse and provably-equivalent ones",
-    )
     _add_cache_args(p)
     p.set_defaults(func=_cmd_advise)
 
@@ -1098,11 +1097,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=1024,
         help="array length for the built-in 'paper' spec",
-    )
-    p.add_argument(
-        "--resume",
-        action="store_true",
-        help="skip jobs already completed in the existing manifest",
     )
     p.add_argument(
         "--report",
@@ -1280,9 +1274,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(func=_cmd_verify)
 
-    p = sub.add_parser("figure", help="per-set figure data for a trace")
+    p = sub.add_parser(
+        "figure",
+        help="per-set figure data for a trace (--physical maps it to "
+        "physical addresses first, as simulate does)",
+    )
     p.add_argument("trace")
     _add_cache_args(p)
+    _add_physical_args(p)
     p.add_argument("--dat", help="write gnuplot data file")
     p.add_argument("--gp", help="write gnuplot script (needs --dat)")
     p.set_defaults(func=_cmd_figure)
@@ -1312,6 +1311,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _run_command(args: argparse.Namespace) -> int:
+    """Run the parsed subcommand.  Cache options that make no valid
+    geometry are a usage error: one ``error:`` line and exit 2."""
+    from repro.errors import CacheConfigError
+
+    try:
+        return args.func(args)
+    except CacheConfigError as exc:
+        print(f"error: {exc}")
+        return 2
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """Parse and dispatch; with ``--profile`` the run is telemetered.
 
@@ -1324,7 +1335,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     profile = getattr(args, "profile", None)
     profile_trace = getattr(args, "profile_trace", None)
     if not (profile or profile_trace):
-        return args.func(args)
+        return _run_command(args)
 
     from repro.obsv import (
         get_telemetry,
@@ -1340,7 +1351,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         telemetry.enable()
     try:
         with telemetry.span(f"tdst.{args.command}", cat="cli"):
-            return args.func(args)
+            return _run_command(args)
     finally:
         telemetry.sample_rss()
         snapshot = telemetry.snapshot()

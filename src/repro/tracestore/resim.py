@@ -105,15 +105,12 @@ def simulate_chain(
     *,
     attribution: str = "base",
     snapshots: bool = True,
-    snapshot_every: int = 1,
 ) -> ChainSimResult:
     """Simulate a commit's trace, resuming from the deepest snapshot.
 
+    A snapshot is saved at every chunk boundary that has none yet.
     ``snapshots=False`` disables both restore and save (the cold-run
-    baseline the equality tests compare against).  ``snapshot_every``
-    thins the boundaries that persist state — snapshot files are
-    O(sets x ways + distinct blocks), so dense boundaries trade disk for
-    resume depth.
+    baseline the equality tests compare against).
     """
     if isinstance(commit, str):
         commit = store.resolve(commit)
@@ -157,9 +154,7 @@ def simulate_chain(
                     columnar.sizes[idx].astype(np.uint32),
                     gids[idx],
                 )
-            if snapshots and (
-                (i + 1 - start) % max(snapshot_every, 1) == 0 or i == n - 1
-            ):
+            if snapshots:
                 sid = snapshot_id(config, attribution, blob_ids[: i + 1])
                 if not store.has_snapshot(sid):
                     state = sim.state()

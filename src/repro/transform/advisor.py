@@ -22,8 +22,9 @@ rules —
   candidates whose lower bound exceeds the best simulated count cannot
   be top-1, and candidates whose canonical block streams coincide share
   one simulation.  ``prune=False`` restores the simulate-everything
-  baseline (the CLI's ``--no-cost-prune``); both paths produce the same
-  top recommendation, which the ``cost`` test suite checks.
+  baseline (the reference the pruned ranking is tested and benchmarked
+  against); both paths produce the same top recommendation, which the
+  ``cost`` test suite checks.
 
 The advisor works from the same information the paper's user reads off
 the modified-DineroIV output (per-variable counts, conflicts) — it simply

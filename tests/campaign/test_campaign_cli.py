@@ -42,25 +42,16 @@ class TestCampaignCommand:
         assert (directory / "manifest.jsonl").exists()
         assert (directory / "artifacts").is_dir()
 
-    def test_resume_reports_full_cache_hits(self, spec_file, tmp_path, capsys):
+    def test_rerun_reports_full_cache_hits(self, spec_file, tmp_path, capsys):
         directory = tmp_path / "out"
-        assert main(["campaign", str(spec_file), "--dir", str(directory)]) == 0
+        argv = ["campaign", str(spec_file), "--dir", str(directory)]
+        assert main(argv) == 0
         capsys.readouterr()
-        assert (
-            main(
-                [
-                    "campaign",
-                    str(spec_file),
-                    "--dir",
-                    str(directory),
-                    "--resume",
-                ]
-            )
-            == 0
-        )
+        assert main(argv) == 0
         out = capsys.readouterr().out
-        assert "skipped: 2" in out
-        assert "100.0%" in out
+        assert "done: 2  failed: 0\n" in out
+        assert "hit rate: 100.0% (2/2 points)" in out
+        assert "artifact-cache simulation hits: 2/2" in out
 
     def test_report_only_mode(self, spec_file, tmp_path, capsys):
         directory = tmp_path / "out"
@@ -408,8 +399,8 @@ class TestImports:
             assert "LOADED []" in self._probe(self._loaded(argv)), argv
 
     def test_mixed_run_traces_only_missing_programs(self, spec_file, tmp_path):
-        """Store grid A, then run A+B without --resume: the parent serves
-        A's points, and B's one task traces B's program."""
+        """Store grid A, then run A+B: the parent serves A's points, and
+        B's one task traces B's program."""
         import json
 
         out = tmp_path / "out"
@@ -487,7 +478,7 @@ class TestOneTraceStore:
         reads its table as it always did.  Rerun with a second cache, its
         stored points are served as they are, and the points it lacks
         are traced afresh without opening any ``.trace.tdst`` file or
-        writing a ``trace/`` row, with or without ``--resume``."""
+        writing a ``trace/`` row."""
         import builtins
         import io
         import json
@@ -544,22 +535,6 @@ class TestOneTraceStore:
         }
         assert not [row for row in rows if row.get("job_id", "").startswith("trace/")]
         assert {p: p.read_bytes() for p in old.rglob("*.trace.tdst")} == v1
-        resumed = tmp_path / "resumed"
-        shutil.copytree(fixture, resumed)
-        assert main(["campaign", str(spec), "--dir", str(resumed), "--resume"]) == 0
-        appended = (resumed / "manifest.jsonl").read_text().splitlines()
-        assert appended[: len(fixture_rows)] == fixture_rows
-        new_rows = [json.loads(line) for line in appended[len(fixture_rows):]]
-        assert sorted(
-            (row["event"], row["job_id"]) for row in new_rows if "job_id" in row
-        ) == [
-            ("job-done", "1a-L16/baseline/2048B-32b-1w-lru/base"),
-            ("job-done", "1a-L16/t1/2048B-32b-1w-lru/base"),
-            ("job-skipped", "1a-L16/baseline/1024B-32b-1w-lru/base"),
-            ("job-skipped", "1a-L16/t1/1024B-32b-1w-lru/base"),
-            ("job-start", "1a-L16/baseline/2048B-32b-1w-lru/base"),
-            ("job-start", "1a-L16/t1/2048B-32b-1w-lru/base"),
-        ]
         fresh = tmp_path / "fresh"
         assert main(["campaign", str(spec), "--dir", str(fresh)]) == 0
         assert "done: 4  failed: 0" in capsys.readouterr().out

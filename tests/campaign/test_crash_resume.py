@@ -1,9 +1,9 @@
-"""Crash consistency: stale tmp files, torn manifest lines, safe resume.
+"""Crash consistency: stale tmp files, torn manifest lines, safe rerun.
 
 A campaign killed mid-write must leave a directory the next run can pick
 up: temp files from interrupted atomic writes are invisible to readers
 and swept on store open, a half-appended final manifest line is dropped
-with a warning instead of poisoning the read, and a resumed run
+with a warning instead of poisoning the read, and a plain rerun
 completes with artifacts byte-identical to an uninterrupted one.
 """
 
@@ -152,16 +152,26 @@ class TestTornManifest:
             rows = RunManifest.read(path)
         assert [r["event"] for r in rows] == ["campaign_start", "job_done"]
 
-    def test_append_after_torn_line_keeps_reads_working(self, tmp_path):
-        path = self._manifest(tmp_path, '{"half":')
-        with RunManifest(path, append=True) as manifest:
-            manifest.record("job_done", job_id="b")
-        with pytest.warns(RuntimeWarning):
+    def test_rerun_rewrites_torn_manifest(self, tmp_path):
+        """A run over a directory whose manifest ends in a torn line
+        leaves a manifest that reads back without a warning."""
+        directory = tmp_path / "c"
+        run_campaign(small_spec(), directory)
+        path = directory / "manifest.jsonl"
+        path.write_bytes(path.read_bytes() + b'{"half":')
+        with pytest.warns(RuntimeWarning, match="torn final manifest line"):
+            RunManifest.read(path)
+        assert run_campaign(small_spec(), directory).n_done == 2
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             rows = RunManifest.read(path)
-        assert rows[-1]["job_id"] == "b"
+        assert rows[0]["event"] == "campaign-start"
+        assert rows[-1]["event"] == "campaign-end"
 
 
 class TestCrashResume:
+    """A crashed campaign resumes by running it again."""
+
     def test_resume_after_simulated_crash(self, tmp_path):
         spec = small_spec()
         reference = run_campaign(spec, tmp_path / "ref")
@@ -184,11 +194,9 @@ class TestCrashResume:
         old = time.time() - STALE_TMP_AGE_S - 10
         os.utime(stale, (old, old))
 
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            resumed = run_campaign(spec, crashed_dir, resume=True)
-        assert resumed.n_failed == 0
-        assert resumed.n_done + resumed.n_skipped == len(reference.outcomes)
+        rerun = run_campaign(spec, crashed_dir)
+        assert rerun.n_failed == 0
+        assert rerun.n_done == len(reference.outcomes)
         assert not stale.exists()
 
         def artifacts(d):
@@ -205,11 +213,11 @@ class TestOrphanedArtifactRecovery:
 
     Artifact writes are atomic and content-addressed, but the manifest
     append happens after them — so a worker killed in that window leaves
-    a completed payload with no terminal row.  A naive resume would
-    re-execute the job (wasted work, and a re-run attempt counter that
-    lies about what happened).  The fix dedupes by content key on
-    replay: resume serves the orphaned payload as a recovered job-done
-    with ``attempt=0``.
+    a completed payload with no terminal row (an orphan).  Re-executing
+    the job would waste the work.  Every run looks each point up by
+    content key before any work starts, so the next plain run answers
+    the orphan from the store like any other stored point: a
+    ``job-done`` row from worker ``-1``, and no ``job-start`` row.
     """
 
     def _strip_terminal_rows(self, directory, job_id):
@@ -242,33 +250,21 @@ class TestOrphanedArtifactRecovery:
         }
         self._strip_terminal_rows(directory, victim)
 
-        resumed = run_campaign(spec, directory, resume=True)
-        assert resumed.n_failed == 0
-        outcome = {o.job_id: o for o in resumed.outcomes}[victim]
-        # Recovered, not re-run: zero attempts, payload served from the
-        # content-addressed store.
+        rerun = run_campaign(spec, directory)
+        assert rerun.n_failed == 0
+        outcome = {o.job_id: o for o in rerun.outcomes}[victim]
         assert outcome.status == "done"
-        assert outcome.attempts == 0
+        assert outcome.attempts == 1
         assert outcome.result["cache_hits"] == {"simulation": True}
         assert outcome.result["misses"] == first.outcomes[0].result["misses"]
 
         rows = RunManifest.read(directory / "manifest.jsonl")
-        recovered_rows = [
-            r
-            for r in rows
-            if r.get("job_id") == victim and r.get("recovered")
-        ]
-        assert len(recovered_rows) == 1
-        assert recovered_rows[0]["event"] == "job-done"
-        assert recovered_rows[0]["attempt"] == 0
-        assert recovered_rows[0]["worker"] == -1
-        # No fresh job-start for the victim in the resumed section.
-        starts = [
-            r
-            for r in rows
-            if r.get("event") == "job-start" and r.get("job_id") == victim
-        ]
-        assert len(starts) == 1  # only the original run's start
+        (row,) = [r for r in rows if r.get("job_id") == victim]
+        assert row["event"] == "job-done"
+        assert row["worker"] == -1 and row["attempt"] == 1
+        assert row["result"]["route"] == "store"
+        assert "recovered" not in row
+        assert not [r for r in rows if r["event"] == "job-start"]
 
         # Artifacts untouched byte-for-byte (nothing was recomputed).
         after = {
@@ -277,32 +273,34 @@ class TestOrphanedArtifactRecovery:
         }
         assert after == before
 
-    def test_orphan_recovery_requires_resume_flag(self, tmp_path):
-        """Without --resume the campaign re-runs from the cache instead."""
+    def test_orphan_rerun_keeps_its_result(self, tmp_path):
+        """The rerun's report rows carry the orphan's stored result."""
         spec = small_spec()
         directory = tmp_path / "c"
         first = run_campaign(spec, directory)
         victim = first.outcomes[0].job_id
         self._strip_terminal_rows(directory, victim)
 
-        rerun = run_campaign(spec, directory)
-        assert rerun.n_failed == 0
-        outcome = {o.job_id: o for o in rerun.outcomes}[victim]
-        # The job executed again (attempts >= 1) but every stage was an
-        # artifact-cache hit, so the result is identical either way.
-        assert outcome.attempts >= 1
-        assert outcome.result["misses"] == first.outcomes[0].result["misses"]
+        run_campaign(spec, directory)
+        rows = RunManifest.result_rows(
+            RunManifest.read(directory / "manifest.jsonl")
+        )
+        results = {r["job_id"]: r["result"] for r in rows}
+        assert set(results) == {o.job_id for o in first.outcomes}
+        assert results[victim]["misses"] == first.outcomes[0].result["misses"]
 
     def test_recovered_results_survive_a_second_resume(self, tmp_path):
-        """The recovered job-done row makes the next resume a skip."""
+        """The run after the one that found the orphan answers it the
+        same way, from the store."""
         spec = small_spec()
         directory = tmp_path / "c"
         first = run_campaign(spec, directory)
         victim = first.outcomes[0].job_id
         self._strip_terminal_rows(directory, victim)
-        run_campaign(spec, directory, resume=True)
+        run_campaign(spec, directory)
 
-        again = run_campaign(spec, directory, resume=True)
+        again = run_campaign(spec, directory)
         outcome = {o.job_id: o for o in again.outcomes}[victim]
-        assert outcome.status == "skipped"
+        assert outcome.status == "done"
+        assert outcome.result["route"] == "store"
         assert outcome.result["misses"] == first.outcomes[0].result["misses"]

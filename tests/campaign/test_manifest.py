@@ -23,14 +23,6 @@ class TestWriteRead:
         ]
         assert all("ts" in r for r in rows)
 
-    def test_append_mode_preserves_history(self, tmp_path):
-        path = tmp_path / "m.jsonl"
-        with RunManifest(path) as manifest:
-            manifest.record(EVENT_JOB_DONE, job_id="a")
-        with RunManifest(path, append=True) as manifest:
-            manifest.record(EVENT_JOB_DONE, job_id="b")
-        assert len(RunManifest.read(path)) == 2
-
     def test_truncate_mode_starts_fresh(self, tmp_path):
         path = tmp_path / "m.jsonl"
         with RunManifest(path) as manifest:
@@ -51,15 +43,8 @@ class TestWriteRead:
 
 
 class TestQueries:
-    def test_completed_jobs_latest_wins(self, tmp_path):
-        rows = [
-            {"event": EVENT_JOB_DONE, "job_id": "a", "result": {"misses": 9}},
-            {"event": EVENT_JOB_FAILED, "job_id": "b", "error": "x"},
-            {"event": EVENT_JOB_DONE, "job_id": "a", "result": {"misses": 3}},
-        ]
-        done = RunManifest.completed_jobs(rows)
-        assert set(done) == {"a"}
-        assert done["a"]["result"] == {"misses": 3}
+    """``result_rows`` still reads the ``job-skipped`` rows that older
+    runs wrote when they carried a manifest's rows forward."""
 
     def test_result_rows_terminal_only(self):
         rows = [

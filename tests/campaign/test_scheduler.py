@@ -1,4 +1,4 @@
-"""Tests for the campaign scheduler: parallelism, retries, resume."""
+"""Tests for the campaign scheduler: parallelism, retries, reruns."""
 
 import pytest
 
@@ -138,27 +138,11 @@ class TestGracefulDegradation:
 
 
 class TestResume:
-    def test_second_run_skips_and_hits_cache(self, tmp_path):
-        directory = tmp_path / "c"
-        first = run_campaign(mini_spec(), directory)
-        assert first.cache_hit_rate() == 0.0
-        second = run_campaign(mini_spec(), directory, resume=True)
-        assert second.n_skipped == 3
-        assert second.n_done == 0
-        assert second.cache_hit_rate() == 1.0
-        assert second.wall_seconds < first.wall_seconds
-
-    def test_resume_preserves_results_in_manifest(self, tmp_path):
-        directory = tmp_path / "c"
-        run_campaign(mini_spec(), directory)
-        run_campaign(mini_spec(), directory, resume=True)
-        rows = RunManifest.result_rows(
-            RunManifest.read(directory / "manifest.jsonl")
-        )
-        skipped = [r for r in rows if r["event"] == "job-skipped"]
-        assert skipped and all(r["result"]["accesses"] > 0 for r in skipped)
+    """A campaign resumes by running again into the same directory: the
+    store answers every point it holds, and only the rest run."""
 
     def test_resume_runs_only_new_points(self, tmp_path):
+        """A rerun of a widened grid runs only the new point."""
         directory = tmp_path / "c"
         run_campaign(mini_spec(), directory)
         wider = mini_spec(
@@ -167,18 +151,27 @@ class TestResume:
                 GridEntry(kernel="3a", length=64, rules=("baseline", "t3")),
             )
         )
-        result = run_campaign(wider, directory, resume=True)
-        assert result.n_skipped == 3
-        assert result.n_done == 1  # only the new t3 point
-        (done,) = result.by_status("done")
-        assert "/t3/" in done.job_id
-        # Its trace stage was already cached from the first run.
-        assert done.result["cache_hits"]["trace"] is True
+        result = run_campaign(wider, directory)
+        assert result.n_done == 4 and result.n_failed == 0
+        ran = [
+            o for o in result.outcomes if o.result["route"] != "store"
+        ]
+        assert [o.job_id for o in ran] == [
+            "3a-L64/t3/2048B-32b-1w-lru/base"
+        ]
+        # Its program's trace was already committed by the first run.
+        assert ran[0].result["cache_hits"]["trace"] is True
+        starts = [
+            r["job_id"]
+            for r in RunManifest.read(directory / "manifest.jsonl")
+            if r["event"] == "job-start"
+        ]
+        assert starts == [ran[0].job_id]
 
     def test_without_resume_reruns_but_still_hits_artifacts(self, tmp_path):
         directory = tmp_path / "c"
         run_campaign(mini_spec(), directory)
-        again = run_campaign(mini_spec(), directory)  # no resume flag
+        again = run_campaign(mini_spec(), directory)
         assert again.n_done == 3
         assert again.cache_hit_rate() == 1.0  # simulation artifacts reused
 

@@ -1,4 +1,4 @@
-"""Campaign grid tasks: grouping, execution parity, resume, CLI."""
+"""Campaign grid tasks: grouping, execution parity, reruns, CLI."""
 
 import json
 
@@ -187,11 +187,17 @@ class TestScheduledCampaign:
         jobs = expand_jobs(grid_spec())
         assert sorted(done) == sorted(j.job_id for j in jobs)
 
-    def test_resume_skips_everything(self, tmp_path):
+    def test_rerun_serves_every_point_from_store(self, tmp_path):
         directory = tmp_path / "c"
         run_campaign(grid_spec(), directory)
-        again = run_campaign(grid_spec(), directory, resume=True)
-        assert again.n_done == 0 and again.n_failed == 0
+        again = run_campaign(grid_spec(), directory)
+        assert again.n_done == 12 and again.n_failed == 0
+        assert {o.result["route"] for o in again.outcomes} == {"store"}
+        events = [
+            r["event"] for r in RunManifest.read(directory / "manifest.jsonl")
+        ]
+        assert events.count("job-done") == 12
+        assert "job-start" not in events
 
     def test_spec_disable(self):
         """A ``[batch] enabled = false`` table no longer turns grouping

@@ -456,3 +456,97 @@ class TestFastSimulate:
 
     def test_sim_alias(self, traced_kernel):
         assert main(["sim", str(traced_kernel)]) == 0
+
+
+class TestCacheOptionErrors:
+    """Cache options that make no valid geometry are a usage error on
+    every command that builds a cache from them: exit 2 and one
+    ``error:`` line naming the bad value, never a traceback."""
+
+    @pytest.fixture
+    def soa_layout(self, tmp_path):
+        path = tmp_path / "soa.h"
+        path.write_text("struct SoA { int mX[16]; double mY[16]; } lSoA;")
+        return path
+
+    @pytest.mark.parametrize(
+        "argv, bad",
+        [
+            (["sim", "{trace}", "--size", "100"], "got 100"),
+            (["sim", "{trace}", "--fast", "--size", "100"], "got 100"),
+            (["sim", "{trace}", "--assoc", "3"], "got 3"),
+            (["sim", "{trace}", "--policy", "bogus"], "'bogus'"),
+            (["threec", "{trace}", "--size", "100"], "got 100"),
+            (["sweep", "{trace}", "--size", "100"], "got 100"),
+            (["heatmap", "{trace}", "--size", "100"], "got 100"),
+            (["figure", "{trace}", "--size", "100"], "got 100"),
+            (["figure", "{trace}", "--policy", "bogus"], "'bogus'"),
+            (["resim", "trace/main", "--store", "{tmp}", "--size", "100"],
+             "got 100"),
+            (["advise", "{trace}", "{layout}", "lSoA", "--assoc", "3"],
+             "got 3"),
+            (["simbatch", "{trace}", "--sets", "3"], "got 96"),
+            (["lint", "{layout}", "--size", "100"], "got 100"),
+        ],
+    )
+    @pytest.mark.parametrize("profile", [False, True])
+    def test_one_error_line_and_exit_2(
+        self, traced_kernel, soa_layout, tmp_path, capsys, argv, bad, profile
+    ):
+        paths = {
+            "trace": traced_kernel, "layout": soa_layout, "tmp": tmp_path / "s"
+        }
+        argv = [arg.format(**paths) for arg in argv]
+        if profile:
+            argv += ["--profile", str(tmp_path / "p.jsonl")]
+        capsys.readouterr()
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        errors = [
+            line for line in captured.out.splitlines()
+            if line.startswith("error:")
+        ]
+        assert len(errors) == 1 and bad in errors[0], errors
+        assert "Traceback" not in captured.out + captured.err
+
+
+class TestCacheOptionsApplied:
+    """Every cache option a command accepts changes what it computes."""
+
+    def test_figure_applies_physical(self, tmp_path, capsys):
+        trace = tmp_path / "t.out"
+        assert main(["trace", "1a", "--length", "64", "-o", str(trace)]) == 0
+        outputs = {}
+        for extra in ([], ["--physical", "identity"],
+                      ["--physical", "random", "--seed", "3"]):
+            capsys.readouterr()
+            assert main(["figure", str(trace), *extra]) == 0
+            outputs[" ".join(extra)] = capsys.readouterr().out
+        assert outputs[""] == outputs["--physical identity"]
+        assert outputs[""] != outputs["--physical random --seed 3"]
+
+    def test_sweep_ppc440_sweeps_its_geometry(self, traced_kernel, capsys):
+        assert main(["sweep", str(traced_kernel), "--ppc440",
+                     "--max-ways", "4"]) == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert len(rows) == 3
+        for row in rows:
+            assert "32768 bytes, 32 bytes/block" in row
+            assert "round-robin" in row and "lru" not in row
+
+    @pytest.mark.parametrize("command", ["resim", "advise", "lint"])
+    @pytest.mark.parametrize(
+        "option", [["--physical", "random"], ["--colors", "4"], ["--seed", "3"]]
+    )
+    def test_unread_physical_options_are_rejected(
+        self, traced_kernel, tmp_path, capsys, command, option
+    ):
+        argv = {
+            "resim": ["resim", "trace/main", "--store", str(tmp_path / "s")],
+            "advise": ["advise", str(traced_kernel), "layout.h", "lSoA"],
+            "lint": ["lint", str(tmp_path)],
+        }[command]
+        with pytest.raises(SystemExit) as exit_info:
+            main([*argv, *option])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err

@@ -197,24 +197,6 @@ class TestAdviseCli:
         assert "ranked candidates" in out
         assert "identity" in out
 
-    def test_no_cost_prune_same_top(self, advise_inputs, capsys):
-        from repro.cli import main
-
-        trace_path, layout_file = advise_inputs
-        main(["advise", str(trace_path), str(layout_file), "parts"])
-        pruned = capsys.readouterr().out
-        main(
-            [
-                "advise", str(trace_path), str(layout_file), "parts",
-                "--no-cost-prune",
-            ]
-        )
-        full = capsys.readouterr().out
-        first_line = lambda out: [
-            ln for ln in out.splitlines() if ln.strip().startswith("1.")
-        ]
-        assert first_line(pruned) == first_line(full)
-
     def test_rules_out_writes_winner(self, advise_inputs, tmp_path, capsys):
         from repro.cli import main
         from repro.transform.rule_parser import parse_rules
